@@ -147,9 +147,6 @@ class CertificateDB:
         atoms[cert.name] = cert
         return CertificateDB(atoms.values())
 
-    def names(self):
-        return sorted(self._atoms)
-
 
 _DEFAULT = CertificateDB()
 
@@ -185,7 +182,11 @@ def load_registry(path) -> CertificateDB:
     Records replace any built-in certificate of the same name, so a record
     must be complete on its own.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise CertificateError(f"cannot read registry file {path}: {exc.strerror}") from None
+    with fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:

@@ -102,14 +102,6 @@ def jsonable(x):
     return str(x)
 
 
-def fmt_frac(x: Fraction) -> str:
-    return str(x)
-
-
-def fmt_rat_interval(x: RatInterval) -> str:
-    return str(x)
-
-
 def verdict_json(v):
     return {
         "target": v.target,
@@ -432,18 +424,18 @@ def cmd_surgery(args, db) -> int:
         raise ValueError(f"surgery coefficient must have p, q > 0, got {args.p}/{args.q}")
     e = parse(args.expr, db)
     ev = Evaluator(db)
-    rows = []
-    for i in range(args.p):
-        d = ev.surgery_d(e, args.p, args.q, i)
-        rows.append({"i": i, "d": jsonable(d) if not d.is_exact else jsonable(d.value)})
+    ds = [ev.surgery_d(e, args.p, args.q, i) for i in range(args.p)]
     if args.json:
+        rows = [
+            {"i": i, "d": jsonable(d) if not d.is_exact else jsonable(d.value)}
+            for i, d in enumerate(ds)
+        ]
         _print_json(
             {"schema": 1, "expression": args.expr, "p": args.p, "q": args.q, "rows": rows}
         )
     else:
         print(f"d(S^3_{{{args.p}/{args.q}}}({render(e)}), i):")
-        for i in range(args.p):
-            d = ev.surgery_d(e, args.p, args.q, i)
+        for i, d in enumerate(ds):
             print(f"  i={i}: {d if not d.is_exact else d.value}")
     return EXIT_OK
 
@@ -459,7 +451,10 @@ def cmd_sigma(args, db) -> int:
         return EXIT_GAP if args.strict else EXIT_OK
     queries = []
     for spec in args.at or []:
-        theta = Fraction(spec)  # multiple of pi
+        try:
+            theta = Fraction(spec)  # multiple of pi
+        except ZeroDivisionError:
+            raise ValueError(f"--at {spec}: zero denominator") from None
         x = theta / 2
         entry = {"theta_over_pi": jsonable(theta), "x": jsonable(x)}
         try:

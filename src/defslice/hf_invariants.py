@@ -12,7 +12,8 @@ Rules used, besides per-atom certificates:
   * Wu's cabling formula (without the spurious factor of 2 in front of
     the maximum) for cables with q >= 1.
   * Connected-sum subadditivity V_{m+n}(K # J) <= V_m(K) + V_n(J) and the
-    derived lower bound V_0(A # B) >= V_0(A) - V_0(B*).
+    derived lower bound V_0(A # B) >= V_0(A) - V_0(B*), which is optimal
+    with a single summand as A (proof at Evaluator._sum_lower_v0).
   * Monotonicity V_k - 1 <= V_{k+1} <= V_k, closed to a fixed point.
   * V_k = 0 for k at or above a derivable genus bound.
   * The Whitehead-double substitution axiom, for V_0/nu+ queries only.
@@ -38,8 +39,6 @@ from .knotexpr import (
     normalize,
 )
 from .laurent import LaurentPoly, torsion_coefficient, torus_alexander
-
-PARTITION_BUDGET = 12
 
 
 class ContradictionError(ValueError):
@@ -314,9 +313,8 @@ class Evaluator:
     of the same report or suite amortizes the memoized V-sequence work.
     """
 
-    def __init__(self, db=None, partition_budget: int = PARTITION_BUDGET):
+    def __init__(self, db=None):
         self.db = resolve_db(db)
-        self.budget = partition_budget
         self._vs = {}
         self._vs_public = {}
         self._gen = {}
@@ -357,9 +355,8 @@ class Evaluator:
 
     # -- V-sequence ---------------------------------------------------
 
-    def _vseq(self, e, need_lower=True):
-        key = (e, need_lower)
-        cached = self._vs.get(key)
+    def _vseq_of(self, e):
+        cached = self._vs.get(e)
         if cached is not None:
             return cached
         if isinstance(e, Atom):
@@ -367,12 +364,12 @@ class Evaluator:
         elif isinstance(e, Mirror):
             res = self._vseq_mirror(e)
         elif isinstance(e, Sum):
-            res = self._vseq_sum(e, need_lower)
+            res = self._vseq_sum(e)
         elif isinstance(e, Cable):
             res = self._vseq_cable(e)
         else:
             raise TypeError(f"not a knot expression: {e!r}")
-        self._vs[key] = res
+        self._vs[e] = res
         return res
 
     def _vseq_atom(self, e):
@@ -403,9 +400,9 @@ class Evaluator:
         # no rule for V of a mirrored cable: genus tail only
         return _close([IntInterval(0, None)], self._genus(c))
 
-    def _vseq_sum(self, e, need_lower):
+    def _vseq_sum(self, e):
         parts = e.parts
-        seqs = [self._vseq(p, need_lower=False) for p in parts]
+        seqs = [self._vseq_of(p) for p in parts]
         zf = self._genus(e)
         if zf is not None:
             length = max(zf, 1)
@@ -427,44 +424,45 @@ class Evaluator:
                         best = v
                 out.append(best)
             his = out
-        lo0 = 0
-        if need_lower:
-            lo0 = self._sum_lower_v0(parts)
+        lo0 = self._sum_lower_v0(parts)
         entries = [IntInterval(lo0 if k == 0 else 0, his[k]) for k in range(length)]
         return _close(entries, zf)
 
     def _sum_lower_v0(self, parts):
-        # V_0(A # B) >= V_0(A) - V_0(B*), over two-block partitions (A, B).
-        r = len(parts)
-        if r <= self.budget:
-            masks = range(1, (1 << r) - 1)
-        else:
-            masks = []
-            for i in range(r):
-                masks.append(1 << i)
-                masks.append(((1 << r) - 1) ^ (1 << i))
+        """Best lower bound on V_0 of the sum from V_0(A # B) >= V_0(A) - V_0(B*).
+
+        Over the two-block partitions (A, B) of the summands, the optimum is
+
+            lo = max(0, max_i [lo0(p_i) - sum_{j != i} hi0(p_j*)]),
+
+        skipping a term in which some hi0 is unbounded.  Proof that a single
+        summand in A suffices: the closure is a min-plus convolution with
+        the kernel max(0, d), which is idempotent, so the fold of closed
+        sequences is already closed at V_0 and the closed hi0 of a sum is
+        the sum of the hi0 of its parts.  If lo(A) itself comes from the
+        rule applied to A = A1 u A2, then
+
+            lo(A) - hi0(B*) <= lo(A1) - hi0(A2*) - hi0(B*)
+                             = lo(A1) - hi0((A2 u B)*),
+
+        and lo(A) = 0 gives a term <= 0.  By induction on |A|, a singleton
+        A attains the optimum.
+        """
+        his = [self._vseq_of(mirror(p)).at(0).hi for p in parts]
+        unbounded = his.count(None)
+        total = sum(h for h in his if h is not None)
         best = 0
-        seen = set()
-        for mask in masks:
-            a_parts = tuple(parts[i] for i in range(r) if mask >> i & 1)
-            b_parts = tuple(parts[i] for i in range(r) if not (mask >> i & 1))
-            key = (a_parts, b_parts)
-            if key in seen:
+        for p, h in zip(parts, his):
+            if unbounded - (h is None):  # another summand's hi0 is unbounded
                 continue
-            seen.add(key)
-            a_expr = a_parts[0] if len(a_parts) == 1 else Sum(a_parts)
-            b_star = tuple(normalize(Mirror(b)) for b in b_parts)
-            b_expr = b_star[0] if len(b_star) == 1 else Sum(b_star)
-            lo_a = self._vseq(a_expr, need_lower=True).at(0).lo
-            hi_b = self._vseq(b_expr, need_lower=False).at(0).hi
-            if hi_b is not None and lo_a - hi_b > best:
-                best = lo_a - hi_b
+            rest = total if h is None else total - h
+            best = max(best, self._vseq_of(p).at(0).lo - rest)
         return best
 
     def _vseq_cable(self, e):
         if e.q <= 0:
             raise CableSignError(f"cable with q={e.q} <= 0 has no V-sequence rule")
-        cseq = self._vseq(e.companion, need_lower=True)
+        cseq = self._vseq_of(e.companion)
         tor = _torus_vseq(e.p, e.q)
         entries = []
         for i in range(e.p * e.q // 2 + 1):
@@ -485,11 +483,11 @@ class Evaluator:
         if cached is not None:
             return cached
         check_positive_cables(e)
-        base = self._vseq(e, need_lower=True)
+        base = self._vseq_of(e)
         red = nu_equiv_reduce(e)
         if red != e:
             # the substitution axiom transports V_0 exactly
-            rb = self._vseq(red, need_lower=True)
+            rb = self._vseq_of(red)
             e0 = base.at(0).intersect(rb.at(0))
             if e0 != base.at(0):
                 base = _close([e0] + list(base.entries[1:]), base.zero_from)
@@ -503,10 +501,10 @@ class Evaluator:
         cached = self._nu_memo.get(e)
         if cached is not None:
             return cached
-        seqs = [self._vseq(e, need_lower=True)]
+        seqs = [self._vseq_of(e)]
         red = nu_equiv_reduce(e)
         if red != e:
-            seqs.append(self._vseq(red, need_lower=True))
+            seqs.append(self._vseq_of(red))
         lo = max(s.first_possible_zero() for s in seqs)
         certain = [s.first_certain_zero() for s in seqs]
         certain = [c for c in certain if c is not None]

@@ -2,7 +2,8 @@
 
 Signatures come from Seifert matrices via numeric eigenvalues; Alexander
 polynomials come from sympy polynomial division.  Neither path shares code
-with the package implementations they check.
+with the package implementations they check.  PartitionEvaluator is the
+reference for the one-summand V_0 lower bound of connected sums.
 """
 
 from fractions import Fraction
@@ -10,6 +11,8 @@ from fractions import Fraction
 import numpy as np
 import sympy
 
+from defslice.hf_invariants import Evaluator
+from defslice.knotexpr import Sum, mirror
 from defslice.laurent import LaurentPoly, symmetric_normalized
 
 
@@ -69,3 +72,26 @@ def random_regular_angle(rng, fn, max_den=997):
         x = Fraction(num, den)
         if 0 < x < Fraction(1, 2) and x not in jump_xs:
             return x
+
+
+class PartitionEvaluator(Evaluator):
+    """Evaluator whose V_0 lower bound tries every two-block partition.
+
+    V_0(A # B) >= V_0(A) - V_0(B*) over every split of the summands into
+    nonempty A and B, with V_0(A) bounded below by the same search: 3^r work
+    over r summands.  Evaluator._sum_lower_v0 proves that a single summand
+    in A attains this optimum; this search is the reference it is checked
+    against.
+    """
+
+    def _sum_lower_v0(self, parts):
+        r = len(parts)
+        best = 0
+        for mask in range(1, (1 << r) - 1):
+            a = tuple(p for i, p in enumerate(parts) if mask >> i & 1)
+            b = tuple(mirror(p) for i, p in enumerate(parts) if not mask >> i & 1)
+            lo_a = self._vseq_of(a[0] if len(a) == 1 else Sum(a)).at(0).lo
+            hi_b = self._vseq_of(b[0] if len(b) == 1 else Sum(b)).at(0).hi
+            if hi_b is not None:
+                best = max(best, lo_a - hi_b)
+        return best

@@ -72,6 +72,15 @@ class TestStrict:
         assert "warning" in out
 
 
+class TestAtomsFile:
+    def test_missing_atoms_file_exit_1(self, capsys, tmp_path):
+        missing = tmp_path / "missing.json"
+        code, out, err = run(capsys, "report", "T(2,3)", "--atoms", str(missing))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: cannot read registry file") and err.count("\n") == 1
+
+
 class TestSuites:
     def test_lens(self, capsys):
         code, out, _ = run(capsys, "suite", "lens", "--n", "1..10")
@@ -160,6 +169,12 @@ class TestSigma:
         code, out, _ = run(capsys, "sigma", "T(2,3)", "--at", "1/3")
         assert code == 0
         assert "jump point" in out
+
+    def test_at_zero_denominator_exit_1(self, capsys):
+        code, out, err = run(capsys, "sigma", "T(2,3)", "--at", "1/0")
+        assert code == 1
+        assert out == ""
+        assert err == "error: --at 1/0: zero denominator\n"
 
 
 class TestCheckBcg:

@@ -1,10 +1,12 @@
 """Correction-term calculus: intervals, V-sequences, tau, nu+, d1, lens/surgery d."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
+from defslice.certificates import AtomCertificate, default_db
 from defslice.hf_invariants import (
     ContradictionError,
     Evaluator,
@@ -28,11 +30,14 @@ from defslice.knotexpr import (
     UNKNOT,
     WHITEHEAD_TREFOIL,
     alexander,
+    mirror,
+    normalize,
     parse,
     torus_atom,
 )
 from defslice.laurent import LaurentPoly, torus_alexander
 
+from oracles import PartitionEvaluator
 from strategies import expressions
 
 WH = Atom(WHITEHEAD_TREFOIL)
@@ -286,6 +291,55 @@ class TestSurgeryD:
             surgery_d(UNKNOT, 2, 1, 2)
         with pytest.raises(ValueError):
             surgery_d(UNKNOT, 4, 2, 0)
+
+
+def _invariants(ev, e):
+    return ev.v_seq(e), ev.tau(e), ev.nu_plus(e), ev.d1(e)
+
+
+# genus-less registry atoms: their sums have no zero tail, so the fold runs
+# on the truncated 64-entry prefix; "G" has an unbounded V_0 of its mirror
+# and "H" an unbounded V_0 of its own
+GENUSLESS_DB = default_db().with_atom(AtomCertificate(name="G", tau=2, v0=2)).with_atom(
+    AtomCertificate(name="H", tau=-1, v0_mirror=1)
+)
+# one summand with a large V_0 beside small ones, so the lower bound is
+# often positive and the best single summand varies
+_LARGE = [torus_atom(2, 41), torus_atom(2, 21), torus_atom(4, 5), Cable(3, 4, WH)]
+_SMALL = [Atom(n) for n in ("O", "T(2,3)", "T(2,5)", "T(3,4)")] + [
+    WH,
+    Cable(2, 1, WH),
+    Cable(2, 3, torus_atom(2, 3)),
+]
+
+
+class TestSumLowerV0:
+    """The one-summand V_0 lower bound against the 3^r partition search."""
+
+    @pytest.mark.parametrize("which", ["db", "degraded_db", "genusless"])
+    def test_matches_partition_search(self, request, which):
+        if which == "genusless":
+            base, small = GENUSLESS_DB, _SMALL + [Atom("G"), Atom("H")]
+        else:
+            base, small = request.getfixturevalue(which), _SMALL
+        small = small + [Mirror(p) for p in small]
+        rng = random.Random(which)
+        for _ in range(40):
+            parts = [rng.choice(_LARGE)] + [rng.choice(small) for _ in range(rng.randint(1, 7))]
+            rng.shuffle(parts)
+            e = normalize(Sum(tuple(parts)))
+            fast, ref = Evaluator(base), PartitionEvaluator(base)
+            for k in (e, mirror(e)):
+                assert _invariants(fast, k) == _invariants(ref, k), k
+
+    def test_twenty_summands_exact(self):
+        # 19 distinct slice atoms (tau = V_0 = V_0 of the mirror = 0) beside
+        # T(2,41): the single summand T(2,41) pins V_0 = 10 exactly
+        base = default_db()
+        for i in range(1, 20):
+            base = base.with_atom(AtomCertificate(name=f"S{i}", tau=0, genus=1, v0=0, v0_mirror=0))
+        e = Sum((torus_atom(2, 41),) + tuple(Atom(f"S{i}") for i in range(1, 20)))
+        assert v_seq(e, base).at(0) == IntInterval.exact(10)
 
 
 class TestGenusBound:
