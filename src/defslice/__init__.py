@@ -14,13 +14,11 @@ from .certificates import (
     CertificateDB,
     CertificateError,
     CertificateGapError,
-    NuEquivalenceAxiom,
     UnknownAtomError,
     builtin,
     default_db,
     load_registry,
     nu_equiv_reduce,
-    whitehead_axiom,
 )
 from .hf_invariants import (
     ContradictionError,

@@ -46,7 +46,6 @@ class AtomCertificate:
     alexander: LaurentPoly | None = None
     v0: int | None = None
     v0_mirror: int | None = None
-    topologically_slice: bool = False
 
     def __post_init__(self):
         if self.genus is not None and self.genus < 0:
@@ -91,7 +90,6 @@ def builtin(name: str) -> AtomCertificate:
             alexander=LaurentPoly.one(),
             v0=0,
             v0_mirror=0,
-            topologically_slice=True,
         )
     if name == WHITEHEAD_TREFOIL:
         return AtomCertificate(
@@ -102,7 +100,6 @@ def builtin(name: str) -> AtomCertificate:
             lspace=False,
             alexander=LaurentPoly.one(),
             v0=1,
-            topologically_slice=True,
         )
     tq = torus_params(name)
     if tq is not None:
@@ -168,7 +165,21 @@ def resolve_db(db) -> CertificateDB:
 
 
 def _poly_from_pairs(pairs):
-    return symmetric_normalized(LaurentPoly((int(e), int(a)) for e, a in pairs))
+    pairs = [(e, a) for e, a in pairs]
+    if any(type(v) is not int for pair in pairs for v in pair):
+        raise ValueError("exponents and coefficients must be integers")
+    return symmetric_normalized(LaurentPoly(pairs))
+
+
+def _field(rec, key, kind, default=None):
+    """rec[key], which must have type kind exactly (a bool is no int)."""
+    value = rec.get(key)
+    if value is None:
+        return default
+    if type(value) is not kind:
+        want = "an integer" if kind is int else "true or false"
+        raise CertificateError(f"{rec['name']}: {key} must be {want}, got {value!r}")
+    return value
 
 
 def load_registry(path) -> CertificateDB:
@@ -176,8 +187,8 @@ def load_registry(path) -> CertificateDB:
 
     Schema: {"atoms": [{"name": str, "tau": int?, "genus": int?,
     "tau_equals_genus": bool?, "lspace": bool?,
-    "alexander": [[exp, coeff], ...]?, "v0": int?, "v0_mirror": int?,
-    "topologically_slice": bool?}, ...]}.
+    "alexander": [[exp, coeff], ...]?, "v0": int?, "v0_mirror": int?}, ...]}.
+    A field that is absent or null is unknown (flags default to false).
 
     Records replace any built-in certificate of the same name, so a record
     must be complete on its own.
@@ -191,52 +202,36 @@ def load_registry(path) -> CertificateDB:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise CertificateError(f"registry file {path} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise CertificateError(f"registry file {path}: the top level must be an object")
     records = data.get("atoms", [])
+    if not isinstance(records, list):
+        raise CertificateError(f"registry file {path}: 'atoms' must be a list")
     atoms = []
     for rec in records:
+        if not isinstance(rec, dict):
+            raise CertificateError(f"registry record is not an object: {rec!r}")
         if "name" not in rec:
             raise CertificateError(f"registry record without a name: {rec!r}")
         alex = None
         if rec.get("alexander") is not None:
             try:
                 alex = _poly_from_pairs(rec["alexander"])
-            except ValueError as exc:
+            except (TypeError, ValueError) as exc:
                 raise CertificateError(f"{rec['name']}: bad Alexander data: {exc}") from None
         atoms.append(
             AtomCertificate(
                 name=rec["name"],
-                tau=rec.get("tau"),
-                genus=rec.get("genus"),
-                tau_equals_genus=bool(rec.get("tau_equals_genus", False)),
-                lspace=bool(rec.get("lspace", False)),
+                tau=_field(rec, "tau", int),
+                genus=_field(rec, "genus", int),
+                tau_equals_genus=_field(rec, "tau_equals_genus", bool, False),
+                lspace=_field(rec, "lspace", bool, False),
                 alexander=alex,
-                v0=rec.get("v0"),
-                v0_mirror=rec.get("v0_mirror"),
-                topologically_slice=bool(rec.get("topologically_slice", False)),
+                v0=_field(rec, "v0", int),
+                v0_mirror=_field(rec, "v0_mirror", int),
             )
         )
     return CertificateDB(atoms)
-
-
-@dataclass(frozen=True)
-class NuEquivalenceAxiom:
-    """Record that lhs and rhs have nu+(lhs # rhs*) = nu+(rhs # lhs*) = 0.
-
-    Such a pair shares V_0 and nu+; the engine uses exactly that strength
-    and nothing more (in particular not tau or signatures).
-    """
-
-    lhs: KnotExpr
-    rhs: KnotExpr
-
-
-def whitehead_axiom(k: int) -> NuEquivalenceAxiom:
-    """The k-fold sum of Wh(T(2,3)) shares V_0 and nu+ with T(2,2k+1)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    wh = Atom(WHITEHEAD_TREFOIL)
-    lhs = wh if k == 1 else Sum(tuple([wh] * k))
-    return NuEquivalenceAxiom(lhs=lhs, rhs=torus_atom(2, 2 * k + 1))
 
 
 def nu_equiv_reduce(e: KnotExpr) -> KnotExpr:

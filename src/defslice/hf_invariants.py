@@ -205,23 +205,20 @@ def _close(entries, zero_from) -> VSeq:
             lo, hi = 0, 0
         los.append(lo)
         his.append(hi)
-    changed = True
-    while changed:
-        changed = False
-        for k in range(1, length):
-            if his[k - 1] is not None and (his[k] is None or his[k] > his[k - 1]):
-                his[k] = his[k - 1]
-                changed = True
-            if los[k] < los[k - 1] - 1:
-                los[k] = los[k - 1] - 1
-                changed = True
-        for k in range(length - 2, -1, -1):
-            if his[k + 1] is not None and (his[k] is None or his[k] > his[k + 1] + 1):
-                his[k] = his[k + 1] + 1
-                changed = True
-            if los[k] < los[k + 1]:
-                los[k] = los[k + 1]
-                changed = True
+    # The upper and the lower bounds are independent difference constraints
+    # along a path, with weights 0 one way and 1 the other; the tightest
+    # bound at k comes from a monotone walk, so one forward and one backward
+    # sweep reach the fixed point.
+    for k in range(1, length):
+        if his[k - 1] is not None and (his[k] is None or his[k] > his[k - 1]):
+            his[k] = his[k - 1]
+        if los[k] < los[k - 1] - 1:
+            los[k] = los[k - 1] - 1
+    for k in range(length - 2, -1, -1):
+        if his[k + 1] is not None and (his[k] is None or his[k] > his[k + 1] + 1):
+            his[k] = his[k + 1] + 1
+        if los[k] < los[k + 1]:
+            los[k] = los[k + 1]
     out = []
     for lo, hi in zip(los, his):
         if hi is not None and lo > hi:

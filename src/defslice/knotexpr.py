@@ -161,6 +161,10 @@ def render(e: KnotExpr) -> str:
     raise TypeError(f"not a knot expression: {e!r}")
 
 
+# Deepest nesting that parse accepts; parsing, normalizing and evaluating
+# recurse a few frames per level, well under the interpreter's limit.
+MAX_NESTING = 100
+
 _TOKEN = re.compile(
     r"(?P<ws>\s+)|(?P<int>-?\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<sym>[#(),*])"
 )
@@ -184,6 +188,7 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
         self.db = db
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, None)
@@ -211,6 +216,15 @@ class _Parser:
         self.i += 1
         return int(val), pos
 
+    def nested(self, parse, pos):
+        """Run parse one nesting level deeper, refusing past MAX_NESTING."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {MAX_NESTING} levels", pos)
+        e = parse()
+        self.depth -= 1
+        return e
+
     def parse_expr(self):
         terms = [self.parse_term()]
         while self.peek()[1] == "#":
@@ -223,18 +237,18 @@ class _Parser:
         if kind == "int":
             k, kpos = self.expect_int()
             self.expect("*")
-            sub = self.parse_term()
+            sub = self.nested(self.parse_term, kpos)
             if k < 1:
                 raise ParseError(f"multiplicity must be >= 1, got {k}", kpos)
             e = sub if k == 1 else Sum(tuple([sub] * k))
         elif val == "(":
             self.next()
-            e = self.parse_expr()
+            e = self.nested(self.parse_expr, pos)
             self.expect(")")
         elif val == "mirror":
             self.next()
             self.expect("(")
-            e = Mirror(self.parse_expr())
+            e = Mirror(self.nested(self.parse_expr, pos))
             self.expect(")")
         elif val == "cable":
             self.next()
@@ -243,7 +257,7 @@ class _Parser:
             self.expect(",")
             q, _ = self.expect_int()
             self.expect(",")
-            companion = self.parse_expr()
+            companion = self.nested(self.parse_expr, pos)
             self.expect(")")
             try:
                 e = Cable(p, q, companion)
@@ -251,10 +265,12 @@ class _Parser:
                 raise ParseError(str(exc), ppos) from None
         else:
             e = self.parse_atom()
+        # a double mirror is the knot itself, so a run of '*' nests at most once
+        flip = False
         while self.peek()[1] == "*":
             self.next()
-            e = Mirror(e)
-        return e
+            flip = not flip
+        return Mirror(e) if flip else e
 
     def parse_atom(self):
         kind, val, pos = self.peek()
@@ -277,7 +293,7 @@ class _Parser:
             return torus_atom(p, q)
         if val == "Wh" and self.peek()[1] == "(":
             self.next()
-            inner = self.parse_atom()
+            inner = self.nested(self.parse_atom, pos)
             self.expect(")")
             if inner != Atom("T(2,3)"):
                 raise ParseError(

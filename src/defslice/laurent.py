@@ -208,40 +208,33 @@ def torsion_coefficient(poly: LaurentPoly, j: int) -> int:
     return sum(i * poly.coeff(j + i) for i in range(1, d - j + 1))
 
 
-@lru_cache(maxsize=None)
-def cyclotomic(n: int) -> LaurentPoly:
-    """n-th cyclotomic polynomial (ordinary polynomial, exponents >= 0)."""
-    if n < 1:
-        raise ValueError("cyclotomic index must be >= 1")
-    poly = LaurentPoly.monomial(n) - LaurentPoly.one()
-    for d in range(1, n):
-        if n % d == 0:
-            poly = div_exact(poly, cyclotomic(d))
-    return poly
-
-
 def vanishes_at_unit_root(poly: LaurentPoly, x) -> bool:
     """Exact test of poly(e^(2*pi*i*x)) == 0 for rational x.
 
-    e^(2*pi*i*x) is a primitive n-th root of unity for n the reduced
-    denominator of x, so the value vanishes iff the n-th cyclotomic
-    polynomial divides poly.
+    With n the reduced denominator of x, fold poly modulo t^n - 1 into g,
+    which agrees with poly at every n-th root of unity w.  For each prime
+    p | n and s = n/p, the step g -> p*g - h, where h[i] sums g over the
+    coset i + sZ/nZ, multiplies g(w) by p - sum_{k<p} w^(ks): by 0 when the
+    order of w divides n/p, by p otherwise.  Every proper divisor of n
+    divides some n/p, so in the end g(w) = 0 at the roots of order below n
+    and g(w) = (prod p) * poly(w) at the primitive ones.  The Fourier
+    transform on Z/n is invertible, so g == 0 iff poly vanishes at every
+    primitive n-th root, that is (poly is rational, and Galois conjugation
+    permutes those roots transitively) iff it vanishes at e^(2*pi*i*x).
     """
-    if poly.is_zero():
-        return True
-    x = Fraction(x)
-    n = x.denominator
-    base = poly.shift(-poly.min_exp)
-    if n == 1:
-        return base.eval_at_one() == 0
-    phi = cyclotomic(n)
-    dp = phi.degree
-    r = [base.coeff(i) for i in range(base.degree + 1)]
-    pc = [phi.coeff(i) for i in range(dp + 1)]
-    # phi is monic, so remainder stays integral
-    for k in range(len(r) - 1, dp - 1, -1):
-        c = r[k]
-        if c:
-            for j in range(dp + 1):
-                r[k - dp + j] -= c * pc[j]
-    return not any(r)
+    n = Fraction(x).denominator
+    g = [0] * n
+    for e, a in poly._c.items():
+        g[e % n] += a
+    m, p = n, 2
+    while m > 1:
+        if p * p > m:
+            p = m
+        if m % p == 0:
+            while m % p == 0:
+                m //= p
+            s = n // p
+            h = [sum(g[r::s]) for r in range(s)] * p
+            g = [p * a - b for a, b in zip(g, h)]
+        p += 1
+    return not any(g)

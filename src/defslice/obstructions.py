@@ -120,8 +120,8 @@ def _signature_evidence(e, ev):
     """Evidence for the mixed-sign signature rule, or None.
 
     Looks for regular rational angles avoiding Alexander-polynomial roots
-    where sigma is >= 2 and <= -2; root avoidance is checked exactly via
-    the cyclotomic factorization.
+    where sigma is >= 2 and <= -2; root avoidance is checked exactly by
+    laurent.vanishes_at_unit_root.
     """
     try:
         fn = sigma(e, ev.db)

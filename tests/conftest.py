@@ -27,6 +27,5 @@ def degraded_db():
         lspace=False,
         alexander=LaurentPoly.one(),
         v0=None,
-        topologically_slice=True,
     )
     return default_db().with_atom(stripped)

@@ -2,18 +2,23 @@
 
 Signatures come from Seifert matrices via numeric eigenvalues; Alexander
 polynomials come from sympy polynomial division.  Neither path shares code
-with the package implementations they check.  PartitionEvaluator is the
-reference for the one-summand V_0 lower bound of connected sums.
+with the package implementations they check.  The remaining oracles are
+earlier package implementations kept as references for their rewrites:
+PartitionEvaluator for the one-summand V_0 lower bound of connected sums,
+close_iterated for the V-sequence closure and vanishes_by_cyclotomic
+for the root-of-unity test.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import sympy
+from sympy.polys.densearith import dup_rem
 
-from defslice.hf_invariants import Evaluator
+from defslice.hf_invariants import ContradictionError, Evaluator, IntInterval, VSeq
 from defslice.knotexpr import Sum, mirror
-from defslice.laurent import LaurentPoly, symmetric_normalized
+from defslice.laurent import LaurentPoly, div_exact, symmetric_normalized
 
 
 def _upper_bidiagonal(n):
@@ -95,3 +100,99 @@ class PartitionEvaluator(Evaluator):
             if hi_b is not None:
                 best = max(best, lo_a - hi_b)
         return best
+
+
+def close_iterated(entries, zero_from):
+    """V-sequence closure that repeats forward and backward sweeps until
+    nothing changes; the reference for hf_invariants._close."""
+    n = len(entries)
+    length = max(n, 1, zero_from + 1 if zero_from is not None else 0)
+    los, his = [], []
+    for k in range(length):
+        if k < n:
+            lo = entries[k].lo if entries[k].lo is not None else 0
+            hi = entries[k].hi
+        else:
+            lo, hi = 0, None
+        lo = max(lo, 0)
+        if zero_from is not None and k >= zero_from:
+            if lo > 0 or (hi is not None and hi < 0):
+                raise ContradictionError(
+                    f"V_{k} constrained to {entries[k]} but the tail is zero"
+                )
+            lo, hi = 0, 0
+        los.append(lo)
+        his.append(hi)
+    changed = True
+    while changed:
+        changed = False
+        for k in range(1, length):
+            if his[k - 1] is not None and (his[k] is None or his[k] > his[k - 1]):
+                his[k] = his[k - 1]
+                changed = True
+            if los[k] < los[k - 1] - 1:
+                los[k] = los[k - 1] - 1
+                changed = True
+        for k in range(length - 2, -1, -1):
+            if his[k + 1] is not None and (his[k] is None or his[k] > his[k + 1] + 1):
+                his[k] = his[k + 1] + 1
+                changed = True
+            if los[k] < los[k + 1]:
+                los[k] = los[k + 1]
+                changed = True
+    out = []
+    for lo, hi in zip(los, his):
+        if hi is not None and lo > hi:
+            raise ContradictionError("V-sequence bounds are inconsistent")
+        out.append(IntInterval(lo, hi))
+    return VSeq(tuple(out), zero_from)
+
+
+@lru_cache(maxsize=None)
+def cyclotomic(n):
+    """n-th cyclotomic polynomial, by dividing t^n - 1 by every Phi_d, d | n."""
+    if n < 1:
+        raise ValueError("cyclotomic index must be >= 1")
+    poly = LaurentPoly.monomial(n) - LaurentPoly.one()
+    for d in range(1, n):
+        if n % d == 0:
+            poly = div_exact(poly, cyclotomic(d))
+    return poly
+
+
+def vanishes_by_cyclotomic(poly, x):
+    """poly(e^(2*pi*i*x)) == 0 iff Phi_n divides poly, n the denominator of x;
+    the reference for laurent.vanishes_at_unit_root."""
+    if poly.is_zero():
+        return True
+    x = Fraction(x)
+    n = x.denominator
+    base = poly.shift(-poly.min_exp)
+    if n == 1:
+        return base.eval_at_one() == 0
+    phi = cyclotomic(n)
+    dp = phi.degree
+    r = [base.coeff(i) for i in range(base.degree + 1)]
+    pc = [phi.coeff(i) for i in range(dp + 1)]
+    # phi is monic, so the remainder stays integral
+    for k in range(len(r) - 1, dp - 1, -1):
+        c = r[k]
+        if c:
+            for j in range(dp + 1):
+                r[k - dp + j] -= c * pc[j]
+    return not any(r)
+
+
+@lru_cache(maxsize=None)
+def _sympy_cyclotomic(n):
+    phi = sympy.cyclotomic_poly(n, sympy.symbols("t"), polys=True)
+    return [sympy.ZZ(int(c)) for c in phi.all_coeffs()]
+
+
+def vanishes_by_sympy(poly, x):
+    """Root-of-unity test through sympy: the remainder of t^(-min_exp) * poly
+    on division by sympy's n-th cyclotomic polynomial, n the denominator of x."""
+    if poly.is_zero():
+        return True
+    coeffs = [sympy.ZZ(poly.coeff(e)) for e in range(poly.degree, poly.min_exp - 1, -1)]
+    return not dup_rem(coeffs, _sympy_cyclotomic(Fraction(x).denominator), sympy.ZZ)

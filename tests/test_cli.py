@@ -2,7 +2,10 @@
 
 import json
 
+import pytest
+
 from defslice.cli import main
+from defslice.knotexpr import MAX_NESTING
 
 
 def run(capsys, *argv):
@@ -52,6 +55,20 @@ class TestReport:
         assert code == 2
         assert "parse error" in err
 
+    @pytest.mark.parametrize("opening, depth", [("(", 3000), ("mirror(", 2000)])
+    def test_deep_nesting_exit_2(self, capsys, opening, depth):
+        code, out, err = run(capsys, "report", opening * depth + "T(2,3)" + ")" * depth)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("parse error: expression nested deeper") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("opening", ["(", "mirror("])
+    def test_nesting_at_limit(self, capsys, opening):
+        text = opening * MAX_NESTING + "T(2,3) # T(2,5)*" + ")" * MAX_NESTING
+        code, out, _ = run(capsys, "report", text, "--json")
+        assert code == 0
+        assert json.loads(out)["tau"] == {"lo": -1, "hi": -1}
+
     def test_json_human_numeric_parity(self, capsys):
         _, json_out, _ = run(capsys, "report", "T(2,7)", "--json")
         _, human_out, _ = run(capsys, "report", "T(2,7)")
@@ -79,6 +96,28 @@ class TestAtomsFile:
         assert code == 1
         assert out == ""
         assert err.startswith("error: cannot read registry file") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "registry",
+        [
+            [1, 2],
+            {"atoms": {"name": "K"}},
+            {"atoms": [5]},
+            {"atoms": [{"name": "K", "tau": "x"}]},
+            {"atoms": [{"name": "K", "genus": 1.5}]},
+            {"atoms": [{"name": "K", "v0": True}]},
+            {"atoms": [{"name": "K", "tau_equals_genus": 0}]},
+            {"atoms": [{"name": "K", "alexander": 5}]},
+            {"atoms": [{"name": "K", "alexander": [[0.5, 1]]}]},
+        ],
+    )
+    def test_malformed_registry_exit_1(self, capsys, tmp_path, registry):
+        reg = tmp_path / "atoms.json"
+        reg.write_text(json.dumps(registry))
+        code, out, err = run(capsys, "report", "T(2,3)", "--atoms", str(reg))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestSuites:

@@ -11,6 +11,7 @@ from defslice.hf_invariants import (
     ContradictionError,
     Evaluator,
     IntInterval,
+    _close,
     d1,
     genus_bound,
     lens_d,
@@ -37,7 +38,7 @@ from defslice.knotexpr import (
 )
 from defslice.laurent import LaurentPoly, torus_alexander
 
-from oracles import PartitionEvaluator
+from oracles import PartitionEvaluator, close_iterated
 from strategies import expressions
 
 WH = Atom(WHITEHEAD_TREFOIL)
@@ -194,6 +195,33 @@ class TestVSeq:
         assert s.at(0).lo == 0 and s.at(0).hi == 1  # genus tail still caps it
         s2 = v_seq(WH, degraded_db)
         assert s2.at(0) == IntInterval.exact(1)
+
+
+class TestClose:
+    """One forward and one backward sweep against sweeping to a fixed point."""
+
+    @staticmethod
+    def _outcome(close, entries, zero_from):
+        try:
+            return close(entries, zero_from)
+        except ContradictionError:
+            return ContradictionError
+
+    def test_matches_iterated_closure(self):
+        rng = random.Random(184)
+        outcomes = set()
+        for _ in range(4000):
+            entries = []
+            for _ in range(rng.randrange(9)):
+                lo, hi = (None if rng.random() < 0.3 else rng.randrange(-2, 9) for _ in "lh")
+                if lo is not None and hi is not None and lo > hi:
+                    lo, hi = hi, lo
+                entries.append(IntInterval(lo, hi))
+            zero_from = rng.choice([None, rng.randrange(10)])
+            got = self._outcome(_close, entries, zero_from)
+            assert got == self._outcome(close_iterated, entries, zero_from), (entries, zero_from)
+            outcomes.add(got is ContradictionError)
+        assert outcomes == {False, True}
 
 
 class TestTau:

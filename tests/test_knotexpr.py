@@ -71,6 +71,10 @@ class TestParse:
         with pytest.raises(ParseError, match="multiplicity"):
             parse("0*T(2,3)")
 
+    def test_long_postfix_mirror_run(self):
+        assert parse("T(2,3)" + "*" * 3000) == Atom("T(2,3)")
+        assert parse("T(2,3)" + "*" * 3001) == Mirror(Atom("T(2,3)"))
+
     def test_mirror_forms_agree(self):
         assert parse("mirror(T(2,3))") == parse("T(2,3)*")
 

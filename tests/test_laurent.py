@@ -1,0 +1,56 @@
+"""The root-of-unity test against cyclotomic division and against sympy."""
+
+import random
+from fractions import Fraction
+from math import gcd
+
+from defslice.laurent import LaurentPoly, torus_alexander, vanishes_at_unit_root
+
+from oracles import cyclotomic, vanishes_by_cyclotomic, vanishes_by_sympy
+
+MAX_DEN = 24
+
+
+def _inputs():
+    torus = [torus_alexander(p, q) for p in range(2, 6) for q in range(p + 1, 10) if gcd(p, q) == 1]
+    cables = [
+        torus_alexander(a, b).subst_power(p) * torus_alexander(p, q)
+        for a, b in [(2, 3), (2, 5), (3, 4)]
+        for p, q in [(2, 1), (2, 3), (2, 7), (3, 2), (3, 5)]
+    ]
+    products = []
+    for ds in [(1,), (2, 3), (6, 6), (4, 9, 12), (5, 10, 20), (7, 14), (8, 24), (15,), (16, 18)]:
+        poly = LaurentPoly.monomial(-len(ds), -1)
+        for d in ds:
+            poly = poly * cyclotomic(d)
+        products.append(poly)
+    rng = random.Random(20160621)
+    rand = [
+        LaurentPoly({rng.randrange(-30, 30): rng.randrange(-3, 4) for _ in range(rng.randrange(1, 12))})
+        for _ in range(25)
+    ]
+    return torus + cables + products + rand + [LaurentPoly.zero()]
+
+
+def test_vanishes_at_unit_root_matches_oracles():
+    roots = mismatches = 0
+    for poly in _inputs():
+        by_den = {}
+        for n in range(1, MAX_DEN + 1):
+            by_den[n] = vanishes_by_sympy(poly, Fraction(1, n))
+            for a in range(n):
+                x = Fraction(a, n)
+                got = vanishes_at_unit_root(poly, x)
+                want = by_den[x.denominator]
+                mismatches += got != want or got != vanishes_by_cyclotomic(poly, x)
+                roots += got
+    assert mismatches == 0
+    assert roots > 900
+
+
+def test_integer_and_zero_arguments():
+    trefoil = torus_alexander(2, 3)
+    assert not vanishes_at_unit_root(trefoil, 0)
+    assert vanishes_at_unit_root(trefoil, Fraction(1, 6))
+    assert vanishes_at_unit_root(LaurentPoly({0: 1, 3: -1}), 2)
+    assert vanishes_at_unit_root(LaurentPoly.zero(), Fraction(2, 7))
