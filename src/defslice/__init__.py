@@ -43,6 +43,7 @@ from .knotexpr import (
     KnotExpr,
     Mirror,
     ParseError,
+    SizeLimitError,
     Sum,
     UNKNOT,
     WHITEHEAD_TREFOIL,

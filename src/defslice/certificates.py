@@ -18,6 +18,7 @@ from .knotexpr import (
     Sum,
     WHITEHEAD_TREFOIL,
     normalize,
+    parse,
     torus_atom,
     torus_params,
 )
@@ -54,6 +55,22 @@ class AtomCertificate:
             raise CertificateError(f"{self.name}: v0 must be >= 0")
         if self.v0_mirror is not None and self.v0_mirror < 0:
             raise CertificateError(f"{self.name}: v0_mirror must be >= 0")
+        if self.genus is not None:
+            # V_k = 0 from k = genus on and V_k <= V_{k+1} + 1, so V_0 <= genus;
+            # |tau| <= nu+ of the knot or its mirror <= genus
+            for key in ("v0", "v0_mirror"):
+                value = getattr(self, key)
+                if value is not None and value > self.genus:
+                    raise CertificateError(f"{self.name}: {key} must be <= genus")
+            if self.tau is not None and abs(self.tau) > self.genus:
+                raise CertificateError(f"{self.name}: |tau| must be <= genus")
+        # tau <= nu+ = 0 when V_0 = 0, and -tau <= 0 when V_0 of the mirror is 0
+        if self.tau is not None and (
+            (self.v0 == 0 and self.tau > 0) or (self.v0_mirror == 0 and self.tau < 0)
+        ):
+            raise CertificateError(
+                f"{self.name}: v0 = 0 needs tau <= 0 and v0_mirror = 0 needs tau >= 0"
+            )
         if self.tau_equals_genus and (
             self.tau is None or self.genus is None or self.tau != self.genus
         ):
@@ -191,7 +208,8 @@ def load_registry(path) -> CertificateDB:
     A field that is absent or null is unknown (flags default to false).
 
     Records replace any built-in certificate of the same name, so a record
-    must be complete on its own.
+    must be complete on its own.  A name must be a string that parse reads
+    back as that one atom.
     """
     try:
         fh = open(path, "r", encoding="utf-8")
@@ -213,6 +231,8 @@ def load_registry(path) -> CertificateDB:
             raise CertificateError(f"registry record is not an object: {rec!r}")
         if "name" not in rec:
             raise CertificateError(f"registry record without a name: {rec!r}")
+        if not isinstance(rec["name"], str):
+            raise CertificateError(f"registry record name must be a string: {rec['name']!r}")
         alex = None
         if rec.get("alexander") is not None:
             try:
@@ -231,7 +251,15 @@ def load_registry(path) -> CertificateDB:
                 v0_mirror=_field(rec, "v0_mirror", int),
             )
         )
-    return CertificateDB(atoms)
+    db = CertificateDB(atoms)
+    for cert in atoms:
+        try:
+            ok = parse(cert.name, db) == Atom(cert.name)
+        except ValueError:
+            ok = False
+        if not ok:
+            raise CertificateError(f"registry record {cert.name!r}: the name does not parse as one atom")
+    return db
 
 
 def nu_equiv_reduce(e: KnotExpr) -> KnotExpr:

@@ -38,7 +38,7 @@ from .knotexpr import (
     mirror,
     normalize,
 )
-from .laurent import LaurentPoly, torsion_coefficient, torus_alexander
+from .laurent import LaurentPoly, torsion_coefficient, torsion_prefix, torus_alexander
 
 
 class ContradictionError(ValueError):
@@ -298,8 +298,7 @@ def _torus_vseq(p: int, q: int) -> VSeq:
         return VSeq((IntInterval.exact(0),), 0)
     alex = torus_alexander(p, q)
     g = (p - 1) * (q - 1) // 2
-    entries = [IntInterval.exact(torsion_coefficient(alex, j)) for j in range(g)]
-    return _close(entries, g)
+    return _close([IntInterval.exact(t) for t in torsion_prefix(alex, g)], g)
 
 
 class Evaluator:
@@ -373,9 +372,7 @@ class Evaluator:
         cert = self.db.get(e.name)
         if cert.lspace:
             g = cert.genus
-            entries = [
-                IntInterval.exact(torsion_coefficient(cert.alexander, j)) for j in range(g)
-            ]
+            entries = [IntInterval.exact(t) for t in torsion_prefix(cert.alexander, g)]
             return _close(entries, g)
         e0 = (
             IntInterval.exact(cert.v0)

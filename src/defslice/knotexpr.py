@@ -30,6 +30,10 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
+class SizeLimitError(ValueError):
+    """An expression past MAX_SUMMANDS summands or genus bound MAX_GENUS."""
+
+
 class CableSignError(ValueError):
     """Raised when an invariant rule is asked about a cable with q <= 0.
 
@@ -165,6 +169,19 @@ def render(e: KnotExpr) -> str:
 # recurse a few frames per level, well under the interpreter's limit.
 MAX_NESTING = 100
 
+# Largest expressions that parse accepts: at most MAX_SUMMANDS atoms after
+# normalization and a genus bound of at most MAX_GENUS.  The V-sequence
+# fold of a sum of r summands of genus bound g takes about r * g^2 steps,
+# and a torus knot's Alexander division about g^2, so both limits are
+# needed.  `report --json` on the largest accepted input of each shape,
+# median of three runs from interpreter start (py3.11, 2-vCPU VM):
+# 64*T(2,3) 0.23 s; 64*T(2,17) (r = 64, g = 512) 2.1 s; T(2,1025)
+# 0.30 s; cable(2,1,...) nested 9 deep around T(2,3) (g = 512) 0.18 s.
+# Past them, 256*T(2,3) took 2.3 s, 512*T(2,3) 19 s and 64*T(2,63)
+# (g = 1984) 34 s.
+MAX_SUMMANDS = 64
+MAX_GENUS = 512
+
 _TOKEN = re.compile(
     r"(?P<ws>\s+)|(?P<int>-?\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<sym>[#(),*])"
 )
@@ -189,6 +206,13 @@ class _Parser:
         self.i = 0
         self.db = db
         self.depth = 0
+        self.atoms = 0  # atoms in the expression parsed so far
+
+    def count_atoms(self, n):
+        """Set the atom count to n, refusing past MAX_SUMMANDS."""
+        if n > MAX_SUMMANDS:
+            raise SizeLimitError(f"expression has more than {MAX_SUMMANDS} summands")
+        self.atoms = n
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, None)
@@ -237,9 +261,11 @@ class _Parser:
         if kind == "int":
             k, kpos = self.expect_int()
             self.expect("*")
+            before = self.atoms
             sub = self.nested(self.parse_term, kpos)
             if k < 1:
                 raise ParseError(f"multiplicity must be >= 1, got {k}", kpos)
+            self.count_atoms(before + k * (self.atoms - before))
             e = sub if k == 1 else Sum(tuple([sub] * k))
         elif val == "(":
             self.next()
@@ -265,6 +291,7 @@ class _Parser:
                 raise ParseError(str(exc), ppos) from None
         else:
             e = self.parse_atom()
+            self.count_atoms(self.atoms + 1)
         # a double mirror is the knot itself, so a run of '*' nests at most once
         flip = False
         while self.peek()[1] == "*":
@@ -308,7 +335,11 @@ class _Parser:
 
 
 def parse(text: str, db=None) -> KnotExpr:
-    """Parse an expression string and return the normalized expression."""
+    """Parse an expression string and return the normalized expression.
+
+    Raises SizeLimitError for an expression with more than MAX_SUMMANDS
+    atoms or a genus bound above MAX_GENUS.
+    """
     from . import certificates
 
     db = certificates.resolve_db(db)
@@ -318,7 +349,26 @@ def parse(text: str, db=None) -> KnotExpr:
     kind, val, pos = parser.peek()
     if kind is not None:
         raise ParseError(f"trailing input {val!r}", pos)
-    return normalize(e)
+    e = normalize(e)
+    g = _size_genus(e, db)
+    if g > MAX_GENUS:
+        raise SizeLimitError(f"expression has genus bound {g}, above the limit {MAX_GENUS}")
+    return e
+
+
+def _size_genus(e, db):
+    # the genus bound that MAX_GENUS limits: torus atoms by formula, without
+    # building their certificates; an atom of unknown genus counts 0
+    if isinstance(e, Atom):
+        tq = torus_params(e.name)
+        if tq is not None:
+            return (tq[0] - 1) * (tq[1] - 1) // 2
+        return db.get(e.name).genus or 0
+    if isinstance(e, Mirror):
+        return _size_genus(e.child, db)
+    if isinstance(e, Sum):
+        return sum(_size_genus(p, db) for p in e.parts)
+    return e.p * _size_genus(e.companion, db) + (e.p - 1) * (abs(e.q) - 1) // 2
 
 
 def alexander(e: KnotExpr, db=None) -> LaurentPoly:

@@ -208,6 +208,24 @@ def torsion_coefficient(poly: LaurentPoly, j: int) -> int:
     return sum(i * poly.coeff(j + i) for i in range(1, d - j + 1))
 
 
+def torsion_prefix(poly: LaurentPoly, n: int) -> list:
+    """[t_0, ..., t_{n-1}] in one pass from the top degree down.
+
+    t_j - t_{j+1} = sum_{i>=1} i*a_{j+i} - sum_{i>=1} i*a_{j+1+i}
+                  = sum_{k>j} a_k,
+    and t_j = 0 for j >= degree, so a running suffix sum of the
+    coefficients gives each t_j from t_{j+1} in O(1).
+    """
+    out = [0] * n
+    t = s = 0
+    for j in range((poly.degree or 0) - 1, -1, -1):
+        s += poly.coeff(j + 1)
+        t += s
+        if j < n:
+            out[j] = t
+    return out
+
+
 def vanishes_at_unit_root(poly: LaurentPoly, x) -> bool:
     """Exact test of poly(e^(2*pi*i*x)) == 0 for rational x.
 

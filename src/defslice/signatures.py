@@ -154,40 +154,25 @@ def sigma_torus(p: int, q: int) -> SigFn:
 
 
 def _cable_sigma(base: SigFn, p: int, q: int) -> SigFn:
-    # sigma_{K_{p,q}}(omega) = sigma_K(omega^p) + sigma_{T(p,q)}(omega)
-    tor = sigma_torus(p, q)
-    if base.is_zero:
-        return tor
-    cuts = {x for x, _ in tor.jumps}
-    for u, _ in base.jumps:
+    """sigma_{K_{p,q}}(omega) = sigma_K(omega^p) + sigma_{T(p,q)}(omega)
+    (Litherland), as a jump list.
+
+    The angle of omega^p, folded into (0, 1/2], is y = p*x - m on
+    [m/p, (m + 1/2)/p] and m + 1 - p*x on [(m + 1/2)/p, (m + 1)/p].  As x
+    rises, y climbs past a base jump u at x = (m + u)/p, where sigma_K
+    steps by +d, and falls back past it at x = (m + 1 - u)/p, where it
+    steps by -d.  At the folds y meets 0 (where sigma_K vanishes on both
+    sides) or 1/2 (where both sides see the same value), so they add no
+    jump.  The cable's jumps are therefore the torus jumps plus these moved
+    base jumps for x <= 1/2, merged by angle; deltas that cancel drop out.
+    """
+    jumps = dict(sigma_torus(p, q).jumps)
+    for u, d in base.jumps:
         for m in range(p):
-            for cand in (Fraction(m + u, p), Fraction(m + 1 - u, p)):
-                if 0 < cand <= HALF:
-                    cuts.add(cand)
-    for m in range(1, p + 1):
-        cand = Fraction(m, 2 * p)  # folding points of x -> p*x mod 1
-        if cand <= HALF:
-            cuts.add(cand)
-    cuts = sorted(cuts)
-    bounds = [Fraction(0)] + cuts
-    if not cuts or cuts[-1] < HALF:
-        bounds.append(HALF)
-
-    def composite(x):
-        y = (p * x) % 1
-        yh = y if y <= HALF else 1 - y
-        bv = 0 if yh == 0 else base.value(yh)
-        return bv + (0 if tor.is_zero else tor.value(x))
-
-    values = [composite((a + b) / 2) for a, b in zip(bounds, bounds[1:])]
-    if values[0] != 0:
-        raise AssertionError("cable signature must vanish near x = 0")
-    jumps = []
-    for idx in range(1, len(values)):
-        delta = values[idx] - values[idx - 1]
-        if delta:
-            jumps.append((bounds[idx], delta))
-    return SigFn(tuple(jumps))
+            for x, delta in (((m + u) / p, d), ((m + 1 - u) / p, -d)):
+                if x <= HALF:
+                    jumps[x] = jumps.get(x, 0) + delta
+    return SigFn(tuple(sorted((x, d) for x, d in jumps.items() if d)))
 
 
 def sigma(e, db=None) -> SigFn:
@@ -228,7 +213,7 @@ def _sigma(e, db):
 
 @dataclass(frozen=True)
 class CombinationCheck:
-    """Result of the brute-force signature independence check."""
+    """Result of the signature independence check."""
 
     bound: int
     count: int
@@ -245,28 +230,54 @@ class CombinationCheck:
         return f"dependent combinations with identically zero signature: {vecs}"
 
 
-def signature_combination_check(knots, bound: int, db=None) -> CombinationCheck:
-    """Search coefficient vectors with |m_i| <= bound whose combination has
-    identically zero signature function.
+def _rank(rows) -> int:
+    """Rank over Q of integer row vectors, by fraction-free elimination."""
+    rows = [r for r in rows if any(r)]
+    rank = 0
+    while rows:
+        pivot = rows.pop()
+        c = next(i for i, v in enumerate(pivot) if v)
+        reduced = []
+        for r in rows:
+            r = [pivot[c] * v - r[c] * w for v, w in zip(r, pivot)]
+            g = gcd(*r)
+            if g:
+                reduced.append([v // g for v in r])
+        rows = reduced
+        rank += 1
+    return rank
 
-    A vanishing combination defeats this concordance-order obstruction;
-    finding none certifies independence at the given level (a necessary
-    condition, not a proof of linear independence).
+
+def signature_combination_check(knots, bound: int, db=None) -> CombinationCheck:
+    """Find the coefficient vectors with |m_i| <= bound whose combination
+    sum m_i * K_i has identically zero signature function.
+
+    A vanishing combination defeats this concordance-order obstruction.
+    A signature function vanishes near 0 and is fixed by its jumps, so
+    sum m_i * sigma_i vanishes identically iff sum m_i * d_i(x) = 0 at every
+    jump point x, where d_i(x) is the jump of sigma_i at x (0 if none).
+    The vanishing combinations are thus the integer vectors in the left
+    kernel of the matrix D = (d_i(x)).  When D has rank n = len(knots),
+    that kernel is 0: no nonzero integer combination has identically zero
+    signature, at any bound, so the signature functions are linearly
+    independent and so are the knots in the concordance group.  All
+    (2*bound + 1)^n - 1 nonzero vectors are then accounted for at once.
+    Only a rank below n enumerates the box, testing each vector against
+    the columns of D in integers.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     db = resolve_db(db)
-    sigs = [sigma(k, db) for k in knots]
-    dependent = []
-    count = 0
-    for vec in itertools.product(range(-bound, bound + 1), repeat=len(sigs)):
-        if not any(vec):
-            continue
-        count += 1
-        total = SigFn.zero()
-        for m, s in zip(vec, sigs):
-            if m:
-                total = total + s.scale(m)
-        if total.is_zero:
-            dependent.append(vec)
-    return CombinationCheck(bound=bound, count=count, dependent=tuple(dependent))
+    jumps = [dict(sigma(k, db).jumps) for k in knots]
+    points = sorted(set().union(*jumps))
+    rows = [[j.get(x, 0) for x in points] for j in jumps]
+    count = (2 * bound + 1) ** len(rows) - 1
+    if _rank(rows) == len(rows):
+        return CombinationCheck(bound=bound, count=count, dependent=())
+    columns = list(zip(*rows))
+    dependent = tuple(
+        vec
+        for vec in itertools.product(range(-bound, bound + 1), repeat=len(rows))
+        if any(vec) and not any(sum(m * d for m, d in zip(vec, col)) for col in columns)
+    )
+    return CombinationCheck(bound=bound, count=count, dependent=dependent)

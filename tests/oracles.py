@@ -5,10 +5,12 @@ polynomials come from sympy polynomial division.  Neither path shares code
 with the package implementations they check.  The remaining oracles are
 earlier package implementations kept as references for their rewrites:
 PartitionEvaluator for the one-summand V_0 lower bound of connected sums,
-close_iterated for the V-sequence closure and vanishes_by_cyclotomic
-for the root-of-unity test.
+close_iterated for the V-sequence closure, vanishes_by_cyclotomic for the
+root-of-unity test, cable_sigma_by_midpoints for the cable signature and
+combination_check_by_box for the signature independence check.
 """
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 
@@ -19,6 +21,7 @@ from sympy.polys.densearith import dup_rem
 from defslice.hf_invariants import ContradictionError, Evaluator, IntInterval, VSeq
 from defslice.knotexpr import Sum, mirror
 from defslice.laurent import LaurentPoly, div_exact, symmetric_normalized
+from defslice.signatures import HALF, CombinationCheck, SigFn, sigma, sigma_torus
 
 
 def _upper_bidiagonal(n):
@@ -196,3 +199,63 @@ def vanishes_by_sympy(poly, x):
         return True
     coeffs = [sympy.ZZ(poly.coeff(e)) for e in range(poly.degree, poly.min_exp - 1, -1)]
     return not dup_rem(coeffs, _sympy_cyclotomic(Fraction(x).denominator), sympy.ZZ)
+
+
+def cable_sigma_by_midpoints(base, p, q):
+    """sigma_K(omega^p) + sigma_{T(p,q)}(omega), evaluated at the midpoint of
+    every piece between candidate jump points and differenced; the reference
+    for signatures._cable_sigma."""
+    tor = sigma_torus(p, q)
+    if base.is_zero:
+        return tor
+    cuts = {x for x, _ in tor.jumps}
+    for u, _ in base.jumps:
+        for m in range(p):
+            for cand in (Fraction(m + u, p), Fraction(m + 1 - u, p)):
+                if 0 < cand <= HALF:
+                    cuts.add(cand)
+    for m in range(1, p + 1):
+        cand = Fraction(m, 2 * p)  # folding points of x -> p*x mod 1
+        if cand <= HALF:
+            cuts.add(cand)
+    cuts = sorted(cuts)
+    bounds = [Fraction(0)] + cuts
+    if not cuts or cuts[-1] < HALF:
+        bounds.append(HALF)
+
+    def composite(x):
+        y = (p * x) % 1
+        yh = y if y <= HALF else 1 - y
+        bv = 0 if yh == 0 else base.value(yh)
+        return bv + (0 if tor.is_zero else tor.value(x))
+
+    values = [composite((a + b) / 2) for a, b in zip(bounds, bounds[1:])]
+    if values[0] != 0:
+        raise AssertionError("cable signature must vanish near x = 0")
+    jumps = []
+    for idx in range(1, len(values)):
+        delta = values[idx] - values[idx - 1]
+        if delta:
+            jumps.append((bounds[idx], delta))
+    return SigFn(tuple(jumps))
+
+
+def combination_check_by_box(knots, bound, db=None):
+    """Sum the scaled signature functions of every coefficient vector with
+    |m_i| <= bound; the reference for signatures.signature_combination_check."""
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    sigs = [sigma(k, db) for k in knots]
+    dependent = []
+    count = 0
+    for vec in itertools.product(range(-bound, bound + 1), repeat=len(sigs)):
+        if not any(vec):
+            continue
+        count += 1
+        total = SigFn.zero()
+        for m, s in zip(vec, sigs):
+            if m:
+                total = total + s.scale(m)
+        if total.is_zero:
+            dependent.append(vec)
+    return CombinationCheck(bound=bound, count=count, dependent=tuple(dependent))

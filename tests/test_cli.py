@@ -1,11 +1,15 @@
 """CLI surface: subcommands, exit codes, JSON/human parity."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defslice.cli import main
-from defslice.knotexpr import MAX_NESTING
+from defslice.knotexpr import MAX_GENUS, MAX_NESTING, MAX_SUMMANDS
 
 
 def run(capsys, *argv):
@@ -69,6 +73,38 @@ class TestReport:
         assert code == 0
         assert json.loads(out)["tau"] == {"lo": -1, "hi": -1}
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (f"{MAX_SUMMANDS + 1}*T(2,3)", "summands"),
+            ("4096*T(2,3)", "summands"),
+            ("2*" * 12 + "T(2,3)", "summands"),
+            ("10000000000*10000000000*T(2,3)", "summands"),
+            (f"T(2,{2 * MAX_GENUS + 3})", "genus bound"),
+            ("cable(2,1," * 14 + "T(2,3)" + ")" * 14, "genus bound"),
+            ("cable(3,-2000,T(2,3))", "genus bound"),
+        ],
+    )
+    def test_size_limit_exit_1(self, capsys, text, message):
+        code, out, err = run(capsys, "report", text)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: expression has") and err.count("\n") == 1
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "text, genus",
+        [
+            (f"{MAX_SUMMANDS}*T(2,3)", MAX_SUMMANDS),
+            (f"T(2,{2 * MAX_GENUS + 1})", MAX_GENUS),
+            ("cable(2,1," * 9 + "T(2,3)" + ")" * 9, 2**9),
+        ],
+    )
+    def test_size_at_limit(self, capsys, text, genus):
+        code, out, _ = run(capsys, "report", text, "--json")
+        assert code == 0
+        assert json.loads(out)["genus_bound"] == genus <= MAX_GENUS
+
     def test_json_human_numeric_parity(self, capsys):
         _, json_out, _ = run(capsys, "report", "T(2,7)", "--json")
         _, human_out, _ = run(capsys, "report", "T(2,7)")
@@ -118,6 +154,38 @@ class TestAtomsFile:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "record, named",
+        [
+            ({"name": "A b"}, "'A b'"),
+            ({"name": 5}, "5"),
+            ({"name": "T(2, 3)"}, "'T(2, 3)'"),
+            ({"name": "K", "genus": -1}, "K"),
+            ({"name": "K", "v0": 3, "genus": 1}, "K"),
+            ({"name": "K", "v0_mirror": 2, "genus": 1}, "K"),
+            ({"name": "K", "tau": 3, "genus": 1}, "K"),
+            ({"name": "K", "tau": -2, "genus": 1}, "K"),
+            ({"name": "K", "tau": 1, "genus": 1, "v0": 0}, "K"),
+            ({"name": "K", "tau": -1, "genus": 1, "v0_mirror": 0}, "K"),
+        ],
+    )
+    def test_inconsistent_record_exit_1(self, capsys, tmp_path, record, named):
+        # each of these loaded before and failed only later, or never parsed
+        reg = tmp_path / "atoms.json"
+        reg.write_text(json.dumps({"atoms": [record]}))
+        code, out, err = run(capsys, "report", "T(2,3)", "--atoms", str(reg))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+
+    def test_consistent_bounds_load(self, capsys, tmp_path):
+        reg = tmp_path / "atoms.json"
+        record = {"name": "K", "tau": -1, "genus": 1, "v0": 1, "v0_mirror": 1}
+        reg.write_text(json.dumps({"atoms": [record, {"name": "T(2,3)", "genus": 1}]}))
+        code, _, _ = run(capsys, "report", "K # T(2,3)", "--atoms", str(reg))
+        assert code == 0
 
 
 class TestSuites:
@@ -241,3 +309,56 @@ class TestIndependence:
         code, out, _ = run(capsys, "independence", "T(2,3)", "T(2,3)", "--bound", "1")
         assert code == 1
         assert "(1, -1)" in out
+
+
+# Expression text: well-formed expressions, strings of grammar pieces, and
+# the two spliced, with multiplicities and torus and cable parameters on
+# both sides of the size limits.
+FUZZ_ATOMS = ["T(2,3)", "T(3,4)", f"T(2,{2 * MAX_GENUS + 1})", f"T(2,{2 * MAX_GENUS + 3})", "Wh(T(2,3))", "O"]
+FUZZ_INTS = ["-3", "0", "1", "2", "3", str(MAX_SUMMANDS), str(MAX_SUMMANDS + 1), "4096", "99999999999"]
+FUZZ_TOKENS = FUZZ_ATOMS + FUZZ_INTS + [
+    "K", "T", "Wh(", "T(", "mirror(", "cable(", "(", ")", "#", "*", ",", " ", "@", "1/0",
+]
+_ints = st.sampled_from(FUZZ_INTS)
+well_formed = st.recursive(
+    st.sampled_from(FUZZ_ATOMS),
+    lambda c: st.one_of(
+        st.tuples(c, c).map(" # ".join),
+        c.map("mirror({})".format),
+        c.map("({})*".format),
+        st.tuples(_ints, c).map("*".join),
+        st.tuples(_ints, _ints, c).map(lambda t: "cable({},{},{})".format(*t)),
+    ),
+    max_leaves=6,
+)
+pieces = st.lists(st.sampled_from(FUZZ_TOKENS), max_size=14).map("".join)
+fuzz_text = st.one_of(well_formed, pieces, st.tuples(well_formed, pieces).map("".join))
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        command=st.sampled_from(
+            [
+                ["report"],
+                ["report", "--json", "--strict"],
+                ["sigma", "--at", "1/3"],
+                ["surgery", "3", "2"],
+                ["independence"],
+            ]
+        ),
+        text=fuzz_text,
+        other=fuzz_text,
+    )
+    def test_exit_code_and_no_traceback(self, command, text, other):
+        argv = [command[0], text, *command[1:]]
+        if command[0] == "independence":
+            argv.append(other)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses the arguments
+                code = exc.code
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()

@@ -1,10 +1,18 @@
-"""The root-of-unity test against cyclotomic division and against sympy."""
+"""The root-of-unity test against cyclotomic division and against sympy;
+the one-pass torsion coefficients against their defining sums."""
 
 import random
 from fractions import Fraction
 from math import gcd
 
-from defslice.laurent import LaurentPoly, torus_alexander, vanishes_at_unit_root
+from defslice.knotexpr import alexander, parse
+from defslice.laurent import (
+    LaurentPoly,
+    torsion_coefficient,
+    torsion_prefix,
+    torus_alexander,
+    vanishes_at_unit_root,
+)
 
 from oracles import cyclotomic, vanishes_by_cyclotomic, vanishes_by_sympy
 
@@ -54,3 +62,21 @@ def test_integer_and_zero_arguments():
     assert vanishes_at_unit_root(trefoil, Fraction(1, 6))
     assert vanishes_at_unit_root(LaurentPoly({0: 1, 3: -1}), 2)
     assert vanishes_at_unit_root(LaurentPoly.zero(), Fraction(2, 7))
+
+
+def test_torsion_prefix_matches_per_index_sums():
+    polys = [torus_alexander(p, q) for p in range(2, 7) for q in range(p + 1, 30) if gcd(p, q) == 1]
+    polys += [
+        alexander(parse(text))
+        for text in [
+            "cable(2,1,T(2,3))",
+            "cable(3,2,T(2,5))",
+            "cable(2,5,cable(3,1,T(3,4)))",
+            "cable(5,3,T(2,3) # T(2,5))",
+            "O",
+        ]
+    ]
+    for poly in polys:
+        n = poly.degree + 2  # past the top degree, where t_j = 0
+        assert torsion_prefix(poly, n) == [torsion_coefficient(poly, j) for j in range(n)]
+        assert torsion_prefix(poly, 1) == [torsion_coefficient(poly, 0)]

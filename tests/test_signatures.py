@@ -6,10 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from defslice.knotexpr import Atom, Cable, Mirror, Sum, WHITEHEAD_TREFOIL, torus_atom
+from defslice.knotexpr import Atom, Cable, Mirror, Sum, WHITEHEAD_TREFOIL, alexander, parse, torus_atom
+from defslice.laurent import vanishes_at_unit_root
 from defslice.signatures import (
     JumpPointError,
     SignatureUnavailable,
+    _cable_sigma,
     sigma,
     sigma_torus,
     signature_combination_check,
@@ -19,6 +21,8 @@ from defslice.knotexpr import CableSignError
 from oracles import (
     alexander_from_seifert,
     alexander_torus_division,
+    cable_sigma_by_midpoints,
+    combination_check_by_box,
     numeric_signature,
     random_regular_angle,
     seifert_matrix_torus,
@@ -120,6 +124,38 @@ class TestSigmaExpressions:
         with pytest.raises(SignatureUnavailable):
             sigma(Atom("Opaque"), db)
 
+    def test_cable_by_moving_jumps_matches_midpoints(self):
+        # nested cables of depth <= 3 over torus knots, their mirrors and a
+        # sum, p = 2..5, each level also taken mirrored
+        rng = random.Random(20161)
+        pqs = [(2, 1), (2, 3), (2, 5), (3, 1), (3, 2), (3, 4), (4, 1), (4, 3), (5, 1), (5, 2), (5, 3)]
+        level = [
+            parse(text)
+            for text in ["T(2,3)", "T(2,5)", "T(3,4)", "T(2,3)*", "T(3,5)*", "T(2,3) # T(2,5)*"]
+        ]
+        checked = mismatches = 0
+        for depth in range(3):
+            nxt = []
+            for e in level:
+                base = sigma(e)
+                for p, q in pqs:
+                    got = _cable_sigma(base, p, q)
+                    mismatches += got != cable_sigma_by_midpoints(base, p, q)
+                    checked += 1
+                    nxt += [Cable(p, q, e), Mirror(Cable(p, q, e))]
+            level = rng.sample(nxt, 12)
+        assert mismatches == 0
+        assert checked == 6 * 11 + 12 * 11 + 12 * 11
+
+    @settings(max_examples=100, deadline=None)
+    @given(e=expressions(max_leaves=5))
+    def test_jumps_lie_on_alexander_roots(self, e):
+        # Levine-Tristram signatures jump only at roots of the Alexander
+        # polynomial
+        alex = alexander(e)
+        for x, _ in sigma(e).jumps:
+            assert vanishes_at_unit_root(alex, x)
+
     @settings(max_examples=150, deadline=None)
     @given(e=expressions(max_leaves=4))
     def test_values_even_and_vanishing_near_zero(self, e):
@@ -174,3 +210,30 @@ class TestCombinationCheck:
     def test_empty_vacuous(self):
         chk = signature_combination_check([], 2)
         assert chk.independent and chk.count == 0
+
+    def test_full_rank_counts_the_whole_box(self):
+        # n = 6 at bound 2 would be 15,624 sums of signature functions
+        chk = signature_combination_check([jk(k) for k in range(1, 7)], 2)
+        assert chk.independent and chk.count == 5**6 - 1
+
+    def test_matches_box_search(self):
+        texts = [
+            "T(2,3)", "T(2,3)*", "T(2,5)", "T(3,4)", "T(2,3) # T(2,3)", "T(2,3) # T(2,5)*",
+            "cable(2,1,T(2,3))", "cable(2,3,T(2,3))*", "Wh(T(2,3))", "O", "T(2,7) # 2*T(2,3)*",
+        ]
+        knots = [parse(t) for t in texts]
+        rng = random.Random(3)
+        sets = [
+            [parse("T(2,3)"), parse("T(2,3) # T(2,3)")],
+            [parse("T(2,3)"), parse("T(2,3)")],
+            [parse("T(2,3)"), parse("T(2,5)"), parse("T(2,3)*"), parse("T(2,5) # T(2,3)")],
+        ]
+        sets += [rng.sample(knots, rng.randint(1, 4)) for _ in range(30)]
+        dependent = mismatches = 0
+        for ks in sets:
+            for bound in (1, 2):
+                got = signature_combination_check(ks, bound)
+                mismatches += got != combination_check_by_box(ks, bound)
+                dependent += not got.independent
+        assert mismatches == 0
+        assert dependent >= 10
