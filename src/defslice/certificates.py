@@ -22,7 +22,7 @@ from .knotexpr import (
     torus_atom,
     torus_params,
 )
-from .laurent import LaurentPoly, symmetric_normalized, torsion_coefficient, torus_alexander
+from .laurent import LaurentPoly, symmetric_normalized, torsion_prefix, torus_alexander
 
 
 class CertificateError(ValueError):
@@ -132,7 +132,7 @@ def builtin(name: str) -> AtomCertificate:
             tau_equals_genus=True,
             lspace=True,
             alexander=alex,
-            v0=torsion_coefficient(alex, 0),
+            v0=torsion_prefix(alex, 1)[0],
         )
     raise UnknownAtomError(f"unknown atom name: {name}")
 

@@ -9,25 +9,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 from .certificates import CertificateGapError, default_db, load_registry
-from .hf_invariants import (
-    ContradictionError,
-    Evaluator,
-    IntInterval,
-    RatInterval,
-    lens_d,
-)
+from .hf_invariants import ContradictionError, Evaluator, lens_d
 from .knotexpr import (
     Atom,
     Cable,
     CableSignError,
     Mirror,
     ParseError,
+    SizeLimitError,
     Sum,
     WHITEHEAD_TREFOIL,
-    alexander,
+    check_size,
     normalize,
     parse,
     render,
@@ -54,6 +50,23 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_GAP = 3
+
+# Most rows that one suite or check-bcg run evaluates: the length of an
+# A..B range, and for thm2 the number of (k, l) pairs.  The default ranges
+# of lens and thm2 reach it.  Each family row is also within the expression
+# size limits of knotexpr.check_size, which bound its cost.  From
+# interpreter start (py3.11, 2-vCPU VM): at the limit, `suite lens`,
+# `suite bcg` and `check-bcg` take 0.2 s, `suite thm1 --n 407..506` 8.6 s
+# and `suite thm2 --k 6..15 --l 441..450`, the slowest rows found, 61 s.
+# Before the limit, `suite lens --n 1..100000` took 5.9 s, `check-bcg --n
+# 1..20000` 10.5 s and `suite thm1 --n 1..506` 20 s.
+MAX_ROWS = 100
+
+# Largest surgery coefficient numerator P: `surgery` evaluates one
+# correction term per Spin^c label i < P, about 40 us each.  At the limit
+# `surgery T(2,3) 10000 1 --json` takes 0.71 s; 100000 took 4.1 s and
+# 1000000 ran past a 30 s timeout.
+MAX_SURGERY_P = 10_000
 
 
 # ---------------------------------------------------------------- families
@@ -83,38 +96,18 @@ def family_jk(k: int):
 
 # ---------------------------------------------------------------- encoding
 
-def jsonable(x):
+def _json_value(x):
+    """JSON form of a typed value: a Fraction as {num, den}, a dataclass
+    (interval, verdict, reason, bound, check item) as its fields in order."""
     if isinstance(x, Fraction):
         return {"num": x.numerator, "den": x.denominator}
-    if isinstance(x, IntInterval):
-        return {"lo": x.lo, "hi": x.hi}
-    if isinstance(x, RatInterval):
-        return {
-            "lo": None if x.lo is None else jsonable(x.lo),
-            "hi": None if x.hi is None else jsonable(x.hi),
-        }
-    if isinstance(x, dict):
-        return {k: jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [jsonable(v) for v in x]
-    if isinstance(x, (int, str, bool)) or x is None:
-        return x
-    return str(x)
-
-
-def verdict_json(v):
-    return {
-        "target": v.target,
-        "status": v.status,
-        "reasons": [
-            {"rule": r.rule, "statement": r.statement, "evidence": jsonable(r.evidence)}
-            for r in v.reasons
-        ],
-    }
+    if is_dataclass(x):
+        return {f.name: getattr(x, f.name) for f in fields(x)}
+    raise TypeError(f"{type(x).__name__} has no JSON form")
 
 
 def _print_json(data):
-    print(json.dumps(jsonable(data), indent=2))
+    print(json.dumps(data, indent=2, default=_json_value))
 
 
 # ---------------------------------------------------------------- report
@@ -125,7 +118,7 @@ def build_report(text: str, db) -> dict:
     warnings = []
     data = {"schema": 1, "expression": text, "normalized": render(e)}
     try:
-        alex = alexander(e, db)
+        alex = ev.alexander(e)
         data["alexander"] = [[exp, c] for exp, c in alex.items()]
         data["alexander_pretty"] = alex.pretty()
         data["topologically_slice_certified"] = alex == LaurentPoly.one()
@@ -139,36 +132,33 @@ def build_report(text: str, db) -> dict:
         vs = ev.v_seq(e)
         data["genus_bound"] = g
         upto = min(g if g is not None else len(vs.entries) - 1, 24)
-        data["v"] = [jsonable(vs.at(k)) for k in range(upto + 1)]
+        data["v"] = [vs.at(k) for k in range(upto + 1)]
         data["v_exact_tail_from"] = vs.zero_from
-        data["tau"] = jsonable(ev.tau(e))
-        data["nu_plus"] = jsonable(ev.nu_plus(e))
-        data["d1"] = jsonable(ev.d1(e))
+        data["tau"] = ev.tau(e)
+        data["nu_plus"] = ev.nu_plus(e)
+        data["d1"] = ev.d1(e)
     except CableSignError as exc:
         warnings.append(str(exc))
         for key in ("genus_bound", "v", "v_exact_tail_from", "tau", "nu_plus", "d1"):
             data[key] = None
     try:
-        fn = sigma(e, db)
         data["sigma"] = [
-            {"from": jsonable(lo), "to": jsonable(hi), "value": val}
-            for lo, hi, val in fn.pieces()
+            {"from": lo, "to": hi, "value": val} for lo, hi, val in ev.sigma(e).pieces()
         ]
     except (SignatureUnavailable, CableSignError) as exc:
         warnings.append(str(exc))
         data["sigma"] = None
     try:
         data["verdicts"] = [
-            verdict_json(obstruct_negative_definite(e, ev)),
-            verdict_json(obstruct_positive_definite(e, ev)),
-            verdict_json(obstruct_definite(e, ev)),
+            obstruct_negative_definite(e, ev),
+            obstruct_positive_definite(e, ev),
+            obstruct_definite(e, ev),
         ]
     except (CableSignError, CertificateGapError) as exc:
         warnings.append(str(exc))
         data["verdicts"] = None
     try:
-        kb = kinkiness_bounds(e, ev)
-        data["kinkiness"] = {"k_plus_lo": kb.k_plus_lo, "k_minus_lo": kb.k_minus_lo}
+        data["kinkiness"] = kinkiness_bounds(e, ev)
     except CableSignError as exc:
         warnings.append(str(exc))
         data["kinkiness"] = None
@@ -176,22 +166,9 @@ def build_report(text: str, db) -> dict:
     return data
 
 
-def _iv_str(d):
-    if d is None:
-        return "unavailable"
-    lo, hi = d["lo"], d["hi"]
-    if lo is not None and lo == hi:
-        return str(lo)
-    return f"[{'-inf' if lo is None else lo}, {'inf' if hi is None else hi}]"
-
-
-def _frac_str(d):
-    if isinstance(d, dict):
-        return str(Fraction(d["num"], d["den"]))
-    return str(d)
-
-
 def print_report(data):
+    # IntInterval and KinkinessBound values are always true, so `or` picks
+    # out only the None of an unavailable value
     print(f"expression:  {data['expression']}")
     print(f"normalized:  {data['normalized']}")
     print(f"alexander:   {data['alexander_pretty'] or 'unavailable'}")
@@ -199,11 +176,11 @@ def print_report(data):
     print(f"topologically slice (certified): {'yes' if ts else 'no' if ts is not None else 'unavailable'}")
     print(f"genus bound: {data['genus_bound'] if data['genus_bound'] is not None else 'unknown'}")
     print(
-        f"tau: {_iv_str(data['tau'])}    nu+: {_iv_str(data['nu_plus'])}    "
-        f"d1: {_iv_str(data['d1'])}"
+        f"tau: {data['tau'] or 'unavailable'}    nu+: {data['nu_plus'] or 'unavailable'}    "
+        f"d1: {data['d1'] or 'unavailable'}"
     )
     if data["v"] is not None:
-        vals = "  ".join(f"V_{k}={_iv_str(iv)}" for k, iv in enumerate(data["v"]))
+        vals = "  ".join(f"V_{k}={iv}" for k, iv in enumerate(data["v"]))
         print(f"V-sequence:  {vals}")
         if data["v_exact_tail_from"] is not None:
             print(f"             (V_k = 0 for k >= {data['v_exact_tail_from']})")
@@ -213,24 +190,22 @@ def print_report(data):
         else:
             print("sigma:")
             for piece in data["sigma"]:
-                lo = _frac_str(piece["from"])
-                hi = _frac_str(piece["to"])
-                print(f"             ({lo}, {hi}): {piece['value']}")
+                print(f"             ({piece['from']}, {piece['to']}): {piece['value']}")
     else:
         print("sigma:       unavailable")
     if data["verdicts"] is not None:
         print("verdicts:")
         for v in data["verdicts"]:
-            line = f"  {v['target']}: {v['status'].upper() if v['status'] == 'obstructed' else v['status']}"
-            if v["reasons"]:
-                line += " (" + ", ".join(r["rule"] for r in v["reasons"]) + ")"
+            line = f"  {v.target}: {v.status.upper() if v.obstructed else v.status}"
+            if v.reasons:
+                line += " (" + ", ".join(r.rule for r in v.reasons) + ")"
             print(line)
-            for r in v["reasons"]:
-                print(f"      {r['rule']}: {r['statement']}")
-                print(f"      evidence: {json.dumps(r['evidence'])}")
+            for r in v.reasons:
+                print(f"      {r.rule}: {r.statement}")
+                print(f"      evidence: {json.dumps(r.evidence, default=_json_value)}")
     if data["kinkiness"] is not None:
         kb = data["kinkiness"]
-        print(f"kinkiness:   k+ >= {kb['k_plus_lo']}, k- >= {kb['k_minus_lo']}")
+        print(f"kinkiness:   k+ >= {kb.k_plus_lo}, k- >= {kb.k_minus_lo}")
     for w in data["warnings"]:
         print(f"warning: {w}")
 
@@ -248,13 +223,21 @@ def cmd_report(args, db) -> int:
 
 # ---------------------------------------------------------------- suites
 
+def _checked(es, db):
+    """The family expressions as a list, refusing any past the size limits
+    before a row is evaluated."""
+    es = list(es)
+    for e in es:
+        check_size(e, db)
+    return es
+
+
 def _suite_thm1(ns, ev):
     rows = []
-    for n in ns:
-        e = family_kn(n)
+    for n, e in zip(ns, _checked((family_kn(n) for n in ns), ev.db)):
         t = ev.tau(e)
         v0 = ev.v_seq(e).at(0)
-        slice_ok = alexander(e, ev.db) == LaurentPoly.one()
+        slice_ok = ev.alexander(e) == LaurentPoly.one()
         verdict = obstruct_definite(e, ev)
         rule_a = any(r.rule == RULE_A for r in verdict.reasons)
         ok = (
@@ -269,8 +252,8 @@ def _suite_thm1(ns, ev):
             {
                 "n": n,
                 "expression": render(e),
-                "tau": jsonable(t),
-                "v0": jsonable(v0),
+                "tau": _json_value(t),
+                "v0": _json_value(v0),
                 "topologically_slice": slice_ok,
                 "verdict": verdict.status,
                 "rule_a": rule_a,
@@ -282,30 +265,31 @@ def _suite_thm1(ns, ev):
 
 def _suite_thm2(ks, ls, ev):
     rows = []
-    for k in ks:
-        for l in ls:
-            e = family_kkl(k, l)
-            t = ev.tau(e)
-            np_ = ev.nu_plus(e)
-            kb = kinkiness_bounds(e, ev)
-            ok = (
-                t.is_exact
-                and t.value == -l
-                and np_.lo >= k
-                and kb.k_plus_lo >= k
-                and kb.k_minus_lo >= l
-            )
-            rows.append(
-                {
-                    "k": k,
-                    "l": l,
-                    "tau": jsonable(t),
-                    "nu_plus": jsonable(np_),
-                    "k_plus_lo": kb.k_plus_lo,
-                    "k_minus_lo": kb.k_minus_lo,
-                    "pass": ok,
-                }
-            )
+    params = [(k, l) for k in ks for l in ls]
+    if len(params) > MAX_ROWS:
+        raise SizeLimitError(f"{len(params)} (k, l) pairs, above the limit {MAX_ROWS}")
+    for (k, l), e in zip(params, _checked((family_kkl(k, l) for k, l in params), ev.db)):
+        t = ev.tau(e)
+        np_ = ev.nu_plus(e)
+        kb = kinkiness_bounds(e, ev)
+        ok = (
+            t.is_exact
+            and t.value == -l
+            and np_.lo >= k
+            and kb.k_plus_lo >= k
+            and kb.k_minus_lo >= l
+        )
+        rows.append(
+            {
+                "k": k,
+                "l": l,
+                "tau": _json_value(t),
+                "nu_plus": _json_value(np_),
+                "k_plus_lo": kb.k_plus_lo,
+                "k_minus_lo": kb.k_minus_lo,
+                "pass": ok,
+            }
+        )
     return rows
 
 
@@ -317,9 +301,8 @@ def _arc_samples(k: int):
 
 def _suite_remark(ks, ev):
     rows = []
-    for k in ks:
-        e = family_jk(k)
-        fn = sigma(e, ev.db)
+    for k, e in zip(ks, _checked((family_jk(k) for k in ks), ev.db)):
+        fn = ev.sigma(e)
         at_minus_one = fn.at_minus_one()
         arc_vals = [fn.value(x) for x in _arc_samples(k)]
         verdict = obstruct_definite(e, ev)
@@ -360,8 +343,8 @@ def _suite_bcg(ns):
         rows.append(
             {
                 "n": n,
-                "c1_sq": jsonable(rep.c1_sq),
-                "c1_cobordism": jsonable(rep.c1_cobordism),
+                "c1_sq": _json_value(rep.c1_sq),
+                "c1_cobordism": _json_value(rep.c1_cobordism),
                 "sigma_cobordism": rep.sigma_cobordism,
                 "failed": [item.name for item in rep.items if not item.passed],
                 "pass": rep.passed,
@@ -422,21 +405,22 @@ def cmd_suite(args, db) -> int:
 def cmd_surgery(args, db) -> int:
     if args.p < 1 or args.q < 1:
         raise ValueError(f"surgery coefficient must have p, q > 0, got {args.p}/{args.q}")
+    if args.p > MAX_SURGERY_P:
+        raise SizeLimitError(
+            f"surgery coefficient numerator {args.p} is above the limit {MAX_SURGERY_P}"
+        )
     e = parse(args.expr, db)
     ev = Evaluator(db)
     ds = [ev.surgery_d(e, args.p, args.q, i) for i in range(args.p)]
     if args.json:
-        rows = [
-            {"i": i, "d": jsonable(d) if not d.is_exact else jsonable(d.value)}
-            for i, d in enumerate(ds)
-        ]
+        rows = [{"i": i, "d": d.value if d.is_exact else d} for i, d in enumerate(ds)]
         _print_json(
             {"schema": 1, "expression": args.expr, "p": args.p, "q": args.q, "rows": rows}
         )
     else:
         print(f"d(S^3_{{{args.p}/{args.q}}}({render(e)}), i):")
         for i, d in enumerate(ds):
-            print(f"  i={i}: {d if not d.is_exact else d.value}")
+            print(f"  i={i}: {d}")
     return EXIT_OK
 
 
@@ -456,7 +440,7 @@ def cmd_sigma(args, db) -> int:
         except ZeroDivisionError:
             raise ValueError(f"--at {spec}: zero denominator") from None
         x = theta / 2
-        entry = {"theta_over_pi": jsonable(theta), "x": jsonable(x)}
+        entry = {"theta_over_pi": theta, "x": x}
         try:
             entry["value"] = fn.value(x)
         except JumpPointError as exc:
@@ -466,10 +450,7 @@ def cmd_sigma(args, db) -> int:
         data = {
             "schema": 1,
             "expression": args.expr,
-            "pieces": [
-                {"from": jsonable(lo), "to": jsonable(hi), "value": v}
-                for lo, hi, v in fn.pieces()
-            ],
+            "pieces": [{"from": lo, "to": hi, "value": v} for lo, hi, v in fn.pieces()],
             "queries": queries,
         }
         _print_json(data)
@@ -479,11 +460,11 @@ def cmd_sigma(args, db) -> int:
             print(f"  ({lo}, {hi}): {v}")
         for entry in queries:
             if "value" in entry:
-                print(f"  at theta = {_frac_str(entry['theta_over_pi'])}*pi: {entry['value']}")
+                print(f"  at theta = {entry['theta_over_pi']}*pi: {entry['value']}")
             else:
                 j = entry["jump"]
                 print(
-                    f"  at theta = {_frac_str(entry['theta_over_pi'])}*pi: jump point "
+                    f"  at theta = {entry['theta_over_pi']}*pi: jump point "
                     f"(left {j['left']}, right {j['right']})"
                 )
     return EXIT_OK
@@ -502,16 +483,13 @@ def cmd_check_bcg(args) -> int:
                 {
                     "n": r.n,
                     "passed": r.passed,
-                    "c1_sq": jsonable(r.c1_sq),
-                    "c1_outside": jsonable(r.c1_outside),
-                    "c1_cobordism": jsonable(r.c1_cobordism),
+                    "c1_sq": r.c1_sq,
+                    "c1_outside": r.c1_outside,
+                    "c1_cobordism": r.c1_cobordism,
                     "sigma_cobordism": r.sigma_cobordism,
                     "b2_cobordism": r.b2_cobordism,
-                    "items": [
-                        {"name": i.name, "passed": i.passed, "detail": i.detail}
-                        for i in r.items
-                    ],
-                    "skipped": list(r.skipped),
+                    "items": r.items,
+                    "skipped": r.skipped,
                 }
                 for r in reports
             ],
@@ -546,7 +524,7 @@ def cmd_independence(args, db) -> int:
                 "expressions": args.exprs,
                 "bound": chk.bound,
                 "combinations": chk.count,
-                "dependent": [list(v) for v in chk.dependent],
+                "dependent": chk.dependent,
                 "independent": chk.independent,
             }
         )
@@ -566,6 +544,8 @@ def _range(value, default):
         lo = hi = int(s)
     if lo < 1 or hi < lo:
         raise ValueError(f"bad range {s!r}")
+    if hi - lo + 1 > MAX_ROWS:
+        raise SizeLimitError(f"range {s!r} has {hi - lo + 1} values, above the limit {MAX_ROWS}")
     return range(lo, hi + 1)
 
 

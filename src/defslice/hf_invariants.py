@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import gcd
 
 from .certificates import nu_equiv_reduce, resolve_db
@@ -34,11 +34,13 @@ from .knotexpr import (
     CableSignError,
     Mirror,
     Sum,
+    alexander,
     check_positive_cables,
     mirror,
     normalize,
 )
-from .laurent import LaurentPoly, torsion_coefficient, torsion_prefix, torus_alexander
+from .laurent import LaurentPoly, torsion_prefix, torus_alexander
+from .signatures import SigFn, sigma
 
 
 class ContradictionError(ValueError):
@@ -46,7 +48,32 @@ class ContradictionError(ValueError):
 
 
 @dataclass(frozen=True)
-class IntInterval:
+class _Interval:
+    """Closed interval; None endpoints mean -inf / +inf."""
+
+    lo: object
+    hi: object
+
+    @property
+    def is_exact(self) -> bool:
+        return self.lo is not None and self.lo == self.hi
+
+    @property
+    def value(self):
+        if not self.is_exact:
+            raise ValueError(f"interval {self} is not exact")
+        return self.lo
+
+    def __str__(self):
+        if self.is_exact:
+            return str(self.lo)
+        lo = "-inf" if self.lo is None else str(self.lo)
+        hi = "inf" if self.hi is None else str(self.hi)
+        return f"[{lo}, {hi}]"
+
+
+@dataclass(frozen=True)
+class IntInterval(_Interval):
     """Closed integer interval; None endpoints mean -inf / +inf."""
 
     lo: int | None
@@ -63,16 +90,6 @@ class IntInterval:
     @classmethod
     def unknown(cls) -> "IntInterval":
         return cls(None, None)
-
-    @property
-    def is_exact(self) -> bool:
-        return self.lo is not None and self.lo == self.hi
-
-    @property
-    def value(self) -> int:
-        if not self.is_exact:
-            raise ValueError(f"interval {self} is not exact")
-        return self.lo
 
     def __add__(self, other: "IntInterval") -> "IntInterval":
         lo = None if self.lo is None or other.lo is None else self.lo + other.lo
@@ -99,37 +116,13 @@ class IntInterval:
     def contains(self, v: int) -> bool:
         return (self.lo is None or self.lo <= v) and (self.hi is None or v <= self.hi)
 
-    def __str__(self):
-        if self.is_exact:
-            return str(self.lo)
-        lo = "-inf" if self.lo is None else str(self.lo)
-        hi = "inf" if self.hi is None else str(self.hi)
-        return f"[{lo}, {hi}]"
-
 
 @dataclass(frozen=True)
-class RatInterval:
+class RatInterval(_Interval):
     """Closed rational interval; None endpoints mean -inf / +inf."""
 
     lo: Fraction | None
     hi: Fraction | None
-
-    @property
-    def is_exact(self) -> bool:
-        return self.lo is not None and self.lo == self.hi
-
-    @property
-    def value(self) -> Fraction:
-        if not self.is_exact:
-            raise ValueError(f"interval {self} is not exact")
-        return self.lo
-
-    def __str__(self):
-        if self.is_exact:
-            return str(self.lo)
-        lo = "-inf" if self.lo is None else str(self.lo)
-        hi = "inf" if self.hi is None else str(self.hi)
-        return f"[{lo}, {hi}]"
 
 
 @dataclass(frozen=True)
@@ -233,7 +226,8 @@ def torsion_coefficients(poly: LaurentPoly, j: int) -> int:
         raise ValueError("torsion index must be >= 0")
     if not poly.is_symmetric() or poly.eval_at_one() != 1:
         raise ValueError("torsion coefficients need a symmetric polynomial with value 1 at t=1")
-    return torsion_coefficient(poly, j)
+    d = poly.degree
+    return torsion_prefix(poly, d)[j] if j < d else 0
 
 
 def wu_phi(p: int, q: int, i: int) -> int:
@@ -301,28 +295,44 @@ def _torus_vseq(p: int, q: int) -> VSeq:
     return _close([IntInterval.exact(t) for t in torsion_prefix(alex, g)], g)
 
 
-class Evaluator:
-    """One evaluation session: shared memo tables over an immutable database.
+_MISSING = object()
 
-    An Evaluator is not thread-safe; the module-level functions make a fresh
-    one per call, which is always safe.  Reusing an instance across queries
-    of the same report or suite amortizes the memoized V-sequence work.
+
+def _memoized(method):
+    """Cache method(self, e) in the session's one memo table, keyed by
+    (method name, e); a call that raises stores nothing."""
+    rule = method.__name__
+
+    @wraps(method)
+    def cached(self, e):
+        key = (rule, e)
+        res = self._memo.get(key, _MISSING)
+        if res is _MISSING:
+            res = self._memo[key] = method(self, e)
+        return res
+
+    return cached
+
+
+class Evaluator:
+    """One evaluation session: one memo table over an immutable database.
+
+    Every per-expression result of the session (genus bound, V-sequence,
+    tau, nu+, signature function, Alexander polynomial) is computed once
+    and kept in that table.  An Evaluator is not thread-safe; the
+    module-level functions make a fresh one per call, which is always safe.
+    Reusing an instance across the queries of one report or suite shares
+    that work between them.
     """
 
     def __init__(self, db=None):
         self.db = resolve_db(db)
-        self._vs = {}
-        self._vs_public = {}
-        self._gen = {}
-        self._tau_memo = {}
-        self._flag_memo = {}
-        self._nu_memo = {}
+        self._memo = {}
 
     # -- genus bound -------------------------------------------------
 
+    @_memoized
     def _genus(self, e):
-        if e in self._gen:
-            return self._gen[e]
         if isinstance(e, Atom):
             g = self.db.get(e.name).genus
         elif isinstance(e, Mirror):
@@ -340,7 +350,6 @@ class Evaluator:
             g = None if gc is None else e.p * gc + (e.p - 1) * (e.q - 1) // 2
         else:
             raise TypeError(f"not a knot expression: {e!r}")
-        self._gen[e] = g
         return g
 
     def genus_bound(self, e):
@@ -351,22 +360,17 @@ class Evaluator:
 
     # -- V-sequence ---------------------------------------------------
 
+    @_memoized
     def _vseq_of(self, e):
-        cached = self._vs.get(e)
-        if cached is not None:
-            return cached
         if isinstance(e, Atom):
-            res = self._vseq_atom(e)
-        elif isinstance(e, Mirror):
-            res = self._vseq_mirror(e)
-        elif isinstance(e, Sum):
-            res = self._vseq_sum(e)
-        elif isinstance(e, Cable):
-            res = self._vseq_cable(e)
-        else:
-            raise TypeError(f"not a knot expression: {e!r}")
-        self._vs[e] = res
-        return res
+            return self._vseq_atom(e)
+        if isinstance(e, Mirror):
+            return self._vseq_mirror(e)
+        if isinstance(e, Sum):
+            return self._vseq_sum(e)
+        if isinstance(e, Cable):
+            return self._vseq_cable(e)
+        raise TypeError(f"not a knot expression: {e!r}")
 
     def _vseq_atom(self, e):
         cert = self.db.get(e.name)
@@ -472,10 +476,10 @@ class Evaluator:
 
     def v_seq(self, e) -> VSeq:
         """Sound interval V-sequence of the expression."""
-        e = normalize(e)
-        cached = self._vs_public.get(e)
-        if cached is not None:
-            return cached
+        return self._vseq_refined(normalize(e))
+
+    @_memoized
+    def _vseq_refined(self, e):
         check_positive_cables(e)
         base = self._vseq_of(e)
         red = nu_equiv_reduce(e)
@@ -485,16 +489,13 @@ class Evaluator:
             e0 = base.at(0).intersect(rb.at(0))
             if e0 != base.at(0):
                 base = _close([e0] + list(base.entries[1:]), base.zero_from)
-        self._vs_public[e] = base
         return base
 
     # -- nu+ and tau --------------------------------------------------
 
+    @_memoized
     def _nu_raw(self, e):
         # nu+ bounds from the V-sequence alone (no tau refinement)
-        cached = self._nu_memo.get(e)
-        if cached is not None:
-            return cached
         seqs = [self._vseq_of(e)]
         red = nu_equiv_reduce(e)
         if red != e:
@@ -503,26 +504,19 @@ class Evaluator:
         certain = [s.first_certain_zero() for s in seqs]
         certain = [c for c in certain if c is not None]
         hi = min(certain) if certain else None
-        res = IntInterval(lo, hi)  # lo > hi means inconsistent certificates
-        self._nu_memo[e] = res
-        return res
+        return IntInterval(lo, hi)  # lo > hi means inconsistent certificates
 
+    @_memoized
     def _flag(self, e):
         # does the tau = genus property propagate to this expression?
-        cached = self._flag_memo.get(e)
-        if cached is not None:
-            return cached
         if isinstance(e, Atom):
             cert = self.db.get(e.name)
-            res = cert.tau_equals_genus or cert.lspace
-        elif isinstance(e, Mirror):
-            res = self._flag(e.child) and self._genus(e.child) == 0
-        elif isinstance(e, Sum):
-            res = all(self._flag(p) for p in e.parts)
-        else:
-            res = e.q >= 1 and self._flag(e.companion)
-        self._flag_memo[e] = res
-        return res
+            return cert.tau_equals_genus or cert.lspace
+        if isinstance(e, Mirror):
+            return self._flag(e.child) and self._genus(e.child) == 0
+        if isinstance(e, Sum):
+            return all(self._flag(p) for p in e.parts)
+        return e.q >= 1 and self._flag(e.companion)
 
     def _tau_window(self, e):
         # fallback enclosure from tau <= nu+ and tau(K) = -tau(K*)
@@ -531,38 +525,30 @@ class Evaluator:
         lo = None if lo_src is None else -lo_src
         return IntInterval(lo, hi)
 
+    @_memoized
     def _tau(self, e):
-        cached = self._tau_memo.get(e)
-        if cached is not None:
-            return cached
         if isinstance(e, Atom):
             cert = self.db.get(e.name)
-            res = (
-                IntInterval.exact(cert.tau)
-                if cert.tau is not None
-                else self._tau_window(e)
-            )
-        elif isinstance(e, Mirror):
-            res = -self._tau(e.child)
-        elif isinstance(e, Sum):
+            if cert.tau is not None:
+                return IntInterval.exact(cert.tau)
+            return self._tau_window(e)
+        if isinstance(e, Mirror):
+            return -self._tau(e.child)
+        if isinstance(e, Sum):
             acc = IntInterval.exact(0)
             for p in e.parts:
                 acc = acc + self._tau(p)
             if not acc.is_exact:
                 acc = acc.intersect(self._tau_window(e))
-            res = acc
-        elif isinstance(e, Cable):
+            return acc
+        if isinstance(e, Cable):
             if e.q <= 0:
                 raise CableSignError(f"cable with q={e.q} <= 0 has no tau rule")
             if self._flag(e.companion):
                 base = self._tau(e.companion).value
-                res = IntInterval.exact(e.p * base + (e.p - 1) * (e.q - 1) // 2)
-            else:
-                res = self._tau_window(e)
-        else:
-            raise TypeError(f"not a knot expression: {e!r}")
-        self._tau_memo[e] = res
-        return res
+                return IntInterval.exact(e.p * base + (e.p - 1) * (e.q - 1) // 2)
+            return self._tau_window(e)
+        raise TypeError(f"not a knot expression: {e!r}")
 
     def tau(self, e) -> IntInterval:
         """tau: exact where the homomorphism/cabling rules apply, else an enclosure."""
@@ -585,6 +571,18 @@ class Evaluator:
                 "certificate data inconsistent: tau lower bound exceeds the nu+ upper bound"
             )
         return IntInterval(lo, raw.hi)
+
+    # -- classical invariants: the module functions, once per expression
+
+    @_memoized
+    def sigma(self, e) -> SigFn:
+        """Levine-Tristram signature function, as signatures.sigma."""
+        return sigma(e, self.db)
+
+    @_memoized
+    def alexander(self, e) -> LaurentPoly:
+        """Alexander polynomial, as knotexpr.alexander."""
+        return alexander(e, self.db)
 
     def d1(self, e) -> IntInterval:
         """d of +1-surgery: d1 = -2*V_0, always <= 0 and even where exact."""

@@ -31,7 +31,8 @@ class ParseError(ValueError):
 
 
 class SizeLimitError(ValueError):
-    """An expression past MAX_SUMMANDS summands or genus bound MAX_GENUS."""
+    """An input past one of the size limits: MAX_SUMMANDS summands or genus
+    bound MAX_GENUS for an expression, or a numeric argument's limit."""
 
 
 class CableSignError(ValueError):
@@ -209,9 +210,9 @@ class _Parser:
         self.atoms = 0  # atoms in the expression parsed so far
 
     def count_atoms(self, n):
-        """Set the atom count to n, refusing past MAX_SUMMANDS."""
-        if n > MAX_SUMMANDS:
-            raise SizeLimitError(f"expression has more than {MAX_SUMMANDS} summands")
+        """Set the atom count to n, refusing past MAX_SUMMANDS before the
+        expression is built."""
+        _check_summands(n)
         self.atoms = n
 
     def peek(self):
@@ -337,8 +338,7 @@ class _Parser:
 def parse(text: str, db=None) -> KnotExpr:
     """Parse an expression string and return the normalized expression.
 
-    Raises SizeLimitError for an expression with more than MAX_SUMMANDS
-    atoms or a genus bound above MAX_GENUS.
+    Raises SizeLimitError for an expression past the limits of check_size.
     """
     from . import certificates
 
@@ -350,25 +350,41 @@ def parse(text: str, db=None) -> KnotExpr:
     if kind is not None:
         raise ParseError(f"trailing input {val!r}", pos)
     e = normalize(e)
-    g = _size_genus(e, db)
-    if g > MAX_GENUS:
-        raise SizeLimitError(f"expression has genus bound {g}, above the limit {MAX_GENUS}")
+    check_size(e, db)
     return e
 
 
-def _size_genus(e, db):
-    # the genus bound that MAX_GENUS limits: torus atoms by formula, without
-    # building their certificates; an atom of unknown genus counts 0
+def check_size(e, db=None):
+    """Raise SizeLimitError if the normalized expression has more than
+    MAX_SUMMANDS atoms or a genus bound above MAX_GENUS."""
+    from . import certificates
+
+    atoms, g = _size(e, certificates.resolve_db(db))
+    _check_summands(atoms)
+    if g > MAX_GENUS:
+        raise SizeLimitError(f"expression has genus bound {g}, above the limit {MAX_GENUS}")
+
+
+def _check_summands(atoms):
+    if atoms > MAX_SUMMANDS:
+        raise SizeLimitError(f"expression has more than {MAX_SUMMANDS} summands")
+
+
+def _size(e, db):
+    # (atoms, genus bound) as the limits count them: torus atoms by formula,
+    # without building their certificates; an atom of unknown genus counts 0
     if isinstance(e, Atom):
         tq = torus_params(e.name)
         if tq is not None:
-            return (tq[0] - 1) * (tq[1] - 1) // 2
-        return db.get(e.name).genus or 0
+            return 1, (tq[0] - 1) * (tq[1] - 1) // 2
+        return 1, db.get(e.name).genus or 0
     if isinstance(e, Mirror):
-        return _size_genus(e.child, db)
+        return _size(e.child, db)
     if isinstance(e, Sum):
-        return sum(_size_genus(p, db) for p in e.parts)
-    return e.p * _size_genus(e.companion, db) + (e.p - 1) * (abs(e.q) - 1) // 2
+        sizes = [_size(p, db) for p in e.parts]
+        return sum(a for a, _ in sizes), sum(g for _, g in sizes)
+    atoms, g = _size(e.companion, db)
+    return atoms, e.p * g + (e.p - 1) * (abs(e.q) - 1) // 2
 
 
 def alexander(e: KnotExpr, db=None) -> LaurentPoly:

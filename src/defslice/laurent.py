@@ -198,16 +198,6 @@ def torus_alexander(p: int, q: int) -> LaurentPoly:
     return symmetric_normalized(div_exact(num, den))
 
 
-def torsion_coefficient(poly: LaurentPoly, j: int) -> int:
-    """j-th torsion coefficient sum_{i>=1} i*a_{j+i} of a symmetric polynomial."""
-    if j < 0:
-        raise ValueError("torsion index must be >= 0")
-    d = poly.degree
-    if d is None or d <= j:
-        return 0
-    return sum(i * poly.coeff(j + i) for i in range(1, d - j + 1))
-
-
 def torsion_prefix(poly: LaurentPoly, n: int) -> list:
     """[t_0, ..., t_{n-1}] in one pass from the top degree down.
 

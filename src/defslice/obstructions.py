@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 from .certificates import CertificateGapError
 from .hf_invariants import ContradictionError, IntInterval, _as_evaluator
-from .knotexpr import Cable, CableSignError, Mirror, Sum, alexander, mirror, normalize
+from .knotexpr import Cable, CableSignError, Mirror, Sum, mirror, normalize
 from .laurent import vanishes_at_unit_root
-from .signatures import SignatureUnavailable, sigma
+from .signatures import SignatureUnavailable
 
 # rule identifiers, stable across output formats
 RULE_V0 = "v0_positive"
@@ -124,8 +124,8 @@ def _signature_evidence(e, ev):
     laurent.vanishes_at_unit_root.
     """
     try:
-        fn = sigma(e, ev.db)
-        alex = alexander(e, ev.db)
+        fn = ev.sigma(e)
+        alex = ev.alexander(e)
     except (SignatureUnavailable, CertificateGapError, CableSignError):
         return None
     pos = neg = None

@@ -20,6 +20,7 @@ from .knotexpr import (
     Cable,
     CableSignError,
     Mirror,
+    SizeLimitError,
     Sum,
     normalize,
     torus_params,
@@ -27,6 +28,13 @@ from .knotexpr import (
 from .laurent import LaurentPoly
 
 HALF = Fraction(1, 2)
+
+# Most coefficient vectors signature_combination_check enumerates when the
+# jump matrix has rank below n: (2*bound + 1)^n of them, about 3.5 us each.
+# `independence` from interpreter start (py3.11, 2-vCPU VM): 3^11 = 177,147
+# vectors 0.84 s; past the limit, 5^8 = 390,625 took 1.3 s and 7^7 =
+# 823,543 2.2 s, and each further knot multiplies the time by 2*bound + 1.
+MAX_BOX = 200_000
 
 
 class JumpPointError(ValueError):
@@ -70,6 +78,15 @@ class SigFn:
     @classmethod
     def zero(cls) -> "SigFn":
         return cls(())
+
+    @classmethod
+    def from_deltas(cls, deltas) -> "SigFn":
+        """The function whose jump at x is the sum of the deltas that the
+        (x, delta) pairs give at x; sums that cancel drop out."""
+        acc = {}
+        for x, d in deltas:
+            acc[x] = acc.get(x, 0) + d
+        return cls(tuple(sorted((x, d) for x, d in acc.items() if d)))
 
     @property
     def is_zero(self) -> bool:
@@ -121,10 +138,7 @@ class SigFn:
         return self.scale(-1)
 
     def __add__(self, other: "SigFn") -> "SigFn":
-        acc = dict(self.jumps)
-        for x, d in other.jumps:
-            acc[x] = acc.get(x, 0) + d
-        return SigFn(tuple(sorted((x, d) for x, d in acc.items() if d)))
+        return SigFn.from_deltas(self.jumps + other.jumps)
 
 
 @lru_cache(maxsize=None)
@@ -138,19 +152,9 @@ def sigma_torus(p: int, q: int) -> SigFn:
     """
     if p < 1 or q < 1 or gcd(p, q) != 1:
         raise ValueError(f"need coprime p,q >= 1, got ({p},{q})")
-    if p == 1 or q == 1:
-        return SigFn.zero()
-    jumps = {}
-    for i in range(1, p):
-        for j in range(1, q):
-            s = Fraction(i, p) + Fraction(j, q)
-            if s < 1:
-                x, delta = s, 2
-            else:
-                x, delta = s - 1, -2
-            if x <= HALF:
-                jumps[x] = jumps.get(x, 0) + delta
-    return SigFn(tuple(sorted((x, d) for x, d in jumps.items() if d)))
+    sums = (Fraction(i, p) + Fraction(j, q) for i in range(1, p) for j in range(1, q))
+    jumps = ((s, 2) if s < 1 else (s - 1, -2) for s in sums)
+    return SigFn.from_deltas((x, d) for x, d in jumps if x <= HALF)
 
 
 def _cable_sigma(base: SigFn, p: int, q: int) -> SigFn:
@@ -166,13 +170,14 @@ def _cable_sigma(base: SigFn, p: int, q: int) -> SigFn:
     jump.  The cable's jumps are therefore the torus jumps plus these moved
     base jumps for x <= 1/2, merged by angle; deltas that cancel drop out.
     """
-    jumps = dict(sigma_torus(p, q).jumps)
-    for u, d in base.jumps:
-        for m in range(p):
-            for x, delta in (((m + u) / p, d), ((m + 1 - u) / p, -d)):
-                if x <= HALF:
-                    jumps[x] = jumps.get(x, 0) + delta
-    return SigFn(tuple(sorted((x, d) for x, d in jumps.items() if d)))
+    moved = (
+        (x, delta)
+        for u, d in base.jumps
+        for m in range(p)
+        for x, delta in (((m + u) / p, d), ((m + 1 - u) / p, -d))
+        if x <= HALF
+    )
+    return SigFn.from_deltas(itertools.chain(sigma_torus(p, q).jumps, moved))
 
 
 def sigma(e, db=None) -> SigFn:
@@ -263,7 +268,8 @@ def signature_combination_check(knots, bound: int, db=None) -> CombinationCheck:
     independent and so are the knots in the concordance group.  All
     (2*bound + 1)^n - 1 nonzero vectors are then accounted for at once.
     Only a rank below n enumerates the box, testing each vector against
-    the columns of D in integers.
+    the columns of D in integers; a box of more than MAX_BOX vectors raises
+    SizeLimitError.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -272,8 +278,14 @@ def signature_combination_check(knots, bound: int, db=None) -> CombinationCheck:
     points = sorted(set().union(*jumps))
     rows = [[j.get(x, 0) for x in points] for j in jumps]
     count = (2 * bound + 1) ** len(rows) - 1
-    if _rank(rows) == len(rows):
+    rank = _rank(rows)
+    if rank == len(rows):
         return CombinationCheck(bound=bound, count=count, dependent=())
+    if count + 1 > MAX_BOX:
+        raise SizeLimitError(
+            f"signature jumps have rank {rank} < {len(rows)}, and the {count + 1} "
+            f"coefficient vectors at bound {bound} are above the limit {MAX_BOX}"
+        )
     columns = list(zip(*rows))
     dependent = tuple(
         vec

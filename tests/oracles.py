@@ -6,8 +6,9 @@ with the package implementations they check.  The remaining oracles are
 earlier package implementations kept as references for their rewrites:
 PartitionEvaluator for the one-summand V_0 lower bound of connected sums,
 close_iterated for the V-sequence closure, vanishes_by_cyclotomic for the
-root-of-unity test, cable_sigma_by_midpoints for the cable signature and
-combination_check_by_box for the signature independence check.
+root-of-unity test, cable_sigma_by_midpoints for the cable signature,
+combination_check_by_box for the signature independence check and
+torsion_coefficient for the one-pass torsion coefficients.
 """
 
 import itertools
@@ -259,3 +260,14 @@ def combination_check_by_box(knots, bound, db=None):
         if total.is_zero:
             dependent.append(vec)
     return CombinationCheck(bound=bound, count=count, dependent=tuple(dependent))
+
+
+def torsion_coefficient(poly, j):
+    """j-th torsion coefficient sum_{i>=1} i*a_{j+i}, by its defining sum;
+    the reference for laurent.torsion_prefix."""
+    if j < 0:
+        raise ValueError("torsion index must be >= 0")
+    d = poly.degree
+    if d is None or d <= j:
+        return 0
+    return sum(i * poly.coeff(j + i) for i in range(1, d - j + 1))

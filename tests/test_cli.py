@@ -3,13 +3,15 @@
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defslice.cli import main
+from defslice.cli import MAX_ROWS, MAX_SURGERY_P, main
 from defslice.knotexpr import MAX_GENUS, MAX_NESTING, MAX_SUMMANDS
+from defslice.signatures import MAX_BOX
 
 
 def run(capsys, *argv):
@@ -292,6 +294,67 @@ class TestCheckBcg:
         assert "cobordism check: PASS (5 rows)" in out
 
 
+class TestArgumentLimits:
+    """Each limit on a numeric argument or a suite's family, at the limit and
+    one past it; past it the CLI prints one error line and exits 1."""
+
+    def refused(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize(
+        "at, past, message",
+        [
+            (["suite", "thm1", "--n", "506"], ["suite", "thm1", "--n", "507"], "genus bound 513"),
+            (["suite", "thm2", "--k", "31", "--l", "1"], ["suite", "thm2", "--k", "32", "--l", "1"], "summands"),
+            (["suite", "thm2", "--k", "1", "--l", "506"], ["suite", "thm2", "--k", "1", "--l", "507"], "genus"),
+            (["suite", "remark", "--k", "58"], ["suite", "remark", "--k", "59"], "summands"),
+        ],
+    )
+    def test_suite_family_size(self, capsys, at, past, message):
+        code, out, _ = run(capsys, *at, "--json")
+        assert code == 0 and json.loads(out)["passed"]
+        assert message in self.refused(capsys, *past)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["suite", "lens", "--n"],
+            ["suite", "bcg", "--n"],
+            ["suite", "thm1", "--n"],
+            ["check-bcg", "--n"],
+        ],
+    )
+    def test_range_length(self, capsys, argv):
+        code, out, _ = run(capsys, *argv, f"1..{MAX_ROWS}")
+        assert code == 0 and f"({MAX_ROWS} rows)" in out
+        assert f"{MAX_ROWS + 1} values" in self.refused(capsys, *argv, f"1..{MAX_ROWS + 1}")
+
+    def test_thm2_pairs(self, capsys):
+        code, out, _ = run(capsys, "suite", "thm2", "--k", "1..10", "--l", "1..10")
+        assert code == 0 and f"({MAX_ROWS} rows)" in out
+        err = self.refused(capsys, "suite", "thm2", "--k", "1..10", "--l", "1..11")
+        assert "110 (k, l) pairs" in err
+
+    def test_surgery_p(self, capsys):
+        code, out, _ = run(capsys, "surgery", "T(2,3)", str(MAX_SURGERY_P), "1", "--json")
+        assert code == 0 and len(json.loads(out)["rows"]) == MAX_SURGERY_P
+        err = self.refused(capsys, "surgery", "T(2,3)", str(MAX_SURGERY_P + 1), "1")
+        assert "numerator" in err
+
+    def test_independence_box(self, capsys, monkeypatch):
+        # the rank stays 1 however many copies, so only the box can refuse
+        assert 3**12 > MAX_BOX
+        assert "coefficient vectors" in self.refused(capsys, "independence", *["T(2,3)"] * 12, "--bound", "1")
+        monkeypatch.setattr("defslice.signatures.MAX_BOX", 3**3)
+        code, out, _ = run(capsys, "independence", *["T(2,3)"] * 3, "--bound", "1")
+        assert code == 1 and "(1, -1, 0)" in out
+        err = self.refused(capsys, "independence", *["T(2,3)"] * 4, "--bound", "1")
+        assert "rank 1 < 4" in err and "81 coefficient vectors" in err
+
+
 class TestIndependence:
     def test_independent(self, capsys):
         code, out, _ = run(
@@ -309,6 +372,20 @@ class TestIndependence:
         code, out, _ = run(capsys, "independence", "T(2,3)", "T(2,3)", "--bound", "1")
         assert code == 1
         assert "(1, -1)" in out
+
+
+# Full human-form stdout and exit code of one command of each output shape,
+# in cli_human_output.json; "{atoms}" in an argv stands for the path of the
+# registry stored there.
+HUMAN = json.loads((Path(__file__).parent / "cli_human_output.json").read_text())
+
+
+@pytest.mark.parametrize("case", HUMAN["cases"], ids=lambda case: " ".join(case["argv"]))
+def test_human_output_is_pinned(capsys, tmp_path, case):
+    reg = tmp_path / "atoms.json"
+    reg.write_text(json.dumps(HUMAN["registry"]))
+    code, out, _ = run(capsys, *(a.replace("{atoms}", str(reg)) for a in case["argv"]))
+    assert (code, out) == (case["exit"], case["stdout"])
 
 
 # Expression text: well-formed expressions, strings of grammar pieces, and

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -38,7 +39,7 @@ from defslice.knotexpr import (
 )
 from defslice.laurent import LaurentPoly, torus_alexander
 
-from oracles import PartitionEvaluator, close_iterated
+from oracles import PartitionEvaluator, close_iterated, torsion_coefficient
 from strategies import expressions
 
 WH = Atom(WHITEHEAD_TREFOIL)
@@ -195,6 +196,44 @@ class TestVSeq:
         assert s.at(0).lo == 0 and s.at(0).hi == 1  # genus tail still caps it
         s2 = v_seq(WH, degraded_db)
         assert s2.at(0) == IntInterval.exact(1)
+
+
+def _lspace_cable_qs(p, g, count):
+    """The first count q >= p(2g - 1) coprime to p: for an L-space knot K of
+    genus g, K_{p,q} is then an L-space knot (Hedden 2009; Hom 2011)."""
+    qs = []
+    q = p * (2 * g - 1)
+    while len(qs) < count:
+        if gcd(p, q) == 1:
+            qs.append(q)
+        q += 1
+    return qs
+
+
+class TestLSpaceCableOracle:
+    """Wu's cabling formula against a source it does not use: an L-space
+    cable's V_j are the torsion coefficients of its Alexander polynomial
+    Delta_K(t^p) * Delta_{T(p,q)}(t)."""
+
+    def test_every_v_matches_torsion(self):
+        ev = Evaluator()
+        cables = []
+        for a, b in [(2, 3), (2, 5), (3, 4), (2, 7), (3, 5)]:
+            g = (a - 1) * (b - 1) // 2
+            for p in range(2, 6):
+                for q in _lspace_cable_qs(p, g, 2):
+                    cables.append((Cable(p, q, torus_atom(a, b)), p * g + (p - 1) * (q - 1) // 2))
+        for inner, g in cables[:16:3]:  # nested: cables of L-space cables
+            for p in (2, 3):
+                for q in _lspace_cable_qs(p, g, 1):
+                    cables.append((Cable(p, q, inner), p * g + (p - 1) * (q - 1) // 2))
+        assert len(cables) == 52
+        for cable, g in cables:
+            alex = alexander(cable)
+            assert alex.degree == g
+            s = ev.v_seq(cable)
+            for j in range(g + 2):
+                assert s.at(j) == IntInterval.exact(torsion_coefficient(alex, j)), (cable, j)
 
 
 class TestClose:

@@ -6,15 +6,9 @@ from fractions import Fraction
 from math import gcd
 
 from defslice.knotexpr import alexander, parse
-from defslice.laurent import (
-    LaurentPoly,
-    torsion_coefficient,
-    torsion_prefix,
-    torus_alexander,
-    vanishes_at_unit_root,
-)
+from defslice.laurent import LaurentPoly, torsion_prefix, torus_alexander, vanishes_at_unit_root
 
-from oracles import cyclotomic, vanishes_by_cyclotomic, vanishes_by_sympy
+from oracles import cyclotomic, torsion_coefficient, vanishes_by_cyclotomic, vanishes_by_sympy
 
 MAX_DEN = 24
 
