@@ -56,10 +56,11 @@ EXIT_GAP = 3
 # of lens and thm2 reach it.  Each family row is also within the expression
 # size limits of knotexpr.check_size, which bound its cost.  From
 # interpreter start (py3.11, 2-vCPU VM): at the limit, `suite lens`,
-# `suite bcg` and `check-bcg` take 0.2 s, `suite thm1 --n 407..506` 8.6 s
-# and `suite thm2 --k 6..15 --l 441..450`, the slowest rows found, 61 s.
-# Before the limit, `suite lens --n 1..100000` took 5.9 s, `check-bcg --n
-# 1..20000` 10.5 s and `suite thm1 --n 1..506` 20 s.
+# `suite bcg` and `check-bcg` take 0.3 s, `suite thm1 --n 407..506` 1.6 s,
+# `suite thm2 --k 6..15 --l 441..450` 2.2 s and `suite thm2 --k 22..31
+# --l 377..386`, the slowest rows found, 3.8 s.  Before the limit,
+# `suite lens --n 1..100000` took 5.9 s, `check-bcg --n 1..20000` 10.5 s
+# and `suite thm1 --n 1..506` 20 s.
 MAX_ROWS = 100
 
 # Largest surgery coefficient numerator P: `surgery` evaluates one

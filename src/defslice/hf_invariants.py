@@ -25,7 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, wraps
+from itertools import repeat
 from math import gcd
+from operator import add
 
 from .certificates import nu_equiv_reduce, resolve_db
 from .knotexpr import (
@@ -295,6 +297,18 @@ def _torus_vseq(p: int, q: int) -> VSeq:
     return _close([IntInterval.exact(t) for t in torsion_prefix(alex, g)], g)
 
 
+_INF = float("inf")
+
+
+def _upper(s: VSeq, n: int) -> list:
+    """hi of V_0..V_{n-1} as s.at gives them, with +inf for an unbounded hi."""
+    his = [_INF if iv.hi is None else iv.hi for iv in s.entries[:n]]
+    if len(his) < n:
+        tail = 0 if s.zero_from is not None else his[-1]
+        his += [tail] * (n - len(his))
+    return his
+
+
 _MISSING = object()
 
 
@@ -399,6 +413,30 @@ class Evaluator:
         return _close([IntInterval(0, None)], self._genus(c))
 
     def _vseq_sum(self, e):
+        """Upper bounds from V_{m+n}(K # J) <= V_m(K) + V_n(J), folded over
+        the summands; lower bounds from _sum_lower_v0 and the closure.
+
+        The upper sequence of the sum is the min-plus convolution of the
+        summands' upper sequences, his[k] = min over m + n = k of
+        hi_A[m] + hi_B[n], an unbounded hi counting as +inf.  Adding a
+        summand B with zero_from g only needs the splits n <= min(k, g):
+
+          * hi_B[n] = 0 for every n >= g, because V_B is 0 from g on.
+          * A closed sequence is nonincreasing (+inf only in a prefix), and
+            so is the convolution of two nonincreasing sequences: for
+            m <= k, hi_A[m] + hi_B[k+1-m] <= hi_A[m] + hi_B[k-m], so
+            his[k+1] <= his[k].  By induction every accumulated his is
+            nonincreasing.
+          * So a split n > g gives his[k-n] + 0 >= his[k-g] + 0, the term
+            of the split n = g, and cannot set the minimum.
+
+        A summand without a genus bound keeps every split.  Min-plus
+        convolution is commutative and associative, and his[k] reads only
+        indices <= k, so the length-L prefixes may be folded in any order;
+        the fold starts from the summand with the widest window, whose
+        L * g term then drops out.  The cost is L times the sum of the
+        other windows instead of r * L^2 over r summands.
+        """
         parts = e.parts
         seqs = [self._vseq_of(p) for p in parts]
         zf = self._genus(e)
@@ -406,24 +444,23 @@ class Evaluator:
             length = max(zf, 1)
         else:
             length = max(2, min(64, sum(len(s.entries) for s in seqs)))
-        # upper bounds: min-plus fold of V_{m+n} <= V_m + V_n over all splits
-        his = [seqs[0].at(k).hi for k in range(length)]
+
+        def window(s):
+            return length - 1 if s.zero_from is None else min(s.zero_from, length - 1)
+
+        seqs.sort(key=window, reverse=True)
+        his = _upper(seqs[0], length)
         for s in seqs[1:]:
-            nxt = [s.at(k).hi for k in range(length)]
-            out = []
-            for k in range(length):
-                best = None
-                for m in range(k + 1):
-                    x, y = his[m], nxt[k - m]
-                    if x is None or y is None:
-                        continue
-                    v = x + y
-                    if best is None or v < best:
-                        best = v
-                out.append(best)
+            nxt = _upper(s, window(s) + 1)
+            out = [h + nxt[0] for h in his]
+            for n in range(1, len(nxt)):
+                out[n:] = map(min, out[n:], map(add, his, repeat(nxt[n])))
             his = out
         lo0 = self._sum_lower_v0(parts)
-        entries = [IntInterval(lo0 if k == 0 else 0, his[k]) for k in range(length)]
+        entries = [
+            IntInterval(lo0 if k == 0 else 0, None if h == _INF else h)
+            for k, h in enumerate(his)
+        ]
         return _close(entries, zf)
 
     def _sum_lower_v0(self, parts):

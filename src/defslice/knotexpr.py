@@ -172,14 +172,17 @@ MAX_NESTING = 100
 
 # Largest expressions that parse accepts: at most MAX_SUMMANDS atoms after
 # normalization and a genus bound of at most MAX_GENUS.  The V-sequence
-# fold of a sum of r summands of genus bound g takes about r * g^2 steps,
-# and a torus knot's Alexander division about g^2, so both limits are
-# needed.  `report --json` on the largest accepted input of each shape,
-# median of three runs from interpreter start (py3.11, 2-vCPU VM):
-# 64*T(2,3) 0.23 s; 64*T(2,17) (r = 64, g = 512) 2.1 s; T(2,1025)
-# 0.30 s; cable(2,1,...) nested 9 deep around T(2,3) (g = 512) 0.18 s.
-# Past them, 256*T(2,3) took 2.3 s, 512*T(2,3) 19 s and 64*T(2,63)
-# (g = 1984) 34 s.
+# fold of r summands into a sum of genus bound L takes about
+# L * (r + sum of the summands' genera) <= L * (r + L) steps, a torus
+# knot's Alexander polynomial about 2g steps and a cable's Wu step about
+# its genus, so the two limits bound each of them.  `report --json` on
+# the largest accepted input of each shape, median of three runs from
+# interpreter start (py3.11, 2-vCPU VM): 64*T(2,3) 0.31 s; 64*T(2,17)
+# (r = 64, g = 512) 0.65 s; T(2,1025) 0.28 s; cable(2,1,...) nested 9
+# deep around T(2,3) (g = 512) 0.29 s.  With the limits lifted,
+# 256*T(2,3) took 0.48 s, 512*T(2,3) 1.1 s and 64*T(2,63) (g = 1984)
+# 5.3 s, so the limits leave room: they were set for a fold of r * L^2
+# steps, under which 64*T(2,17) took 2.1 s.
 MAX_SUMMANDS = 64
 MAX_GENUS = 512
 

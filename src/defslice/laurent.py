@@ -1,8 +1,7 @@
 """Exact integer Laurent polynomial arithmetic.
 
 Knot Alexander polynomials are kept in the symmetric normal form
-a_i = a_{-i} with value 1 at t = 1.  All operations are exact; division
-raises if the quotient is not an honest integer Laurent polynomial.
+a_i = a_{-i} with value 1 at t = 1.  All operations are exact.
 """
 
 from __future__ import annotations
@@ -126,35 +125,6 @@ class LaurentPoly:
         return f"LaurentPoly({self.pretty()})"
 
 
-def div_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
-    """Exact Laurent division; raises ValueError on any nonzero remainder."""
-    if den.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    if num.is_zero():
-        return LaurentPoly.zero()
-    shift = num.min_exp - den.min_exp
-    a = num.shift(-num.min_exp)
-    b = den.shift(-den.min_exp)
-    da, db = a.degree, b.degree
-    if da < db:
-        raise ValueError("not divisible: degree too small")
-    ac = [a.coeff(i) for i in range(da + 1)]
-    bc = [b.coeff(i) for i in range(db + 1)]
-    q = [0] * (da - db + 1)
-    for k in range(da - db, -1, -1):
-        lead = ac[k + db]
-        if lead % bc[db] != 0:
-            raise ValueError("not divisible: leading coefficient")
-        c = lead // bc[db]
-        q[k] = c
-        if c:
-            for j in range(db + 1):
-                ac[k + j] -= c * bc[j]
-    if any(ac):
-        raise ValueError("not divisible: nonzero remainder")
-    return LaurentPoly({k + shift: c for k, c in enumerate(q)})
-
-
 def symmetric_normalized(p: LaurentPoly) -> LaurentPoly:
     """Recenter so a_i = a_{-i} and fix the sign so the value at t=1 is 1.
 
@@ -180,9 +150,23 @@ def symmetric_normalized(p: LaurentPoly) -> LaurentPoly:
 def torus_alexander(p: int, q: int) -> LaurentPoly:
     """Alexander polynomial of the (p,q)-torus knot, symmetric normalized.
 
-    Computed as (t^(pq)-1)(t-1)/((t^p-1)(t^q-1)); trivial cases (p = 1 or
-    |q| <= 1) give 1.  The polynomial does not see mirroring, so q < 0 is
-    folded to |q|.
+    Read from the semigroup S = <p, q> = {a*p + b*q : a, b >= 0}.  Each
+    s in S is a*p + b*q with a >= 0 and 0 <= b < p in exactly one way, so
+
+        sum_{s in S} t^s = (1 - t^(pq)) / ((1 - t^p)(1 - t^q)),
+
+    and (1 - t) times it is (t^(pq)-1)(t-1)/((t^p-1)(t^q-1)), the
+    Alexander polynomial of degree 2g = (p-1)(q-1).  Every n >= 2g lies in
+    S, so the series is sum_{s in S, s < 2g} t^s + t^(2g)/(1 - t) and
+
+        Delta(t) = t^(2g) + (1 - t) * sum_{s in S, s < 2g} t^s:
+
+    as 2g is in S and 2g - 1 is not, the coefficient of t^n is
+    [n in S] - [n-1 in S] for 0 <= n <= 2g.  A sieve over n <= 2g finds S
+    in O(pq) steps with no division; shifting by t^(-g) centres it.
+
+    Trivial cases (p = 1 or |q| <= 1) give 1.  The polynomial does not see
+    mirroring, so q < 0 is folded to |q|.
     """
     q = abs(q)
     if p < 1:
@@ -191,11 +175,15 @@ def torus_alexander(p: int, q: int) -> LaurentPoly:
         return LaurentPoly.one()
     if gcd(p, q) != 1:
         raise ValueError(f"torus parameters must be coprime, got ({p},{q})")
-    t = LaurentPoly.monomial
-    one = LaurentPoly.one()
-    num = (t(p * q) - one) * (t(1) - one)
-    den = (t(p) - one) * (t(q) - one)
-    return symmetric_normalized(div_exact(num, den))
+    g2 = (p - 1) * (q - 1)
+    coeffs = {}
+    in_s = []
+    for n in range(g2 + 1):
+        in_s.append(n == 0 or (n >= p and in_s[n - p]) or (n >= q and in_s[n - q]))
+        prev = n > 0 and in_s[n - 1]
+        if in_s[n] != prev:
+            coeffs[n - g2 // 2] = 1 if in_s[n] else -1
+    return LaurentPoly(coeffs)
 
 
 def torsion_prefix(poly: LaurentPoly, n: int) -> list:

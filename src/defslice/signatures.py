@@ -36,6 +36,14 @@ HALF = Fraction(1, 2)
 # 823,543 2.2 s, and each further knot multiplies the time by 2*bound + 1.
 MAX_BOX = 200_000
 
+# Most decimal digits of the combination count (2*bound + 1)^n - 1 that
+# signature_combination_check accepts, whatever the rank.  The count is
+# printed in decimal, and Python refuses int-to-str conversions longer
+# than its per-process limit, which can be lowered to 640 digits but no
+# further; 600 digits always print.  `independence 'T(2,3)' 'T(2,5)'
+# --bound 10^2200` would print a count of 4,401 digits.
+MAX_COUNT_DIGITS = 600
+
 
 class JumpPointError(ValueError):
     """Signature queried at a jump angle; carries both one-sided limits."""
@@ -269,15 +277,24 @@ def signature_combination_check(knots, bound: int, db=None) -> CombinationCheck:
     (2*bound + 1)^n - 1 nonzero vectors are then accounted for at once.
     Only a rank below n enumerates the box, testing each vector against
     the columns of D in integers; a box of more than MAX_BOX vectors raises
-    SizeLimitError.
+    SizeLimitError, and so does a count of more than MAX_COUNT_DIGITS
+    digits, before any signature is computed.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
+    n, side = len(knots), 2 * bound + 1
+    limit = 10**MAX_COUNT_DIGITS
+    # side^n >= 2^(n * (bits - 1)) refuses a huge box before computing it
+    if n * (side.bit_length() - 1) > limit.bit_length() or side**n - 1 >= limit:
+        raise SizeLimitError(
+            f"the count (2*bound + 1)^{n} - 1 of coefficient vectors has more "
+            f"than {MAX_COUNT_DIGITS} digits"
+        )
     db = resolve_db(db)
     jumps = [dict(sigma(k, db).jumps) for k in knots]
     points = sorted(set().union(*jumps))
     rows = [[j.get(x, 0) for x in points] for j in jumps]
-    count = (2 * bound + 1) ** len(rows) - 1
+    count = side**n - 1
     rank = _rank(rows)
     if rank == len(rows):
         return CombinationCheck(bound=bound, count=count, dependent=())

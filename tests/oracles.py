@@ -5,10 +5,12 @@ polynomials come from sympy polynomial division.  Neither path shares code
 with the package implementations they check.  The remaining oracles are
 earlier package implementations kept as references for their rewrites:
 PartitionEvaluator for the one-summand V_0 lower bound of connected sums,
-close_iterated for the V-sequence closure, vanishes_by_cyclotomic for the
-root-of-unity test, cable_sigma_by_midpoints for the cable signature,
-combination_check_by_box for the signature independence check and
-torsion_coefficient for the one-pass torsion coefficients.
+AllSplitsEvaluator for the windowed sum fold, close_iterated for the
+V-sequence closure, vanishes_by_cyclotomic for the root-of-unity test,
+cable_sigma_by_midpoints for the cable signature, combination_check_by_box
+for the signature independence check, torsion_coefficient for the one-pass
+torsion coefficients and torus_alexander_by_division (with its long
+division div_exact) for the semigroup torus Alexander polynomials.
 """
 
 import itertools
@@ -19,9 +21,9 @@ import numpy as np
 import sympy
 from sympy.polys.densearith import dup_rem
 
-from defslice.hf_invariants import ContradictionError, Evaluator, IntInterval, VSeq
+from defslice.hf_invariants import ContradictionError, Evaluator, IntInterval, VSeq, _close
 from defslice.knotexpr import Sum, mirror
-from defslice.laurent import LaurentPoly, div_exact, symmetric_normalized
+from defslice.laurent import LaurentPoly, symmetric_normalized
 from defslice.signatures import HALF, CombinationCheck, SigFn, sigma, sigma_torus
 
 
@@ -72,6 +74,46 @@ def alexander_torus_division(p, q):
     return symmetric_normalized(LaurentPoly(enumerate(int(c) for c in coeffs)))
 
 
+def div_exact(num, den):
+    """Exact Laurent long division; raises ValueError on any nonzero
+    remainder.  Used by cyclotomic, and with torus_alexander_by_division
+    the reference for laurent.torus_alexander."""
+    if den.is_zero():
+        raise ZeroDivisionError("division by zero polynomial")
+    if num.is_zero():
+        return LaurentPoly.zero()
+    shift = num.min_exp - den.min_exp
+    a = num.shift(-num.min_exp)
+    b = den.shift(-den.min_exp)
+    da, db = a.degree, b.degree
+    if da < db:
+        raise ValueError("not divisible: degree too small")
+    ac = [a.coeff(i) for i in range(da + 1)]
+    bc = [b.coeff(i) for i in range(db + 1)]
+    q = [0] * (da - db + 1)
+    for k in range(da - db, -1, -1):
+        lead = ac[k + db]
+        if lead % bc[db] != 0:
+            raise ValueError("not divisible: leading coefficient")
+        c = lead // bc[db]
+        q[k] = c
+        if c:
+            for j in range(db + 1):
+                ac[k + j] -= c * bc[j]
+    if any(ac):
+        raise ValueError("not divisible: nonzero remainder")
+    return LaurentPoly({k + shift: c for k, c in enumerate(q)})
+
+
+def torus_alexander_by_division(p, q):
+    """(t^(pq)-1)(t-1)/((t^p-1)(t^q-1)) by div_exact, symmetric normalized."""
+    t = LaurentPoly.monomial
+    one = LaurentPoly.one()
+    num = (t(p * q) - one) * (t(1) - one)
+    den = (t(p) - one) * (t(q) - one)
+    return symmetric_normalized(div_exact(num, den))
+
+
 def random_regular_angle(rng, fn, max_den=997):
     """Random rational in (0, 1/2) that is not a jump point of fn."""
     jump_xs = {x for x, _ in fn.jumps}
@@ -104,6 +146,43 @@ class PartitionEvaluator(Evaluator):
             if hi_b is not None:
                 best = max(best, lo_a - hi_b)
         return best
+
+
+class AllSplitsEvaluator(Evaluator):
+    """Evaluator whose sum fold tries every split m + n = k of every k.
+
+    Each added summand is folded over all L^2 splits of the length-L
+    prefix, reading every value through VSeq.at.  Evaluator._vseq_sum
+    proves that a summand with zero_from g only needs the splits n <= g;
+    this fold is the reference it is checked against.
+    """
+
+    def _vseq_sum(self, e):
+        parts = e.parts
+        seqs = [self._vseq_of(p) for p in parts]
+        zf = self._genus(e)
+        if zf is not None:
+            length = max(zf, 1)
+        else:
+            length = max(2, min(64, sum(len(s.entries) for s in seqs)))
+        his = [seqs[0].at(k).hi for k in range(length)]
+        for s in seqs[1:]:
+            nxt = [s.at(k).hi for k in range(length)]
+            out = []
+            for k in range(length):
+                best = None
+                for m in range(k + 1):
+                    x, y = his[m], nxt[k - m]
+                    if x is None or y is None:
+                        continue
+                    v = x + y
+                    if best is None or v < best:
+                        best = v
+                out.append(best)
+            his = out
+        lo0 = self._sum_lower_v0(parts)
+        entries = [IntInterval(lo0 if k == 0 else 0, his[k]) for k in range(length)]
+        return _close(entries, zf)
 
 
 def close_iterated(entries, zero_from):

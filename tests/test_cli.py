@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from defslice.cli import MAX_ROWS, MAX_SURGERY_P, main
 from defslice.knotexpr import MAX_GENUS, MAX_NESTING, MAX_SUMMANDS
-from defslice.signatures import MAX_BOX
+from defslice.signatures import MAX_BOX, MAX_COUNT_DIGITS
 
 
 def run(capsys, *argv):
@@ -353,6 +353,24 @@ class TestArgumentLimits:
         assert code == 1 and "(1, -1, 0)" in out
         err = self.refused(capsys, "independence", *["T(2,3)"] * 4, "--bound", "1")
         assert "rank 1 < 4" in err and "81 coefficient vectors" in err
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["human", "json"])
+    def test_independence_count(self, capsys, json_flag):
+        # two knots at the largest bound whose count has at most
+        # MAX_COUNT_DIGITS = 600 digits: 2*bound + 1 = 10^300 - 1, and one
+        # more makes (10^300 + 1)^2 - 1, of 601 digits
+        assert MAX_COUNT_DIGITS == 600
+        knots, at = ["T(2,3)", "T(2,5)"], (10**300 - 2) // 2
+        count = (10**300 - 1) ** 2 - 1
+        code, out, _ = run(capsys, "independence", *knots, "--bound", str(at), *json_flag)
+        assert code == 0
+        if json_flag:
+            assert json.loads(out)["combinations"] == count
+        else:
+            assert out == f"independent at level {at} ({count} combinations checked)\n"
+        for past in (at + 1, 10**2200):
+            err = self.refused(capsys, "independence", *knots, "--bound", str(past), *json_flag)
+            assert "more than 600 digits" in err
 
 
 class TestIndependence:

@@ -13,6 +13,7 @@ from defslice.hf_invariants import (
     Evaluator,
     IntInterval,
     _close,
+    _torus_vseq,
     d1,
     genus_bound,
     lens_d,
@@ -39,7 +40,7 @@ from defslice.knotexpr import (
 )
 from defslice.laurent import LaurentPoly, torus_alexander
 
-from oracles import PartitionEvaluator, close_iterated, torsion_coefficient
+from oracles import AllSplitsEvaluator, PartitionEvaluator, close_iterated, torsion_coefficient
 from strategies import expressions
 
 WH = Atom(WHITEHEAD_TREFOIL)
@@ -236,6 +237,31 @@ class TestLSpaceCableOracle:
                 assert s.at(j) == IntInterval.exact(torsion_coefficient(alex, j)), (cable, j)
 
 
+class TestTorusGapCount:
+    """The torsion path against the semigroup S = <p, q>, with no Alexander
+    polynomial: V_k(T(p,q)) = #{n not in S : n >= g + k} (Borodzik and
+    Livingston, Heegaard Floer homology and rational cuspidal curves)."""
+
+    def test_every_torus_knot_to_genus_60(self):
+        pairs = [
+            (p, q)
+            for p in range(2, 122)
+            for q in range(p + 1, 122)
+            if gcd(p, q) == 1 and (p - 1) * (q - 1) <= 120
+        ]
+        assert len(pairs) == 172
+        for p, q in pairs:
+            g = (p - 1) * (q - 1) // 2
+            # every gap of S lies below 2g
+            semigroup = {a * p + b * q for a in range(2 * g // p + 1) for b in range(2 * g // q + 1)}
+            gaps = [n for n in range(2 * g) if n not in semigroup]
+            assert len(gaps) == g
+            s = _torus_vseq(p, q)
+            for k in range(g + 2):
+                want = sum(1 for n in gaps if n >= g + k)
+                assert s.at(k) == IntInterval.exact(want), (p, q, k)
+
+
 class TestClose:
     """One forward and one backward sweep against sweeping to a fixed point."""
 
@@ -407,6 +433,38 @@ class TestSumLowerV0:
             base = base.with_atom(AtomCertificate(name=f"S{i}", tau=0, genus=1, v0=0, v0_mirror=0))
         e = Sum((torus_atom(2, 41),) + tuple(Atom(f"S{i}") for i in range(1, 20)))
         assert v_seq(e, base).at(0) == IntInterval.exact(10)
+
+
+# summands whose V-sequences have wide windows (genus bound 6 to 20, or
+# none) beside narrow ones (genus 0 to 4), so the windowed fold meets both
+_WIDE = _LARGE + [torus_atom(3, 7), Cable(2, 5, torus_atom(2, 3))]
+_GENUSLESS_PARTS = [Atom("G"), Atom("H"), Cable(2, 1, Atom("G")), Cable(3, 2, Atom("H"))]
+
+
+class TestSumFold:
+    """The windowed min-plus sum fold against the fold over every split."""
+
+    @pytest.mark.parametrize("which", ["db", "degraded_db", "genusless"])
+    def test_matches_all_splits(self, request, which):
+        if which == "genusless":
+            base, pool = GENUSLESS_DB, _WIDE + _SMALL + _GENUSLESS_PARTS
+        else:
+            base, pool = request.getfixturevalue(which), _WIDE + _SMALL
+        pool = pool + [Mirror(p) for p in pool]
+        rng = random.Random(f"fold-{which}")
+        for _ in range(120):
+            parts = []
+            for _ in range(rng.randint(2, 6)):
+                parts += [rng.choice(pool)] * rng.choice((1, 1, 2, 3))
+            rng.shuffle(parts)
+            e = normalize(Sum(tuple(parts)))
+            fast, ref = Evaluator(base), AllSplitsEvaluator(base)
+            for k in (e, mirror(e)):
+                assert _invariants(fast, k) == _invariants(ref, k), k
+
+    def test_many_repeated_summands(self):
+        e = parse("24*T(2,9) # 3*T(3,4)* # Wh(T(2,3))")
+        assert _invariants(Evaluator(), e) == _invariants(AllSplitsEvaluator(), e)
 
 
 class TestGenusBound:

@@ -1,5 +1,6 @@
 """The root-of-unity test against cyclotomic division and against sympy;
-the one-pass torsion coefficients against their defining sums."""
+the one-pass torsion coefficients against their defining sums; the
+semigroup torus Alexander polynomials against long division."""
 
 import random
 from fractions import Fraction
@@ -8,7 +9,14 @@ from math import gcd
 from defslice.knotexpr import alexander, parse
 from defslice.laurent import LaurentPoly, torsion_prefix, torus_alexander, vanishes_at_unit_root
 
-from oracles import cyclotomic, torsion_coefficient, vanishes_by_cyclotomic, vanishes_by_sympy
+from oracles import (
+    alexander_torus_division,
+    cyclotomic,
+    torsion_coefficient,
+    torus_alexander_by_division,
+    vanishes_by_cyclotomic,
+    vanishes_by_sympy,
+)
 
 MAX_DEN = 24
 
@@ -74,3 +82,19 @@ def test_torsion_prefix_matches_per_index_sums():
         n = poly.degree + 2  # past the top degree, where t_j = 0
         assert torsion_prefix(poly, n) == [torsion_coefficient(poly, j) for j in range(n)]
         assert torsion_prefix(poly, 1) == [torsion_coefficient(poly, 0)]
+
+
+def test_torus_alexander_matches_division():
+    # every coprime 2 <= p < q up to genus 60, and the largest T(2,q) that
+    # the genus limit accepts
+    pairs = [
+        (p, q)
+        for p in range(2, 122)
+        for q in range(p + 1, 122)
+        if gcd(p, q) == 1 and (p - 1) * (q - 1) <= 120
+    ]
+    assert len(pairs) == 172
+    for p, q in pairs + [(2, 1025)]:
+        got = torus_alexander(p, q)
+        assert got == torus_alexander_by_division(p, q) == alexander_torus_division(p, q), (p, q)
+        assert got == torus_alexander(q, p) == torus_alexander(p, -q)
