@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 
 from .knotexpr import (
     Atom,
@@ -94,9 +95,15 @@ class AtomCertificate:
                 )
 
 
+@cache
 def builtin(name: str) -> AtomCertificate:
     """Certificate for a built-in atom: O, T(p,q) with coprime p,q >= 2,
-    or the positively-clasped untwisted Whitehead double of the trefoil."""
+    or the positively-clasped untwisted Whitehead double of the trefoil.
+
+    A pure function of the name whose certificates are frozen, so each is
+    built and validated once per process and shared by every later lookup;
+    an unknown or invalid name is not cached and raises on every call.
+    """
     if name == "O":
         return AtomCertificate(
             name="O",

@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
+from functools import cache
 
 from .certificates import CertificateGapError, default_db, load_registry
 from .hf_invariants import ContradictionError, Evaluator, lens_d
@@ -68,6 +70,23 @@ MAX_ROWS = 100
 # `surgery T(2,3) 10000 1 --json` takes 0.71 s; 100000 took 4.1 s and
 # 1000000 ran past a 30 s timeout.
 MAX_SURGERY_P = 10_000
+
+
+# Most digits in the numerator or the denominator of a `sigma --at` angle
+# as written, before it is reduced: A and B of A/B, and for a decimal I.F
+# with exponent E the integers IF * 10^max(E, 0) and 10^(len(F) - min(E, 0))
+# that Fraction multiplies out.  The angle is printed with str() and x =
+# angle/2 has one digit more, so 601 digits print under any per-process
+# int-to-str limit Python allows (its floor is 640).  Before the limit,
+# `sigma T(2,3) --at 1e10000000` ran 14 s (py3.11, 2-vCPU VM) to build the
+# angle and then failed to print it.
+MAX_AT_DIGITS = 600
+
+# A superset of the literals Fraction(str) accepts, with the digit strings
+# of the numerator, denominator, fractional part and exponent
+_AT_LITERAL = re.compile(
+    r"\s*[-+]?([\d_]*)(?:\s*/\s*([\d_]+)|(?:\.([\d_]*))?(?:[eE]([-+]?[\d_]+))?)\s*"
+)
 
 
 # ---------------------------------------------------------------- families
@@ -427,6 +446,29 @@ def cmd_surgery(args, db) -> int:
 
 # ---------------------------------------------------------------- sigma
 
+def _check_at_digits(spec: str):
+    """Refuse an --at angle whose numerator or denominator as written has
+    more than MAX_AT_DIGITS digits, before Fraction multiplies it out; a
+    spec that is no fraction literal is left for Fraction to refuse."""
+    m = _AT_LITERAL.fullmatch(spec)
+    if m is None:
+        return
+    num, den, frac, exp = (g.replace("_", "") if g else "" for g in m.groups())
+    if den:
+        digits = max(len(num), len(den))
+    else:
+        # an exponent of more than 9 digits is past the limit whatever its value
+        mag = exp.lstrip("+-").lstrip("0")
+        e = int(mag or "0") if len(mag) <= 9 else 10**9
+        if exp.startswith("-"):
+            e = -e
+        digits = max(len(num) + len(frac) + max(e, 0), 1 + len(frac) - min(e, 0))
+    if digits > MAX_AT_DIGITS:
+        raise SizeLimitError(
+            f"--at angle has more than {MAX_AT_DIGITS} digits in its numerator or denominator"
+        )
+
+
 def cmd_sigma(args, db) -> int:
     e = parse(args.expr, db)
     try:
@@ -436,6 +478,7 @@ def cmd_sigma(args, db) -> int:
         return EXIT_GAP if args.strict else EXIT_OK
     queries = []
     for spec in args.at or []:
+        _check_at_digits(spec)
         try:
             theta = Fraction(spec)  # multiple of pi
         except ZeroDivisionError:
@@ -550,7 +593,11 @@ def _range(value, default):
     return range(lo, hi + 1)
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later one: parse_args does not change it, and `--at` appends to a list
+    it makes for each call, so no call sees another's arguments."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--strict", action="store_true", help="exit 3 on certificate gaps")
@@ -593,7 +640,17 @@ def main(argv=None) -> int:
     p.add_argument("exprs", nargs="+")
     p.add_argument("--bound", type=int, default=3)
 
-    args = ap.parse_args(argv)
+    return ap
+
+
+def main(argv=None) -> int:
+    """Run one command; return its exit code.
+
+    May be called many times in one process: the argument parser and each
+    built-in atom certificate are built once per process, and the output
+    of a call does not depend on the calls before it.
+    """
+    args = _parser().parse_args(argv)
 
     try:
         db = load_registry(args.atoms) if args.atoms else default_db()

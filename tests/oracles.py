@@ -19,7 +19,9 @@ from functools import lru_cache
 
 import numpy as np
 import sympy
+from sympy import ZZ
 from sympy.polys.densearith import dup_rem
+from sympy.polys.rings import ring
 
 from defslice.hf_invariants import ContradictionError, Evaluator, IntInterval, VSeq, _close
 from defslice.knotexpr import Sum, mirror
@@ -64,14 +66,14 @@ def alexander_from_seifert(V):
 
 
 def alexander_torus_division(p, q):
-    """(t^(pq)-1)(t-1)/((t^p-1)(t^q-1)) via sympy exact division."""
-    t = sympy.symbols("t")
-    num = sympy.Poly((t ** (p * q) - 1) * (t - 1), t)
-    den = sympy.Poly((t**p - 1) * (t**q - 1), t)
-    quo, rem = sympy.div(num, den, domain="QQ")
+    """(t^(pq)-1)(t-1)/((t^p-1)(t^q-1)) via sympy exact division in the
+    sparse polynomial ring Z[t]."""
+    _, t = ring("t", ZZ)
+    num = (t ** (p * q) - 1) * (t - 1)
+    den = (t**p - 1) * (t**q - 1)
+    quo, rem = num.div(den)
     assert rem == 0
-    coeffs = list(reversed(quo.all_coeffs()))
-    return symmetric_normalized(LaurentPoly(enumerate(int(c) for c in coeffs)))
+    return symmetric_normalized(LaurentPoly((exp, int(c)) for (exp,), c in quo.terms()))
 
 
 def div_exact(num, den):

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defslice.cli import MAX_ROWS, MAX_SURGERY_P, main
+from defslice import certificates, cli
+from defslice.cli import MAX_AT_DIGITS, MAX_ROWS, MAX_SURGERY_P, main
 from defslice.knotexpr import MAX_GENUS, MAX_NESTING, MAX_SUMMANDS
 from defslice.signatures import MAX_BOX, MAX_COUNT_DIGITS
 
@@ -18,6 +19,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def outcome(argv):
+    """stdout, stderr and exit code of main(argv), argparse refusals and
+    -h included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return out.getvalue(), err.getvalue(), code
 
 
 class TestReport:
@@ -372,6 +385,22 @@ class TestArgumentLimits:
             err = self.refused(capsys, "independence", *knots, "--bound", str(past), *json_flag)
             assert "more than 600 digits" in err
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["human", "json"])
+    def test_sigma_at_digits(self, capsys, json_flag):
+        # numerator and denominator as written: 10^599 has 600 digits, and
+        # 1.5e-598 is 15/10^599
+        assert MAX_AT_DIGITS == 600
+        big = 10**599
+        for at in ["1e-599", "1.5e-598", f"{big}/{big + 1}", "1/3", "0.25", "2.5e-1"]:
+            code, out, _ = run(capsys, "sigma", "T(2,3)", "--at", at, *json_flag)
+            assert code == 0 and out
+        pasts = ["1e-600", "1e600", "1.5e-599", f"{10 * big}/{big + 1}", f"1/{10 * big}"]
+        # these took seconds to build, and could not be printed
+        pasts += ["1e-1000000", "1e10000000", "1e" + "9" * 5000]
+        for past in pasts:
+            err = self.refused(capsys, "sigma", "T(2,3)", "--at", "1/3", "--at", past, *json_flag)
+            assert "more than 600 digits" in err
+
 
 class TestIndependence:
     def test_independent(self, capsys):
@@ -390,6 +419,56 @@ class TestIndependence:
         code, out, _ = run(capsys, "independence", "T(2,3)", "T(2,3)", "--bound", "1")
         assert code == 1
         assert "(1, -1)" in out
+
+
+class TestRepeatedMain:
+    """main called many times in one process, as a library session does:
+    each call's output matches a call made with the parser and the built-in
+    certificates dropped, whatever the calls before it were."""
+
+    def test_output_does_not_depend_on_earlier_calls(self, tmp_path):
+        reg = tmp_path / "atoms.json"
+        reg.write_text(json.dumps({"atoms": [{"name": "T(2,3)", "genus": 1}]}))
+        reg = str(reg)
+        corpus = [
+            ["report", "T(2,3) # T(3,4)*"],
+            ["report", "T(2,3) # T(3,4)*", "--json"],
+            # the registry redefines T(2,3), already looked up above
+            ["report", "T(2,3)", "--atoms", reg],
+            ["report", "T(2,3)", "--atoms", reg, "--strict", "--json"],
+            ["report", "T(2,3)", "--strict"],
+            ["sigma", "T(2,3) # T(2,5)", "--at", "1/3", "--at", "1"],
+            ["sigma", "T(2,3) # T(2,5)"],
+            ["sigma", "T(2,3)", "--at", "1/5", "--json"],
+            ["sigma", "T(2,3)", "--json"],
+            ["sigma", "Wh(T(2,3))", "--strict"],
+            ["surgery", "T(2,3)", "3", "2", "--atoms", reg],
+            ["surgery", "T(2,3)", "3", "2", "--json"],
+            ["suite", "thm1", "--n", "1..2"],
+            ["suite", "lens", "--n", "1..2", "--json"],
+            ["check-bcg", "--n", "1..2"],
+            ["check-bcg", "--n", "1..2", "--json"],
+            ["independence", "T(2,3)", "T(2,5)", "--bound", "1"],
+            ["independence", "T(2,3)", "T(2,3)", "--bound", "1", "--json"],
+            ["report", "T(2,3) #"],
+            ["sigma", "T(2,4)", "--json"],
+            ["report", "--bogus", "T(2,3)"],
+            ["suite", "thm9"],
+            ["surgery", "T(2,3)", "x", "1"],
+            [],
+            ["-h"],
+            ["sigma", "-h"],
+            ["report", "T(2,3)"],
+        ]
+        codes = set()
+        # twice through, so every call also follows itself
+        warm = [outcome(argv) for argv in corpus + corpus]
+        for argv, got in zip(corpus + corpus, warm):
+            cli._parser.cache_clear()
+            certificates.builtin.cache_clear()
+            assert got == outcome(argv), argv
+            codes.add(got[2])
+        assert codes == {0, 1, 2, 3}
 
 
 # Full human-form stdout and exit code of one command of each output shape,
@@ -449,11 +528,6 @@ class TestFuzz:
         argv = [command[0], text, *command[1:]]
         if command[0] == "independence":
             argv.append(other)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse refuses the arguments
-                code = exc.code
+        _, err, code = outcome(argv)
         assert code in (0, 1, 2, 3)
-        assert "Traceback" not in err.getvalue()
+        assert "Traceback" not in err
