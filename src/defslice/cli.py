@@ -126,8 +126,73 @@ def _json_value(x):
     raise TypeError(f"{type(x).__name__} has no JSON form")
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+# Writers of the scalars a container may hold, keyed by exact type, so that
+# a bool is never written as an int; bool and None go through _write_json
+_LEAF = {str: _encode_str, int: int.__repr__}
+
+
 def _print_json(data):
-    print(json.dumps(data, indent=2, default=_json_value))
+    """Print data byte for byte as `json.dumps` with an indent of 2 and
+    `default=_json_value` prints it (tests/oracles.py:json_indent2).  Up
+    to Python 3.12, json.dumps with an indent takes CPython's pure-Python
+    encoder; this writer does the same walk with exact type tests and
+    writes str and int items without a call of its own.  It refuses what
+    the CLI never emits: a key that is not a str and a value `_json_value`
+    refuses, floats included."""
+    out = []
+    _write_json(data, "\n", out)
+    print("".join(out))
+
+
+def _write_json(x, nl, out):
+    """Append the text of x to out; nl is a newline and the indent of the
+    line x starts on."""
+    t = type(x)
+    if t is dict:
+        if not x:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "," + inner
+        start = len(out)
+        for key, value in x.items():
+            if type(key) is not str:
+                raise TypeError(f"key {key!r} is not a str")
+            leaf = _LEAF.get(type(value))
+            if leaf is None:
+                out += (sep, _encode_str(key), ": ")
+                _write_json(value, inner, out)
+            else:
+                out += (sep, _encode_str(key), ": ", leaf(value))
+        # every entry was written after a separator; the first takes the brace
+        out[start] = "{" + inner
+        out.append(nl + "}")
+    elif t is list or t is tuple:
+        if not x:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "," + inner
+        start = len(out)
+        for item in x:
+            leaf = _LEAF.get(type(item))
+            if leaf is None:
+                out.append(sep)
+                _write_json(item, inner, out)
+            else:
+                out += (sep, leaf(item))
+        out[start] = "[" + inner
+        out.append(nl + "]")
+    elif t in _LEAF:
+        out.append(_LEAF[t](x))
+    elif x is None:
+        out.append("null")
+    elif t is bool:
+        out.append("true" if x else "false")
+    else:
+        _write_json(_json_value(x), nl, out)
 
 
 # ---------------------------------------------------------------- report
@@ -182,7 +247,8 @@ def build_report(text: str, db) -> dict:
     except CableSignError as exc:
         warnings.append(str(exc))
         data["kinkiness"] = None
-    data["warnings"] = warnings
+    # one CableSignError can fail several stages; each message shows once
+    data["warnings"] = list(dict.fromkeys(warnings))
     return data
 
 
@@ -483,6 +549,8 @@ def cmd_sigma(args, db) -> int:
             theta = Fraction(spec)  # multiple of pi
         except ZeroDivisionError:
             raise ValueError(f"--at {spec}: zero denominator") from None
+        if not 0 < theta <= 1:
+            raise ValueError(f"--at {spec}: theta/pi must lie in (0, 1]")
         x = theta / 2
         entry = {"theta_over_pi": theta, "x": x}
         try:

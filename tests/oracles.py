@@ -9,11 +9,13 @@ AllSplitsEvaluator for the windowed sum fold, close_iterated for the
 V-sequence closure, vanishes_by_cyclotomic for the root-of-unity test,
 cable_sigma_by_midpoints for the cable signature, combination_check_by_box
 for the signature independence check, torsion_coefficient for the one-pass
-torsion coefficients and torus_alexander_by_division (with its long
-division div_exact) for the semigroup torus Alexander polynomials.
+torsion coefficients, torus_alexander_by_division (with its long
+division div_exact) for the semigroup torus Alexander polynomials and
+json_indent2 for the CLI's --json writer.
 """
 
 import itertools
+import json
 from fractions import Fraction
 from functools import lru_cache
 
@@ -23,6 +25,7 @@ from sympy import ZZ
 from sympy.polys.densearith import dup_rem
 from sympy.polys.rings import ring
 
+from defslice.cli import _json_value
 from defslice.hf_invariants import ContradictionError, Evaluator, IntInterval, VSeq, _close
 from defslice.knotexpr import Sum, mirror
 from defslice.laurent import LaurentPoly, symmetric_normalized
@@ -352,3 +355,9 @@ def torsion_coefficient(poly, j):
     if d is None or d <= j:
         return 0
     return sum(i * poly.coeff(j + i) for i in range(1, d - j + 1))
+
+
+def json_indent2(data):
+    """--json text without its final newline, from CPython's pure-Python
+    indent encoder; the reference for cli._print_json."""
+    return json.dumps(data, indent=2, default=_json_value)

@@ -53,6 +53,15 @@ class TestReport:
             {"lo": 0, "hi": 0},
         ]
 
+    def test_warnings_once_each(self, capsys):
+        # the q <= 0 cable fails the V-sequence, verdict and kinkiness stages
+        code, out, _ = run(capsys, "report", "cable(2,-1,T(2,3)) # T(2,5)", "--json")
+        assert code == 0
+        assert json.loads(out)["warnings"] == [
+            "cable with q=-1 <= 0 is outside every evaluation rule",
+            "cable with q=-1 <= 0 has no signature rule",
+        ]
+
     def test_unknot_inconclusive(self, capsys):
         code, out, _ = run(capsys, "report", "O", "--json")
         data = json.loads(out)
@@ -298,6 +307,15 @@ class TestSigma:
         assert out == ""
         assert err == "error: --at 1/0: zero denominator\n"
 
+    @pytest.mark.parametrize("at", [["--at", "3/2"], ["--at=-1/3"], ["--at", "0"]])
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["human", "json"])
+    def test_at_outside_range_exit_1(self, capsys, at, json_flag):
+        code, out, err = run(capsys, "sigma", "T(2,3)", *at, *json_flag)
+        spec = at[-1].removeprefix("--at=")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: --at {spec}: theta/pi must lie in (0, 1]\n"
+
 
 class TestCheckBcg:
     def test_range(self, capsys):
@@ -477,12 +495,26 @@ class TestRepeatedMain:
 HUMAN = json.loads((Path(__file__).parent / "cli_human_output.json").read_text())
 
 
-@pytest.mark.parametrize("case", HUMAN["cases"], ids=lambda case: " ".join(case["argv"]))
-def test_human_output_is_pinned(capsys, tmp_path, case):
+# Full --json stdout and exit code of every subcommand that prints JSON, in
+# cli_json_output.json, with the same "{atoms}" convention.
+JSON_CASES = json.loads((Path(__file__).parent / "cli_json_output.json").read_text())
+
+
+def assert_pinned(capsys, tmp_path, registry, case):
     reg = tmp_path / "atoms.json"
-    reg.write_text(json.dumps(HUMAN["registry"]))
+    reg.write_text(json.dumps(registry))
     code, out, _ = run(capsys, *(a.replace("{atoms}", str(reg)) for a in case["argv"]))
     assert (code, out) == (case["exit"], case["stdout"])
+
+
+@pytest.mark.parametrize("case", HUMAN["cases"], ids=lambda case: " ".join(case["argv"]))
+def test_human_output_is_pinned(capsys, tmp_path, case):
+    assert_pinned(capsys, tmp_path, HUMAN["registry"], case)
+
+
+@pytest.mark.parametrize("case", JSON_CASES["cases"], ids=lambda case: " ".join(case["argv"]))
+def test_json_output_is_pinned(capsys, tmp_path, case):
+    assert_pinned(capsys, tmp_path, JSON_CASES["registry"], case)
 
 
 # Expression text: well-formed expressions, strings of grammar pieces, and
