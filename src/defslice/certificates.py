@@ -16,6 +16,7 @@ from functools import cache
 from .knotexpr import (
     Atom,
     KnotExpr,
+    SizeLimitError,
     Sum,
     WHITEHEAD_TREFOIL,
     normalize,
@@ -216,7 +217,7 @@ def load_registry(path) -> CertificateDB:
 
     Records replace any built-in certificate of the same name, so a record
     must be complete on its own.  A name must be a string that parse reads
-    back as that one atom.
+    back as that one atom, within the size limits of knotexpr.check_size.
     """
     try:
         fh = open(path, "r", encoding="utf-8")
@@ -262,6 +263,8 @@ def load_registry(path) -> CertificateDB:
     for cert in atoms:
         try:
             ok = parse(cert.name, db) == Atom(cert.name)
+        except SizeLimitError as exc:
+            raise SizeLimitError(f"registry record {cert.name!r}: {exc}") from None
         except ValueError:
             ok = False
         if not ok:

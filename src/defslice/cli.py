@@ -13,9 +13,10 @@ import sys
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from functools import cache
+from math import inf
 
 from .certificates import CertificateGapError, default_db, load_registry
-from .hf_invariants import ContradictionError, Evaluator, lens_d
+from .hf_invariants import ContradictionError, Evaluator, _Interval, lens_d
 from .knotexpr import (
     Atom,
     Cable,
@@ -117,13 +118,22 @@ def family_jk(k: int):
 # ---------------------------------------------------------------- encoding
 
 def _json_value(x):
-    """JSON form of a typed value: a Fraction as {num, den}, a dataclass
-    (interval, verdict, reason, bound, check item) as its fields in order."""
+    """JSON form of a typed value: a Fraction as {num, den}, an interval as
+    {lo, hi} with an infinite end as null, any other dataclass (verdict,
+    reason, bound, check item) as its fields in order.  This is the one
+    place where JSON spells an unbounded end; no other float has a JSON
+    form, so an infinity or a NaN anywhere else is refused."""
     if isinstance(x, Fraction):
         return {"num": x.numerator, "den": x.denominator}
+    if isinstance(x, _Interval):
+        return {"lo": _json_end(x.lo), "hi": _json_end(x.hi)}
     if is_dataclass(x):
         return {f.name: getattr(x, f.name) for f in fields(x)}
     raise TypeError(f"{type(x).__name__} has no JSON form")
+
+
+def _json_end(v):
+    return None if v in (-inf, inf) else v
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -288,7 +298,8 @@ def print_report(data):
             print(line)
             for r in v.reasons:
                 print(f"      {r.rule}: {r.statement}")
-                print(f"      evidence: {json.dumps(r.evidence, default=_json_value)}")
+                evidence = json.dumps(r.evidence, default=_json_value, allow_nan=False)
+                print(f"      evidence: {evidence}")
     if data["kinkiness"] is not None:
         kb = data["kinkiness"]
         print(f"kinkiness:   k+ >= {kb.k_plus_lo}, k- >= {kb.k_minus_lo}")
@@ -535,22 +546,29 @@ def _check_at_digits(spec: str):
         )
 
 
+def _at_angle(spec: str) -> Fraction:
+    """theta/pi of an --at spec, refused unless it lies in (0, 1]."""
+    _check_at_digits(spec)
+    try:
+        theta = Fraction(spec)
+    except ZeroDivisionError:
+        raise ValueError(f"--at {spec}: zero denominator") from None
+    if not 0 < theta <= 1:
+        raise ValueError(f"--at {spec}: theta/pi must lie in (0, 1]")
+    return theta
+
+
 def cmd_sigma(args, db) -> int:
     e = parse(args.expr, db)
+    # every angle is checked before the signature, which may be unavailable
+    thetas = [_at_angle(spec) for spec in args.at or []]
     try:
         fn = sigma(e, db)
     except SignatureUnavailable as exc:
         print(f"signature unavailable: {exc}", file=sys.stderr)
         return EXIT_GAP if args.strict else EXIT_OK
     queries = []
-    for spec in args.at or []:
-        _check_at_digits(spec)
-        try:
-            theta = Fraction(spec)  # multiple of pi
-        except ZeroDivisionError:
-            raise ValueError(f"--at {spec}: zero denominator") from None
-        if not 0 < theta <= 1:
-            raise ValueError(f"--at {spec}: theta/pi must lie in (0, 1]")
+    for theta in thetas:
         x = theta / 2
         entry = {"theta_over_pi": theta, "x": x}
         try:

@@ -25,9 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, wraps
-from itertools import repeat
-from math import gcd
-from operator import add
+from itertools import accumulate, repeat
+from math import gcd, inf
+from operator import add, gt
 
 from .certificates import nu_equiv_reduce, resolve_db
 from .knotexpr import (
@@ -51,14 +51,22 @@ class ContradictionError(ValueError):
 
 @dataclass(frozen=True)
 class _Interval:
-    """Closed interval; None endpoints mean -inf / +inf."""
+    """Closed interval; an unbounded end is -math.inf or math.inf.
+
+    Every finite end is an exact int or Fraction.  An infinite end enters
+    only through +, max or min with an infinite operand, so no finite
+    value becomes a float, and no sum ever adds -inf to inf: lower ends
+    are finite or -inf, upper ends finite or inf.  Adding inf to a finite
+    end converts it to a float first, so finite ends stay below 2**1024
+    in size; knotexpr.check_size keeps every input number far below it.
+    """
 
     lo: object
     hi: object
 
     @property
     def is_exact(self) -> bool:
-        return self.lo is not None and self.lo == self.hi
+        return self.lo == self.hi
 
     @property
     def value(self):
@@ -69,20 +77,18 @@ class _Interval:
     def __str__(self):
         if self.is_exact:
             return str(self.lo)
-        lo = "-inf" if self.lo is None else str(self.lo)
-        hi = "inf" if self.hi is None else str(self.hi)
-        return f"[{lo}, {hi}]"
+        return f"[{self.lo}, {self.hi}]"
 
 
 @dataclass(frozen=True)
 class IntInterval(_Interval):
-    """Closed integer interval; None endpoints mean -inf / +inf."""
+    """Closed integer interval; an unbounded end is -inf or inf."""
 
-    lo: int | None
-    hi: int | None
+    lo: int | float
+    hi: int | float
 
     def __post_init__(self):
-        if self.lo is not None and self.hi is not None and self.lo > self.hi:
+        if self.lo > self.hi:
             raise ContradictionError(f"empty interval [{self.lo}, {self.hi}]")
 
     @classmethod
@@ -91,40 +97,31 @@ class IntInterval(_Interval):
 
     @classmethod
     def unknown(cls) -> "IntInterval":
-        return cls(None, None)
+        return cls(-inf, inf)
 
     def __add__(self, other: "IntInterval") -> "IntInterval":
-        lo = None if self.lo is None or other.lo is None else self.lo + other.lo
-        hi = None if self.hi is None or other.hi is None else self.hi + other.hi
-        return IntInterval(lo, hi)
+        return IntInterval(self.lo + other.lo, self.hi + other.hi)
 
     def __neg__(self) -> "IntInterval":
-        return IntInterval(
-            None if self.hi is None else -self.hi,
-            None if self.lo is None else -self.lo,
-        )
+        return IntInterval(-self.hi, -self.lo)
 
     def intersect(self, other: "IntInterval") -> "IntInterval":
-        lo = other.lo if self.lo is None else self.lo if other.lo is None else max(self.lo, other.lo)
-        hi = other.hi if self.hi is None else self.hi if other.hi is None else min(self.hi, other.hi)
-        return IntInterval(lo, hi)
+        return IntInterval(max(self.lo, other.lo), min(self.hi, other.hi))
 
     def max_with(self, other: "IntInterval") -> "IntInterval":
         """Enclosure of max(x, y) over x in self, y in other."""
-        lo = other.lo if self.lo is None else self.lo if other.lo is None else max(self.lo, other.lo)
-        hi = None if self.hi is None or other.hi is None else max(self.hi, other.hi)
-        return IntInterval(lo, hi)
+        return IntInterval(max(self.lo, other.lo), max(self.hi, other.hi))
 
     def contains(self, v: int) -> bool:
-        return (self.lo is None or self.lo <= v) and (self.hi is None or v <= self.hi)
+        return self.lo <= v <= self.hi
 
 
 @dataclass(frozen=True)
 class RatInterval(_Interval):
-    """Closed rational interval; None endpoints mean -inf / +inf."""
+    """Closed rational interval; an unbounded end is -inf or inf."""
 
-    lo: Fraction | None
-    hi: Fraction | None
+    lo: Fraction | float
+    hi: Fraction | float
 
 
 @dataclass(frozen=True)
@@ -163,13 +160,12 @@ class VSeq:
             return len(self.entries)
         return len(self.entries) - 1 + self.entries[-1].lo
 
-    def first_certain_zero(self) -> int | None:
+    def first_certain_zero(self) -> int | float:
+        """Least k with V_k certainly 0, or inf when no k is certain."""
         for k, iv in enumerate(self.entries):
             if iv.hi == 0:
                 return k
-        if self.zero_from is not None:
-            return len(self.entries)
-        return None
+        return inf if self.zero_from is None else len(self.entries)
 
     def closed(self) -> "VSeq":
         """Re-run the monotonicity closure (a fixed point: no-op when sound)."""
@@ -184,42 +180,32 @@ def _close(entries, zero_from) -> VSeq:
     """
     n = len(entries)
     length = max(n, 1, zero_from + 1 if zero_from is not None else 0)
-    los, his = [], []
-    for k in range(length):
-        if k < n:
-            lo = entries[k].lo if entries[k].lo is not None else 0
-            hi = entries[k].hi
-        else:
-            lo, hi = 0, None
-        lo = max(lo, 0)
-        if zero_from is not None and k >= zero_from:
-            if lo > 0 or (hi is not None and hi < 0):
+    los = [max(iv.lo, 0) for iv in entries] + [0] * (length - n)
+    his = [iv.hi for iv in entries] + [inf] * (length - n)
+    if zero_from is not None:
+        for k in range(zero_from, length):
+            if los[k] > 0 or his[k] < 0:
                 raise ContradictionError(
                     f"V_{k} constrained to {entries[k]} but the tail is zero"
                 )
-            lo, hi = 0, 0
-        los.append(lo)
-        his.append(hi)
+            los[k] = his[k] = 0
     # The upper and the lower bounds are independent difference constraints
     # along a path, with weights 0 one way and 1 the other; the tightest
     # bound at k comes from a monotone walk, so one forward and one backward
     # sweep reach the fixed point.
     for k in range(1, length):
-        if his[k - 1] is not None and (his[k] is None or his[k] > his[k - 1]):
+        if his[k] > his[k - 1]:
             his[k] = his[k - 1]
         if los[k] < los[k - 1] - 1:
             los[k] = los[k - 1] - 1
     for k in range(length - 2, -1, -1):
-        if his[k + 1] is not None and (his[k] is None or his[k] > his[k + 1] + 1):
+        if his[k] > his[k + 1] + 1:
             his[k] = his[k + 1] + 1
         if los[k] < los[k + 1]:
             los[k] = los[k + 1]
-    out = []
-    for lo, hi in zip(los, his):
-        if hi is not None and lo > hi:
-            raise ContradictionError("V-sequence bounds are inconsistent")
-        out.append(IntInterval(lo, hi))
-    return VSeq(tuple(out), zero_from)
+    if any(map(gt, los, his)):
+        raise ContradictionError("V-sequence bounds are inconsistent")
+    return VSeq(tuple(map(IntInterval, los, his)), zero_from)
 
 
 def torsion_coefficients(poly: LaurentPoly, j: int) -> int:
@@ -253,38 +239,19 @@ def _lens_raw(p: int, q: int, i: int) -> Fraction:
     )
 
 
-def _detect_orientation() -> int:
-    # The recursion admits two orientation conventions; pick the one that
-    # reproduces the pinned q=1 identities, and refuse to run otherwise.
-    for sign in (1, -1):
-        ok = 4 * sign * _lens_raw(2, 1, 0) == 1
-        for n in range(1, 11):
-            if not ok:
-                break
-            ok = (
-                4 * sign * _lens_raw(2 * n, 1, n) == -1
-                and 4 * sign * _lens_raw(2 * n + 2, 1, n) == 1 - Fraction(2 * n, n + 1)
-            )
-        if ok:
-            return sign
-    raise RuntimeError(
-        "lens-space recursion failed its orientation self-test; "
-        "no sign choice reproduces the pinned identities"
-    )
-
-
-_ORIENT = _detect_orientation()
-
-
 def lens_d(p: int, q: int, i: int) -> Fraction:
-    """Correction term d of p/q-surgery on the unknot at Spin^c label i."""
+    """Correction term d of p/q-surgery on the unknot at Spin^c label i.
+
+    Oriented as p/q-surgery on the unknot, so that for integer surgery
+    d(L(p,1), i) = ((2i - p)^2 - p) / (4p); in particular d(S^3_2, 0) = 1/4.
+    """
     if p < 1 or q < 1:
         raise ValueError(f"need p, q > 0, got ({p},{q})")
     if gcd(p, q) != 1:
         raise ValueError(f"need gcd(p,q)=1, got ({p},{q})")
     if i < 0 or i > p - 1:
         raise ValueError(f"Spin^c label {i} outside 0..{p - 1}")
-    return _ORIENT * _lens_raw(p, q, i)
+    return _lens_raw(p, q, i)
 
 
 @lru_cache(maxsize=None)
@@ -297,12 +264,9 @@ def _torus_vseq(p: int, q: int) -> VSeq:
     return _close([IntInterval.exact(t) for t in torsion_prefix(alex, g)], g)
 
 
-_INF = float("inf")
-
-
 def _upper(s: VSeq, n: int) -> list:
-    """hi of V_0..V_{n-1} as s.at gives them, with +inf for an unbounded hi."""
-    his = [_INF if iv.hi is None else iv.hi for iv in s.entries[:n]]
+    """hi of V_0..V_{n-1} as s.at gives them."""
+    his = [iv.hi for iv in s.entries[:n]]
     if len(his) < n:
         tail = 0 if s.zero_from is not None else his[-1]
         his += [tail] * (n - len(his))
@@ -395,7 +359,7 @@ class Evaluator:
         e0 = (
             IntInterval.exact(cert.v0)
             if cert.v0 is not None
-            else IntInterval(0, None)
+            else IntInterval(0, inf)
         )
         return _close([e0], cert.genus)
 
@@ -406,11 +370,11 @@ class Evaluator:
             e0 = (
                 IntInterval.exact(cert.v0_mirror)
                 if cert.v0_mirror is not None
-                else IntInterval(0, None)
+                else IntInterval(0, inf)
             )
             return _close([e0], cert.genus)
         # no rule for V of a mirrored cable: genus tail only
-        return _close([IntInterval(0, None)], self._genus(c))
+        return _close([IntInterval(0, inf)], self._genus(c))
 
     def _vseq_sum(self, e):
         """Upper bounds from V_{m+n}(K # J) <= V_m(K) + V_n(J), folded over
@@ -418,8 +382,8 @@ class Evaluator:
 
         The upper sequence of the sum is the min-plus convolution of the
         summands' upper sequences, his[k] = min over m + n = k of
-        hi_A[m] + hi_B[n], an unbounded hi counting as +inf.  Adding a
-        summand B with zero_from g only needs the splits n <= min(k, g):
+        hi_A[m] + hi_B[n].  Adding a summand B with zero_from g only needs
+        the splits n <= min(k, g):
 
           * hi_B[n] = 0 for every n >= g, because V_B is 0 from g on.
           * A closed sequence is nonincreasing (+inf only in a prefix), and
@@ -457,10 +421,7 @@ class Evaluator:
                 out[n:] = map(min, out[n:], map(add, his, repeat(nxt[n])))
             his = out
         lo0 = self._sum_lower_v0(parts)
-        entries = [
-            IntInterval(lo0 if k == 0 else 0, None if h == _INF else h)
-            for k, h in enumerate(his)
-        ]
+        entries = [IntInterval(lo0 if k == 0 else 0, h) for k, h in enumerate(his)]
         return _close(entries, zf)
 
     def _sum_lower_v0(self, parts):
@@ -470,12 +431,15 @@ class Evaluator:
 
             lo = max(0, max_i [lo0(p_i) - sum_{j != i} hi0(p_j*)]),
 
-        skipping a term in which some hi0 is unbounded.  Proof that a single
-        summand in A suffices: the closure is a min-plus convolution with
-        the kernel max(0, d), which is idempotent, so the fold of closed
-        sequences is already closed at V_0 and the closed hi0 of a sum is
-        the sum of the hi0 of its parts.  If lo(A) itself comes from the
-        rule applied to A = A1 u A2, then
+        where a term with an infinite hi0 is -inf and drops out.  The sum
+        over j != i is read from prefix and suffix sums, not as the total
+        minus hi0(p_i*), which would be inf - inf when that hi0 is infinite.
+
+        Proof that a single summand in A suffices: the closure is a min-plus
+        convolution with the kernel max(0, d), which is idempotent, so the
+        fold of closed sequences is already closed at V_0 and the closed hi0
+        of a sum is the sum of the hi0 of its parts.  If lo(A) itself comes
+        from the rule applied to A = A1 u A2, then
 
             lo(A) - hi0(B*) <= lo(A1) - hi0(A2*) - hi0(B*)
                              = lo(A1) - hi0((A2 u B)*),
@@ -484,14 +448,11 @@ class Evaluator:
         A attains the optimum.
         """
         his = [self._vseq_of(mirror(p)).at(0).hi for p in parts]
-        unbounded = his.count(None)
-        total = sum(h for h in his if h is not None)
+        before = list(accumulate(his, initial=0))
+        after = list(accumulate(reversed(his), initial=0))[::-1]
         best = 0
-        for p, h in zip(parts, his):
-            if unbounded - (h is None):  # another summand's hi0 is unbounded
-                continue
-            rest = total if h is None else total - h
-            best = max(best, self._vseq_of(p).at(0).lo - rest)
+        for i, p in enumerate(parts):
+            best = max(best, self._vseq_of(p).at(0).lo - (before[i] + after[i + 1]))
         return best
 
     def _vseq_cable(self, e):
@@ -506,9 +467,7 @@ class Evaluator:
             b = cseq.at((e.p + e.q - 1 - ph) // e.p)
             mx = a.max_with(b)
             t = tor.at(i).value
-            entries.append(
-                IntInterval(t + mx.lo, None if mx.hi is None else t + mx.hi)
-            )
+            entries.append(IntInterval(t + mx.lo, t + mx.hi))
         return _close(entries, self._genus(e))
 
     def v_seq(self, e) -> VSeq:
@@ -538,9 +497,7 @@ class Evaluator:
         if red != e:
             seqs.append(self._vseq_of(red))
         lo = max(s.first_possible_zero() for s in seqs)
-        certain = [s.first_certain_zero() for s in seqs]
-        certain = [c for c in certain if c is not None]
-        hi = min(certain) if certain else None
+        hi = min(s.first_certain_zero() for s in seqs)
         return IntInterval(lo, hi)  # lo > hi means inconsistent certificates
 
     @_memoized
@@ -558,9 +515,7 @@ class Evaluator:
     def _tau_window(self, e):
         # fallback enclosure from tau <= nu+ and tau(K) = -tau(K*)
         hi = self._nu_raw(e).hi
-        lo_src = self._nu_raw(mirror(e)).hi
-        lo = None if lo_src is None else -lo_src
-        return IntInterval(lo, hi)
+        return IntInterval(-self._nu_raw(mirror(e)).hi, hi)
 
     @_memoized
     def _tau(self, e):
@@ -598,12 +553,8 @@ class Evaluator:
         e = normalize(e)
         check_positive_cables(e)
         raw = self._nu_raw(e)
-        t = self._tau(e)
-        lo = raw.lo
-        if t.lo is not None and t.lo > lo:
-            lo = t.lo
-        lo = max(lo, 0)
-        if raw.hi is not None and lo > raw.hi:
+        lo = max(raw.lo, self._tau(e).lo, 0)
+        if lo > raw.hi:
             raise ContradictionError(
                 "certificate data inconsistent: tau lower bound exceeds the nu+ upper bound"
             )
@@ -624,8 +575,7 @@ class Evaluator:
     def d1(self, e) -> IntInterval:
         """d of +1-surgery: d1 = -2*V_0, always <= 0 and even where exact."""
         v0 = self.v_seq(e).at(0)
-        lo = None if v0.hi is None else -2 * v0.hi
-        return IntInterval(lo, -2 * v0.lo)
+        return IntInterval(-2 * v0.hi, -2 * v0.lo)
 
     def surgery_d(self, e, p: int, q: int, i: int) -> RatInterval:
         """Correction term of p/q-surgery on the expression at Spin^c label i.
@@ -636,8 +586,7 @@ class Evaluator:
         base = lens_d(p, q, i)  # validates p, q, i
         s = self.v_seq(e)
         mx = s.at(i // q).max_with(s.at((p + q - 1 - i) // q))
-        lo = None if mx.hi is None else base - 2 * mx.hi
-        return RatInterval(lo, base - 2 * mx.lo)
+        return RatInterval(base - 2 * mx.hi, base - 2 * mx.lo)
 
 
 def _as_evaluator(db) -> Evaluator:

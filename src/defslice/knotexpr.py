@@ -375,12 +375,16 @@ def _check_summands(atoms):
 
 def _size(e, db):
     # (atoms, genus bound) as the limits count them: torus atoms by formula,
-    # without building their certificates; an atom of unknown genus counts 0
+    # without building their certificates; any other atom by the largest of
+    # its genus, |tau|, v0 and v0_mirror, each a lower bound on its genus
+    # (an unknown one counts 0), so no certificate number past the limit
+    # reaches the arithmetic
     if isinstance(e, Atom):
         tq = torus_params(e.name)
         if tq is not None:
             return 1, (tq[0] - 1) * (tq[1] - 1) // 2
-        return 1, db.get(e.name).genus or 0
+        c = db.get(e.name)
+        return 1, max(c.genus or 0, abs(c.tau or 0), c.v0 or 0, c.v0_mirror or 0)
     if isinstance(e, Mirror):
         return _size(e.child, db)
     if isinstance(e, Sum):

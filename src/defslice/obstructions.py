@@ -94,10 +94,10 @@ def obstruct_negative_definite(e, db=None) -> Verdict:
     e = normalize(e)
     reasons = []
     d = ev.d1(e)
-    if d.hi is not None and d.hi < 0:
+    if d.hi < 0:
         reasons.append(_reason(RULE_V0, d1=d, v0=ev.v_seq(e).at(0)))
     t = ev.tau(e)
-    if t.lo is not None and t.lo >= 1:
+    if t.lo >= 1:
         reasons.append(_reason(RULE_TAU_POS, tau=t))
     return _verdict("negative_definite", reasons)
 
@@ -108,10 +108,10 @@ def obstruct_positive_definite(e, db=None) -> Verdict:
     e = normalize(e)
     reasons = []
     dm = ev.d1(mirror(e))
-    if dm.hi is not None and dm.hi < 0:
+    if dm.hi < 0:
         reasons.append(_reason(RULE_MIRROR_V0, d1_mirror=dm))
     t = ev.tau(e)
-    if t.hi is not None and t.hi <= -1:
+    if t.hi <= -1:
         reasons.append(_reason(RULE_TAU_NEG, tau=t))
     return _verdict("positive_definite", reasons)
 
@@ -162,32 +162,33 @@ def obstruct_definite(e, db=None) -> Verdict:
 
     Fires on: (a) d1 != 0 certified with tau <= -1; (b) the mirror-dual
     form; (c) the signature taking both signs; else on both one-sided
-    verdicts being obstructed.
+    verdicts being obstructed, which happens iff d1 < 0 and d1 of the
+    mirror < 0.  Proof: the negative-definite verdict fires on V0 (d1 < 0)
+    or TAU_POS (tau >= 1), the positive-definite one on MIRROR_V0 (d1 of
+    the mirror < 0) or TAU_NEG (tau <= -1).  Of the four pairs, V0 with
+    TAU_NEG is rule (a), TAU_POS with MIRROR_V0 is rule (b), and TAU_POS
+    with TAU_NEG leaves tau an empty interval.  So when (a) and (b) do
+    not fire, both verdicts are obstructed iff V0 and MIRROR_V0 fire, and
+    then each fires alone: TAU_POS beside MIRROR_V0 would be (b), TAU_NEG
+    beside V0 would be (a).
     """
     ev = _as_evaluator(db)
     e = normalize(e)
     reasons = []
     d = ev.d1(e)
     t = ev.tau(e)
-    if d.hi is not None and d.hi < 0 and t.hi is not None and t.hi <= -1:
+    if d.hi < 0 and t.hi <= -1:
         reasons.append(_reason(RULE_A, d1=d, tau=t))
     dm = ev.d1(mirror(e))
-    if dm.hi is not None and dm.hi < 0 and t.lo is not None and t.lo >= 1:
+    if dm.hi < 0 and t.lo >= 1:
         reasons.append(_reason(RULE_B, d1_mirror=dm, tau=t))
     sig_ev = _signature_evidence(e, ev)
     if sig_ev is not None:
         reasons.append(_reason(RULE_C, **sig_ev))
-    if not reasons:
-        neg = obstruct_negative_definite(e, ev)
-        pos = obstruct_positive_definite(e, ev)
-        if neg.obstructed and pos.obstructed:
-            reasons.append(
-                _reason(
-                    RULE_COMBINED,
-                    negative_rules=[r.rule for r in neg.reasons],
-                    positive_rules=[r.rule for r in pos.reasons],
-                )
-            )
+    if not reasons and d.hi < 0 and dm.hi < 0:
+        reasons.append(
+            _reason(RULE_COMBINED, negative_rules=[RULE_V0], positive_rules=[RULE_MIRROR_V0])
+        )
     return _verdict("any_definite", reasons)
 
 
@@ -226,17 +227,11 @@ def composite_cable_obstruction(K, J, n: int, db=None) -> CompositeReport:
     tK = ev.tau(K)
     tJ = ev.tau(J)
     checks = [
+        HypothesisCheck("V0(K) > V0(J)", v0K.lo > v0J.hi, {"v0_K": v0K, "v0_J": v0J}),
+        HypothesisCheck("tau(K) >= 1", tK.lo >= 1, {"tau_K": tK}),
+        HypothesisCheck("tau(J) >= 1", tJ.lo >= 1, {"tau_J": tJ}),
         HypothesisCheck(
-            "V0(K) > V0(J)",
-            v0J.hi is not None and v0K.lo > v0J.hi,
-            {"v0_K": v0K, "v0_J": v0J},
-        ),
-        HypothesisCheck("tau(K) >= 1", tK.lo is not None and tK.lo >= 1, {"tau_K": tK}),
-        HypothesisCheck("tau(J) >= 1", tJ.lo is not None and tJ.lo >= 1, {"tau_J": tJ}),
-        HypothesisCheck(
-            "tau(K) < n*tau(J)",
-            tK.hi is not None and tJ.lo is not None and tK.hi < n * tJ.lo,
-            {"tau_K": tK, "n_tau_J_lo": None if tJ.lo is None else n * tJ.lo},
+            "tau(K) < n*tau(J)", tK.hi < n * tJ.lo, {"tau_K": tK, "n_tau_J_lo": n * tJ.lo}
         ),
     ]
     expr = normalize(Sum((K, Mirror(Cable(n, 1, J)))))
@@ -270,9 +265,7 @@ def kinkiness_bounds(e, db=None) -> KinkinessBound:
     np_e = ev.nu_plus(e)
     np_m = ev.nu_plus(mirror(e))
     t = ev.tau(e)
-    k_plus = max(0, np_e.lo or 0, t.lo if t.lo is not None else 0)
-    k_minus = max(0, np_m.lo or 0, -t.hi if t.hi is not None else 0)
-    return KinkinessBound(k_plus_lo=k_plus, k_minus_lo=k_minus)
+    return KinkinessBound(k_plus_lo=max(0, np_e.lo, t.lo), k_minus_lo=max(0, np_m.lo, -t.hi))
 
 
 @dataclass(frozen=True)

@@ -10,14 +10,18 @@ V-sequence closure, vanishes_by_cyclotomic for the root-of-unity test,
 cable_sigma_by_midpoints for the cable signature, combination_check_by_box
 for the signature independence check, torsion_coefficient for the one-pass
 torsion coefficients, torus_alexander_by_division (with its long
-division div_exact) for the semigroup torus Alexander polynomials and
-json_indent2 for the CLI's --json writer.
+division div_exact) for the semigroup torus Alexander polynomials,
+json_indent2 for the CLI's --json writer, NoneInterval for the intervals
+with -inf/inf ends and obstruct_definite_by_verdicts for the closed form
+of the one-sided combination rule.
 """
 
 import itertools
 import json
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import inf
 
 import numpy as np
 import sympy
@@ -26,9 +30,20 @@ from sympy.polys.densearith import dup_rem
 from sympy.polys.rings import ring
 
 from defslice.cli import _json_value
-from defslice.hf_invariants import ContradictionError, Evaluator, IntInterval, VSeq, _close
-from defslice.knotexpr import Sum, mirror
+from defslice.hf_invariants import ContradictionError, Evaluator, IntInterval, VSeq, _as_evaluator, _close
+from defslice.knotexpr import Sum, mirror, normalize
 from defslice.laurent import LaurentPoly, symmetric_normalized
+from defslice.obstructions import (
+    RULE_A,
+    RULE_B,
+    RULE_C,
+    RULE_COMBINED,
+    _reason,
+    _signature_evidence,
+    _verdict,
+    obstruct_negative_definite,
+    obstruct_positive_definite,
+)
 from defslice.signatures import HALF, CombinationCheck, SigFn, sigma, sigma_torus
 
 
@@ -148,8 +163,7 @@ class PartitionEvaluator(Evaluator):
             b = tuple(mirror(p) for i, p in enumerate(parts) if not mask >> i & 1)
             lo_a = self._vseq_of(a[0] if len(a) == 1 else Sum(a)).at(0).lo
             hi_b = self._vseq_of(b[0] if len(b) == 1 else Sum(b)).at(0).hi
-            if hi_b is not None:
-                best = max(best, lo_a - hi_b)
+            best = max(best, lo_a - hi_b)
         return best
 
 
@@ -175,14 +189,9 @@ class AllSplitsEvaluator(Evaluator):
             nxt = [s.at(k).hi for k in range(length)]
             out = []
             for k in range(length):
-                best = None
+                best = inf
                 for m in range(k + 1):
-                    x, y = his[m], nxt[k - m]
-                    if x is None or y is None:
-                        continue
-                    v = x + y
-                    if best is None or v < best:
-                        best = v
+                    best = min(best, his[m] + nxt[k - m])
                 out.append(best)
             his = out
         lo0 = self._sum_lower_v0(parts)
@@ -198,13 +207,12 @@ def close_iterated(entries, zero_from):
     los, his = [], []
     for k in range(length):
         if k < n:
-            lo = entries[k].lo if entries[k].lo is not None else 0
+            lo = max(entries[k].lo, 0)
             hi = entries[k].hi
         else:
-            lo, hi = 0, None
-        lo = max(lo, 0)
+            lo, hi = 0, inf
         if zero_from is not None and k >= zero_from:
-            if lo > 0 or (hi is not None and hi < 0):
+            if lo > 0 or hi < 0:
                 raise ContradictionError(
                     f"V_{k} constrained to {entries[k]} but the tail is zero"
                 )
@@ -215,14 +223,14 @@ def close_iterated(entries, zero_from):
     while changed:
         changed = False
         for k in range(1, length):
-            if his[k - 1] is not None and (his[k] is None or his[k] > his[k - 1]):
+            if his[k] > his[k - 1]:
                 his[k] = his[k - 1]
                 changed = True
             if los[k] < los[k - 1] - 1:
                 los[k] = los[k - 1] - 1
                 changed = True
         for k in range(length - 2, -1, -1):
-            if his[k + 1] is not None and (his[k] is None or his[k] > his[k + 1] + 1):
+            if his[k] > his[k + 1] + 1:
                 his[k] = his[k + 1] + 1
                 changed = True
             if los[k] < los[k + 1]:
@@ -230,7 +238,7 @@ def close_iterated(entries, zero_from):
                 changed = True
     out = []
     for lo, hi in zip(los, his):
-        if hi is not None and lo > hi:
+        if lo > hi:
             raise ContradictionError("V-sequence bounds are inconsistent")
         out.append(IntInterval(lo, hi))
     return VSeq(tuple(out), zero_from)
@@ -361,3 +369,87 @@ def json_indent2(data):
     """--json text without its final newline, from CPython's pure-Python
     indent encoder; the reference for cli._print_json."""
     return json.dumps(data, indent=2, default=_json_value)
+
+
+@dataclass(frozen=True)
+class NoneInterval:
+    """Closed integer interval with None for an unbounded end, and the
+    operations it had in that spelling; the reference for IntInterval,
+    whose unbounded ends are -inf and inf.  Its JSON form is its fields."""
+
+    lo: int | None
+    hi: int | None
+
+    def __post_init__(self):
+        if self.lo is not None and self.hi is not None and self.lo > self.hi:
+            raise ContradictionError(f"empty interval [{self.lo}, {self.hi}]")
+
+    @property
+    def is_exact(self):
+        return self.lo is not None and self.lo == self.hi
+
+    def __str__(self):
+        if self.is_exact:
+            return str(self.lo)
+        lo = "-inf" if self.lo is None else str(self.lo)
+        hi = "inf" if self.hi is None else str(self.hi)
+        return f"[{lo}, {hi}]"
+
+    def __add__(self, other):
+        lo = None if self.lo is None or other.lo is None else self.lo + other.lo
+        hi = None if self.hi is None or other.hi is None else self.hi + other.hi
+        return NoneInterval(lo, hi)
+
+    def __neg__(self):
+        return NoneInterval(
+            None if self.hi is None else -self.hi,
+            None if self.lo is None else -self.lo,
+        )
+
+    def intersect(self, other):
+        lo = other.lo if self.lo is None else self.lo if other.lo is None else max(self.lo, other.lo)
+        hi = other.hi if self.hi is None else self.hi if other.hi is None else min(self.hi, other.hi)
+        return NoneInterval(lo, hi)
+
+    def max_with(self, other):
+        lo = other.lo if self.lo is None else self.lo if other.lo is None else max(self.lo, other.lo)
+        hi = None if self.hi is None or other.hi is None else max(self.hi, other.hi)
+        return NoneInterval(lo, hi)
+
+    def contains(self, v):
+        return (self.lo is None or self.lo <= v) and (self.hi is None or v <= self.hi)
+
+    def as_inf(self):
+        """The same interval with -inf and inf ends."""
+        return IntInterval(-inf if self.lo is None else self.lo, inf if self.hi is None else self.hi)
+
+
+def obstruct_definite_by_verdicts(e, db=None):
+    """obstruct_definite with its last rule decided by running both
+    one-sided verdicts; the reference for the closed form d1 < 0 and d1
+    of the mirror < 0."""
+    ev = _as_evaluator(db)
+    e = normalize(e)
+    reasons = []
+    d = ev.d1(e)
+    t = ev.tau(e)
+    if d.hi < 0 and t.hi <= -1:
+        reasons.append(_reason(RULE_A, d1=d, tau=t))
+    dm = ev.d1(mirror(e))
+    if dm.hi < 0 and t.lo >= 1:
+        reasons.append(_reason(RULE_B, d1_mirror=dm, tau=t))
+    sig_ev = _signature_evidence(e, ev)
+    if sig_ev is not None:
+        reasons.append(_reason(RULE_C, **sig_ev))
+    if not reasons:
+        neg = obstruct_negative_definite(e, ev)
+        pos = obstruct_positive_definite(e, ev)
+        if neg.obstructed and pos.obstructed:
+            reasons.append(
+                _reason(
+                    RULE_COMBINED,
+                    negative_rules=[r.rule for r in neg.reasons],
+                    positive_rules=[r.rule for r in pos.reasons],
+                )
+            )
+    return _verdict("any_definite", reasons)

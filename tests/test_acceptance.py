@@ -187,8 +187,7 @@ class TestCriterion10Properties:
         for k in range(len(s.entries) - 1):
             a, b = s.at(k), s.at(k + 1)
             assert a.lo >= b.lo >= a.lo - 1
-            if a.hi is not None:
-                assert b.hi is not None and a.hi >= b.hi >= a.hi - 1
+            assert a.hi >= b.hi >= a.hi - 1
         assert s.closed() == s
 
     @RANDOMIZED
@@ -204,8 +203,7 @@ class TestCriterion10Properties:
     def test_10c_tau_lo_at_most_nu_hi(self, e):
         t = tau(e)
         n = nu_plus(e)
-        if t.lo is not None and n.hi is not None:
-            assert t.lo <= n.hi
+        assert t.lo <= n.hi
 
     @RANDOMIZED
     @given(e=expressions_any_cable(max_leaves=6))

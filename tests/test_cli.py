@@ -6,7 +6,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from defslice import certificates, cli
@@ -204,6 +204,36 @@ class TestAtomsFile:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert named in err
 
+    @pytest.mark.parametrize(
+        "records, text",
+        [
+            ([{"name": "G", "genus": 1000}], "T(2,3)"),
+            ([{"name": "G", "v0_mirror": MAX_GENUS + 1}], "T(2,3)"),
+            ([{"name": "G", "tau": -(MAX_GENUS + 1)}], "T(2,3)"),
+            # past the size of a float, which a sum with an unbounded end would meet
+            ([{"name": "G", "v0": 10**400}, {"name": "Y"}], "G # Y"),
+            ([{"name": "G", "tau": 10**400}, {"name": "Y"}], "G # Y"),
+        ],
+    )
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["human", "json"])
+    def test_record_past_size_limit_exit_1(self, capsys, tmp_path, records, text, json_flag):
+        # a certificate number bounds the genus from below, so it counts
+        # towards MAX_GENUS, and the record is refused at load
+        reg = tmp_path / "atoms.json"
+        reg.write_text(json.dumps({"atoms": records}))
+        code, out, err = run(capsys, "report", text, "--atoms", str(reg), *json_flag)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: registry record 'G': expression has genus bound ")
+        assert err.endswith(f", above the limit {MAX_GENUS}\n") and err.count("\n") == 1
+
+    def test_record_at_size_limit_loads(self, capsys, tmp_path):
+        reg = tmp_path / "atoms.json"
+        reg.write_text(json.dumps({"atoms": [{"name": "G", "v0": MAX_GENUS, "tau": -MAX_GENUS}]}))
+        code, out, _ = run(capsys, "report", "G", "--atoms", str(reg), "--json")
+        assert code == 0
+        assert json.loads(out)["v"][0] == {"lo": MAX_GENUS, "hi": MAX_GENUS}
+
     def test_consistent_bounds_load(self, capsys, tmp_path):
         reg = tmp_path / "atoms.json"
         record = {"name": "K", "tau": -1, "genus": 1, "v0": 1, "v0_mirror": 1}
@@ -315,6 +345,21 @@ class TestSigma:
         assert code == 1
         assert out == ""
         assert err == f"error: --at {spec}: theta/pi must lie in (0, 1]\n"
+
+
+    @pytest.mark.parametrize("at", ["3/2", "0", "1/0", "x", "1e10000000"])
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["human", "json"])
+    def test_at_checked_without_signature(self, capsys, tmp_path, at, json_flag):
+        # every angle is checked before the signature: a knot without a
+        # signature rule refuses a bad angle as T(2,3) does
+        reg = tmp_path / "atoms.json"
+        reg.write_text(json.dumps({"atoms": [{"name": "Opaque", "genus": 2}]}))
+        want = run(capsys, "sigma", "T(2,3)", "--at", "1/3", "--at", at, *json_flag)
+        got = run(capsys, "sigma", "Opaque", "--at", "1/3", "--at", at, "--atoms", str(reg), *json_flag)
+        assert got == want
+        assert want[0] == 1 and want[1] == "" and want[2].startswith("error: ") and want[2].count("\n") == 1
+        code, out, err = run(capsys, "sigma", "Opaque", "--at", "1/3", "--atoms", str(reg), *json_flag)
+        assert (code, out) == (0, "") and err.startswith("signature unavailable: ")
 
 
 class TestCheckBcg:
@@ -520,7 +565,7 @@ def test_json_output_is_pinned(capsys, tmp_path, case):
 # Expression text: well-formed expressions, strings of grammar pieces, and
 # the two spliced, with multiplicities and torus and cable parameters on
 # both sides of the size limits.
-FUZZ_ATOMS = ["T(2,3)", "T(3,4)", f"T(2,{2 * MAX_GENUS + 1})", f"T(2,{2 * MAX_GENUS + 3})", "Wh(T(2,3))", "O"]
+FUZZ_ATOMS = ["T(2,3)", "T(3,4)", f"T(2,{2 * MAX_GENUS + 1})", f"T(2,{2 * MAX_GENUS + 3})", "Wh(T(2,3))", "O", "A", "B"]
 FUZZ_INTS = ["-3", "0", "1", "2", "3", str(MAX_SUMMANDS), str(MAX_SUMMANDS + 1), "4096", "99999999999"]
 FUZZ_TOKENS = FUZZ_ATOMS + FUZZ_INTS + [
     "K", "T", "Wh(", "T(", "mirror(", "cable(", "(", ")", "#", "*", ",", " ", "@", "1/0",
@@ -540,6 +585,30 @@ well_formed = st.recursive(
 pieces = st.lists(st.sampled_from(FUZZ_TOKENS), max_size=14).map("".join)
 fuzz_text = st.one_of(well_formed, pieces, st.tuples(well_formed, pieces).map("".join))
 
+# Registries of the atoms A and B whose numbers lie on both sides of the
+# size limit and past the size of a float; a record may be refused at load.
+_FUZZ_NUMBERS = [0, 1, MAX_GENUS, MAX_GENUS + 1, 10**400]
+_number = st.sampled_from(_FUZZ_NUMBERS)
+
+
+def _fuzz_record(name):
+    return st.fixed_dictionaries(
+        {"name": st.just(name)},
+        optional={
+            "genus": _number,
+            "tau": st.sampled_from(_FUZZ_NUMBERS + [-n for n in _FUZZ_NUMBERS[1:]]),
+            "v0": _number,
+            "v0_mirror": _number,
+        },
+    )
+
+
+fuzz_registry = st.tuples(_fuzz_record("A"), _fuzz_record("B")).map(lambda atoms: {"atoms": list(atoms)})
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
 
 class TestFuzz:
     @settings(max_examples=300, deadline=None)
@@ -550,16 +619,29 @@ class TestFuzz:
                 ["report", "--json", "--strict"],
                 ["sigma", "--at", "1/3"],
                 ["surgery", "3", "2"],
+                ["surgery", "3", "2", "--json"],
                 ["independence"],
             ]
         ),
         text=fuzz_text,
         other=fuzz_text,
+        registry=fuzz_registry,
     )
-    def test_exit_code_and_no_traceback(self, command, text, other):
-        argv = [command[0], text, *command[1:]]
+    # numbers past the size of a float beside an unbounded end
+    @example(["report"], "A # B", "O", {"atoms": [{"name": "A", "v0": 10**400}, {"name": "B"}]})
+    @example(["report"], "A # B", "O", {"atoms": [{"name": "A", "tau": 10**400}, {"name": "B"}]})
+    def test_exit_code_and_no_traceback(self, tmp_path_factory, command, text, other, registry):
+        reg = tmp_path_factory.getbasetemp() / "fuzz_atoms.json"
+        reg.write_text(json.dumps(registry))
+        argv = [command[0], text, *command[1:], "--atoms", str(reg)]
         if command[0] == "independence":
             argv.append(other)
-        _, err, code = outcome(argv)
+        out, err, code = outcome(argv)
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err
+        # strict JSON: an infinity or a NaN that leaks into the output fails
+        if "--json" in argv and out:
+            json.loads(out, parse_constant=_no_constant)
+        for line in out.splitlines():
+            if line.startswith("      evidence: "):
+                json.loads(line.removeprefix("      evidence: "), parse_constant=_no_constant)

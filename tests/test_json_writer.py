@@ -3,6 +3,7 @@
 import contextlib
 import io
 from fractions import Fraction
+from math import inf
 
 import pytest
 from hypothesis import given, settings
@@ -32,11 +33,13 @@ strings = st.one_of(
 # ints of many digits and of either sign, and bools next to the ints they equal
 ints = st.one_of(st.integers(), st.integers(-(10**60), 10**60), st.sampled_from([0, 1, -1]))
 scalars = st.one_of(strings, ints, st.booleans(), st.none())
-ends = st.one_of(st.none(), st.integers(-50, 50))
+ends = st.integers(-50, 50)
 intervals = st.builds(
-    lambda a, b: IntInterval(a, b) if a is None or b is None or a <= b else IntInterval(b, a),
+    lambda a, b, lo_inf, hi_inf: IntInterval(-inf if lo_inf else min(a, b), inf if hi_inf else max(a, b)),
     ends,
     ends,
+    st.booleans(),
+    st.booleans(),
 )
 bounds = st.builds(KinkinessBound, ints, ints)
 
@@ -86,7 +89,7 @@ class TestDifferential:
             -(10**100),
             "",
             Fraction(-7, 3),
-            [IntInterval(None, 4), IntInterval(2, 2)],
+            [IntInterval(-inf, 4), IntInterval(2, 2), IntInterval(-inf, inf)],
             {"v": Verdict("any_definite", "obstructed", [Reason("r", "s", {"at": Fraction(1, 6)})])},
         ],
     )

@@ -1,14 +1,18 @@
 """Obstruction verdicts, composite construction, kinkiness, crossing changes."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
+from defslice.certificates import AtomCertificate, default_db
 from defslice.hf_invariants import ContradictionError, Evaluator, IntInterval
 from defslice.knotexpr import Atom, Cable, Mirror, Sum, UNKNOT, WHITEHEAD_TREFOIL, parse, torus_atom
 from defslice.obstructions import (
     RULE_A,
     RULE_B,
     RULE_C,
+    RULE_COMBINED,
     crossing_change_bounds,
     kinkiness_bounds,
     obstruct_definite,
@@ -16,6 +20,7 @@ from defslice.obstructions import (
     composite_cable_obstruction,
 )
 
+from oracles import obstruct_definite_by_verdicts
 from strategies import expressions
 
 WH = Atom(WHITEHEAD_TREFOIL)
@@ -97,6 +102,36 @@ class TestDefinite:
         full = obstruct_definite(e, Evaluator(db))
         if wide.obstructed:
             assert full.obstructed
+
+
+# registry atoms without a signature rule, so that rule C never fires on
+# them: Z and Z3 have both V_0 positive with tau = 0 (the one-sided
+# combination), Zu the same with tau unknown, Y2 an unbounded V_0
+ONE_SIDED_DB = (
+    default_db()
+    .with_atom(AtomCertificate(name="Z", tau=0, genus=2, v0=1, v0_mirror=1))
+    .with_atom(AtomCertificate(name="Z3", tau=0, genus=3, v0=2, v0_mirror=1))
+    .with_atom(AtomCertificate(name="Zu", genus=2, v0=1, v0_mirror=1))
+    .with_atom(AtomCertificate(name="Y2", v0_mirror=0))
+)
+_ONE_SIDED_PARTS = [Atom(n) for n in ("Z", "Z3", "Zu", "Y2", "O", "T(2,3)", "T(2,5)")] + [WH, Cable(2, 1, Atom("Z"))]
+
+
+class TestOneSidedCombination:
+    """The closed form of the last rule against running both one-sided verdicts."""
+
+    def test_matches_both_verdicts(self):
+        # every part and every pair of parts, then random triples
+        rng = random.Random("one-sided")
+        pool = _ONE_SIDED_PARTS + [Mirror(p) for p in _ONE_SIDED_PARTS]
+        cases = pool + [Sum((a, b)) for i, a in enumerate(pool) for b in pool[i:]]
+        cases += [Sum(tuple(rng.choice(pool) for _ in range(3))) for _ in range(100)]
+        fired = set()
+        for e in cases:
+            got = obstruct_definite(e, Evaluator(ONE_SIDED_DB))
+            assert got == obstruct_definite_by_verdicts(e, Evaluator(ONE_SIDED_DB)), e
+            fired.update(r.rule for r in got.reasons)
+        assert {RULE_A, RULE_B, RULE_COMBINED} <= fired
 
 
 class TestComposite:
