@@ -16,7 +16,7 @@ from functools import cache
 from math import inf
 
 from .certificates import CertificateGapError, default_db, load_registry
-from .hf_invariants import ContradictionError, Evaluator, _Interval, lens_d
+from .hf_invariants import ContradictionError, Evaluator, IntInterval, RatInterval, lens_d
 from .knotexpr import (
     Atom,
     Cable,
@@ -125,7 +125,7 @@ def _json_value(x):
     form, so an infinity or a NaN anywhere else is refused."""
     if isinstance(x, Fraction):
         return {"num": x.numerator, "den": x.denominator}
-    if isinstance(x, _Interval):
+    if isinstance(x, (IntInterval, RatInterval)):
         return {"lo": _json_end(x.lo), "hi": _json_end(x.hi)}
     if is_dataclass(x):
         return {f.name: getattr(x, f.name) for f in fields(x)}

@@ -57,8 +57,9 @@ class _Interval:
     only through +, max or min with an infinite operand, so no finite
     value becomes a float, and no sum ever adds -inf to inf: lower ends
     are finite or -inf, upper ends finite or inf.  Adding inf to a finite
-    end converts it to a float first, so finite ends stay below 2**1024
-    in size; knotexpr.check_size keeps every input number far below it.
+    end converts it to a float first, so finite ends must stay below
+    2**1024; the limits of knotexpr.check_size, which parse, load_registry
+    and composite_cable_obstruction apply, keep every number far below it.
     """
 
     lo: object

@@ -31,8 +31,9 @@ class ParseError(ValueError):
 
 
 class SizeLimitError(ValueError):
-    """An input past one of the size limits: MAX_SUMMANDS summands or genus
-    bound MAX_GENUS for an expression, or a numeric argument's limit."""
+    """An input past one of the size limits: MAX_SUMMANDS summands, genus
+    bound MAX_GENUS or a cable with p above MAX_GENUS for an expression, or
+    a numeric argument's limit."""
 
 
 class CableSignError(ValueError):
@@ -171,11 +172,12 @@ def render(e: KnotExpr) -> str:
 MAX_NESTING = 100
 
 # Largest expressions that parse accepts: at most MAX_SUMMANDS atoms after
-# normalization and a genus bound of at most MAX_GENUS.  The V-sequence
-# fold of r summands into a sum of genus bound L takes about
-# L * (r + sum of the summands' genera) <= L * (r + L) steps, a torus
-# knot's Alexander polynomial about 2g steps and a cable's Wu step about
-# its genus, so the two limits bound each of them.  `report --json` on
+# normalization, a genus bound of at most MAX_GENUS and no cable with
+# p above MAX_GENUS.  The V-sequence fold of r summands into a sum of
+# genus bound L takes about L * (r + sum of the summands' genera) <=
+# L * (r + L) steps, a torus knot's Alexander polynomial about 2g steps
+# and a (p,q)-cable's Wu step about p*q/2, at most 2 * MAX_GENUS + 1
+# within the limits, so the limits bound each of them.  `report --json` on
 # the largest accepted input of each shape, median of three runs from
 # interpreter start (py3.11, 2-vCPU VM): 64*T(2,3) 0.31 s; 64*T(2,17)
 # (r = 64, g = 512) 0.65 s; T(2,1025) 0.28 s; cable(2,1,...) nested 9
@@ -359,7 +361,8 @@ def parse(text: str, db=None) -> KnotExpr:
 
 def check_size(e, db=None):
     """Raise SizeLimitError if the normalized expression has more than
-    MAX_SUMMANDS atoms or a genus bound above MAX_GENUS."""
+    MAX_SUMMANDS atoms, a genus bound above MAX_GENUS or a cable with
+    p above MAX_GENUS."""
     from . import certificates
 
     atoms, g = _size(e, certificates.resolve_db(db))
@@ -390,6 +393,11 @@ def _size(e, db):
     if isinstance(e, Sum):
         sizes = [_size(p, db) for p in e.parts]
         return sum(a for a, _ in sizes), sum(g for _, g in sizes)
+    # a cable's Wu step takes about p*q/2 steps even when its companion
+    # counts genus 0, and p > MAX_GENUS puts the cable of any nontrivial
+    # knot past the genus limit, so p is limited on its own
+    if e.p > MAX_GENUS:
+        raise SizeLimitError(f"expression has a cable with p={e.p}, above the limit {MAX_GENUS}")
     atoms, g = _size(e.companion, db)
     return atoms, e.p * g + (e.p - 1) * (abs(e.q) - 1) // 2
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .certificates import CertificateGapError
 from .hf_invariants import ContradictionError, IntInterval, _as_evaluator
-from .knotexpr import Cable, CableSignError, Mirror, Sum, mirror, normalize
+from .knotexpr import Cable, CableSignError, Mirror, Sum, check_size, mirror, normalize
 from .laurent import vanishes_at_unit_root
 from .signatures import SignatureUnavailable
 
@@ -216,25 +216,28 @@ def composite_cable_obstruction(K, J, n: int, db=None) -> CompositeReport:
     """Check V_0(K) > V_0(J), tau(K) >= 1, tau(J) >= 1, tau(K) < n*tau(J);
     when all four are certified, the composite K # (J_{n,1})* is obstructed
     in every definite 4-manifold.
+
+    Raises ValueError for n < 1, and SizeLimitError for a composite past
+    the limits of knotexpr.check_size (so n <= MAX_GENUS).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     ev = _as_evaluator(db)
     K = normalize(K)
     J = normalize(J)
+    expr = normalize(Sum((K, Mirror(Cable(n, 1, J)))))
+    check_size(expr, ev.db)
     v0K = ev.v_seq(K).at(0)
     v0J = ev.v_seq(J).at(0)
     tK = ev.tau(K)
     tJ = ev.tau(J)
+    n_tJ = IntInterval(n * tJ.lo, n * tJ.hi)
     checks = [
         HypothesisCheck("V0(K) > V0(J)", v0K.lo > v0J.hi, {"v0_K": v0K, "v0_J": v0J}),
         HypothesisCheck("tau(K) >= 1", tK.lo >= 1, {"tau_K": tK}),
         HypothesisCheck("tau(J) >= 1", tJ.lo >= 1, {"tau_J": tJ}),
-        HypothesisCheck(
-            "tau(K) < n*tau(J)", tK.hi < n * tJ.lo, {"tau_K": tK, "n_tau_J_lo": n * tJ.lo}
-        ),
+        HypothesisCheck("tau(K) < n*tau(J)", tK.hi < n_tJ.lo, {"tau_K": tK, "n_tau_J": n_tJ}),
     ]
-    expr = normalize(Sum((K, Mirror(Cable(n, 1, J)))))
     if all(c.certified for c in checks):
         verdict = Verdict(
             target="any_definite",

@@ -6,7 +6,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from defslice import certificates, cli
@@ -565,25 +565,41 @@ def test_json_output_is_pinned(capsys, tmp_path, case):
 # Expression text: well-formed expressions, strings of grammar pieces, and
 # the two spliced, with multiplicities and torus and cable parameters on
 # both sides of the size limits.
-FUZZ_ATOMS = ["T(2,3)", "T(3,4)", f"T(2,{2 * MAX_GENUS + 1})", f"T(2,{2 * MAX_GENUS + 3})", "Wh(T(2,3))", "O", "A", "B"]
+FUZZ_ATOMS = ["T(2,3)", "T(3,4)", f"T(2,{2 * MAX_GENUS + 1})", f"T(2,{2 * MAX_GENUS + 3})", "Wh(T(2,3))", "O"]
 FUZZ_INTS = ["-3", "0", "1", "2", "3", str(MAX_SUMMANDS), str(MAX_SUMMANDS + 1), "4096", "99999999999"]
-FUZZ_TOKENS = FUZZ_ATOMS + FUZZ_INTS + [
-    "K", "T", "Wh(", "T(", "mirror(", "cable(", "(", ")", "#", "*", ",", " ", "@", "1/0",
-]
 _ints = st.sampled_from(FUZZ_INTS)
-well_formed = st.recursive(
-    st.sampled_from(FUZZ_ATOMS),
-    lambda c: st.one_of(
-        st.tuples(c, c).map(" # ".join),
-        c.map("mirror({})".format),
-        c.map("({})*".format),
-        st.tuples(_ints, c).map("*".join),
-        st.tuples(_ints, _ints, c).map(lambda t: "cable({},{},{})".format(*t)),
-    ),
-    max_leaves=6,
+
+
+def expression_text(atoms):
+    tokens = atoms + FUZZ_INTS + [
+        "K", "T", "Wh(", "T(", "mirror(", "cable(", "(", ")", "#", "*", ",", " ", "@", "1/0",
+    ]
+    well_formed = st.recursive(
+        st.sampled_from(atoms),
+        lambda c: st.one_of(
+            st.tuples(c, c).map(" # ".join),
+            c.map("mirror({})".format),
+            c.map("({})*".format),
+            st.tuples(_ints, c).map("*".join),
+            st.tuples(_ints, _ints, c).map(lambda t: "cable({},{},{})".format(*t)),
+        ),
+        max_leaves=6,
+    )
+    pieces = st.lists(st.sampled_from(tokens), max_size=14).map("".join)
+    return st.one_of(well_formed, pieces, st.tuples(well_formed, pieces).map("".join))
+
+
+fuzz_text = expression_text(FUZZ_ATOMS)
+fuzz_commands = st.sampled_from(
+    [
+        ["report"],
+        ["report", "--json", "--strict"],
+        ["sigma", "--at", "1/3"],
+        ["surgery", "3", "2"],
+        ["surgery", "3", "2", "--json"],
+        ["independence"],
+    ]
 )
-pieces = st.lists(st.sampled_from(FUZZ_TOKENS), max_size=14).map("".join)
-fuzz_text = st.one_of(well_formed, pieces, st.tuples(well_formed, pieces).map("".join))
 
 # Registries of the atoms A and B whose numbers lie on both sides of the
 # size limit and past the size of a float; a record may be refused at load.
@@ -610,38 +626,51 @@ def _no_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
+def assert_clean_run(argv):
+    """A documented exit code, no traceback, and strict JSON: an infinity
+    or a NaN that leaks into the output fails.  The exit code is counted
+    as a hypothesis event (see --hypothesis-show-statistics)."""
+    out, err, code = outcome(argv)
+    event(f"exit {code}")
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if "--json" in argv and out:
+        json.loads(out, parse_constant=_no_constant)
+    for line in out.splitlines():
+        if line.startswith("      evidence: "):
+            json.loads(line.removeprefix("      evidence: "), parse_constant=_no_constant)
+
+
 class TestFuzz:
     @settings(max_examples=300, deadline=None)
+    @given(command=fuzz_commands, text=fuzz_text, other=fuzz_text)
+    def test_exit_code_and_no_traceback(self, command, text, other):
+        argv = [command[0], text, *command[1:]]
+        if command[0] == "independence":
+            argv.append(other)
+        assert_clean_run(argv)
+
+    @settings(max_examples=300, deadline=None)
     @given(
-        command=st.sampled_from(
-            [
-                ["report"],
-                ["report", "--json", "--strict"],
-                ["sigma", "--at", "1/3"],
-                ["surgery", "3", "2"],
-                ["surgery", "3", "2", "--json"],
-                ["independence"],
-            ]
-        ),
-        text=fuzz_text,
-        other=fuzz_text,
+        command=fuzz_commands,
+        text=expression_text(FUZZ_ATOMS + ["A", "B"]),
+        other=expression_text(FUZZ_ATOMS + ["A", "B"]),
         registry=fuzz_registry,
     )
     # numbers past the size of a float beside an unbounded end
     @example(["report"], "A # B", "O", {"atoms": [{"name": "A", "v0": 10**400}, {"name": "B"}]})
     @example(["report"], "A # B", "O", {"atoms": [{"name": "A", "tau": 10**400}, {"name": "B"}]})
-    def test_exit_code_and_no_traceback(self, tmp_path_factory, command, text, other, registry):
+    # a cable around an atom that counts genus 0
+    @example(["report"], "cable(99999999999,1,A)", "O", {"atoms": [{"name": "A"}, {"name": "B"}]})
+    def test_registry_exit_code_and_no_traceback(self, tmp_path_factory, command, text, other, registry):
         reg = tmp_path_factory.getbasetemp() / "fuzz_atoms.json"
         reg.write_text(json.dumps(registry))
+        try:
+            certificates.load_registry(reg)
+            event("registry loads")
+        except ValueError:
+            event("registry refused")
         argv = [command[0], text, *command[1:], "--atoms", str(reg)]
         if command[0] == "independence":
             argv.append(other)
-        out, err, code = outcome(argv)
-        assert code in (0, 1, 2, 3)
-        assert "Traceback" not in err
-        # strict JSON: an infinity or a NaN that leaks into the output fails
-        if "--json" in argv and out:
-            json.loads(out, parse_constant=_no_constant)
-        for line in out.splitlines():
-            if line.startswith("      evidence: "):
-                json.loads(line.removeprefix("      evidence: "), parse_constant=_no_constant)
+        assert_clean_run(argv)

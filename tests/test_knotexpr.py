@@ -7,7 +7,9 @@ from defslice.knotexpr import (
     Atom,
     Cable,
     Mirror,
+    MAX_GENUS,
     ParseError,
+    SizeLimitError,
     Sum,
     UNKNOT,
     WHITEHEAD_TREFOIL,
@@ -18,6 +20,7 @@ from defslice.knotexpr import (
     topologically_slice_certified,
     torus_atom,
 )
+from defslice.certificates import AtomCertificate, default_db
 from defslice.laurent import LaurentPoly
 
 from oracles import alexander_torus_division
@@ -45,6 +48,14 @@ class TestParse:
     def test_cable_p_error(self):
         with pytest.raises(ParseError, match="p >= 1"):
             parse("cable(0,1,T(2,3))")
+
+    def test_cable_p_limit(self):
+        # an atom without a genus counts 0, so only p bounds the Wu step
+        db = default_db().with_atom(AtomCertificate(name="Y"))
+        assert parse(f"cable({MAX_GENUS},1,Y)", db) == Cable(MAX_GENUS, 1, Atom("Y"))
+        for p in (MAX_GENUS + 1, 10**400):
+            with pytest.raises(SizeLimitError, match=f"cable with p={p}, above the limit {MAX_GENUS}"):
+                parse(f"cable({p},1,Y)", db)
 
     def test_unknown_atom(self):
         with pytest.raises(ParseError, match="unknown atom"):

@@ -1,13 +1,29 @@
 """Obstruction verdicts, composite construction, kinkiness, crossing changes."""
 
+import contextlib
+import io
+import json
 import random
+from math import inf
 
 import pytest
 from hypothesis import given, settings
 
 from defslice.certificates import AtomCertificate, default_db
 from defslice.hf_invariants import ContradictionError, Evaluator, IntInterval
-from defslice.knotexpr import Atom, Cable, Mirror, Sum, UNKNOT, WHITEHEAD_TREFOIL, parse, torus_atom
+from defslice.cli import _print_json
+from defslice.knotexpr import (
+    MAX_GENUS,
+    UNKNOT,
+    WHITEHEAD_TREFOIL,
+    Atom,
+    Cable,
+    Mirror,
+    SizeLimitError,
+    Sum,
+    parse,
+    torus_atom,
+)
 from defslice.obstructions import (
     RULE_A,
     RULE_B,
@@ -161,6 +177,28 @@ class TestComposite:
     def test_n_validation(self):
         with pytest.raises(ValueError):
             composite_cable_obstruction(WH, WH, 0)
+
+    def test_n_past_size_limit(self):
+        # J without data counts genus 0, so n itself is limited
+        db = default_db().with_atom(AtomCertificate(name="Y"))
+        for n in (MAX_GENUS + 1, 10**400):
+            with pytest.raises(SizeLimitError):
+                composite_cable_obstruction(torus_atom(2, 7), Atom("Y"), n, db)
+
+    def test_unbounded_tau_J_evidence(self):
+        db = default_db().with_atom(AtomCertificate(name="Y"))
+        r = composite_cable_obstruction(torus_atom(2, 7), Atom("Y"), MAX_GENUS, db)
+        check = r.hypotheses[3]
+        assert not check.certified
+        assert check.evidence == {"tau_K": IntInterval.exact(3), "n_tau_J": IntInterval(-inf, inf)}
+        # an unbounded end is an interval end, which the JSON edge writes as null
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            _print_json(check.evidence)
+        assert json.loads(out.getvalue()) == {
+            "tau_K": {"lo": 3, "hi": 3},
+            "n_tau_J": {"lo": None, "hi": None},
+        }
 
 
 class TestKinkiness:
