@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cache
+from itertools import accumulate
 
 from .knotexpr import (
     Atom,
@@ -93,6 +94,16 @@ class AtomCertificate:
             if self.tau != deg or self.genus != deg:
                 raise CertificateError(
                     f"{self.name}: L-space atom needs tau = genus = {deg}"
+                )
+            # the Alexander polynomial of an L-space knot (Ozsvath-Szabo):
+            # the nonzero coefficients are +-1 and alternate in sign from +1
+            # at the top, i.e. every suffix sum a_d + ... + a_{j+1} with
+            # j >= 0 is 0 or 1
+            suffix = accumulate(self.alexander.coeff(k) for k in range(deg, 0, -1))
+            if any(s not in (0, 1) for s in suffix):
+                raise CertificateError(
+                    f"{self.name}: L-space atom needs an Alexander polynomial whose "
+                    "nonzero coefficients are +-1 and alternate in sign from +1 at the top"
                 )
 
 
@@ -216,8 +227,9 @@ def load_registry(path) -> CertificateDB:
     A field that is absent or null is unknown (flags default to false).
 
     Records replace any built-in certificate of the same name, so a record
-    must be complete on its own.  A name must be a string that parse reads
-    back as that one atom, within the size limits of knotexpr.check_size.
+    must be complete on its own; two records of one name are refused.  A
+    name must be a string that parse reads back as that one atom, within
+    the size limits of knotexpr.check_size.
     """
     try:
         fh = open(path, "r", encoding="utf-8")
@@ -233,7 +245,7 @@ def load_registry(path) -> CertificateDB:
     records = data.get("atoms", [])
     if not isinstance(records, list):
         raise CertificateError(f"registry file {path}: 'atoms' must be a list")
-    atoms = []
+    atoms = {}
     for rec in records:
         if not isinstance(rec, dict):
             raise CertificateError(f"registry record is not an object: {rec!r}")
@@ -241,26 +253,26 @@ def load_registry(path) -> CertificateDB:
             raise CertificateError(f"registry record without a name: {rec!r}")
         if not isinstance(rec["name"], str):
             raise CertificateError(f"registry record name must be a string: {rec['name']!r}")
+        if rec["name"] in atoms:
+            raise CertificateError(f"registry file {path}: two records are named {rec['name']!r}")
         alex = None
         if rec.get("alexander") is not None:
             try:
                 alex = _poly_from_pairs(rec["alexander"])
             except (TypeError, ValueError) as exc:
                 raise CertificateError(f"{rec['name']}: bad Alexander data: {exc}") from None
-        atoms.append(
-            AtomCertificate(
-                name=rec["name"],
-                tau=_field(rec, "tau", int),
-                genus=_field(rec, "genus", int),
-                tau_equals_genus=_field(rec, "tau_equals_genus", bool, False),
-                lspace=_field(rec, "lspace", bool, False),
-                alexander=alex,
-                v0=_field(rec, "v0", int),
-                v0_mirror=_field(rec, "v0_mirror", int),
-            )
+        atoms[rec["name"]] = AtomCertificate(
+            name=rec["name"],
+            tau=_field(rec, "tau", int),
+            genus=_field(rec, "genus", int),
+            tau_equals_genus=_field(rec, "tau_equals_genus", bool, False),
+            lspace=_field(rec, "lspace", bool, False),
+            alexander=alex,
+            v0=_field(rec, "v0", int),
+            v0_mirror=_field(rec, "v0_mirror", int),
         )
-    db = CertificateDB(atoms)
-    for cert in atoms:
+    db = CertificateDB(atoms.values())
+    for cert in atoms.values():
         try:
             ok = parse(cert.name, db) == Atom(cert.name)
         except SizeLimitError as exc:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import fields, is_dataclass
@@ -764,5 +765,24 @@ def main(argv=None) -> int:
         return EXIT_FAIL
 
 
+def entry() -> int:
+    """Console entry: main on sys.argv, with stdout flushed before return.
+
+    A closed stdout (its reader has exited) ends the run with exit code 1
+    and no traceback: stdout is pointed at os.devnull, so the flush at
+    interpreter exit has nothing left to fail on.
+    """
+    try:
+        try:
+            return main()
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_FAIL
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -33,12 +33,11 @@ from .certificates import nu_equiv_reduce, resolve_db
 from .knotexpr import (
     Atom,
     Cable,
-    CableSignError,
     Mirror,
     Sum,
     alexander,
     check_positive_cables,
-    mirror,
+    flip,
     normalize,
 )
 from .laurent import LaurentPoly, torsion_prefix, torus_alexander
@@ -301,12 +300,20 @@ class Evaluator:
     and kept in that table.  An Evaluator is not thread-safe; the
     module-level functions make a fresh one per call, which is always safe.
     Reusing an instance across the queries of one report or suite shares
-    that work between them.
+    that work between them.  The public rules take any expression through
+    _normal, which normalizes it and checks its cable signs once; the rules
+    below read only normal input.
     """
 
     def __init__(self, db=None):
         self.db = resolve_db(db)
         self._memo = {}
+
+    @_memoized
+    def _normal(self, e):
+        e = normalize(e)
+        check_positive_cables(e)
+        return e
 
     # -- genus bound -------------------------------------------------
 
@@ -333,9 +340,7 @@ class Evaluator:
 
     def genus_bound(self, e):
         """Upper bound for the genus (exact for certificate-complete input)."""
-        e = normalize(e)
-        check_positive_cables(e)
-        return self._genus(e)
+        return self._genus(self._normal(e))
 
     # -- V-sequence ---------------------------------------------------
 
@@ -448,7 +453,7 @@ class Evaluator:
         and lo(A) = 0 gives a term <= 0.  By induction on |A|, a singleton
         A attains the optimum.
         """
-        his = [self._vseq_of(mirror(p)).at(0).hi for p in parts]
+        his = [self._vseq_of(flip(p)).at(0).hi for p in parts]
         before = list(accumulate(his, initial=0))
         after = list(accumulate(reversed(his), initial=0))[::-1]
         best = 0
@@ -457,8 +462,6 @@ class Evaluator:
         return best
 
     def _vseq_cable(self, e):
-        if e.q <= 0:
-            raise CableSignError(f"cable with q={e.q} <= 0 has no V-sequence rule")
         cseq = self._vseq_of(e.companion)
         tor = _torus_vseq(e.p, e.q)
         entries = []
@@ -473,11 +476,10 @@ class Evaluator:
 
     def v_seq(self, e) -> VSeq:
         """Sound interval V-sequence of the expression."""
-        return self._vseq_refined(normalize(e))
+        return self._vseq_refined(self._normal(e))
 
     @_memoized
     def _vseq_refined(self, e):
-        check_positive_cables(e)
         base = self._vseq_of(e)
         red = nu_equiv_reduce(e)
         if red != e:
@@ -511,12 +513,12 @@ class Evaluator:
             return self._flag(e.child) and self._genus(e.child) == 0
         if isinstance(e, Sum):
             return all(self._flag(p) for p in e.parts)
-        return e.q >= 1 and self._flag(e.companion)
+        return self._flag(e.companion)
 
     def _tau_window(self, e):
         # fallback enclosure from tau <= nu+ and tau(K) = -tau(K*)
         hi = self._nu_raw(e).hi
-        return IntInterval(-self._nu_raw(mirror(e)).hi, hi)
+        return IntInterval(-self._nu_raw(flip(e)).hi, hi)
 
     @_memoized
     def _tau(self, e):
@@ -535,8 +537,6 @@ class Evaluator:
                 acc = acc.intersect(self._tau_window(e))
             return acc
         if isinstance(e, Cable):
-            if e.q <= 0:
-                raise CableSignError(f"cable with q={e.q} <= 0 has no tau rule")
             if self._flag(e.companion):
                 base = self._tau(e.companion).value
                 return IntInterval.exact(e.p * base + (e.p - 1) * (e.q - 1) // 2)
@@ -545,14 +545,11 @@ class Evaluator:
 
     def tau(self, e) -> IntInterval:
         """tau: exact where the homomorphism/cabling rules apply, else an enclosure."""
-        e = normalize(e)
-        check_positive_cables(e)
-        return self._tau(e)
+        return self._tau(self._normal(e))
 
     def nu_plus(self, e) -> IntInterval:
         """nu+ = min{k >= 0 : V_k = 0}, enclosed from the V-sequence and tau."""
-        e = normalize(e)
-        check_positive_cables(e)
+        e = self._normal(e)
         raw = self._nu_raw(e)
         lo = max(raw.lo, self._tau(e).lo, 0)
         if lo > raw.hi:

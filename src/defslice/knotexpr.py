@@ -10,6 +10,11 @@ Expression grammar (whitespace-insensitive):
 Normal form: no mirror directly above a mirror or a connected sum, sums
 are flattened, cables of the unknot collapse to torus atoms.  Expressions
 are immutable after construction and safe to share between evaluations.
+
+parse returns normal form, and an hf_invariants.Evaluator normalizes and
+cable-sign-checks each expression once, at its memoized _normal rule; its
+other rules read only normal input.  flip assumes a normal input, whose
+summands are not sums, and returns its mirror in normal form.
 """
 
 from __future__ import annotations
@@ -105,12 +110,7 @@ def normalize(e: KnotExpr) -> KnotExpr:
     if isinstance(e, Atom):
         return e
     if isinstance(e, Mirror):
-        c = normalize(e.child)
-        if isinstance(c, Mirror):
-            return c.child
-        if isinstance(c, Sum):
-            return normalize(Sum(tuple(Mirror(p) for p in c.parts)))
-        return Mirror(c)
+        return flip(normalize(e.child))
     if isinstance(e, Sum):
         parts = []
         for p in e.parts:
@@ -128,6 +128,15 @@ def normalize(e: KnotExpr) -> KnotExpr:
                 return UNKNOT
         return Cable(e.p, e.q, c)
     raise TypeError(f"not a knot expression: {e!r}")
+
+
+def flip(e: KnotExpr) -> KnotExpr:
+    """Mirror of a normal expression, in normal form."""
+    if isinstance(e, Mirror):
+        return e.child
+    if isinstance(e, Sum):
+        return Sum(tuple(flip(p) for p in e.parts))
+    return Mirror(e)
 
 
 def mirror(e: KnotExpr) -> KnotExpr:

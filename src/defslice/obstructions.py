@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .certificates import CertificateGapError
 from .hf_invariants import ContradictionError, IntInterval, _as_evaluator
-from .knotexpr import Cable, CableSignError, Mirror, Sum, check_size, mirror, normalize
+from .knotexpr import Cable, Mirror, Sum, check_size, normalize
 from .laurent import vanishes_at_unit_root
 from .signatures import SignatureUnavailable
 
@@ -91,7 +91,6 @@ def _verdict(target, reasons) -> Verdict:
 def obstruct_negative_definite(e, db=None) -> Verdict:
     """Obstruct sliceness in every negative-definite 4-manifold."""
     ev = _as_evaluator(db)
-    e = normalize(e)
     reasons = []
     d = ev.d1(e)
     if d.hi < 0:
@@ -105,9 +104,8 @@ def obstruct_negative_definite(e, db=None) -> Verdict:
 def obstruct_positive_definite(e, db=None) -> Verdict:
     """Obstruct sliceness in every positive-definite 4-manifold (mirror dual)."""
     ev = _as_evaluator(db)
-    e = normalize(e)
     reasons = []
-    dm = ev.d1(mirror(e))
+    dm = ev.d1(Mirror(e))
     if dm.hi < 0:
         reasons.append(_reason(RULE_MIRROR_V0, d1_mirror=dm))
     t = ev.tau(e)
@@ -126,7 +124,7 @@ def _signature_evidence(e, ev):
     try:
         fn = ev.sigma(e)
         alex = ev.alexander(e)
-    except (SignatureUnavailable, CertificateGapError, CableSignError):
+    except (SignatureUnavailable, CertificateGapError):
         return None
     pos = neg = None
     for lo, hi, value in fn.pieces():
@@ -173,13 +171,12 @@ def obstruct_definite(e, db=None) -> Verdict:
     beside V0 would be (a).
     """
     ev = _as_evaluator(db)
-    e = normalize(e)
     reasons = []
     d = ev.d1(e)
     t = ev.tau(e)
     if d.hi < 0 and t.hi <= -1:
         reasons.append(_reason(RULE_A, d1=d, tau=t))
-    dm = ev.d1(mirror(e))
+    dm = ev.d1(Mirror(e))
     if dm.hi < 0 and t.lo >= 1:
         reasons.append(_reason(RULE_B, d1_mirror=dm, tau=t))
     sig_ev = _signature_evidence(e, ev)
@@ -223,8 +220,6 @@ def composite_cable_obstruction(K, J, n: int, db=None) -> CompositeReport:
     if n < 1:
         raise ValueError("n must be >= 1")
     ev = _as_evaluator(db)
-    K = normalize(K)
-    J = normalize(J)
     expr = normalize(Sum((K, Mirror(Cable(n, 1, J)))))
     check_size(expr, ev.db)
     v0K = ev.v_seq(K).at(0)
@@ -264,9 +259,8 @@ def kinkiness_bounds(e, db=None) -> KinkinessBound:
     nu+ <= k+ and -k- <= tau <= k+, applied to the knot and its mirror.
     """
     ev = _as_evaluator(db)
-    e = normalize(e)
     np_e = ev.nu_plus(e)
-    np_m = ev.nu_plus(mirror(e))
+    np_m = ev.nu_plus(Mirror(e))
     t = ev.tau(e)
     return KinkinessBound(k_plus_lo=max(0, np_e.lo, t.lo), k_minus_lo=max(0, np_m.lo, -t.hi))
 
@@ -290,11 +284,10 @@ def crossing_change_bounds(e, pos: int, neg: int, db=None) -> RefinedBounds:
     if pos < 0 or neg < 0:
         raise ValueError("crossing-change counts must be >= 0")
     ev = _as_evaluator(db)
-    e = normalize(e)
     try:
         t = ev.tau(e).intersect(IntInterval(-neg, pos))
         n_e = ev.nu_plus(e).intersect(IntInterval(0, pos))
-        n_m = ev.nu_plus(mirror(e)).intersect(IntInterval(0, neg))
+        n_m = ev.nu_plus(Mirror(e)).intersect(IntInterval(0, neg))
     except ContradictionError as exc:
         raise ContradictionError(
             f"crossing-change declaration (pos={pos}, neg={neg}) contradicts "

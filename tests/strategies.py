@@ -10,7 +10,8 @@ atoms = st.sampled_from(ATOM_NAMES).map(Atom)
 
 # coprime (p, q) pairs with q >= 1, kept small so V-sequences stay short
 _CABLE_PQ = [(2, 1), (2, 3), (3, 1), (3, 2), (4, 1), (2, 5), (5, 1)]
-_CABLE_PQ_ANY = _CABLE_PQ + [(2, -1), (3, -2), (2, -3)]
+# plus q <= 0, and p = 1, which normalize drops
+_CABLE_PQ_ANY = _CABLE_PQ + [(2, -1), (3, -2), (2, -3), (1, 2), (1, -1)]
 
 
 def _extend(children, cable_pq):

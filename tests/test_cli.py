@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from itertools import accumulate, product
 from pathlib import Path
 
 import pytest
@@ -234,12 +238,84 @@ class TestAtomsFile:
         assert code == 0
         assert json.loads(out)["v"][0] == {"lo": MAX_GENUS, "hi": MAX_GENUS}
 
+    @pytest.mark.parametrize(
+        "records, named",
+        [
+            (
+                [{"name": "L", "lspace": True, "tau": 1, "genus": 1,
+                  "alexander": [[-1, 2], [0, -3], [1, 2]]}],
+                "L: L-space atom needs an Alexander polynomial",
+            ),
+            (
+                [{"name": "A", "tau": 1, "genus": 1}, {"name": "A", "tau": -1, "genus": 1}],
+                "two records are named 'A'",
+            ),
+        ],
+        ids=["not_lspace_form", "duplicate_name"],
+    )
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["human", "json"])
+    def test_contradictory_registry_exit_1(self, capsys, tmp_path, records, named, json_flag):
+        # both loaded before: the first failed every report that used it,
+        # and of the second the later record silently won
+        reg = tmp_path / "atoms.json"
+        reg.write_text(json.dumps({"atoms": records}))
+        code, out, err = run(capsys, "report", records[0]["name"], "--atoms", str(reg), *json_flag)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+
+    def test_lspace_form_decides_loading(self, capsys, tmp_path):
+        # every lspace record of degree d = 1..3 with a_1..a_d in [-2, 2],
+        # a_0 fixed by the value 1 at t = 1: it loads iff every suffix sum
+        # a_d + ... + a_{j+1}, j >= 0, is 0 or 1, and then report runs
+        reg = tmp_path / "atoms.json"
+        seen = loaded = 0
+        for d in range(1, 4):
+            for top in product(range(-2, 3), repeat=d):
+                if top[-1] == 0:
+                    continue
+                pairs = [[0, 1 - 2 * sum(top)]]
+                pairs += [[s * k, a] for k, a in enumerate(top, 1) for s in (-1, 1)]
+                record = {"name": "L", "lspace": True, "tau": d, "genus": d, "alexander": pairs}
+                reg.write_text(json.dumps({"atoms": [record]}))
+                code, _, err = run(capsys, "report", "L", "--atoms", str(reg))
+                seen += 1
+                if all(s in (0, 1) for s in accumulate(reversed(top))):
+                    assert code == 0, top
+                    loaded += 1
+                else:
+                    assert code == 1, top
+                    assert err.startswith("error: L: L-space atom needs an Alexander polynomial")
+        assert (seen, loaded) == (124, 7)
+
     def test_consistent_bounds_load(self, capsys, tmp_path):
         reg = tmp_path / "atoms.json"
         record = {"name": "K", "tau": -1, "genus": 1, "v0": 1, "v0_mirror": 1}
         reg.write_text(json.dumps({"atoms": [record, {"name": "T(2,3)", "genus": 1}]}))
         code, _, _ = run(capsys, "report", "K # T(2,3)", "--atoms", str(reg))
         assert code == 0
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [["report", "T(2,3)"], ["suite", "lens", "--json"]])
+    def test_exit_1_without_traceback(self, argv, unbuffered):
+        # buffered, the write fails in the last flush; unbuffered, in print
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "defslice.cli", *argv],
+                stdout=w, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(w)
+        assert proc.returncode == 1
+        assert proc.stderr == b""
 
 
 class TestSuites:

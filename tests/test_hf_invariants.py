@@ -6,9 +6,10 @@ from fractions import Fraction
 from math import gcd, inf
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from defslice import obstructions
 from defslice.certificates import AtomCertificate, default_db
 from defslice.cli import _json_value
 from defslice.hf_invariants import (
@@ -44,7 +45,7 @@ from defslice.knotexpr import (
 from defslice.laurent import LaurentPoly, torus_alexander
 
 from oracles import AllSplitsEvaluator, NoneInterval, PartitionEvaluator, close_iterated, torsion_coefficient
-from strategies import expressions
+from strategies import expressions, expressions_any_cable
 
 WH = Atom(WHITEHEAD_TREFOIL)
 
@@ -523,6 +524,45 @@ class TestSumFold:
     def test_many_repeated_summands(self):
         e = parse("24*T(2,9) # 3*T(3,4)* # Wh(T(2,3))")
         assert _invariants(Evaluator(), e) == _invariants(AllSplitsEvaluator(), e)
+
+
+# every public entry of a session, called as entry(evaluator, expression)
+_ENTRIES = {
+    "genus_bound": Evaluator.genus_bound,
+    "v_seq": Evaluator.v_seq,
+    "tau": Evaluator.tau,
+    "nu_plus": Evaluator.nu_plus,
+    "d1": Evaluator.d1,
+    "surgery_d": lambda ev, e: [ev.surgery_d(e, 3, 1, i) for i in range(3)],
+    "sigma": Evaluator.sigma,
+    "alexander": Evaluator.alexander,
+    "negative_definite": lambda ev, e: obstructions.obstruct_negative_definite(e, ev),
+    "positive_definite": lambda ev, e: obstructions.obstruct_positive_definite(e, ev),
+    "definite": lambda ev, e: obstructions.obstruct_definite(e, ev),
+    "kinkiness": lambda ev, e: obstructions.kinkiness_bounds(e, ev),
+    "crossing_change": lambda ev, e: obstructions.crossing_change_bounds(e, 3, 3, ev),
+}
+
+
+def _entry_outcome(entry, e):
+    """entry's result on e in a fresh session, or the type and message of
+    the error it raises."""
+    try:
+        return entry(Evaluator(), e)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestNormalDoor:
+    """A session reads a raw expression exactly as its normal form."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(expressions_any_cable())
+    @example(Mirror(Mirror(torus_atom(2, 5))))
+    def test_raw_matches_normal(self, e):
+        n = normalize(e)
+        for name, entry in _ENTRIES.items():
+            assert _entry_outcome(entry, e) == _entry_outcome(entry, n), name
 
 
 class TestGenusBound:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from defslice.knotexpr import (
     Atom,
     Cable,
+    CableSignError,
     Mirror,
     MAX_GENUS,
     ParseError,
@@ -14,6 +15,8 @@ from defslice.knotexpr import (
     UNKNOT,
     WHITEHEAD_TREFOIL,
     alexander,
+    check_positive_cables,
+    flip,
     normalize,
     parse,
     render,
@@ -22,11 +25,24 @@ from defslice.knotexpr import (
 )
 from defslice.certificates import AtomCertificate, default_db
 from defslice.laurent import LaurentPoly
+from defslice.signatures import sigma
 
 from oracles import alexander_torus_division
 from strategies import expressions_any_cable
 
 WH = Atom(WHITEHEAD_TREFOIL)
+
+
+def _is_normal(e):
+    """The conditions of normal form, read off the tree itself."""
+    if isinstance(e, Mirror):
+        return not isinstance(e.child, (Mirror, Sum)) and _is_normal(e.child)
+    if isinstance(e, Sum):
+        return all(not isinstance(p, Sum) and _is_normal(p) for p in e.parts)
+    if isinstance(e, Cable):
+        collapses = e.companion == UNKNOT and e.q >= 0
+        return e.p > 1 and not collapses and _is_normal(e.companion)
+    return True
 
 
 class TestParse:
@@ -122,6 +138,19 @@ class TestNormalize:
     def test_idempotent(self, e):
         n = normalize(e)
         assert normalize(n) == n
+
+    @settings(max_examples=200, deadline=None)
+    @given(expressions_any_cable())
+    def test_flip_of_normal_form(self, e):
+        n = normalize(e)
+        f = flip(n)
+        assert _is_normal(n) and _is_normal(f)
+        assert flip(f) == n
+        try:
+            check_positive_cables(n)
+        except CableSignError:
+            return
+        assert sigma(f) == -sigma(n)
 
     @settings(max_examples=200, deadline=None)
     @given(expressions_any_cable())
