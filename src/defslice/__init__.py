@@ -32,7 +32,6 @@ from .hf_invariants import (
     nu_plus,
     surgery_d,
     tau,
-    torsion_coefficients,
     v_seq,
     wu_phi,
 )
@@ -60,7 +59,6 @@ from .obstructions import (
     KinkinessBound,
     Reason,
     Verdict,
-    crossing_change_bounds,
     kinkiness_bounds,
     obstruct_definite,
     obstruct_negative_definite,

@@ -19,6 +19,7 @@ from .knotexpr import (
     KnotExpr,
     SizeLimitError,
     Sum,
+    UNKNOT,
     WHITEHEAD_TREFOIL,
     normalize,
     parse,
@@ -229,7 +230,9 @@ def load_registry(path) -> CertificateDB:
     Records replace any built-in certificate of the same name, so a record
     must be complete on its own; two records of one name are refused.  A
     name must be a string that parse reads back as that one atom, within
-    the size limits of knotexpr.check_size.
+    the size limits of knotexpr.check_size.  The unknot O is refused:
+    normalize folds a cable of O into O or into a torus knot, which holds
+    only for the true unknot.
     """
     try:
         fh = open(path, "r", encoding="utf-8")
@@ -253,6 +256,8 @@ def load_registry(path) -> CertificateDB:
             raise CertificateError(f"registry record without a name: {rec!r}")
         if not isinstance(rec["name"], str):
             raise CertificateError(f"registry record name must be a string: {rec['name']!r}")
+        if rec["name"] == UNKNOT.name:
+            raise CertificateError(f"registry file {path}: the unknot 'O' cannot be replaced")
         if rec["name"] in atoms:
             raise CertificateError(f"registry file {path}: two records are named {rec['name']!r}")
         alex = None

@@ -37,6 +37,7 @@ from .laurent import LaurentPoly
 from .obstructions import (
     RULE_A,
     RULE_C,
+    composite_cable_obstruction,
     kinkiness_bounds,
     obstruct_definite,
     obstruct_negative_definite,
@@ -95,7 +96,9 @@ _AT_LITERAL = re.compile(
 
 def family_kn(n: int):
     """(#^3 Wh(T(2,3))) # ((Wh(T(2,3)))_{n+3,1})*: topologically slice,
-    obstructed in every definite 4-manifold, tau = -n."""
+    obstructed in every definite 4-manifold, tau = -n.  It is the composite
+    K # (J_{n+3,1})* of obstructions.composite_cable_obstruction with
+    K = #^3 Wh(T(2,3)) and J = Wh(T(2,3))."""
     wh = Atom(WHITEHEAD_TREFOIL)
     return normalize(Sum((wh, wh, wh, Mirror(Cable(n + 3, 1, wh)))))
 
@@ -331,8 +334,15 @@ def _checked(es, db):
 
 
 def _suite_thm1(ns, ev):
+    """Rows for K_n = family_kn(n).  A row passes when K_n meets the paper's
+    conclusion (tau = -n, V_0 >= 1, Alexander polynomial 1, rule A) and
+    composite_cable_obstruction certifies its four hypotheses for the same
+    expression."""
+    wh = Atom(WHITEHEAD_TREFOIL)
+    k = Sum((wh, wh, wh))
     rows = []
     for n, e in zip(ns, _checked((family_kn(n) for n in ns), ev.db)):
+        composite = composite_cable_obstruction(k, wh, n + 3, ev)
         t = ev.tau(e)
         v0 = ev.v_seq(e).at(0)
         slice_ok = ev.alexander(e) == LaurentPoly.one()
@@ -345,6 +355,8 @@ def _suite_thm1(ns, ev):
             and slice_ok
             and verdict.obstructed
             and rule_a
+            and composite.verdict.obstructed
+            and composite.expression == e
         )
         rows.append(
             {

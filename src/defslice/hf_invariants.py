@@ -208,16 +208,6 @@ def _close(entries, zero_from) -> VSeq:
     return VSeq(tuple(map(IntInterval, los, his)), zero_from)
 
 
-def torsion_coefficients(poly: LaurentPoly, j: int) -> int:
-    """t_j = sum_{i>=1} i*a_{j+i} for a symmetric polynomial with value 1 at t=1."""
-    if j < 0:
-        raise ValueError("torsion index must be >= 0")
-    if not poly.is_symmetric() or poly.eval_at_one() != 1:
-        raise ValueError("torsion coefficients need a symmetric polynomial with value 1 at t=1")
-    d = poly.degree
-    return torsion_prefix(poly, d)[j] if j < d else 0
-
-
 def wu_phi(p: int, q: int, i: int) -> int:
     """phi_{p,q}(i) = (i - (p-1)(q-1)/2) mod q, for 0 <= i <= pq/2."""
     if p < 1 or q < 1 or gcd(p, q) != 1:
@@ -479,9 +469,14 @@ class Evaluator:
         return self._vseq_refined(self._normal(e))
 
     @_memoized
+    def _reduced(self, e):
+        # the Whitehead substitution, valid for V_0 and nu+ only
+        return nu_equiv_reduce(e)
+
+    @_memoized
     def _vseq_refined(self, e):
         base = self._vseq_of(e)
-        red = nu_equiv_reduce(e)
+        red = self._reduced(e)
         if red != e:
             # the substitution axiom transports V_0 exactly
             rb = self._vseq_of(red)
@@ -496,7 +491,7 @@ class Evaluator:
     def _nu_raw(self, e):
         # nu+ bounds from the V-sequence alone (no tau refinement)
         seqs = [self._vseq_of(e)]
-        red = nu_equiv_reduce(e)
+        red = self._reduced(e)
         if red != e:
             seqs.append(self._vseq_of(red))
         lo = max(s.first_possible_zero() for s in seqs)

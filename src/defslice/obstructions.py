@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .certificates import CertificateGapError
-from .hf_invariants import ContradictionError, IntInterval, _as_evaluator
+from .hf_invariants import IntInterval, _as_evaluator
 from .knotexpr import Cable, Mirror, Sum, check_size, normalize
 from .laurent import vanishes_at_unit_root
 from .signatures import SignatureUnavailable
@@ -263,34 +263,3 @@ def kinkiness_bounds(e, db=None) -> KinkinessBound:
     np_m = ev.nu_plus(Mirror(e))
     t = ev.tau(e)
     return KinkinessBound(k_plus_lo=max(0, np_e.lo, t.lo), k_minus_lo=max(0, np_m.lo, -t.hi))
-
-
-@dataclass(frozen=True)
-class RefinedBounds:
-    tau: IntInterval
-    nu_plus: IntInterval
-    nu_plus_mirror: IntInterval
-
-
-def crossing_change_bounds(e, pos: int, neg: int, db=None) -> RefinedBounds:
-    """Refine invariants from declared crossing-change data.
-
-    The declaration is that some knot concordant to e becomes slice after
-    pos positive and neg negative crossing changes; then tau lies in
-    [-neg, pos], nu+ <= pos and nu+ of the mirror <= neg.  A resulting
-    empty interval raises ContradictionError: the declaration is
-    inconsistent with the computed invariants.
-    """
-    if pos < 0 or neg < 0:
-        raise ValueError("crossing-change counts must be >= 0")
-    ev = _as_evaluator(db)
-    try:
-        t = ev.tau(e).intersect(IntInterval(-neg, pos))
-        n_e = ev.nu_plus(e).intersect(IntInterval(0, pos))
-        n_m = ev.nu_plus(Mirror(e)).intersect(IntInterval(0, neg))
-    except ContradictionError as exc:
-        raise ContradictionError(
-            f"crossing-change declaration (pos={pos}, neg={neg}) contradicts "
-            f"the computed invariants: {exc}"
-        ) from None
-    return RefinedBounds(tau=t, nu_plus=n_e, nu_plus_mirror=n_m)

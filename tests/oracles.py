@@ -9,8 +9,9 @@ AllSplitsEvaluator for the windowed sum fold, close_iterated for the
 V-sequence closure, vanishes_by_cyclotomic for the root-of-unity test,
 cable_sigma_by_midpoints for the cable signature, combination_check_by_box
 for the signature independence check, torsion_coefficient for the one-pass
-torsion coefficients, torus_alexander_by_division (with its long
-division div_exact) for the semigroup torus Alexander polynomials,
+torsion coefficients (torsion_coefficients adds the check that the
+polynomial is an Alexander polynomial), torus_alexander_by_division (with
+its long division div_exact) for the semigroup torus Alexander polynomials,
 json_indent2 for the CLI's --json writer, NoneInterval for the intervals
 with -inf/inf ends and obstruct_definite_by_verdicts for the closed form
 of the one-sided combination rule.
@@ -363,6 +364,14 @@ def torsion_coefficient(poly, j):
     if d is None or d <= j:
         return 0
     return sum(i * poly.coeff(j + i) for i in range(1, d - j + 1))
+
+
+def torsion_coefficients(poly, j):
+    """t_j of a symmetric polynomial with value 1 at t=1, by the defining
+    sum; the torsion side of the tests that cross-check Wu's formula."""
+    if not poly.is_symmetric() or poly.eval_at_one() != 1:
+        raise ValueError("torsion coefficients need a symmetric polynomial with value 1 at t=1")
+    return torsion_coefficient(poly, j)
 
 
 def json_indent2(data):

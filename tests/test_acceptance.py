@@ -11,7 +11,7 @@ from fractions import Fraction
 from hypothesis import HealthCheck, given, settings
 
 from defslice.cli import family_jk, family_kkl, family_kn
-from defslice.hf_invariants import Evaluator, IntInterval, lens_d, surgery_d, torsion_coefficients, v_seq
+from defslice.hf_invariants import Evaluator, IntInterval, lens_d, surgery_d, v_seq
 from defslice.knotexpr import (
     Atom,
     Cable,
@@ -33,7 +33,7 @@ from defslice.qform_verify import bcg_cobordism_check
 from defslice.signatures import sigma, sigma_torus, signature_combination_check
 from defslice.hf_invariants import nu_plus, tau
 
-from oracles import numeric_signature, random_regular_angle, seifert_matrix_torus
+from oracles import numeric_signature, random_regular_angle, seifert_matrix_torus, torsion_coefficients
 from strategies import expressions, expressions_any_cable
 
 WH = Atom(WHITEHEAD_TREFOIL)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from itertools import accumulate, product
 from pathlib import Path
 
@@ -15,7 +16,17 @@ from hypothesis import strategies as st
 
 from defslice import certificates, cli
 from defslice.cli import MAX_AT_DIGITS, MAX_ROWS, MAX_SURGERY_P, main
-from defslice.knotexpr import MAX_GENUS, MAX_NESTING, MAX_SUMMANDS
+from defslice.hf_invariants import Evaluator
+from defslice.knotexpr import (
+    MAX_GENUS,
+    MAX_NESTING,
+    MAX_SUMMANDS,
+    WHITEHEAD_TREFOIL,
+    Atom,
+    SizeLimitError,
+    Sum,
+)
+from defslice.obstructions import INCONCLUSIVE, Verdict
 from defslice.signatures import MAX_BOX, MAX_COUNT_DIGITS
 
 
@@ -250,13 +261,19 @@ class TestAtomsFile:
                 [{"name": "A", "tau": 1, "genus": 1}, {"name": "A", "tau": -1, "genus": 1}],
                 "two records are named 'A'",
             ),
+            (
+                [{"name": "O", "tau": 1, "genus": 1, "tau_equals_genus": True, "v0": 1,
+                  "alexander": [[0, 1]]}],
+                "the unknot 'O' cannot be replaced",
+            ),
         ],
-        ids=["not_lspace_form", "duplicate_name"],
+        ids=["not_lspace_form", "duplicate_name", "unknot"],
     )
     @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["human", "json"])
     def test_contradictory_registry_exit_1(self, capsys, tmp_path, records, named, json_flag):
-        # both loaded before: the first failed every report that used it,
-        # and of the second the later record silently won
+        # all loaded before: the first failed every report that used it, of
+        # the second the later record silently won, and with the third
+        # `report O` found the unknot obstructed
         reg = tmp_path / "atoms.json"
         reg.write_text(json.dumps({"atoms": records}))
         code, out, err = run(capsys, "report", records[0]["name"], "--atoms", str(reg), *json_flag)
@@ -368,6 +385,41 @@ class TestSuites:
         code, out, _ = run(capsys, "suite", "thm1", "--n", "1..2", "--atoms", str(reg))
         assert code == 1
         assert "FAIL" in out
+
+    @pytest.mark.parametrize("fault", ["inconclusive", "other_expression"])
+    def test_thm1_needs_the_composite(self, capsys, monkeypatch, fault):
+        # a row passes only when the paper's composite is certified and is
+        # that row's K_n
+        real = cli.composite_cable_obstruction
+
+        def faulty(K, J, n, ev):
+            report = real(K, J, n, ev)
+            if fault == "inconclusive":
+                return replace(report, verdict=Verdict("any_definite", INCONCLUSIVE, []))
+            return replace(report, expression=cli.family_kn(n - 2))
+
+        monkeypatch.setattr(cli, "composite_cable_obstruction", faulty)
+        code, out, _ = run(capsys, "suite", "thm1", "--n", "1..2")
+        assert code == 1
+        assert out.count("[FAIL]") == 2
+
+    def test_thm1_composite_on_every_admitted_row(self, capsys):
+        # the composite a thm1 row runs is certified and is K_n for every n
+        # the size limits admit (K_n has genus bound n + 6), and past them
+        # it is refused as the suite is
+        wh = Atom(WHITEHEAD_TREFOIL)
+        k, ev = Sum((wh, wh, wh)), Evaluator()
+        for n in range(1, MAX_GENUS - 5):
+            report = cli.composite_cable_obstruction(k, wh, n + 3, ev)
+            assert report.all_certified and report.verdict.obstructed, n
+            assert report.expression == cli.family_kn(n), n
+        n = MAX_GENUS - 5
+        with pytest.raises(SizeLimitError) as exc:
+            cli.composite_cable_obstruction(k, wh, n + 3, ev)
+        code, out, err = run(capsys, "suite", "thm1", "--n", str(n))
+        assert code == 1 and out == ""
+        assert err == f"error: {exc.value}\n"
+        assert f"genus bound {n + 6}," in err
 
 
 class TestSurgery:

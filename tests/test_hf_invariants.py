@@ -24,7 +24,6 @@ from defslice.hf_invariants import (
     nu_plus,
     surgery_d,
     tau,
-    torsion_coefficients,
     v_seq,
     wu_phi,
 )
@@ -44,7 +43,14 @@ from defslice.knotexpr import (
 )
 from defslice.laurent import LaurentPoly, torus_alexander
 
-from oracles import AllSplitsEvaluator, NoneInterval, PartitionEvaluator, close_iterated, torsion_coefficient
+from oracles import (
+    AllSplitsEvaluator,
+    NoneInterval,
+    PartitionEvaluator,
+    close_iterated,
+    torsion_coefficient,
+    torsion_coefficients,
+)
 from strategies import expressions, expressions_any_cable
 
 WH = Atom(WHITEHEAD_TREFOIL)
@@ -418,6 +424,20 @@ class TestSurgeryD:
         vals = [surgery_d(torus_atom(2, 3), 2, 3, i) for i in range(2)]
         assert [v.value for v in vals] == [Fraction(-7, 4), Fraction(-9, 4)]
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize(
+        "r, s", [(r, s) for r in range(2, 6) for s in range(r + 1, 14) if gcd(r, s) == 1]
+    )
+    def test_moser_lens_surgeries(self, r, s, sign):
+        # (rs +- 1)-surgery on T(r,s) is the lens space L(n, s^2) (Moser,
+        # Elementary surgery along a torus knot, 1971), so the Ni-Wu terms
+        # from the V-sequence and the lens recursion give one multiset of d
+        n = r * s + sign
+        ev = Evaluator()
+        ds = [ev.surgery_d(torus_atom(r, s), n, 1, i) for i in range(n)]
+        assert all(d.is_exact for d in ds)
+        assert sorted(d.value for d in ds) == sorted(lens_d(n, s * s % n, j) for j in range(n))
+
     def test_interval_output_for_uncertified_knot(self, degraded_db):
         d = surgery_d(Mirror(WH), 1, 1, 0, degraded_db)
         assert not d.is_exact
@@ -540,7 +560,6 @@ _ENTRIES = {
     "positive_definite": lambda ev, e: obstructions.obstruct_positive_definite(e, ev),
     "definite": lambda ev, e: obstructions.obstruct_definite(e, ev),
     "kinkiness": lambda ev, e: obstructions.kinkiness_bounds(e, ev),
-    "crossing_change": lambda ev, e: obstructions.crossing_change_bounds(e, 3, 3, ev),
 }
 
 

@@ -1,4 +1,4 @@
-"""Obstruction verdicts, composite construction, kinkiness, crossing changes."""
+"""Obstruction verdicts, composite construction, kinkiness."""
 
 import contextlib
 import io
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 from defslice.certificates import AtomCertificate, default_db
-from defslice.hf_invariants import ContradictionError, Evaluator, IntInterval
+from defslice.hf_invariants import Evaluator, IntInterval
 from defslice.cli import _print_json
 from defslice.knotexpr import (
     MAX_GENUS,
@@ -29,7 +29,6 @@ from defslice.obstructions import (
     RULE_B,
     RULE_C,
     RULE_COMBINED,
-    crossing_change_bounds,
     kinkiness_bounds,
     obstruct_definite,
     obstruct_negative_definite,
@@ -218,24 +217,3 @@ class TestKinkiness:
                 kb = kinkiness_bounds(Sum(parts))
                 assert kb.k_plus_lo >= k
                 assert kb.k_minus_lo >= l
-
-
-class TestCrossingChange:
-    def test_trefoil_pinned(self):
-        r = crossing_change_bounds(torus_atom(2, 3), 1, 0)
-        assert r.tau == IntInterval.exact(1)
-        assert r.nu_plus == IntInterval.exact(1)
-        assert r.nu_plus_mirror == IntInterval.exact(0)
-
-    def test_unknot_zeroes(self):
-        r = crossing_change_bounds(UNKNOT, 0, 0)
-        assert r.tau == IntInterval.exact(0)
-        assert r.nu_plus == IntInterval.exact(0)
-
-    def test_contradiction(self):
-        with pytest.raises(ContradictionError):
-            crossing_change_bounds(torus_atom(2, 3), 0, 0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            crossing_change_bounds(UNKNOT, -1, 0)
