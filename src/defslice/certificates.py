@@ -296,7 +296,11 @@ def nu_equiv_reduce(e: KnotExpr) -> KnotExpr:
     signatures of the reduced expression are unrelated to the original.
     Non-Whitehead summands are kept untouched, in order.
     """
-    e = normalize(e)
+    return _reduce_normal(normalize(e))
+
+
+def _reduce_normal(e: KnotExpr) -> KnotExpr:
+    """nu_equiv_reduce of an expression that is already normal."""
     wh = Atom(WHITEHEAD_TREFOIL)
     if e == wh:
         return torus_atom(2, 3)

@@ -61,11 +61,11 @@ EXIT_GAP = 3
 # of lens and thm2 reach it.  Each family row is also within the expression
 # size limits of knotexpr.check_size, which bound its cost.  From
 # interpreter start (py3.11, 2-vCPU VM): at the limit, `suite lens`,
-# `suite bcg` and `check-bcg` take 0.3 s, `suite thm1 --n 407..506` 1.6 s,
-# `suite thm2 --k 6..15 --l 441..450` 2.2 s and `suite thm2 --k 22..31
-# --l 377..386`, the slowest rows found, 3.8 s.  Before the limit,
-# `suite lens --n 1..100000` took 5.9 s, `check-bcg --n 1..20000` 10.5 s
-# and `suite thm1 --n 1..506` 20 s.
+# `suite bcg` and `check-bcg` take 0.09 s, `suite thm1 --n 407..506`
+# 0.64 s, `suite thm2 --k 6..15 --l 441..450` 0.97 s and `suite thm2
+# --k 22..31 --l 377..386`, the slowest rows found, 1.8 s.  With the
+# limit lifted, `suite lens --n 1..100000` takes 2.1 s, `check-bcg --n
+# 1..20000` 4.7 s and `suite thm1 --n 1..506` 1.9 s.
 MAX_ROWS = 100
 
 # Largest surgery coefficient numerator P: `surgery` evaluates one
@@ -229,10 +229,10 @@ def build_report(text: str, db) -> dict:
     try:
         g = ev.genus_bound(e)
         vs = ev.v_seq(e)
-        data["genus_bound"] = g
-        upto = min(g if g is not None else len(vs.entries) - 1, 24)
-        data["v"] = [vs.at(k) for k in range(upto + 1)]
-        data["v_exact_tail_from"] = vs.zero_from
+        data["genus_bound"] = _json_end(g)
+        data["v"] = [vs.at(k) for k in range(min(g, len(vs.entries) - 1, 24) + 1)]
+        # V_k = 0 exactly from the genus bound on
+        data["v_exact_tail_from"] = _json_end(g)
         data["tau"] = ev.tau(e)
         data["nu_plus"] = ev.nu_plus(e)
         data["d1"] = ev.d1(e)

@@ -27,9 +27,9 @@ from fractions import Fraction
 from functools import lru_cache, wraps
 from itertools import accumulate, repeat
 from math import gcd, inf
-from operator import add, gt
+from operator import add, gt, itemgetter
 
-from .certificates import nu_equiv_reduce, resolve_db
+from .certificates import _reduce_normal, resolve_db
 from .knotexpr import (
     Atom,
     Cable,
@@ -95,10 +95,6 @@ class IntInterval(_Interval):
     def exact(cls, v: int) -> "IntInterval":
         return cls(v, v)
 
-    @classmethod
-    def unknown(cls) -> "IntInterval":
-        return cls(-inf, inf)
-
     def __add__(self, other: "IntInterval") -> "IntInterval":
         return IntInterval(self.lo + other.lo, self.hi + other.hi)
 
@@ -126,38 +122,30 @@ class RatInterval(_Interval):
 
 @dataclass(frozen=True)
 class VSeq:
-    """Interval-valued V-sequence: explicit prefix plus a tail rule.
+    """Interval-valued V-sequence: a closed prefix and the tail it implies.
 
-    entries[k] encloses V_k for k < len(entries).  If zero_from is an
-    integer, V_k = 0 exactly for every k >= zero_from (and the prefix is
-    materialized at least that far); otherwise the tail beyond the prefix
-    is only constrained by monotonicity.
+    entries[k] encloses V_k for k < len(entries).  Past the prefix only
+    monotonicity constrains V_k, so V_k lies in [max(0, lo - d), hi] for
+    the last entry [lo, hi] and d the distance from it.  Under a genus
+    bound g, _close materializes the prefix through index g with V_g = 0
+    exactly, so the same rule gives V_k = 0 for every k >= g.
     """
 
     entries: tuple
-    zero_from: int | None
 
     def at(self, k: int) -> IntInterval:
         if k < 0:
             raise ValueError("V-sequence index must be >= 0")
         if k < len(self.entries):
             return self.entries[k]
-        if self.zero_from is not None:
-            return IntInterval.exact(0)
         last = self.entries[-1]
         d = k - (len(self.entries) - 1)
         return IntInterval(max(0, last.lo - d), last.hi)
-
-    @property
-    def v0(self) -> IntInterval:
-        return self.entries[0]
 
     def first_possible_zero(self) -> int:
         for k, iv in enumerate(self.entries):
             if iv.lo == 0:
                 return k
-        if self.zero_from is not None:
-            return len(self.entries)
         return len(self.entries) - 1 + self.entries[-1].lo
 
     def first_certain_zero(self) -> int | float:
@@ -165,30 +153,30 @@ class VSeq:
         for k, iv in enumerate(self.entries):
             if iv.hi == 0:
                 return k
-        return inf if self.zero_from is None else len(self.entries)
+        return inf
 
     def closed(self) -> "VSeq":
         """Re-run the monotonicity closure (a fixed point: no-op when sound)."""
-        return _close(list(self.entries), self.zero_from)
+        return _close(list(self.entries), inf)
 
 
-def _close(entries, zero_from) -> VSeq:
+def _close(entries, genus) -> VSeq:
     """Monotonicity closure: V_k >= 0, V_{k+1} <= V_k <= V_{k+1} + 1.
 
-    When a zero tail is known, one explicit zero entry is materialized so
-    the backward pass propagates the tail into the prefix.
+    Under a finite genus bound g, V_k = 0 for k >= g: the prefix is
+    materialized through index g with those entries 0, so the backward
+    pass propagates the zero into the prefix.  genus is inf when unknown.
     """
     n = len(entries)
-    length = max(n, 1, zero_from + 1 if zero_from is not None else 0)
+    length = max(n, 1, genus + 1 if genus < inf else 0)
     los = [max(iv.lo, 0) for iv in entries] + [0] * (length - n)
     his = [iv.hi for iv in entries] + [inf] * (length - n)
-    if zero_from is not None:
-        for k in range(zero_from, length):
-            if los[k] > 0 or his[k] < 0:
-                raise ContradictionError(
-                    f"V_{k} constrained to {entries[k]} but the tail is zero"
-                )
-            los[k] = his[k] = 0
+    for k in range(min(genus, length), length):
+        if los[k] > 0 or his[k] < 0:
+            raise ContradictionError(
+                f"V_{k} constrained to {entries[k]} but the tail is zero"
+            )
+        los[k] = his[k] = 0
     # The upper and the lower bounds are independent difference constraints
     # along a path, with weights 0 one way and 1 the other; the tightest
     # bound at k comes from a monotone walk, so one forward and one backward
@@ -205,7 +193,7 @@ def _close(entries, zero_from) -> VSeq:
             los[k] = los[k + 1]
     if any(map(gt, los, his)):
         raise ContradictionError("V-sequence bounds are inconsistent")
-    return VSeq(tuple(map(IntInterval, los, his)), zero_from)
+    return VSeq(tuple(map(IntInterval, los, his)))
 
 
 def wu_phi(p: int, q: int, i: int) -> int:
@@ -244,23 +232,26 @@ def lens_d(p: int, q: int, i: int) -> Fraction:
     return _lens_raw(p, q, i)
 
 
+def _lspace_vseq(alex: LaurentPoly, g: int) -> VSeq:
+    # An L-space knot of genus g: V_j is the j-th torsion coefficient.
+    return _close([IntInterval.exact(t) for t in torsion_prefix(alex, g)], g)
+
+
+def _cert_vseq(v0, genus) -> VSeq:
+    # A certificate's V_0, or [0, inf] without one, closed under the genus bound.
+    return _close([IntInterval(0, inf) if v0 is None else IntInterval.exact(v0)], genus)
+
+
 @lru_cache(maxsize=None)
 def _torus_vseq(p: int, q: int) -> VSeq:
     # Exact V-sequence of the positive torus knot T(p,q), q >= 1.
-    if p == 1 or q == 1:
-        return VSeq((IntInterval.exact(0),), 0)
-    alex = torus_alexander(p, q)
-    g = (p - 1) * (q - 1) // 2
-    return _close([IntInterval.exact(t) for t in torsion_prefix(alex, g)], g)
+    return _lspace_vseq(torus_alexander(p, q), (p - 1) * (q - 1) // 2)
 
 
 def _upper(s: VSeq, n: int) -> list:
     """hi of V_0..V_{n-1} as s.at gives them."""
     his = [iv.hi for iv in s.entries[:n]]
-    if len(his) < n:
-        tail = 0 if s.zero_from is not None else his[-1]
-        his += [tail] * (n - len(his))
-    return his
+    return his + [his[-1]] * (n - len(his))
 
 
 _MISSING = object()
@@ -309,27 +300,21 @@ class Evaluator:
 
     @_memoized
     def _genus(self, e):
+        # inf when some atom's certificate has no genus
         if isinstance(e, Atom):
             g = self.db.get(e.name).genus
-        elif isinstance(e, Mirror):
-            g = self._genus(e.child)
-        elif isinstance(e, Sum):
-            g = 0
-            for p in e.parts:
-                gp = self._genus(p)
-                if gp is None:
-                    g = None
-                    break
-                g += gp
-        elif isinstance(e, Cable):
-            gc = self._genus(e.companion)
-            g = None if gc is None else e.p * gc + (e.p - 1) * (e.q - 1) // 2
-        else:
-            raise TypeError(f"not a knot expression: {e!r}")
-        return g
+            return inf if g is None else g
+        if isinstance(e, Mirror):
+            return self._genus(e.child)
+        if isinstance(e, Sum):
+            return sum(map(self._genus, e.parts))
+        if isinstance(e, Cable):
+            return e.p * self._genus(e.companion) + (e.p - 1) * (e.q - 1) // 2
+        raise TypeError(f"not a knot expression: {e!r}")
 
     def genus_bound(self, e):
-        """Upper bound for the genus (exact for certificate-complete input)."""
+        """Upper bound for the genus (exact for certificate-complete input);
+        inf when some atom's certificate has no genus."""
         return self._genus(self._normal(e))
 
     # -- V-sequence ---------------------------------------------------
@@ -349,28 +334,15 @@ class Evaluator:
     def _vseq_atom(self, e):
         cert = self.db.get(e.name)
         if cert.lspace:
-            g = cert.genus
-            entries = [IntInterval.exact(t) for t in torsion_prefix(cert.alexander, g)]
-            return _close(entries, g)
-        e0 = (
-            IntInterval.exact(cert.v0)
-            if cert.v0 is not None
-            else IntInterval(0, inf)
-        )
-        return _close([e0], cert.genus)
+            return _lspace_vseq(cert.alexander, cert.genus)
+        return _cert_vseq(cert.v0, self._genus(e))
 
     def _vseq_mirror(self, e):
+        # a mirrored atom has its certificate's v0_mirror; a mirrored cable
+        # has no rule, only the genus tail
         c = e.child
-        if isinstance(c, Atom):
-            cert = self.db.get(c.name)
-            e0 = (
-                IntInterval.exact(cert.v0_mirror)
-                if cert.v0_mirror is not None
-                else IntInterval(0, inf)
-            )
-            return _close([e0], cert.genus)
-        # no rule for V of a mirrored cable: genus tail only
-        return _close([IntInterval(0, inf)], self._genus(c))
+        v0 = self.db.get(c.name).v0_mirror if isinstance(c, Atom) else None
+        return _cert_vseq(v0, self._genus(c))
 
     def _vseq_sum(self, e):
         """Upper bounds from V_{m+n}(K # J) <= V_m(K) + V_n(J), folded over
@@ -378,10 +350,11 @@ class Evaluator:
 
         The upper sequence of the sum is the min-plus convolution of the
         summands' upper sequences, his[k] = min over m + n = k of
-        hi_A[m] + hi_B[n].  Adding a summand B with zero_from g only needs
+        hi_A[m] + hi_B[n].  Adding a summand B whose V_g is certainly 0
+        (g = B.first_certain_zero(), at most B's genus bound) only needs
         the splits n <= min(k, g):
 
-          * hi_B[n] = 0 for every n >= g, because V_B is 0 from g on.
+          * hi_B[n] = 0 for every n >= g, as V_B is nonincreasing.
           * A closed sequence is nonincreasing (+inf only in a prefix), and
             so is the convolution of two nonincreasing sequences: for
             m <= k, hi_A[m] + hi_B[k+1-m] <= hi_A[m] + hi_B[k-m], so
@@ -390,7 +363,7 @@ class Evaluator:
           * So a split n > g gives his[k-n] + 0 >= his[k-g] + 0, the term
             of the split n = g, and cannot set the minimum.
 
-        A summand without a genus bound keeps every split.  Min-plus
+        A summand with no certain zero keeps every split.  Min-plus
         convolution is commutative and associative, and his[k] reads only
         indices <= k, so the length-L prefixes may be folded in any order;
         the fold starts from the summand with the widest window, whose
@@ -399,26 +372,27 @@ class Evaluator:
         """
         parts = e.parts
         seqs = [self._vseq_of(p) for p in parts]
-        zf = self._genus(e)
-        if zf is not None:
-            length = max(zf, 1)
+        g = self._genus(e)
+        if g < inf:
+            length = max(g, 1)
         else:
             length = max(2, min(64, sum(len(s.entries) for s in seqs)))
 
-        def window(s):
-            return length - 1 if s.zero_from is None else min(s.zero_from, length - 1)
-
-        seqs.sort(key=window, reverse=True)
-        his = _upper(seqs[0], length)
-        for s in seqs[1:]:
-            nxt = _upper(s, window(s) + 1)
+        folds = sorted(
+            ((min(s.first_certain_zero(), length - 1), s) for s in seqs),
+            key=itemgetter(0),
+            reverse=True,
+        )
+        his = _upper(folds[0][1], length)
+        for window, s in folds[1:]:
+            nxt = _upper(s, window + 1)
             out = [h + nxt[0] for h in his]
             for n in range(1, len(nxt)):
                 out[n:] = map(min, out[n:], map(add, his, repeat(nxt[n])))
             his = out
         lo0 = self._sum_lower_v0(parts)
         entries = [IntInterval(lo0 if k == 0 else 0, h) for k, h in enumerate(his)]
-        return _close(entries, zf)
+        return _close(entries, g)
 
     def _sum_lower_v0(self, parts):
         """Best lower bound on V_0 of the sum from V_0(A # B) >= V_0(A) - V_0(B*).
@@ -471,7 +445,7 @@ class Evaluator:
     @_memoized
     def _reduced(self, e):
         # the Whitehead substitution, valid for V_0 and nu+ only
-        return nu_equiv_reduce(e)
+        return _reduce_normal(e)
 
     @_memoized
     def _vseq_refined(self, e):
@@ -482,7 +456,7 @@ class Evaluator:
             rb = self._vseq_of(red)
             e0 = base.at(0).intersect(rb.at(0))
             if e0 != base.at(0):
-                base = _close([e0] + list(base.entries[1:]), base.zero_from)
+                base = _close([e0] + list(base.entries[1:]), self._genus(e))
         return base
 
     # -- nu+ and tau --------------------------------------------------

@@ -188,11 +188,11 @@ MAX_NESTING = 100
 # and a (p,q)-cable's Wu step about p*q/2, at most 2 * MAX_GENUS + 1
 # within the limits, so the limits bound each of them.  `report --json` on
 # the largest accepted input of each shape, median of three runs from
-# interpreter start (py3.11, 2-vCPU VM): 64*T(2,3) 0.31 s; 64*T(2,17)
-# (r = 64, g = 512) 0.65 s; T(2,1025) 0.28 s; cable(2,1,...) nested 9
-# deep around T(2,3) (g = 512) 0.29 s.  With the limits lifted,
-# 256*T(2,3) took 0.48 s, 512*T(2,3) 1.1 s and 64*T(2,63) (g = 1984)
-# 5.3 s, so the limits leave room: they were set for a fold of r * L^2
+# interpreter start (py3.11, 2-vCPU VM): 64*T(2,3) 0.09 s; 64*T(2,17)
+# (r = 64, g = 512) 0.26 s; T(2,1025) 0.09 s; cable(2,1,...) nested 9
+# deep around T(2,3) (g = 512) 0.10 s.  With the limits lifted,
+# 256*T(2,3) took 0.18 s, 512*T(2,3) 0.42 s and 64*T(2,63) (g = 1984)
+# 2.4 s, so the limits leave room: they were set for a fold of r * L^2
 # steps, under which 64*T(2,17) took 2.1 s.
 MAX_SUMMANDS = 64
 MAX_GENUS = 512

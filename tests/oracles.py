@@ -6,7 +6,8 @@ with the package implementations they check.  The remaining oracles are
 earlier package implementations kept as references for their rewrites:
 PartitionEvaluator for the one-summand V_0 lower bound of connected sums,
 AllSplitsEvaluator for the windowed sum fold, close_iterated for the
-V-sequence closure, vanishes_by_cyclotomic for the root-of-unity test,
+V-sequence closure, ZeroFromVSeq for the V-sequence tail read from the
+last entry, vanishes_by_cyclotomic for the root-of-unity test,
 cable_sigma_by_midpoints for the cable signature, combination_check_by_box
 for the signature independence check, torsion_coefficient for the one-pass
 torsion coefficients (torsion_coefficients adds the check that the
@@ -173,16 +174,16 @@ class AllSplitsEvaluator(Evaluator):
 
     Each added summand is folded over all L^2 splits of the length-L
     prefix, reading every value through VSeq.at.  Evaluator._vseq_sum
-    proves that a summand with zero_from g only needs the splits n <= g;
-    this fold is the reference it is checked against.
+    proves that a summand whose V_g is certainly 0 only needs the splits
+    n <= g; this fold is the reference it is checked against.
     """
 
     def _vseq_sum(self, e):
         parts = e.parts
         seqs = [self._vseq_of(p) for p in parts]
-        zf = self._genus(e)
-        if zf is not None:
-            length = max(zf, 1)
+        genus = self._genus(e)
+        if genus < inf:
+            length = max(genus, 1)
         else:
             length = max(2, min(64, sum(len(s.entries) for s in seqs)))
         his = [seqs[0].at(k).hi for k in range(length)]
@@ -197,14 +198,15 @@ class AllSplitsEvaluator(Evaluator):
             his = out
         lo0 = self._sum_lower_v0(parts)
         entries = [IntInterval(lo0 if k == 0 else 0, his[k]) for k in range(length)]
-        return _close(entries, zf)
+        return _close(entries, genus)
 
 
-def close_iterated(entries, zero_from):
+def close_iterated(entries, genus):
     """V-sequence closure that repeats forward and backward sweeps until
-    nothing changes; the reference for hf_invariants._close."""
+    nothing changes, with V_k = 0 for k >= genus (inf when unknown); the
+    reference for hf_invariants._close."""
     n = len(entries)
-    length = max(n, 1, zero_from + 1 if zero_from is not None else 0)
+    length = max(n, 1, genus + 1 if genus < inf else 0)
     los, his = [], []
     for k in range(length):
         if k < n:
@@ -212,7 +214,7 @@ def close_iterated(entries, zero_from):
             hi = entries[k].hi
         else:
             lo, hi = 0, inf
-        if zero_from is not None and k >= zero_from:
+        if k >= genus:
             if lo > 0 or hi < 0:
                 raise ContradictionError(
                     f"V_{k} constrained to {entries[k]} but the tail is zero"
@@ -242,7 +244,41 @@ def close_iterated(entries, zero_from):
         if lo > hi:
             raise ContradictionError("V-sequence bounds are inconsistent")
         out.append(IntInterval(lo, hi))
-    return VSeq(tuple(out), zero_from)
+    return VSeq(tuple(out))
+
+
+@dataclass(frozen=True)
+class ZeroFromVSeq:
+    """A V-sequence as its entries and zero_from, the genus bound from
+    which V_k = 0 exactly (None when unknown), with the tail reads it had
+    in that form; the reference for VSeq, which reads its tail from its
+    last entry alone."""
+
+    entries: tuple
+    zero_from: int | None
+
+    def at(self, k):
+        if k < len(self.entries):
+            return self.entries[k]
+        if self.zero_from is not None:
+            return IntInterval.exact(0)
+        last = self.entries[-1]
+        d = k - (len(self.entries) - 1)
+        return IntInterval(max(0, last.lo - d), last.hi)
+
+    def first_possible_zero(self):
+        for k, iv in enumerate(self.entries):
+            if iv.lo == 0:
+                return k
+        if self.zero_from is not None:
+            return len(self.entries)
+        return len(self.entries) - 1 + self.entries[-1].lo
+
+    def first_certain_zero(self):
+        for k, iv in enumerate(self.entries):
+            if iv.hi == 0:
+                return k
+        return inf if self.zero_from is None else len(self.entries)
 
 
 @lru_cache(maxsize=None)

@@ -29,6 +29,8 @@ from defslice.knotexpr import (
 from defslice.obstructions import INCONCLUSIVE, Verdict
 from defslice.signatures import MAX_BOX, MAX_COUNT_DIGITS
 
+from pin_cli_output import run_case
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -664,7 +666,8 @@ class TestRepeatedMain:
 
 # Full human-form stdout and exit code of one command of each output shape,
 # in cli_human_output.json; "{atoms}" in an argv stands for the path of the
-# registry stored there.
+# registry stored there.  tests/pin_cli_output.py checks or rewrites both
+# pinned files.
 HUMAN = json.loads((Path(__file__).parent / "cli_human_output.json").read_text())
 
 
@@ -673,21 +676,18 @@ HUMAN = json.loads((Path(__file__).parent / "cli_human_output.json").read_text()
 JSON_CASES = json.loads((Path(__file__).parent / "cli_json_output.json").read_text())
 
 
-def assert_pinned(capsys, tmp_path, registry, case):
-    reg = tmp_path / "atoms.json"
-    reg.write_text(json.dumps(registry))
-    code, out, _ = run(capsys, *(a.replace("{atoms}", str(reg)) for a in case["argv"]))
-    assert (code, out) == (case["exit"], case["stdout"])
+def assert_pinned(tmp_path, registry, case):
+    assert run_case(registry, case["argv"], tmp_path) == (case["exit"], case["stdout"])
 
 
 @pytest.mark.parametrize("case", HUMAN["cases"], ids=lambda case: " ".join(case["argv"]))
-def test_human_output_is_pinned(capsys, tmp_path, case):
-    assert_pinned(capsys, tmp_path, HUMAN["registry"], case)
+def test_human_output_is_pinned(tmp_path, case):
+    assert_pinned(tmp_path, HUMAN["registry"], case)
 
 
 @pytest.mark.parametrize("case", JSON_CASES["cases"], ids=lambda case: " ".join(case["argv"]))
-def test_json_output_is_pinned(capsys, tmp_path, case):
-    assert_pinned(capsys, tmp_path, JSON_CASES["registry"], case)
+def test_json_output_is_pinned(tmp_path, case):
+    assert_pinned(tmp_path, JSON_CASES["registry"], case)
 
 
 # Expression text: well-formed expressions, strings of grammar pieces, and

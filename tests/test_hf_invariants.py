@@ -47,6 +47,7 @@ from oracles import (
     AllSplitsEvaluator,
     NoneInterval,
     PartitionEvaluator,
+    ZeroFromVSeq,
     close_iterated,
     torsion_coefficient,
     torsion_coefficients,
@@ -200,12 +201,12 @@ class TestVSeq:
             IntInterval.exact(1),
             IntInterval.exact(0),
         ]
-        assert s.zero_from == 3
+        assert s.at(100) == IntInterval.exact(0)
 
     def test_unknot(self):
         s = v_seq(UNKNOT)
         assert s.at(0) == IntInterval.exact(0)
-        assert s.zero_from == 0
+        assert s.at(100) == IntInterval.exact(0)
 
     def test_cable_q1_rule(self):
         # V_i(K_{p,1}) = V_0(K) for 0 <= i <= p/2
@@ -315,9 +316,9 @@ class TestClose:
     """One forward and one backward sweep against sweeping to a fixed point."""
 
     @staticmethod
-    def _outcome(close, entries, zero_from):
+    def _outcome(close, entries, genus):
         try:
-            return close(entries, zero_from)
+            return close(entries, genus)
         except ContradictionError:
             return ContradictionError
 
@@ -332,9 +333,9 @@ class TestClose:
                     lo, hi = hi, lo
                 lo = -inf if rng.random() < 0.3 else lo
                 entries.append(IntInterval(lo, inf if rng.random() < 0.3 else hi))
-            zero_from = rng.choice([None, rng.randrange(10)])
-            got = self._outcome(_close, entries, zero_from)
-            assert got == self._outcome(close_iterated, entries, zero_from), (entries, zero_from)
+            genus = rng.choice([inf, rng.randrange(10)])
+            got = self._outcome(_close, entries, genus)
+            assert got == self._outcome(close_iterated, entries, genus), (entries, genus)
             outcomes.add(got is ContradictionError)
         assert outcomes == {False, True}
 
@@ -454,11 +455,15 @@ def _invariants(ev, e):
     return ev.v_seq(e), ev.tau(e), ev.nu_plus(e), ev.d1(e)
 
 
-# genus-less registry atoms: their sums have no zero tail, so the fold runs
-# on the truncated 64-entry prefix; "G" has an unbounded V_0 of its mirror
-# and "H" an unbounded V_0 of its own
-GENUSLESS_DB = default_db().with_atom(AtomCertificate(name="G", tau=2, v0=2)).with_atom(
-    AtomCertificate(name="H", tau=-1, v0_mirror=1)
+# genus-less registry atoms: their sums have no genus bound, so the fold
+# runs on the truncated 64-entry prefix; "G" has an unbounded V_0 of its
+# mirror and "H" an unbounded V_0 of its own, and "G0" has V_0 = 0, so its
+# fold window is finite without a genus bound
+GENUSLESS_DB = (
+    default_db()
+    .with_atom(AtomCertificate(name="G", tau=2, v0=2))
+    .with_atom(AtomCertificate(name="H", tau=-1, v0_mirror=1))
+    .with_atom(AtomCertificate(name="G0", tau=0, v0=0))
 )
 # one summand with a large V_0 beside small ones, so the lower bound is
 # often positive and the best single summand varies
@@ -517,7 +522,7 @@ class TestSumLowerV0:
 # summands whose V-sequences have wide windows (genus bound 6 to 20, or
 # none) beside narrow ones (genus 0 to 4), so the windowed fold meets both
 _WIDE = _LARGE + [torus_atom(3, 7), Cable(2, 5, torus_atom(2, 3))]
-_GENUSLESS_PARTS = [Atom("G"), Atom("H"), Cable(2, 1, Atom("G")), Cable(3, 2, Atom("H"))]
+_GENUSLESS_PARTS = [Atom("G"), Atom("H"), Atom("G0"), Cable(2, 1, Atom("G")), Cable(3, 2, Atom("H"))]
 
 
 class TestSumFold:
@@ -544,6 +549,31 @@ class TestSumFold:
     def test_many_repeated_summands(self):
         e = parse("24*T(2,9) # 3*T(3,4)* # Wh(T(2,3))")
         assert _invariants(Evaluator(), e) == _invariants(AllSplitsEvaluator(), e)
+
+
+class TestTailRule:
+    """VSeq's tail, read from its last entry, against the tail that the
+    genus bound fixed when it was stored beside the entries."""
+
+    @pytest.mark.parametrize("which", ["db", "degraded_db", "genusless"])
+    def test_matches_zero_from_tail(self, request, which):
+        if which == "genusless":
+            base, pool = GENUSLESS_DB, _WIDE + _SMALL + _GENUSLESS_PARTS
+        else:
+            base, pool = request.getfixturevalue(which), _WIDE + _SMALL
+        pool = pool + [Mirror(p) for p in pool]
+        rng = random.Random(f"tail-{which}")
+        for _ in range(150):
+            parts = tuple(rng.choice(pool) for _ in range(rng.randint(1, 4)))
+            e = normalize(parts[0] if len(parts) == 1 else Sum(parts))
+            ev = Evaluator(base)
+            for k in (e, mirror(e)):
+                s, g = ev.v_seq(k), ev.genus_bound(k)
+                ref = ZeroFromVSeq(s.entries, None if g == inf else g)
+                for j in range(len(s.entries) + 6):
+                    assert s.at(j) == ref.at(j), (k, j)
+                assert s.first_possible_zero() == ref.first_possible_zero(), k
+                assert s.first_certain_zero() == ref.first_certain_zero(), k
 
 
 # every public entry of a session, called as entry(evaluator, expression)
