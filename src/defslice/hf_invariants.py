@@ -155,10 +155,6 @@ class VSeq:
                 return k
         return inf
 
-    def closed(self) -> "VSeq":
-        """Re-run the monotonicity closure (a fixed point: no-op when sound)."""
-        return _close(list(self.entries), inf)
-
 
 def _close(entries, genus) -> VSeq:
     """Monotonicity closure: V_k >= 0, V_{k+1} <= V_k <= V_{k+1} + 1.
@@ -246,6 +242,13 @@ def _cert_vseq(v0, genus) -> VSeq:
 def _torus_vseq(p: int, q: int) -> VSeq:
     # Exact V-sequence of the positive torus knot T(p,q), q >= 1.
     return _lspace_vseq(torus_alexander(p, q), (p - 1) * (q - 1) // 2)
+
+
+def _settle(s: VSeq) -> int:
+    """Least k with hi of V_k equal to the last entry's hi: the upper
+    bounds of s are constant from k on."""
+    last = s.entries[-1].hi
+    return next(k for k, iv in enumerate(s.entries) if iv.hi == last)
 
 
 def _upper(s: VSeq, n: int) -> list:
@@ -350,36 +353,39 @@ class Evaluator:
 
         The upper sequence of the sum is the min-plus convolution of the
         summands' upper sequences, his[k] = min over m + n = k of
-        hi_A[m] + hi_B[n].  Adding a summand B whose V_g is certainly 0
-        (g = B.first_certain_zero(), at most B's genus bound) only needs
-        the splits n <= min(k, g):
+        hi_A[m] + hi_B[n].  A closed summand B's upper sequence is constant
+        from its settle index w = _settle(B) on: hi_B[n] = hi_B[w] for every
+        n >= w, as the tail rule repeats the last entry's hi.  (When V_g of
+        B is certainly 0, w = g.)  Adding B only needs the splits
+        n <= min(k, w):
 
-          * hi_B[n] = 0 for every n >= g, as V_B is nonincreasing.
           * A closed sequence is nonincreasing (+inf only in a prefix), and
             so is the convolution of two nonincreasing sequences: for
             m <= k, hi_A[m] + hi_B[k+1-m] <= hi_A[m] + hi_B[k-m], so
             his[k+1] <= his[k].  By induction every accumulated his is
             nonincreasing.
-          * So a split n > g gives his[k-n] + 0 >= his[k-g] + 0, the term
-            of the split n = g, and cannot set the minimum.
+          * So a split n > w gives his[k-n] + hi_B[w] >= his[k-w] + hi_B[w],
+            the term of the split n = w, and cannot set the minimum.
 
-        A summand with no certain zero keeps every split.  Min-plus
-        convolution is commutative and associative, and his[k] reads only
-        indices <= k, so the length-L prefixes may be folded in any order;
-        the fold starts from the summand with the widest window, whose
-        L * g term then drops out.  The cost is L times the sum of the
-        other windows instead of r * L^2 over r summands.
+        Min-plus convolution is commutative and associative, and his[k]
+        reads only indices <= k, so the length-L prefixes may be folded in
+        any order; the fold starts from the summand with the widest window,
+        whose L * w term then drops out.  The cost is L times the sum of
+        the other windows instead of r * L^2 over r summands.
+
+        Under a genus bound g the prefix is L = g entries long, and _close
+        adds V_g = 0.  Without one, L is the summands' prefix lengths added
+        up: the convolution is constant from the sum of their settle
+        indices on (each split with every n_i >= w_i attains the sum of the
+        constant hi, and none goes below it), which is less than L, so the
+        prefix holds every upper bound the rule gives and its tail is exact.
         """
         parts = e.parts
         seqs = [self._vseq_of(p) for p in parts]
         g = self._genus(e)
-        if g < inf:
-            length = max(g, 1)
-        else:
-            length = max(2, min(64, sum(len(s.entries) for s in seqs)))
-
+        length = max(g, 1) if g < inf else max(2, sum(len(s.entries) for s in seqs))
         folds = sorted(
-            ((min(s.first_certain_zero(), length - 1), s) for s in seqs),
+            ((min(_settle(s), length - 1), s) for s in seqs),
             key=itemgetter(0),
             reverse=True,
         )

@@ -84,10 +84,6 @@ class SigFn:
             prev = x
 
     @classmethod
-    def zero(cls) -> "SigFn":
-        return cls(())
-
-    @classmethod
     def from_deltas(cls, deltas) -> "SigFn":
         """The function whose jump at x is the sum of the deltas that the
         (x, delta) pairs give at x; sums that cancel drop out."""
@@ -137,17 +133,6 @@ class SigFn:
             out.append((prev, HALF, acc))
         return out
 
-    def scale(self, m: int) -> "SigFn":
-        if m == 0:
-            return SigFn.zero()
-        return SigFn(tuple((x, m * d) for x, d in self.jumps))
-
-    def __neg__(self) -> "SigFn":
-        return self.scale(-1)
-
-    def __add__(self, other: "SigFn") -> "SigFn":
-        return SigFn.from_deltas(self.jumps + other.jumps)
-
 
 @lru_cache(maxsize=None)
 def sigma_torus(p: int, q: int) -> SigFn:
@@ -165,9 +150,9 @@ def sigma_torus(p: int, q: int) -> SigFn:
     return SigFn.from_deltas((x, d) for x, d in jumps if x <= HALF)
 
 
-def _cable_sigma(base: SigFn, p: int, q: int) -> SigFn:
+def _cable_sigma(base, p: int, q: int) -> list:
     """sigma_{K_{p,q}}(omega) = sigma_K(omega^p) + sigma_{T(p,q)}(omega)
-    (Litherland), as a jump list.
+    (Litherland), as (x, delta) pairs from the companion's pairs base.
 
     The angle of omega^p, folded into (0, 1/2], is y = p*x - m on
     [m/p, (m + 1/2)/p] and m + 1 - p*x on [(m + 1/2)/p, (m + 1)/p].  As x
@@ -176,16 +161,16 @@ def _cable_sigma(base: SigFn, p: int, q: int) -> SigFn:
     steps by -d.  At the folds y meets 0 (where sigma_K vanishes on both
     sides) or 1/2 (where both sides see the same value), so they add no
     jump.  The cable's jumps are therefore the torus jumps plus these moved
-    base jumps for x <= 1/2, merged by angle; deltas that cancel drop out.
+    base jumps for x <= 1/2; the pairs are left unmerged.
     """
-    moved = (
+    moved = [
         (x, delta)
-        for u, d in base.jumps
+        for u, d in base
         for m in range(p)
         for x, delta in (((m + u) / p, d), ((m + 1 - u) / p, -d))
         if x <= HALF
-    )
-    return SigFn.from_deltas(itertools.chain(sigma_torus(p, q).jumps, moved))
+    ]
+    return [*sigma_torus(p, q).jumps, *moved]
 
 
 def sigma(e, db=None) -> SigFn:
@@ -193,34 +178,42 @@ def sigma(e, db=None) -> SigFn:
 
     Torus atoms use the counting form; atoms with Alexander polynomial 1
     have identically zero signature; other atoms have no rule and raise
-    SignatureUnavailable.  Sum adds, Mirror negates, Cable reparameterizes
-    and adds the torus term.
+    SignatureUnavailable.  One walk collects the (x, delta) jump pairs of
+    the whole expression unmerged, and SigFn.from_deltas merges them once.
+
+    That equals merging at every node, byte for byte.  Each rule is a
+    linear map on jump deltas: a sum concatenates its parts' pairs, a
+    mirror negates the deltas, and a cable moves each pair (u, d) to the
+    pairs ((m + u)/p, d) and ((m + 1 - u)/p, -d) and adds the torus pairs.
+    The x <= 1/2 filter of a moved pair depends only on (u, m), so deltas
+    at one angle u move together and sum to the same jumps later; and
+    from_deltas sums the deltas at each angle and drops zeros, which
+    loses nothing that a later rule could read.
     """
     db = resolve_db(db)
-    return _sigma(normalize(e), db)
+    return SigFn.from_deltas(_deltas(normalize(e), db))
 
 
-def _sigma(e, db):
+def _deltas(e, db):
+    # jump pairs of a normal expression; raises at the first offending node
+    # in walk order, a cable's own sign before its companion
     if isinstance(e, Atom):
         tq = torus_params(e.name)
         if tq is not None:
-            return sigma_torus(*tq)
+            return sigma_torus(*tq).jumps
         cert = db.get(e.name)
         if cert.alexander == LaurentPoly.one():
             # no roots on the unit circle, so the signature vanishes
-            return SigFn.zero()
+            return ()
         raise SignatureUnavailable(f"atom {e.name!r} has no signature rule")
     if isinstance(e, Mirror):
-        return -_sigma(e.child, db)
+        return [(x, -d) for x, d in _deltas(e.child, db)]
     if isinstance(e, Sum):
-        out = SigFn.zero()
-        for p in e.parts:
-            out = out + _sigma(p, db)
-        return out
+        return [pair for p in e.parts for pair in _deltas(p, db)]
     if isinstance(e, Cable):
         if e.q <= 0:
             raise CableSignError(f"cable with q={e.q} <= 0 has no signature rule")
-        return _cable_sigma(_sigma(e.companion, db), e.p, e.q)
+        return _cable_sigma(_deltas(e.companion, db), e.p, e.q)
     raise TypeError(f"not a knot expression: {e!r}")
 
 

@@ -5,17 +5,20 @@ polynomials come from sympy polynomial division.  Neither path shares code
 with the package implementations they check.  The remaining oracles are
 earlier package implementations kept as references for their rewrites:
 PartitionEvaluator for the one-summand V_0 lower bound of connected sums,
-AllSplitsEvaluator for the windowed sum fold, close_iterated for the
+AllSplitsEvaluator for the windowed sum fold (and CappedEvaluator for the
+64-entry prefix that genus-less sums had), close_iterated for the
 V-sequence closure, ZeroFromVSeq for the V-sequence tail read from the
 last entry, vanishes_by_cyclotomic for the root-of-unity test,
-cable_sigma_by_midpoints for the cable signature, combination_check_by_box
-for the signature independence check, torsion_coefficient for the one-pass
+cable_sigma_by_midpoints for the cable signature, sigma_by_fold for the
+one-walk signature, combination_check_by_box for the signature
+independence check, torsion_coefficient for the one-pass
 torsion coefficients (torsion_coefficients adds the check that the
 polynomial is an Alexander polynomial), torus_alexander_by_division (with
 its long division div_exact) for the semigroup torus Alexander polynomials,
 json_indent2 for the CLI's --json writer, NoneInterval for the intervals
 with -inf/inf ends and obstruct_definite_by_verdicts for the closed form
-of the one-sided combination rule.
+of the one-sided combination rule.  family_kn spells the suite thm1
+expression K_n apart from the composite that the suite takes it from.
 """
 
 import itertools
@@ -31,9 +34,20 @@ from sympy import ZZ
 from sympy.polys.densearith import dup_rem
 from sympy.polys.rings import ring
 
+from defslice.certificates import resolve_db
 from defslice.cli import _json_value
 from defslice.hf_invariants import ContradictionError, Evaluator, IntInterval, VSeq, _as_evaluator, _close
-from defslice.knotexpr import Sum, mirror, normalize
+from defslice.knotexpr import (
+    WHITEHEAD_TREFOIL,
+    Atom,
+    Cable,
+    CableSignError,
+    Mirror,
+    Sum,
+    mirror,
+    normalize,
+    torus_params,
+)
 from defslice.laurent import LaurentPoly, symmetric_normalized
 from defslice.obstructions import (
     RULE_A,
@@ -46,7 +60,7 @@ from defslice.obstructions import (
     obstruct_negative_definite,
     obstruct_positive_definite,
 )
-from defslice.signatures import HALF, CombinationCheck, SigFn, sigma, sigma_torus
+from defslice.signatures import HALF, CombinationCheck, SigFn, SignatureUnavailable, sigma, sigma_torus
 
 
 def _upper_bidiagonal(n):
@@ -174,9 +188,13 @@ class AllSplitsEvaluator(Evaluator):
 
     Each added summand is folded over all L^2 splits of the length-L
     prefix, reading every value through VSeq.at.  Evaluator._vseq_sum
-    proves that a summand whose V_g is certainly 0 only needs the splits
-    n <= g; this fold is the reference it is checked against.
+    proves that a summand whose upper bounds are constant from its settle
+    index w only needs the splits n <= w; this fold is the reference it is
+    checked against.  Without a genus bound L is the summands' prefix
+    lengths added up, at most max_length.
     """
+
+    max_length = inf
 
     def _vseq_sum(self, e):
         parts = e.parts
@@ -185,7 +203,7 @@ class AllSplitsEvaluator(Evaluator):
         if genus < inf:
             length = max(genus, 1)
         else:
-            length = max(2, min(64, sum(len(s.entries) for s in seqs)))
+            length = max(2, min(self.max_length, sum(len(s.entries) for s in seqs)))
         his = [seqs[0].at(k).hi for k in range(length)]
         for s in seqs[1:]:
             nxt = [s.at(k).hi for k in range(length)]
@@ -199,6 +217,15 @@ class AllSplitsEvaluator(Evaluator):
         lo0 = self._sum_lower_v0(parts)
         entries = [IntInterval(lo0 if k == 0 else 0, his[k]) for k in range(length)]
         return _close(entries, genus)
+
+
+class CappedEvaluator(AllSplitsEvaluator):
+    """The sum fold as it was for sums without a genus bound: the prefix
+    stops at 64 entries, and past it the tail rule repeats its last upper
+    bound.  Every interval of Evaluator lies inside this one's, and the
+    two agree when the summands' prefixes add up to at most 64 entries."""
+
+    max_length = 64
 
 
 def close_iterated(entries, genus):
@@ -371,7 +398,7 @@ def cable_sigma_by_midpoints(base, p, q):
 
 
 def combination_check_by_box(knots, bound, db=None):
-    """Sum the scaled signature functions of every coefficient vector with
+    """Sum the scaled signature jumps of every coefficient vector with
     |m_i| <= bound; the reference for signatures.signature_combination_check."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -382,13 +409,64 @@ def combination_check_by_box(knots, bound, db=None):
         if not any(vec):
             continue
         count += 1
-        total = SigFn.zero()
+        total = {}
         for m, s in zip(vec, sigs):
-            if m:
-                total = total + s.scale(m)
-        if total.is_zero:
+            for x, d in s.jumps:
+                total[x] = total.get(x, 0) + m * d
+        if not any(total.values()):
             dependent.append(vec)
     return CombinationCheck(bound=bound, count=count, dependent=tuple(dependent))
+
+
+def _cable_by_fold(base, p, q):
+    """The cable rule on a merged SigFn: the torus jumps plus the base jumps
+    moved up to (m + u)/p and down to (m + 1 - u)/p, merged."""
+    moved = (
+        (x, delta)
+        for u, d in base.jumps
+        for m in range(p)
+        for x, delta in (((m + u) / p, d), ((m + 1 - u) / p, -d))
+        if x <= HALF
+    )
+    return SigFn.from_deltas(itertools.chain(sigma_torus(p, q).jumps, moved))
+
+
+def sigma_by_fold(e, db=None):
+    """Signature function built as a merged SigFn at every node of the
+    normal expression, summands added pairwise; the reference for
+    signatures.sigma, which merges the jump pairs of the whole expression
+    once."""
+    return _fold(normalize(e), resolve_db(db))
+
+
+def _fold(e, db):
+    if isinstance(e, Atom):
+        tq = torus_params(e.name)
+        if tq is not None:
+            return sigma_torus(*tq)
+        if db.get(e.name).alexander == LaurentPoly.one():
+            return SigFn()
+        raise SignatureUnavailable(f"atom {e.name!r} has no signature rule")
+    if isinstance(e, Mirror):
+        return SigFn(tuple((x, -d) for x, d in _fold(e.child, db).jumps))
+    if isinstance(e, Sum):
+        out = SigFn()
+        for p in e.parts:
+            out = SigFn.from_deltas(out.jumps + _fold(p, db).jumps)
+        return out
+    if isinstance(e, Cable):
+        if e.q <= 0:
+            raise CableSignError(f"cable with q={e.q} <= 0 has no signature rule")
+        return _cable_by_fold(_fold(e.companion, db), e.p, e.q)
+    raise TypeError(f"not a knot expression: {e!r}")
+
+
+def family_kn(n):
+    """(#^3 Wh(T(2,3))) # ((Wh(T(2,3)))_{n+3,1})*, built directly; the
+    reference for the expression of a suite thm1 row, which is the
+    composite of obstructions.composite_cable_obstruction."""
+    wh = Atom(WHITEHEAD_TREFOIL)
+    return normalize(Sum((wh, wh, wh, Mirror(Cable(n + 3, 1, wh)))))
 
 
 def torsion_coefficient(poly, j):

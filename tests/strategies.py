@@ -11,7 +11,7 @@ atoms = st.sampled_from(ATOM_NAMES).map(Atom)
 # coprime (p, q) pairs with q >= 1, kept small so V-sequences stay short
 _CABLE_PQ = [(2, 1), (2, 3), (3, 1), (3, 2), (4, 1), (2, 5), (5, 1)]
 # plus q <= 0, and p = 1, which normalize drops
-_CABLE_PQ_ANY = _CABLE_PQ + [(2, -1), (3, -2), (2, -3), (1, 2), (1, -1)]
+CABLE_PQ_ANY = _CABLE_PQ + [(2, -1), (3, -2), (2, -3), (1, 2), (1, -1)]
 
 
 def _extend(children, cable_pq):
@@ -30,6 +30,8 @@ def expressions(max_leaves=5):
     return st.recursive(atoms, lambda c: _extend(c, _CABLE_PQ), max_leaves=max_leaves)
 
 
-def expressions_any_cable(max_leaves=5):
-    """Random expressions that may contain cables with q <= 0."""
-    return st.recursive(atoms, lambda c: _extend(c, _CABLE_PQ_ANY), max_leaves=max_leaves)
+def expressions_any_cable(max_leaves=5, names=ATOM_NAMES):
+    """Random expressions over the atoms of names that may contain cables
+    with q <= 0."""
+    leaves = st.sampled_from(names).map(Atom)
+    return st.recursive(leaves, lambda c: _extend(c, CABLE_PQ_ANY), max_leaves=max_leaves)

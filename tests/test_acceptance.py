@@ -7,11 +7,12 @@ oracle (eigenvalue sign tolerance 1e-9).
 
 import random
 from fractions import Fraction
+from math import inf
 
 from hypothesis import HealthCheck, given, settings
 
-from defslice.cli import family_jk, family_kkl, family_kn
-from defslice.hf_invariants import Evaluator, IntInterval, lens_d, surgery_d, v_seq
+from defslice.cli import family_jk, family_kkl
+from defslice.hf_invariants import Evaluator, IntInterval, _close, lens_d, surgery_d, v_seq
 from defslice.knotexpr import (
     Atom,
     Cable,
@@ -33,7 +34,7 @@ from defslice.qform_verify import bcg_cobordism_check
 from defslice.signatures import sigma, sigma_torus, signature_combination_check
 from defslice.hf_invariants import nu_plus, tau
 
-from oracles import numeric_signature, random_regular_angle, seifert_matrix_torus, torsion_coefficients
+from oracles import family_kn, numeric_signature, random_regular_angle, seifert_matrix_torus, torsion_coefficients
 from strategies import expressions, expressions_any_cable
 
 WH = Atom(WHITEHEAD_TREFOIL)
@@ -188,7 +189,7 @@ class TestCriterion10Properties:
             a, b = s.at(k), s.at(k + 1)
             assert a.lo >= b.lo >= a.lo - 1
             assert a.hi >= b.hi >= a.hi - 1
-        assert s.closed() == s
+        assert _close(list(s.entries), inf) == s
 
     @RANDOMIZED
     @given(a=expressions(max_leaves=3), b=expressions(max_leaves=3))

@@ -29,6 +29,7 @@ from defslice.knotexpr import (
 from defslice.obstructions import INCONCLUSIVE, Verdict
 from defslice.signatures import MAX_BOX, MAX_COUNT_DIGITS
 
+from oracles import family_kn
 from pin_cli_output import run_case
 
 
@@ -398,7 +399,7 @@ class TestSuites:
             report = real(K, J, n, ev)
             if fault == "inconclusive":
                 return replace(report, verdict=Verdict("any_definite", INCONCLUSIVE, []))
-            return replace(report, expression=cli.family_kn(n - 2))
+            return replace(report, expression=family_kn(n - 2))
 
         monkeypatch.setattr(cli, "composite_cable_obstruction", faulty)
         code, out, _ = run(capsys, "suite", "thm1", "--n", "1..2")
@@ -414,7 +415,7 @@ class TestSuites:
         for n in range(1, MAX_GENUS - 5):
             report = cli.composite_cable_obstruction(k, wh, n + 3, ev)
             assert report.all_certified and report.verdict.obstructed, n
-            assert report.expression == cli.family_kn(n), n
+            assert report.expression == family_kn(n), n
         n = MAX_GENUS - 5
         with pytest.raises(SizeLimitError) as exc:
             cli.composite_cable_obstruction(k, wh, n + 3, ev)

@@ -45,6 +45,7 @@ from defslice.laurent import LaurentPoly, torus_alexander
 
 from oracles import (
     AllSplitsEvaluator,
+    CappedEvaluator,
     NoneInterval,
     PartitionEvaluator,
     ZeroFromVSeq,
@@ -238,7 +239,7 @@ class TestVSeq:
     def test_closure_is_fixed_point(self):
         for text in ["T(2,7)", "T(2,3) # T(2,5)*", "cable(2,3,T(2,3)) # Wh(T(2,3))"]:
             s = v_seq(parse(text))
-            assert s.closed() == s
+            assert _close(list(s.entries), inf) == s
 
     def test_missing_data_gives_wide_interval(self, degraded_db):
         # the substitution axiom still pins V_0 of the Whitehead atom itself,
@@ -456,9 +457,9 @@ def _invariants(ev, e):
 
 
 # genus-less registry atoms: their sums have no genus bound, so the fold
-# runs on the truncated 64-entry prefix; "G" has an unbounded V_0 of its
-# mirror and "H" an unbounded V_0 of its own, and "G0" has V_0 = 0, so its
-# fold window is finite without a genus bound
+# runs on the prefix that the summands' prefixes add up to; "G" has an
+# unbounded V_0 of its mirror and "H" an unbounded V_0 of its own, and "G0"
+# has V_0 = 0, so its fold window is 0 without a genus bound
 GENUSLESS_DB = (
     default_db()
     .with_atom(AtomCertificate(name="G", tau=2, v0=2))
@@ -550,6 +551,50 @@ class TestSumFold:
         e = parse("24*T(2,9) # 3*T(3,4)* # Wh(T(2,3))")
         assert _invariants(Evaluator(), e) == _invariants(AllSplitsEvaluator(), e)
 
+    def test_genusless_inside_the_capped_prefix(self):
+        # without a genus bound the prefix is as long as the summands'
+        # prefixes added up, where it was at most 64 entries: every value
+        # lies inside the capped one, equals it when the prefixes add up to
+        # at most 64 entries, and no verdict is lost
+        long = [torus_atom(2, 131), torus_atom(2, 101), Cable(2, 67, Atom("G")), Cable(3, 23, Atom("H"))]
+        long = long + [Mirror(p) for p in long]
+        pool = _WIDE + _SMALL + _GENUSLESS_PARTS
+        pool = pool + [Mirror(p) for p in pool]
+        rng = random.Random("capped")
+        short = wide = tighter = 0
+        for i in range(120):
+            parts = [rng.choice(_GENUSLESS_PARTS)] + [rng.choice(pool) for _ in range(rng.randint(1, 5))]
+            parts += [rng.choice(long)] * (i % 2)
+            rng.shuffle(parts)
+            e = normalize(Sum(tuple(parts)))
+            fast, ref = Evaluator(GENUSLESS_DB), CappedEvaluator(GENUSLESS_DB)
+            for k in (e, mirror(e)):
+                prefix = sum(len(fast._vseq_of(p).entries) for p in k.parts)
+                if prefix <= 64:
+                    short += 1
+                    assert _invariants(fast, k) == _invariants(ref, k), k
+                    continue
+                s, r = fast.v_seq(k), ref.v_seq(k)
+                for j in range(max(len(s.entries), len(r.entries)) + 3):
+                    assert r.at(j).lo <= s.at(j).lo <= s.at(j).hi <= r.at(j).hi, (k, j)
+                for rule in (Evaluator.tau, Evaluator.nu_plus, Evaluator.d1):
+                    got, was = rule(fast, k), rule(ref, k)
+                    assert was.lo <= got.lo <= got.hi <= was.hi, (k, rule)
+                for target in ("negative_definite", "positive_definite", "definite"):
+                    was = _ENTRIES[target](ref, k)
+                    assert not was.obstructed or _ENTRIES[target](fast, k).obstructed, (k, target)
+                wide += 1
+                tighter += s != r
+        assert short >= 40 and wide >= 40 and tighter >= 40, (short, wide, tighter)
+
+    def test_genusless_tail_is_exact(self):
+        # T(2,201) # G0 has no genus bound; its 102-entry prefix reaches
+        # V_100 = 0, which the 64-entry prefix left at [0, 19]
+        e = Sum((torus_atom(2, 201), Atom("G0")))
+        assert nu_plus(e, GENUSLESS_DB) == IntInterval.exact(100)
+        assert nu_plus(e, CappedEvaluator(GENUSLESS_DB)) == IntInterval(100, inf)
+        assert v_seq(e, GENUSLESS_DB).at(100) == IntInterval.exact(0)
+
 
 class TestTailRule:
     """VSeq's tail, read from its last entry, against the tail that the
@@ -635,7 +680,7 @@ class TestSoundnessProperties:
             a, b = s.at(k), s.at(k + 1)
             assert b.lo >= a.lo - 1 and a.lo >= b.lo
             assert b.hi <= a.hi <= b.hi + 1
-        assert s.closed() == s
+        assert _close(list(s.entries), inf) == s
 
     @settings(max_examples=300, deadline=None)
     @given(expressions(max_leaves=3), expressions(max_leaves=3))

@@ -4,12 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from defslice.certificates import AtomCertificate, default_db
 from defslice.knotexpr import Atom, Cable, Mirror, Sum, WHITEHEAD_TREFOIL, alexander, parse, torus_atom
-from defslice.laurent import vanishes_at_unit_root
+from defslice.laurent import LaurentPoly, vanishes_at_unit_root
 from defslice.signatures import (
     JumpPointError,
+    SigFn,
     SignatureUnavailable,
     _cable_sigma,
     sigma,
@@ -26,8 +29,9 @@ from oracles import (
     numeric_signature,
     random_regular_angle,
     seifert_matrix_torus,
+    sigma_by_fold,
 )
-from strategies import expressions
+from strategies import ATOM_NAMES, CABLE_PQ_ANY, expressions, expressions_any_cable
 
 HALF = Fraction(1, 2)
 WH = Atom(WHITEHEAD_TREFOIL)
@@ -139,7 +143,7 @@ class TestSigmaExpressions:
             for e in level:
                 base = sigma(e)
                 for p, q in pqs:
-                    got = _cable_sigma(base, p, q)
+                    got = SigFn.from_deltas(_cable_sigma(base.jumps, p, q))
                     mismatches += got != cable_sigma_by_midpoints(base, p, q)
                     checked += 1
                     nxt += [Cable(p, q, e), Mirror(Cable(p, q, e))]
@@ -182,6 +186,76 @@ class TestSigmaExpressions:
                 assert fmir.value(x) == -va
             except JumpPointError:
                 pass
+
+
+# registry atoms beside the built-ins: two with Alexander polynomial 1, whose
+# signature vanishes, and two with no signature rule, one without an
+# Alexander polynomial and one whose polynomial is not 1
+SIG_DB = (
+    default_db()
+    .with_atom(AtomCertificate(name="S1", tau=0, genus=1, alexander=LaurentPoly.one()))
+    .with_atom(AtomCertificate(name="S2", alexander=LaurentPoly.one()))
+    .with_atom(AtomCertificate(name="Bare", genus=2))
+    .with_atom(AtomCertificate(name="Opaque", alexander=LaurentPoly({-1: 1, 0: -1, 1: 1})))
+)
+_SIG_NAMES = ATOM_NAMES + ["S1", "S2", "Bare", "Opaque"]
+
+
+def _outcome(fn, e):
+    """fn(e, SIG_DB), or the type and message of the error it raises."""
+    try:
+        return fn(e, SIG_DB)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _cancelling_cables(draw):
+    """cable(p, q, K # K*) with q of either sign, alone or beside another
+    expression: the companion's jumps cancel once merged."""
+    k = draw(expressions_any_cable(max_leaves=3, names=_SIG_NAMES))
+    p, q = draw(st.sampled_from(CABLE_PQ_ANY))
+    e = Cable(p, q, Sum((k, Mirror(k))))
+    if draw(st.booleans()):
+        e = Sum((e, draw(expressions_any_cable(max_leaves=3, names=_SIG_NAMES))))
+    return Mirror(e) if draw(st.booleans()) else e
+
+
+class TestWalkAgainstFold:
+    """sigma, one walk merged once, against the SigFn fold at every node:
+    the same function, or the same error at the same node."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(expressions_any_cable())
+    @example(Sum((Cable(2, 3, torus_atom(2, 5)), Cable(3, -2, torus_atom(2, 3)))))
+    def test_any_cable(self, e):
+        assert _outcome(sigma, e) == _outcome(sigma_by_fold, e)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_cancelling_cables())
+    @example(Cable(3, 2, Sum((torus_atom(2, 3), Mirror(torus_atom(2, 3))))))
+    def test_cancelling_companions(self, e):
+        assert _outcome(sigma, e) == _outcome(sigma_by_fold, e)
+
+    @settings(max_examples=300, deadline=None)
+    @given(expressions_any_cable(names=_SIG_NAMES))
+    @example(Sum((Atom("S1"), Cable(2, 3, Atom("S2")), Mirror(torus_atom(2, 3)))))
+    @example(Sum((torus_atom(2, 3), Cable(2, 1, Atom("Opaque")), Atom("Bare"))))
+    @example(Sum((Atom("Bare"), Cable(2, -1, torus_atom(2, 3)))))
+    def test_registry_atoms(self, e):
+        assert _outcome(sigma, e) == _outcome(sigma_by_fold, e)
+
+    def test_cancelling_companion_is_the_torus_term(self):
+        # K # K* has zero signature, so its cable's is the torus term's
+        k = Sum((Cable(2, 3, torus_atom(2, 5)), torus_atom(3, 4)))
+        e = Cable(3, 2, Sum((k, Mirror(k))))
+        assert sigma(e) == sigma_torus(3, 2) == sigma_by_fold(e)
+
+    def test_mirror_negates(self):
+        for text in ["T(2,3)", "cable(2,3,T(2,5)) # T(3,4)*", "cable(3,2,T(2,3) # T(2,5))*"]:
+            e = parse(text)
+            assert sigma(Mirror(e)).jumps == tuple((x, -d) for x, d in sigma(e).jumps)
+            assert not sigma(e).is_zero
 
 
 class TestJkFamily:
