@@ -46,7 +46,6 @@ class AtomCertificate:
     name: str
     tau: int | None = None
     genus: int | None = None
-    tau_equals_genus: bool = False
     lspace: bool = False
     alexander: LaurentPoly | None = None
     v0: int | None = None
@@ -74,12 +73,6 @@ class AtomCertificate:
         ):
             raise CertificateError(
                 f"{self.name}: v0 = 0 needs tau <= 0 and v0_mirror = 0 needs tau >= 0"
-            )
-        if self.tau_equals_genus and (
-            self.tau is None or self.genus is None or self.tau != self.genus
-        ):
-            raise CertificateError(
-                f"{self.name}: tau_equals_genus requires tau and genus present and equal"
             )
         if self.alexander is not None:
             if not self.alexander.is_symmetric() or self.alexander.eval_at_one() != 1:
@@ -122,7 +115,6 @@ def builtin(name: str) -> AtomCertificate:
             name="O",
             tau=0,
             genus=0,
-            tau_equals_genus=True,
             lspace=True,
             alexander=LaurentPoly.one(),
             v0=0,
@@ -133,7 +125,6 @@ def builtin(name: str) -> AtomCertificate:
             name=name,
             tau=1,
             genus=1,
-            tau_equals_genus=True,
             lspace=False,
             alexander=LaurentPoly.one(),
             v0=1,
@@ -149,7 +140,6 @@ def builtin(name: str) -> AtomCertificate:
             name=name,
             tau=g,
             genus=g,
-            tau_equals_genus=True,
             lspace=True,
             alexander=alex,
             v0=torsion_prefix(alex, 1)[0],
@@ -223,9 +213,9 @@ def load_registry(path) -> CertificateDB:
     """Load user atoms from a JSON registry file.
 
     Schema: {"atoms": [{"name": str, "tau": int?, "genus": int?,
-    "tau_equals_genus": bool?, "lspace": bool?,
-    "alexander": [[exp, coeff], ...]?, "v0": int?, "v0_mirror": int?}, ...]}.
-    A field that is absent or null is unknown (flags default to false).
+    "lspace": bool?, "alexander": [[exp, coeff], ...]?, "v0": int?,
+    "v0_mirror": int?}, ...]}.  A field that is absent or null is unknown
+    (lspace defaults to false); other keys are ignored.
 
     Records replace any built-in certificate of the same name, so a record
     must be complete on its own; two records of one name are refused.  A
@@ -270,7 +260,6 @@ def load_registry(path) -> CertificateDB:
             name=rec["name"],
             tau=_field(rec, "tau", int),
             genus=_field(rec, "genus", int),
-            tau_equals_genus=_field(rec, "tau_equals_genus", bool, False),
             lspace=_field(rec, "lspace", bool, False),
             alexander=alex,
             v0=_field(rec, "v0", int),

@@ -17,6 +17,8 @@ Rules used, besides per-atom certificates:
   * Monotonicity V_k - 1 <= V_{k+1} <= V_k, closed to a fixed point.
   * V_k = 0 for k at or above a derivable genus bound.
   * The Whitehead-double substitution axiom, for V_0/nu+ queries only.
+  * Hedden's cabling formula tau(J_{p,q}) = p*tau(J) + (p-1)(q-1)/2 when
+    tau of the companion equals its genus bound (proof at Evaluator._tau).
   * tau <= nu+ and tau(K) = -tau(K*) for interval fallbacks.
 """
 
@@ -478,18 +480,6 @@ class Evaluator:
         hi = min(s.first_certain_zero() for s in seqs)
         return IntInterval(lo, hi)  # lo > hi means inconsistent certificates
 
-    @_memoized
-    def _flag(self, e):
-        # does the tau = genus property propagate to this expression?
-        if isinstance(e, Atom):
-            cert = self.db.get(e.name)
-            return cert.tau_equals_genus or cert.lspace
-        if isinstance(e, Mirror):
-            return self._flag(e.child) and self._genus(e.child) == 0
-        if isinstance(e, Sum):
-            return all(self._flag(p) for p in e.parts)
-        return self._flag(e.companion)
-
     def _tau_window(self, e):
         # fallback enclosure from tau <= nu+ and tau(K) = -tau(K*)
         hi = self._nu_raw(e).hi
@@ -512,9 +502,13 @@ class Evaluator:
                 acc = acc.intersect(self._tau_window(e))
             return acc
         if isinstance(e, Cable):
-            if self._flag(e.companion):
-                base = self._tau(e.companion).value
-                return IntInterval.exact(e.p * base + (e.p - 1) * (e.q - 1) // 2)
+            # tau(J_{p,q}) = p*tau(J) + (p-1)(q-1)/2 when tau(J) = g(J)
+            # (Hedden).  tau <= g <= the genus bound, so a tau that equals
+            # the companion's bound proves tau(J) = g(J), and the formula
+            # then gives p*g(J) + (p-1)(q-1)/2, which is the cable's bound.
+            t = self._tau(e.companion)
+            if t.is_exact and t.lo == self._genus(e.companion):
+                return IntInterval.exact(self._genus(e))
             return self._tau_window(e)
         raise TypeError(f"not a knot expression: {e!r}")
 

@@ -230,11 +230,10 @@ def bcg_cobordism_check(n: int) -> CobordismReport:
     )
 
     # inequality reduction: c1(s|_W)^2 + b2(W) <= 4d(Y_2) - 4d(Y_1), with the
-    # surgery formula substituted at labels (0, n, n).  The lens terms and the
-    # cobordism data must cancel exactly, leaving 0 <= 8(V_0(K)+V_n(J)-V_n(K#J)).
-    idx_k = min(0, 2)
-    idx_j = min(n, n)
-    idx_kj = min(n, n + 2)
+    # surgery formula substituted at the labels above.  d(S^3_p(K), i) reads
+    # max{V_i, V_{p-i}} = V_{min(i, p-i)}.  The lens terms and the cobordism
+    # data must cancel exactly, leaving 0 <= 8(V_0(K)+V_n(J)-V_n(K#J)).
+    idx_k, idx_j, idx_kj = (min(labels[s], framings[s] - labels[s]) for s in surfaces)
     lens_part = (
         4 * lens_d(2 * n + 2, 1, n) - 4 * lens_d(2, 1, 0) - 4 * lens_d(2 * n, 1, n)
     )

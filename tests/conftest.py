@@ -23,7 +23,6 @@ def degraded_db():
         name=WHITEHEAD_TREFOIL,
         tau=None,
         genus=1,
-        tau_equals_genus=False,
         lspace=False,
         alexander=LaurentPoly.one(),
         v0=None,

@@ -6,7 +6,8 @@ with the package implementations they check.  The remaining oracles are
 earlier package implementations kept as references for their rewrites:
 PartitionEvaluator for the one-summand V_0 lower bound of connected sums,
 AllSplitsEvaluator for the windowed sum fold (and CappedEvaluator for the
-64-entry prefix that genus-less sums had), close_iterated for the
+64-entry prefix that genus-less sums had), FlagEvaluator for the cable
+tau rule read from the data, close_iterated for the
 V-sequence closure, ZeroFromVSeq for the V-sequence tail read from the
 last entry, vanishes_by_cyclotomic for the root-of-unity test,
 cable_sigma_by_midpoints for the cable signature, sigma_by_fold for the
@@ -36,7 +37,15 @@ from sympy.polys.rings import ring
 
 from defslice.certificates import resolve_db
 from defslice.cli import _json_value
-from defslice.hf_invariants import ContradictionError, Evaluator, IntInterval, VSeq, _as_evaluator, _close
+from defslice.hf_invariants import (
+    ContradictionError,
+    Evaluator,
+    IntInterval,
+    VSeq,
+    _as_evaluator,
+    _close,
+    _memoized,
+)
 from defslice.knotexpr import (
     WHITEHEAD_TREFOIL,
     Atom,
@@ -226,6 +235,38 @@ class CappedEvaluator(AllSplitsEvaluator):
     two agree when the summands' prefixes add up to at most 64 entries."""
 
     max_length = 64
+
+
+class FlagEvaluator(Evaluator):
+    """Evaluator whose cable tau rule reads a declared tau = genus flag.
+
+    An atom carries the flag when it is an L-space atom or the Whitehead
+    double, whose built-in certificate declared it; the flag passes to a
+    mirror of a genus-0 child, to a sum whose parts all carry it and to a
+    cable of a companion that carries it.  Evaluator._tau fires the cable
+    rule when the companion's tau is exact and equals its genus bound,
+    which every flagged expression satisfies; this is the reference it is
+    checked against.
+    """
+
+    @_memoized
+    def _flag(self, e):
+        if isinstance(e, Atom):
+            return self.db.get(e.name).lspace or e.name == WHITEHEAD_TREFOIL
+        if isinstance(e, Mirror):
+            return self._flag(e.child) and self._genus(e.child) == 0
+        if isinstance(e, Sum):
+            return all(self._flag(p) for p in e.parts)
+        return self._flag(e.companion)
+
+    @_memoized
+    def _tau(self, e):
+        if isinstance(e, Cable):
+            if self._flag(e.companion):
+                base = self._tau(e.companion).value
+                return IntInterval.exact(e.p * base + (e.p - 1) * (e.q - 1) // 2)
+            return self._tau_window(e)
+        return Evaluator._tau.__wrapped__(self, e)
 
 
 def close_iterated(entries, genus):

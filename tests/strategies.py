@@ -6,8 +6,6 @@ from defslice.knotexpr import Atom, Cable, Mirror, Sum, WHITEHEAD_TREFOIL
 
 ATOM_NAMES = ["O", "T(2,3)", "T(2,5)", "T(3,4)", WHITEHEAD_TREFOIL]
 
-atoms = st.sampled_from(ATOM_NAMES).map(Atom)
-
 # coprime (p, q) pairs with q >= 1, kept small so V-sequences stay short
 _CABLE_PQ = [(2, 1), (2, 3), (3, 1), (3, 2), (4, 1), (2, 5), (5, 1)]
 # plus q <= 0, and p = 1, which normalize drops
@@ -25,9 +23,11 @@ def _extend(children, cable_pq):
     )
 
 
-def expressions(max_leaves=5):
-    """Random expressions with cables restricted to q >= 1."""
-    return st.recursive(atoms, lambda c: _extend(c, _CABLE_PQ), max_leaves=max_leaves)
+def expressions(max_leaves=5, names=ATOM_NAMES):
+    """Random expressions over the atoms of names with cables restricted
+    to q >= 1."""
+    leaves = st.sampled_from(names).map(Atom)
+    return st.recursive(leaves, lambda c: _extend(c, _CABLE_PQ), max_leaves=max_leaves)
 
 
 def expressions_any_cable(max_leaves=5, names=ATOM_NAMES):

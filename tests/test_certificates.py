@@ -13,7 +13,7 @@ from defslice.certificates import (
     load_registry,
     nu_equiv_reduce,
 )
-from defslice.hf_invariants import v_seq
+from defslice.hf_invariants import tau, v_seq
 from defslice.knotexpr import Atom, Mirror, Sum, WHITEHEAD_TREFOIL, normalize, parse, torus_atom
 from defslice.laurent import LaurentPoly
 
@@ -29,7 +29,7 @@ class TestBuiltin:
 
     def test_whitehead(self):
         c = builtin(WHITEHEAD_TREFOIL)
-        assert c.tau == 1 and c.genus == 1 and c.tau_equals_genus
+        assert c.tau == 1 and c.genus == 1
         assert not c.lspace
         assert c.alexander == LaurentPoly.one()
         assert c.v0 == 1 and c.v0_mirror is None
@@ -59,10 +59,6 @@ class TestValidation:
         with pytest.raises(CertificateError):
             AtomCertificate(name="X", v0=-1)
 
-    def test_flag_needs_equal_values(self):
-        with pytest.raises(CertificateError):
-            AtomCertificate(name="X", tau=1, genus=2, tau_equals_genus=True)
-
     def test_lspace_needs_alexander(self):
         with pytest.raises(CertificateError):
             AtomCertificate(name="X", tau=1, genus=1, lspace=True)
@@ -83,7 +79,6 @@ class TestRegistry:
                             "name": "Gadget",
                             "tau": 2,
                             "genus": 2,
-                            "tau_equals_genus": True,
                             "alexander": [[-1, 1], [0, -1], [1, 1]],
                             "v0": 1,
                             "v0_mirror": 0,
@@ -98,6 +93,15 @@ class TestRegistry:
         assert s.at(0).lo >= 0
         # built-ins still resolve
         assert db.get("T(2,3)").lspace
+
+    def test_unknown_keys_ignored(self, tmp_path):
+        # tau = genus is read from tau and genus, so a declared flag is
+        # ignored like any other unknown key, even when it contradicts them
+        reg = tmp_path / "atoms.json"
+        reg.write_text(json.dumps({"atoms": [{"name": "K", "tau": 1, "genus": 2, "tau_equals_genus": True}]}))
+        db = load_registry(reg)
+        assert db.get("K") == AtomCertificate(name="K", tau=1, genus=2)
+        assert not tau(parse("cable(2,1,K)", db), db).is_exact
 
     def test_bad_record(self, tmp_path):
         reg = tmp_path / "atoms.json"

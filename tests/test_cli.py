@@ -184,7 +184,7 @@ class TestAtomsFile:
             {"atoms": [{"name": "K", "tau": "x"}]},
             {"atoms": [{"name": "K", "genus": 1.5}]},
             {"atoms": [{"name": "K", "v0": True}]},
-            {"atoms": [{"name": "K", "tau_equals_genus": 0}]},
+            {"atoms": [{"name": "K", "lspace": 0}]},
             {"atoms": [{"name": "K", "alexander": 5}]},
             {"atoms": [{"name": "K", "alexander": [[0.5, 1]]}]},
         ],
@@ -265,7 +265,7 @@ class TestAtomsFile:
                 "two records are named 'A'",
             ),
             (
-                [{"name": "O", "tau": 1, "genus": 1, "tau_equals_genus": True, "v0": 1,
+                [{"name": "O", "tau": 1, "genus": 1, "v0": 1,
                   "alexander": [[0, 1]]}],
                 "the unknot 'O' cannot be replaced",
             ),
@@ -377,7 +377,6 @@ class TestSuites:
                             "name": "Wh(T(2,3))",
                             "tau": 5,
                             "genus": 5,
-                            "tau_equals_genus": True,
                             "alexander": [[0, 1]],
                             "v0": 1,
                         }

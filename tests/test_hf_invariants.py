@@ -46,6 +46,7 @@ from defslice.laurent import LaurentPoly, torus_alexander
 from oracles import (
     AllSplitsEvaluator,
     CappedEvaluator,
+    FlagEvaluator,
     NoneInterval,
     PartitionEvaluator,
     ZeroFromVSeq,
@@ -359,7 +360,7 @@ class TestTau:
             assert t.is_exact and t.value == -l
 
     def test_cable_of_lspace_knot(self):
-        # flag path: tau = p*tau + (p-1)(q-1)/2
+        # cable rule: tau = p*tau + (p-1)(q-1)/2
         t = tau(Cable(2, 3, torus_atom(2, 3)))
         assert t == IntInterval.exact(3)
 
@@ -369,6 +370,61 @@ class TestTau:
         assert not t.is_exact
         n = nu_plus(e)
         assert t.hi <= n.hi
+
+
+# registry atoms with tau equal to the genus, of the knot (A2, B1) or of
+# its mirror (N1), beside one with tau below it (Z2); none is an L-space atom
+TAU_GENUS_DB = (
+    default_db()
+    .with_atom(AtomCertificate(name="A2", tau=2, genus=2, v0=1))
+    .with_atom(AtomCertificate(name="B1", tau=1, genus=1))
+    .with_atom(AtomCertificate(name="N1", tau=-1, genus=1, v0_mirror=1))
+    .with_atom(AtomCertificate(name="Z2", tau=0, genus=2, v0=1, v0_mirror=1))
+)
+_TAU_GENUS_NAMES = ["T(2,3)", "T(3,4)", WHITEHEAD_TREFOIL, "A2", "B1", "N1", "Z2"]
+_VERDICTS = [
+    obstructions.obstruct_negative_definite,
+    obstructions.obstruct_positive_definite,
+    obstructions.obstruct_definite,
+]
+
+
+def _tau_results(ev, e):
+    return ev.tau(e), ev.nu_plus(e), [v(e, ev) for v in _VERDICTS]
+
+
+class TestCableTauRule:
+    """The cable tau rule read from the data against the declared flag."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(expressions())
+    @example(Cable(2, 1, Mirror(torus_atom(2, 3))))
+    @example(Cable(3, 2, Sum((WH, Mirror(Cable(2, 1, WH))))))
+    def test_default_db_matches_flag(self, e):
+        assert _tau_results(Evaluator(), e) == _tau_results(FlagEvaluator(), e)
+
+    @settings(max_examples=300, deadline=None)
+    @given(expressions(names=_TAU_GENUS_NAMES))
+    @example(Cable(2, 5, Atom("A2")))
+    @example(Sum((Cable(3, 1, Atom("A2")), Mirror(torus_atom(2, 3)))))
+    @example(Cable(2, 3, Mirror(Atom("N1"))))
+    def test_registry_only_narrows(self, e):
+        t, n, verdicts = _tau_results(Evaluator(TAU_GENUS_DB), e)
+        t0, n0, verdicts0 = _tau_results(FlagEvaluator(TAU_GENUS_DB), e)
+        assert t0.lo <= t.lo and t.hi <= t0.hi
+        assert n0.lo <= n.lo and n.hi <= n0.hi
+        for v, v0 in zip(verdicts, verdicts0):
+            assert v.obstructed or not v0.obstructed
+
+    def test_registry_cable_is_exact(self):
+        ev, old = Evaluator(TAU_GENUS_DB), FlagEvaluator(TAU_GENUS_DB)
+        e = Cable(2, 5, Atom("A2"))
+        assert ev.tau(e) == IntInterval.exact(6) and not old.tau(e).is_exact
+        assert ev.nu_plus(e) == IntInterval.exact(6)
+        # tau(N1*) = 1 = g, so its cable has tau = 2*1 + 1 = 3
+        assert ev.tau(Cable(2, 3, Mirror(Atom("N1")))) == IntInterval.exact(3)
+        # tau(Z2) = 0 < 2 = g proves nothing
+        assert not ev.tau(Cable(2, 3, Atom("Z2"))).is_exact
 
 
 class TestNuPlus:

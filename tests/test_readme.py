@@ -1,12 +1,20 @@
-"""The python blocks of README.md run as written: in order, in one
-namespace, and each line `expr  # value` shows value as repr(expr), the
-comment read up to its first `;`."""
+"""The examples of README.md run as written.  The python blocks run in
+order, in one namespace, and each line `expr  # value` shows value as
+repr(expr), the comment read up to its first `;`.  Each json block is a
+registry that loads and reports on each of its atoms.  A one-command sh
+block followed by a plain block shows that command's output: its lines,
+less those holding `...`, appear in order in the output."""
 
 import ast
 import io
+import json
 import re
+import shlex
 import tokenize
 from pathlib import Path
+
+from defslice.certificates import load_registry
+from defslice.cli import main as cli_main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -35,3 +43,29 @@ def test_library_examples_run_as_written():
             else:
                 exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
     assert len(checked) >= 10
+
+
+def test_registry_examples_load(tmp_path):
+    blocks = re.findall(r"^```json\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    assert blocks
+    for i, block in enumerate(blocks):
+        path = tmp_path / f"atoms{i}.json"
+        path.write_text(block, encoding="utf-8")
+        load_registry(path)
+        for name in [rec["name"] for rec in json.loads(block)["atoms"]]:
+            assert cli_main(["report", name, "--atoms", str(path)]) == 0, name
+
+
+def test_cli_example_output(capsys):
+    # a one-command sh block followed by the block of its output
+    examples = re.findall(
+        r"^```sh\n(defslice [^\n]*)\n```\n\n```\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S
+    )
+    assert examples
+    for command, shown in examples:
+        capsys.readouterr()
+        assert cli_main(shlex.split(command)[1:]) == 0
+        lines = iter(capsys.readouterr().out.splitlines())
+        for line in shown.splitlines():
+            if "..." not in line:
+                assert line in lines, (command, line)

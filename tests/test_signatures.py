@@ -221,6 +221,19 @@ def _cancelling_cables(draw):
     return Mirror(e) if draw(st.booleans()) else e
 
 
+@st.composite
+def _repeated_summand_cables(draw):
+    """cable(p, q, n*K # L), nested one to three deep, with n = 2..4: the
+    companion repeats each of its jumps n times."""
+    e = draw(expressions_any_cable(max_leaves=2, names=_SIG_NAMES))
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(expressions_any_cable(max_leaves=2, names=_SIG_NAMES))
+        parts = (k,) * draw(st.integers(2, 4)) + (e,)
+        p, q = draw(st.sampled_from(CABLE_PQ_ANY))
+        e = Cable(p, q, Sum(parts))
+    return Mirror(e) if draw(st.booleans()) else e
+
+
 class TestWalkAgainstFold:
     """sigma, one walk merged once, against the SigFn fold at every node:
     the same function, or the same error at the same node."""
@@ -243,6 +256,13 @@ class TestWalkAgainstFold:
     @example(Sum((torus_atom(2, 3), Cable(2, 1, Atom("Opaque")), Atom("Bare"))))
     @example(Sum((Atom("Bare"), Cable(2, -1, torus_atom(2, 3)))))
     def test_registry_atoms(self, e):
+        assert _outcome(sigma, e) == _outcome(sigma_by_fold, e)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_repeated_summand_cables())
+    @example(parse("cable(5,2,cable(3,4,cable(2,3,4*T(2,5))))"))
+    @example(parse("cable(3,2,cable(2,5,3*T(2,3)))"))
+    def test_repeated_summands(self, e):
         assert _outcome(sigma, e) == _outcome(sigma_by_fold, e)
 
     def test_cancelling_companion_is_the_torus_term(self):
