@@ -143,7 +143,8 @@ def _print_json(data):
     `default=_json_value` prints it (tests/oracles.py:json_indent2).  Up
     to Python 3.12, json.dumps with an indent takes CPython's pure-Python
     encoder; this writer does the same walk with exact type tests and
-    writes str and int items without a call of its own.  It refuses what
+    writes str and int items without a call of its own, and a Fraction as
+    its {num, den} text without building the dict.  It refuses what
     the CLI never emits: a key that is not a str and a value `_json_value`
     refuses, floats included."""
     out = []
@@ -190,6 +191,10 @@ def _write_json(x, nl, out):
                 out += (sep, leaf(item))
         out[start] = "[" + inner
         out.append(nl + "]")
+    elif t is Fraction:
+        # the {num, den} form of _json_value, written without building it
+        inner = nl + "  "
+        out.append(f'{{{inner}"num": {x.numerator},{inner}"den": {x.denominator}{nl}}}')
     elif t in _LEAF:
         out.append(_LEAF[t](x))
     elif x is None:

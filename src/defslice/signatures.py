@@ -3,7 +3,9 @@
 Angles are rationals x in (0, 1/2], parameterizing omega = e^(2*pi*i*x);
 the other half of the circle is implied by sigma(conj(omega)) = sigma(omega).
 A SigFn stores its jump list; values are defined only at regular points,
-and a query at a jump point raises with both one-sided limits.
+and a query at a jump point raises with both one-sided limits.  sigma
+builds it from integer jump numerators over one denominator and converts
+each surviving jump to a Fraction once.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .certificates import CertificateGapError, resolve_db
 from .knotexpr import (
@@ -83,15 +85,6 @@ class SigFn:
                 raise ValueError(f"jump deltas must be even and nonzero, got {delta}")
             prev = x
 
-    @classmethod
-    def from_deltas(cls, deltas) -> "SigFn":
-        """The function whose jump at x is the sum of the deltas that the
-        (x, delta) pairs give at x; sums that cancel drop out."""
-        acc = {}
-        for x, d in deltas:
-            acc[x] = acc.get(x, 0) + d
-        return cls(tuple(sorted((x, d) for x, d in acc.items() if d)))
-
     @property
     def is_zero(self) -> bool:
         return not self.jumps
@@ -135,24 +128,43 @@ class SigFn:
 
 
 @lru_cache(maxsize=None)
-def sigma_torus(p: int, q: int) -> SigFn:
-    """Signature function of the positive torus knot T(p,q).
+def _torus_deltas(p: int, q: int) -> tuple:
+    """Jump pairs of the positive torus knot T(p,q) over D = p*q.
 
     Counting form: at a regular angle x, each pair (i,j) in
     [1,p-1] x [1,q-1] contributes -1 when i/p + j/q lies in (x, x+1) and
     +1 otherwise; this yields a jump of +2 at s when s < 1 and -2 at s-1
-    when s > 1.
+    when s > 1.  Over D that sum is the integer n = i*q + j*p, which never
+    equals D for coprime p and q, so the pair is (n, 2) or (n - D, -2),
+    kept when 2n <= D.
     """
     if p < 1 or q < 1 or gcd(p, q) != 1:
         raise ValueError(f"need coprime p,q >= 1, got ({p},{q})")
-    sums = (Fraction(i, p) + Fraction(j, q) for i in range(1, p) for j in range(1, q))
-    jumps = ((s, 2) if s < 1 else (s - 1, -2) for s in sums)
-    return SigFn.from_deltas((x, d) for x, d in jumps if x <= HALF)
+    d = p * q
+    sums = (i * q + j * p for i in range(1, p) for j in range(1, q))
+    pairs = ((n, 2) if n < d else (n - d, -2) for n in sums)
+    return d, tuple((n, delta) for n, delta in pairs if 2 * n <= d)
 
 
-def _cable_sigma(base, p: int, q: int) -> list:
+def sigma_torus(p: int, q: int) -> SigFn:
+    """Signature function of the positive torus knot T(p,q), converted
+    from the integer counting of _torus_deltas."""
+    return _jumps(*_torus_deltas(p, q))
+
+
+def _jumps(d: int, pairs) -> SigFn:
+    # the one merge and the one conversion to Fraction: sum the deltas at
+    # each numerator, drop the zeros, sort, and build each jump n/d once
+    acc = {}
+    for n, delta in pairs:
+        acc[n] = acc.get(n, 0) + delta
+    return SigFn(tuple((Fraction(n, d), delta) for n, delta in sorted(acc.items()) if delta))
+
+
+def _cable_sigma(base, p: int, q: int) -> tuple:
     """sigma_{K_{p,q}}(omega) = sigma_K(omega^p) + sigma_{T(p,q)}(omega)
-    (Litherland), as (x, delta) pairs from the companion's pairs base.
+    (Litherland), as jump pairs (D, pairs) from the companion's base =
+    (D_J, pairs), each pair (a, d) standing for a jump d at a/D_J.
 
     The angle of omega^p, folded into (0, 1/2], is y = p*x - m on
     [m/p, (m + 1/2)/p] and m + 1 - p*x on [(m + 1/2)/p, (m + 1)/p].  As x
@@ -162,15 +174,28 @@ def _cable_sigma(base, p: int, q: int) -> list:
     sides) or 1/2 (where both sides see the same value), so they add no
     jump.  The cable's jumps are therefore the torus jumps plus these moved
     base jumps for x <= 1/2; the pairs are left unmerged.
+
+    In integers, u = a/D_J moves to (m*D_J + a)/(p*D_J) and to
+    ((m + 1)*D_J - a)/(p*D_J) for m in 0..p-1.  Both the moved pairs and
+    the torus pairs (over p*q) are written over D = lcm(p*D_J, p*q): one
+    turn of y is D/p, a becomes a*s with s = D/(p*D_J), and the moved
+    numerators are the progressions a*s + m*D/p and (m + 1)*D/p - a*s,
+    cut at 2n <= D.  The cut alone keeps m <= p - 1: the companion's
+    pairs lie in (0, 1/2], so a*s <= D/(2p), and 2n <= D gives m < p/2
+    upward and m <= (p - 1)/2 downward.
     """
-    moved = [
-        (x, delta)
-        for u, d in base
-        for m in range(p)
-        for x, delta in (((m + u) / p, d), ((m + 1 - u) / p, -d))
-        if x <= HALF
-    ]
-    return [*sigma_torus(p, q).jumps, *moved]
+    dj, pairs = base
+    dt, torus = _torus_deltas(p, q)
+    d = lcm(p * dj, dt)
+    turn, t = d // p, d // dt
+    # range(..., stop) keeps n <= D // 2, which for an integer n is 2n <= D
+    s, stop = turn // dj, d // 2 + 1
+    out = [(n * t, delta) for n, delta in torus]
+    for a, delta in pairs:
+        a *= s
+        out += zip(range(a, stop, turn), itertools.repeat(delta))
+        out += zip(range(turn - a, stop, turn), itertools.repeat(-delta))
+    return d, out
 
 
 def sigma(e, db=None) -> SigFn:
@@ -178,38 +203,52 @@ def sigma(e, db=None) -> SigFn:
 
     Torus atoms use the counting form; atoms with Alexander polynomial 1
     have identically zero signature; other atoms have no rule and raise
-    SignatureUnavailable.  One walk collects the (x, delta) jump pairs of
-    the whole expression unmerged, and SigFn.from_deltas merges them once.
+    SignatureUnavailable.  One walk collects the jump pairs of the whole
+    expression unmerged, as integer numerators n over one denominator D,
+    each pair (n, delta) standing for a jump delta at the angle n/D; the
+    pairs are then merged once, and each surviving jump is converted to
+    Fraction(n, D) once.
 
-    That equals merging at every node, byte for byte.  Each rule is a
-    linear map on jump deltas: a sum concatenates its parts' pairs, a
-    mirror negates the deltas, and a cable moves each pair (u, d) to the
-    pairs ((m + u)/p, d) and ((m + 1 - u)/p, -d) and adds the torus pairs.
-    The x <= 1/2 filter of a moved pair depends only on (u, m), so deltas
-    at one angle u move together and sum to the same jumps later; and
-    from_deltas sums the deltas at each angle and drops zeros, which
-    loses nothing that a later rule could read.
+    That equals merging Fraction pairs at every node, byte for byte.  Each
+    rule is a linear map on jump deltas: a sum concatenates its parts'
+    pairs, a mirror negates the deltas, and a cable moves each pair (u, d)
+    to the pairs ((m + u)/p, d) and ((m + 1 - u)/p, -d) and adds the torus
+    pairs.  The x <= 1/2 filter of a moved pair depends only on (u, m), so
+    deltas at one angle u move together and sum to the same jumps later;
+    and the merge sums the deltas at each angle and drops zeros, which
+    loses nothing that a later rule could read.  The integer form changes
+    none of this:
+    - n -> n/D is strictly increasing, so equal numerators are equal
+      angles and the sort of the numerators is the sort of the angles;
+      the per-numerator merge and sort are the per-angle ones;
+    - a sum writes its parts over D = lcm(D_i), and n/D_i = (n*D/D_i)/D
+      with D/D_i an integer, so the rescaling is exact (so is the cable's,
+      _cable_sigma);
+    - n/D <= 1/2 iff 2n <= D, as D > 0, so the filter is exact.
     """
     db = resolve_db(db)
-    return SigFn.from_deltas(_deltas(normalize(e), db))
+    return _jumps(*_deltas(normalize(e), db))
 
 
-def _deltas(e, db):
-    # jump pairs of a normal expression; raises at the first offending node
+def _deltas(e, db) -> tuple:
+    # (D, pairs) of a normal expression; raises at the first offending node
     # in walk order, a cable's own sign before its companion
     if isinstance(e, Atom):
         tq = torus_params(e.name)
         if tq is not None:
-            return sigma_torus(*tq).jumps
+            return _torus_deltas(*tq)
         cert = db.get(e.name)
         if cert.alexander == LaurentPoly.one():
             # no roots on the unit circle, so the signature vanishes
-            return ()
+            return 1, ()
         raise SignatureUnavailable(f"atom {e.name!r} has no signature rule")
     if isinstance(e, Mirror):
-        return [(x, -d) for x, d in _deltas(e.child, db)]
+        d, pairs = _deltas(e.child, db)
+        return d, [(n, -delta) for n, delta in pairs]
     if isinstance(e, Sum):
-        return [pair for p in e.parts for pair in _deltas(p, db)]
+        parts = [_deltas(p, db) for p in e.parts]
+        d = lcm(*(dp for dp, _ in parts))
+        return d, [(n * (d // dp), delta) for dp, pairs in parts for n, delta in pairs]
     if isinstance(e, Cable):
         if e.q <= 0:
             raise CableSignError(f"cable with q={e.q} <= 0 has no signature rule")

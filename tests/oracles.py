@@ -10,9 +10,10 @@ AllSplitsEvaluator for the windowed sum fold (and CappedEvaluator for the
 tau rule read from the data, close_iterated for the
 V-sequence closure, ZeroFromVSeq for the V-sequence tail read from the
 last entry, vanishes_by_cyclotomic for the root-of-unity test,
-cable_sigma_by_midpoints for the cable signature, sigma_by_fold for the
-one-walk signature, combination_check_by_box for the signature
-independence check, torsion_coefficient for the one-pass
+cable_sigma_by_midpoints for the cable signature, sigma_by_fold and
+sigma_by_fraction_walk (with from_deltas and sigma_torus_by_fractions) for
+the one-walk signature on integer numerators, combination_check_by_box
+for the signature independence check, torsion_coefficient for the one-pass
 torsion coefficients (torsion_coefficients adds the check that the
 polynomial is an Alexander polynomial), torus_alexander_by_division (with
 its long division div_exact) for the semigroup torus Alexander polynomials,
@@ -24,6 +25,7 @@ expression K_n apart from the composite that the suite takes it from.
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -469,7 +471,71 @@ def _cable_by_fold(base, p, q):
         for x, delta in (((m + u) / p, d), ((m + 1 - u) / p, -d))
         if x <= HALF
     )
-    return SigFn.from_deltas(itertools.chain(sigma_torus(p, q).jumps, moved))
+    return from_deltas(itertools.chain(sigma_torus(p, q).jumps, moved))
+
+
+def from_deltas(deltas):
+    """The SigFn whose jump at x is the sum of the deltas that the (x, delta)
+    pairs give at x; sums that cancel drop out.  The Fraction merge of the
+    signature oracles (formerly SigFn.from_deltas)."""
+    acc = {}
+    for x, d in deltas:
+        acc[x] = acc.get(x, 0) + d
+    return SigFn(tuple(sorted((x, d) for x, d in acc.items() if d)))
+
+
+def sigma_torus_by_fractions(p, q):
+    """The counting form of T(p,q) in Fraction arithmetic; the reference
+    for signatures.sigma_torus, which counts integer numerators over p*q."""
+    if p < 1 or q < 1 or math.gcd(p, q) != 1:
+        raise ValueError(f"need coprime p,q >= 1, got ({p},{q})")
+    sums = (Fraction(i, p) + Fraction(j, q) for i in range(1, p) for j in range(1, q))
+    jumps = ((s, 2) if s < 1 else (s - 1, -2) for s in sums)
+    return from_deltas((x, d) for x, d in jumps if x <= HALF)
+
+
+def sigma_by_fraction_walk(e, db=None):
+    """One walk collecting Fraction (x, delta) jump pairs unmerged, merged
+    once at the top; the reference for signatures.sigma, which walks
+    integer numerators over one denominator."""
+    return from_deltas(_fraction_deltas(normalize(e), resolve_db(db)))
+
+
+def _fraction_deltas(e, db):
+    # jump pairs of a normal expression; raises at the first offending node
+    # in walk order, a cable's own sign before its companion
+    if isinstance(e, Atom):
+        tq = torus_params(e.name)
+        if tq is not None:
+            return sigma_torus_by_fractions(*tq).jumps
+        cert = db.get(e.name)
+        if cert.alexander == LaurentPoly.one():
+            # no roots on the unit circle, so the signature vanishes
+            return ()
+        raise SignatureUnavailable(f"atom {e.name!r} has no signature rule")
+    if isinstance(e, Mirror):
+        return [(x, -d) for x, d in _fraction_deltas(e.child, db)]
+    if isinstance(e, Sum):
+        return [pair for p in e.parts for pair in _fraction_deltas(p, db)]
+    if isinstance(e, Cable):
+        if e.q <= 0:
+            raise CableSignError(f"cable with q={e.q} <= 0 has no signature rule")
+        return _cable_sigma_by_fractions(_fraction_deltas(e.companion, db), e.p, e.q)
+    raise TypeError(f"not a knot expression: {e!r}")
+
+
+def _cable_sigma_by_fractions(base, p, q):
+    """The cable rule on Fraction (x, delta) pairs: the torus jumps plus
+    each base pair (u, d) moved to ((m + u)/p, d) and ((m + 1 - u)/p, -d)
+    for x <= 1/2, unmerged."""
+    moved = [
+        (x, delta)
+        for u, d in base
+        for m in range(p)
+        for x, delta in (((m + u) / p, d), ((m + 1 - u) / p, -d))
+        if x <= HALF
+    ]
+    return [*sigma_torus_by_fractions(p, q).jumps, *moved]
 
 
 def sigma_by_fold(e, db=None):
@@ -493,7 +559,7 @@ def _fold(e, db):
     if isinstance(e, Sum):
         out = SigFn()
         for p in e.parts:
-            out = SigFn.from_deltas(out.jumps + _fold(p, db).jumps)
+            out = from_deltas(out.jumps + _fold(p, db).jumps)
         return out
     if isinstance(e, Cable):
         if e.q <= 0:

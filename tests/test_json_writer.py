@@ -96,6 +96,23 @@ class TestDifferential:
     def test_edge_values(self, data):
         assert printed(data) == json_indent2(data) + "\n"
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            Fraction(5),
+            Fraction(-1, 6),
+            {"x": Fraction(1, 6), "n": Fraction(-4), "one": Fraction(1)},
+            [Fraction(0), Fraction(-10**40, 3), Fraction(7, 10**30)],
+            (Fraction(-1, 2), [Fraction(3)], {}),
+            [{"from": Fraction(0), "to": Fraction(1, 12), "value": 0}, {"from": Fraction(1, 12), "to": Fraction(1, 2), "value": -2}],
+            {"a": [{"b": [Fraction(-5, 7), {"c": Fraction(2)}]}], "d": [[[Fraction(-1)]]]},
+            {"at": Fraction(1, 3), "jumps": [[Fraction(1, 6), -2], [Fraction(5, 12), 2]], "ok": True, "none": None},
+        ],
+        ids=["den-1", "negative", "in-dict", "in-list", "in-tuple", "sigma-pieces", "nested", "beside-scalars"],
+    )
+    def test_fractions(self, data):
+        assert printed(data) == json_indent2(data) + "\n"
+
     def test_deep_nesting(self):
         data = "leaf"
         for depth in range(120):

@@ -1,7 +1,10 @@
 """Signature step functions against the Seifert-matrix eigenvalue oracle."""
 
+import importlib.util
 import random
 from fractions import Fraction
+from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +18,7 @@ from defslice.signatures import (
     SigFn,
     SignatureUnavailable,
     _cable_sigma,
+    _jumps,
     sigma,
     sigma_torus,
     signature_combination_check,
@@ -30,11 +34,21 @@ from oracles import (
     random_regular_angle,
     seifert_matrix_torus,
     sigma_by_fold,
+    sigma_by_fraction_walk,
+    sigma_torus_by_fractions,
 )
 from strategies import ATOM_NAMES, CABLE_PQ_ANY, expressions, expressions_any_cable
 
 HALF = Fraction(1, 2)
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 WH = Atom(WHITEHEAD_TREFOIL)
+
+
+def over_one_denominator(fn):
+    """The jumps of fn as (D, pairs): integer numerators over the lcm D
+    of their denominators."""
+    d = lcm(*(x.denominator for x, _ in fn.jumps))
+    return d, [(x.numerator * (d // x.denominator), delta) for x, delta in fn.jumps]
 
 
 def jk(k):
@@ -64,6 +78,12 @@ class TestSigmaTorus:
             sigma_torus(2, 3).value(Fraction(1, 6))
         assert exc.value.left == 0 and exc.value.right == -2
 
+
+    def test_counting_matches_fractions(self):
+        for p in range(1, 12):
+            for q in range(1, 30):
+                if gcd(p, q) == 1:
+                    assert sigma_torus(p, q) == sigma_torus_by_fractions(p, q), (p, q)
 
 class TestOracleAgreement:
     def test_oracle_matrix_is_anchored(self):
@@ -143,13 +163,25 @@ class TestSigmaExpressions:
             for e in level:
                 base = sigma(e)
                 for p, q in pqs:
-                    got = SigFn.from_deltas(_cable_sigma(base.jumps, p, q))
+                    got = _jumps(*_cable_sigma(over_one_denominator(base), p, q))
                     mismatches += got != cable_sigma_by_midpoints(base, p, q)
                     checked += 1
                     nxt += [Cable(p, q, e), Mirror(Cable(p, q, e))]
             level = rng.sample(nxt, 12)
         assert mismatches == 0
         assert checked == 6 * 11 + 12 * 11 + 12 * 11
+
+    def test_cable_of_a_jump_at_one_half(self):
+        # under an odd p a companion jump at u = 1/2 moves up and down to
+        # the same x = (2m + 1)/(2p), and to x = 1/2 itself at m = (p - 1)/2:
+        # the cut 2n <= D keeps both pairs there, which cancel
+        for jumps in [((HALF, 2),), ((Fraction(1, 6), -2), (HALF, 4))]:
+            base = SigFn(jumps)
+            for p, q in [(3, 1), (3, 2), (5, 2), (5, 3), (7, 4)]:
+                d, pairs = _cable_sigma(over_one_denominator(base), p, q)
+                at_half = sorted(delta for n, delta in pairs if 2 * n == d)
+                assert at_half == [-jumps[-1][1], jumps[-1][1]]
+                assert _jumps(d, pairs) == cable_sigma_by_midpoints(base, p, q)
 
     @settings(max_examples=100, deadline=None)
     @given(e=expressions(max_leaves=5))
@@ -201,10 +233,10 @@ SIG_DB = (
 _SIG_NAMES = ATOM_NAMES + ["S1", "S2", "Bare", "Opaque"]
 
 
-def _outcome(fn, e):
-    """fn(e, SIG_DB), or the type and message of the error it raises."""
+def _outcome(fn, e, db=SIG_DB):
+    """fn(e, db), or the type and message of the error it raises."""
     try:
-        return fn(e, SIG_DB)
+        return fn(e, db)
     except ValueError as exc:
         return type(exc), str(exc)
 
@@ -234,36 +266,78 @@ def _repeated_summand_cables(draw):
     return Mirror(e) if draw(st.booleans()) else e
 
 
+def _workload_expressions():
+    """Every knot expression in the argv lists of the cables and cli-mix
+    workloads at their default seed, in order, as written."""
+    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    texts = []
+    for name in ("cables", "cli-mix"):
+        for op in workloads.make_ops(name, 1):
+            cmd, *args = op["argv"]
+            if cmd == "independence":
+                texts += args[: args.index("--bound")]
+            else:
+                texts.append(args[0])
+    return texts
+
+
+@st.composite
+def _nested_cables(draw):
+    """A chain of one to five cables, q of either sign, around a registry
+    atom, a mirror or a small sum, each level possibly mirrored."""
+    e = draw(expressions_any_cable(max_leaves=2, names=_SIG_NAMES))
+    for _ in range(draw(st.integers(1, 5))):
+        p, q = draw(st.sampled_from(CABLE_PQ_ANY))
+        e = Cable(p, q, e)
+        if draw(st.booleans()):
+            e = Mirror(e)
+    return e
+
+
+def _agree(e, db=SIG_DB):
+    """sigma(e, db) against the Fraction walk it replaced and against the
+    per-node fold: the same function, or the same error raised at the same
+    node; returns that outcome."""
+    got = _outcome(sigma, e, db)
+    assert got == _outcome(sigma_by_fraction_walk, e, db)
+    assert got == _outcome(sigma_by_fold, e, db)
+    return got
+
+
 class TestWalkAgainstFold:
-    """sigma, one walk merged once, against the SigFn fold at every node:
-    the same function, or the same error at the same node."""
+    """sigma, one walk on integer numerators merged once, against the
+    Fraction walk it replaced and the SigFn fold at every node."""
 
     @settings(max_examples=300, deadline=None)
     @given(expressions_any_cable())
     @example(Sum((Cable(2, 3, torus_atom(2, 5)), Cable(3, -2, torus_atom(2, 3)))))
     def test_any_cable(self, e):
-        assert _outcome(sigma, e) == _outcome(sigma_by_fold, e)
+        _agree(e)
 
     @settings(max_examples=200, deadline=None)
     @given(_cancelling_cables())
     @example(Cable(3, 2, Sum((torus_atom(2, 3), Mirror(torus_atom(2, 3))))))
     def test_cancelling_companions(self, e):
-        assert _outcome(sigma, e) == _outcome(sigma_by_fold, e)
+        _agree(e)
 
     @settings(max_examples=300, deadline=None)
     @given(expressions_any_cable(names=_SIG_NAMES))
     @example(Sum((Atom("S1"), Cable(2, 3, Atom("S2")), Mirror(torus_atom(2, 3)))))
     @example(Sum((torus_atom(2, 3), Cable(2, 1, Atom("Opaque")), Atom("Bare"))))
     @example(Sum((Atom("Bare"), Cable(2, -1, torus_atom(2, 3)))))
+    @example(Cable(2, -1, Atom("Opaque")))
+    @example(Sum((Cable(2, 1, Atom("Opaque")), Cable(3, -2, torus_atom(2, 3)))))
     def test_registry_atoms(self, e):
-        assert _outcome(sigma, e) == _outcome(sigma_by_fold, e)
+        _agree(e)
 
     @settings(max_examples=200, deadline=None)
     @given(_repeated_summand_cables())
     @example(parse("cable(5,2,cable(3,4,cable(2,3,4*T(2,5))))"))
     @example(parse("cable(3,2,cable(2,5,3*T(2,3)))"))
     def test_repeated_summands(self, e):
-        assert _outcome(sigma, e) == _outcome(sigma_by_fold, e)
+        _agree(e)
 
     def test_cancelling_companion_is_the_torus_term(self):
         # K # K* has zero signature, so its cable's is the torus term's
@@ -277,6 +351,42 @@ class TestWalkAgainstFold:
             assert sigma(Mirror(e)).jumps == tuple((x, -d) for x, d in sigma(e).jumps)
             assert not sigma(e).is_zero
 
+
+    @settings(max_examples=200, deadline=None)
+    @given(_nested_cables())
+    def test_nested_cables(self, e):
+        _agree(e)
+
+    def test_workload_expressions(self):
+        texts = _workload_expressions()
+        compared = 0
+        for text in texts:
+            try:
+                e = parse(text)
+            except ValueError:
+                continue  # the workloads' malformed inputs
+            compared += not isinstance(_agree(e, None), tuple)
+        assert compared >= 400  # of 409 at seed 1, 403 parse; 6 are malformed
+
+    def test_deep_cable_of_index_one(self):
+        # cable(2,1,...) nine deep around T(2,3): the denominator doubles at
+        # every level, to 6 * 2^9, and so does the number of jumps
+        e = torus_atom(2, 3)
+        for _ in range(9):
+            e = Cable(2, 1, e)
+        fn = _agree(e)
+        assert len(fn.jumps) == 2**9
+        assert max(x.denominator for x, _ in fn.jumps) == 6 * 2**9
+
+    def test_sum_of_many_distinct_torus_knots(self):
+        # 45 torus knots, every third mirrored, over one denominator: the
+        # lcm of their p*q
+        pqs = [(p, q) for p in range(2, 7) for q in range(p + 1, 20) if gcd(p, q) == 1]
+        parts = [torus_atom(p, q) if i % 3 else Mirror(torus_atom(p, q)) for i, (p, q) in enumerate(pqs)]
+        assert len(pqs) == 45 and lcm(*(p * q for p, q in pqs)) == 232_792_560
+        fn = _agree(Sum(tuple(parts)))
+        assert len(fn.jumps) == 414
+        assert _agree(Cable(3, 2, Sum(tuple(parts[:12])))) != fn
 
 class TestJkFamily:
     def test_sign_pattern(self):
