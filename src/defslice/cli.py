@@ -226,7 +226,7 @@ def build_report(text: str, db) -> dict:
         g = ev.genus_bound(e)
         vs = ev.v_seq(e)
         data["genus_bound"] = _json_end(g)
-        data["v"] = [vs.at(k) for k in range(min(g, len(vs.entries) - 1, 24) + 1)]
+        data["v"] = [vs.at(k) for k in range(min(g, len(vs) - 1, 24) + 1)]
         # V_k = 0 exactly from the genus bound on
         data["v_exact_tail_from"] = _json_end(g)
         data["tau"] = ev.tau(e)

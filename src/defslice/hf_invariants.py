@@ -110,9 +110,6 @@ class IntInterval(_Interval):
         """Enclosure of max(x, y) over x in self, y in other."""
         return IntInterval(max(self.lo, other.lo), max(self.hi, other.hi))
 
-    def contains(self, v: int) -> bool:
-        return self.lo <= v <= self.hi
-
 
 @dataclass(frozen=True)
 class RatInterval(_Interval):
@@ -126,54 +123,56 @@ class RatInterval(_Interval):
 class VSeq:
     """Interval-valued V-sequence: a closed prefix and the tail it implies.
 
-    entries[k] encloses V_k for k < len(entries).  Past the prefix only
-    monotonicity constrains V_k, so V_k lies in [max(0, lo - d), hi] for
-    the last entry [lo, hi] and d the distance from it.  Under a genus
-    bound g, _close materializes the prefix through index g with V_g = 0
-    exactly, so the same rule gives V_k = 0 for every k >= g.
+    lo[k] <= V_k <= hi[k] for k < len(lo): two tuples of the same length,
+    of ints, with inf for an unbounded upper end.  Past the prefix only
+    monotonicity constrains V_k, so V_k lies in [max(0, lo[-1] - d), hi[-1]],
+    read from the last bounds, for d the distance from them.  Under a
+    genus bound g, _close materializes the prefix through index g with
+    V_g = 0 exactly, so the same rule gives V_k = 0 for every k >= g.
     """
 
-    entries: tuple
+    lo: tuple
+    hi: tuple
+
+    def __len__(self):
+        return len(self.lo)
 
     def at(self, k: int) -> IntInterval:
         if k < 0:
             raise ValueError("V-sequence index must be >= 0")
-        if k < len(self.entries):
-            return self.entries[k]
-        last = self.entries[-1]
-        d = k - (len(self.entries) - 1)
-        return IntInterval(max(0, last.lo - d), last.hi)
+        last = len(self.lo) - 1
+        if k <= last:
+            return IntInterval(self.lo[k], self.hi[k])
+        return IntInterval(max(0, self.lo[-1] - (k - last)), self.hi[-1])
 
     def first_possible_zero(self) -> int:
-        for k, iv in enumerate(self.entries):
-            if iv.lo == 0:
-                return k
-        return len(self.entries) - 1 + self.entries[-1].lo
+        if 0 in self.lo:
+            return self.lo.index(0)
+        return len(self.lo) - 1 + self.lo[-1]
 
     def first_certain_zero(self) -> int | float:
         """Least k with V_k certainly 0, or inf when no k is certain."""
-        for k, iv in enumerate(self.entries):
-            if iv.hi == 0:
-                return k
-        return inf
+        return self.hi.index(0) if 0 in self.hi else inf
 
 
-def _close(entries, genus) -> VSeq:
+def _close(los, his, genus) -> VSeq:
     """Monotonicity closure: V_k >= 0, V_{k+1} <= V_k <= V_{k+1} + 1.
 
-    Under a finite genus bound g, V_k = 0 for k >= g: the prefix is
-    materialized through index g with those entries 0, so the backward
+    los and his are the lower and upper bounds of V_0, V_1, ..., of one
+    length.  Under a finite genus bound g, V_k = 0 for k >= g: the prefix
+    is materialized through index g with those bounds 0, so the backward
     pass propagates the zero into the prefix.  genus is inf when unknown.
     """
-    n = len(entries)
-    length = max(n, 1, genus + 1 if genus < inf else 0)
-    los = [max(iv.lo, 0) for iv in entries] + [0] * (length - n)
-    his = [iv.hi for iv in entries] + [inf] * (length - n)
-    for k in range(min(genus, length), length):
+    n = len(los)
+    for k in range(min(genus, n), n):
         if los[k] > 0 or his[k] < 0:
             raise ContradictionError(
-                f"V_{k} constrained to {entries[k]} but the tail is zero"
+                f"V_{k} constrained to {_Interval(los[k], his[k])} but the tail is zero"
             )
+    length = max(n, 1, genus + 1 if genus < inf else 0)
+    los = [max(lo, 0) for lo in los] + [0] * (length - n)
+    his = list(his) + [inf] * (length - n)
+    for k in range(min(genus, length), length):
         los[k] = his[k] = 0
     # The upper and the lower bounds are independent difference constraints
     # along a path, with weights 0 one way and 1 the other; the tightest
@@ -191,7 +190,7 @@ def _close(entries, genus) -> VSeq:
             los[k] = los[k + 1]
     if any(map(gt, los, his)):
         raise ContradictionError("V-sequence bounds are inconsistent")
-    return VSeq(tuple(map(IntInterval, los, his)))
+    return VSeq(tuple(los), tuple(his))
 
 
 def wu_phi(p: int, q: int, i: int) -> int:
@@ -232,31 +231,13 @@ def lens_d(p: int, q: int, i: int) -> Fraction:
 
 def _lspace_vseq(alex: LaurentPoly, g: int) -> VSeq:
     # An L-space knot of genus g: V_j is the j-th torsion coefficient.
-    return _close([IntInterval.exact(t) for t in torsion_prefix(alex, g)], g)
+    t = torsion_prefix(alex, g)
+    return _close(t, t, g)
 
 
 def _cert_vseq(v0, genus) -> VSeq:
     # A certificate's V_0, or [0, inf] without one, closed under the genus bound.
-    return _close([IntInterval(0, inf) if v0 is None else IntInterval.exact(v0)], genus)
-
-
-@lru_cache(maxsize=None)
-def _torus_vseq(p: int, q: int) -> VSeq:
-    # Exact V-sequence of the positive torus knot T(p,q), q >= 1.
-    return _lspace_vseq(torus_alexander(p, q), (p - 1) * (q - 1) // 2)
-
-
-def _settle(s: VSeq) -> int:
-    """Least k with hi of V_k equal to the last entry's hi: the upper
-    bounds of s are constant from k on."""
-    last = s.entries[-1].hi
-    return next(k for k, iv in enumerate(s.entries) if iv.hi == last)
-
-
-def _upper(s: VSeq, n: int) -> list:
-    """hi of V_0..V_{n-1} as s.at gives them."""
-    his = [iv.hi for iv in s.entries[:n]]
-    return his + [his[-1]] * (n - len(his))
+    return _close([0], [inf], genus) if v0 is None else _close([v0], [v0], genus)
 
 
 _MISSING = object()
@@ -356,10 +337,10 @@ class Evaluator:
         The upper sequence of the sum is the min-plus convolution of the
         summands' upper sequences, his[k] = min over m + n = k of
         hi_A[m] + hi_B[n].  A closed summand B's upper sequence is constant
-        from its settle index w = _settle(B) on: hi_B[n] = hi_B[w] for every
-        n >= w, as the tail rule repeats the last entry's hi.  (When V_g of
-        B is certainly 0, w = g.)  Adding B only needs the splits
-        n <= min(k, w):
+        from its settle index w = hi_B.index(hi_B[-1]) on, the least k
+        whose upper bound equals the last one: hi_B[n] = hi_B[w] for every
+        n >= w, as the tail rule repeats the last hi.  (When V_g of B is
+        certainly 0, w = g.)  Adding B only needs the splits n <= min(k, w):
 
           * A closed sequence is nonincreasing (+inf only in a prefix), and
             so is the convolution of two nonincreasing sequences: for
@@ -375,7 +356,7 @@ class Evaluator:
         whose L * w term then drops out.  The cost is L times the sum of
         the other windows instead of r * L^2 over r summands.
 
-        Under a genus bound g the prefix is L = g entries long, and _close
+        Under a genus bound g the prefix has length L = g, and _close
         adds V_g = 0.  Without one, L is the summands' prefix lengths added
         up: the convolution is constant from the sum of their settle
         indices on (each split with every n_i >= w_i attains the sum of the
@@ -383,24 +364,24 @@ class Evaluator:
         prefix holds every upper bound the rule gives and its tail is exact.
         """
         parts = e.parts
-        seqs = [self._vseq_of(p) for p in parts]
+        uppers = [self._vseq_of(p).hi for p in parts]
         g = self._genus(e)
-        length = max(g, 1) if g < inf else max(2, sum(len(s.entries) for s in seqs))
+        length = max(g, 1) if g < inf else max(2, sum(map(len, uppers)))
         folds = sorted(
-            ((min(_settle(s), length - 1), s) for s in seqs),
+            ((min(hi.index(hi[-1]), length - 1), hi) for hi in uppers),
             key=itemgetter(0),
             reverse=True,
         )
-        his = _upper(folds[0][1], length)
-        for window, s in folds[1:]:
-            nxt = _upper(s, window + 1)
+        first = folds[0][1]
+        his = [*first[:length], *repeat(first[-1], length - len(first))]
+        for window, nxt in folds[1:]:
             out = [h + nxt[0] for h in his]
-            for n in range(1, len(nxt)):
+            for n in range(1, window + 1):
                 out[n:] = map(min, out[n:], map(add, his, repeat(nxt[n])))
             his = out
-        lo0 = self._sum_lower_v0(parts)
-        entries = [IntInterval(lo0 if k == 0 else 0, h) for k, h in enumerate(his)]
-        return _close(entries, g)
+        los = [0] * length
+        los[0] = self._sum_lower_v0(parts)
+        return _close(los, his, g)
 
     def _sum_lower_v0(self, parts):
         """Best lower bound on V_0 of the sum from V_0(A # B) >= V_0(A) - V_0(B*).
@@ -425,26 +406,34 @@ class Evaluator:
         and lo(A) = 0 gives a term <= 0.  By induction on |A|, a singleton
         A attains the optimum.
         """
-        his = [self._vseq_of(flip(p)).at(0).hi for p in parts]
+        his = [self._vseq_of(flip(p)).hi[0] for p in parts]
         before = list(accumulate(his, initial=0))
         after = list(accumulate(reversed(his), initial=0))[::-1]
         best = 0
         for i, p in enumerate(parts):
-            best = max(best, self._vseq_of(p).at(0).lo - (before[i] + after[i + 1]))
+            best = max(best, self._vseq_of(p).lo[0] - (before[i] + after[i + 1]))
         return best
 
     def _vseq_cable(self, e):
-        cseq = self._vseq_of(e.companion)
-        tor = _torus_vseq(e.p, e.q)
-        entries = []
-        for i in range(e.p * e.q // 2 + 1):
-            ph = wu_phi(e.p, e.q, i)
-            a = cseq.at(ph // e.p)
-            b = cseq.at((e.p + e.q - 1 - ph) // e.p)
-            mx = a.max_with(b)
-            t = tor.at(i).value
-            entries.append(IntInterval(t + mx.lo, t + mx.hi))
-        return _close(entries, self._genus(e))
+        """Wu's formula V_i(K_{p,q}) = V_i(T(p,q)) + max{V_a(K), V_b(K)},
+        a = floor(phi/p), b = floor((p+q-1-phi)/p), phi = wu_phi(p, q, i).
+
+        The companion's sequence is closed, so as VSeq.at reads it both
+        bounds are nonincreasing in the index: the maximum is the read at
+        min(a, b).  Past the prefix that read is the tail rule's, lo
+        lowered by one for each step of distance and the last hi.
+        """
+        p, q = e.p, e.q
+        comp = self._vseq_of(e.companion)
+        last = len(comp) - 1
+        los, his = [], []
+        for i, t in enumerate(torsion_prefix(torus_alexander(p, q), p * q // 2 + 1)):
+            ph = wu_phi(p, q, i)
+            k = min(ph // p, (p + q - 1 - ph) // p)
+            j = min(k, last)
+            los.append(t + max(0, comp.lo[j] - (k - j)))
+            his.append(t + comp.hi[j])
+        return _close(los, his, self._genus(e))
 
     def v_seq(self, e) -> VSeq:
         """Sound interval V-sequence of the expression."""
@@ -464,7 +453,7 @@ class Evaluator:
             rb = self._vseq_of(red)
             e0 = base.at(0).intersect(rb.at(0))
             if e0 != base.at(0):
-                base = _close([e0] + list(base.entries[1:]), self._genus(e))
+                base = _close((e0.lo, *base.lo[1:]), (e0.hi, *base.hi[1:]), self._genus(e))
         return base
 
     # -- nu+ and tau --------------------------------------------------

@@ -39,10 +39,6 @@ class LaurentPoly:
     def one(cls):
         return cls({0: 1})
 
-    @classmethod
-    def monomial(cls, e, a=1):
-        return cls({e: a})
-
     def coeff(self, e):
         return self._c.get(e, 0)
 

@@ -204,10 +204,6 @@ class CompositeReport:
     hypotheses: list
     verdict: Verdict
 
-    @property
-    def all_certified(self) -> bool:
-        return all(h.certified for h in self.hypotheses)
-
 
 def composite_cable_obstruction(K, J, n: int, db=None) -> CompositeReport:
     """Check V_0(K) > V_0(J), tau(K) >= 1, tau(J) >= 1, tau(K) < n*tau(J);

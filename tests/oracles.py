@@ -6,10 +6,12 @@ with the package implementations they check.  The remaining oracles are
 earlier package implementations kept as references for their rewrites:
 PartitionEvaluator for the one-summand V_0 lower bound of connected sums,
 AllSplitsEvaluator for the windowed sum fold (and CappedEvaluator for the
-64-entry prefix that genus-less sums had), FlagEvaluator for the cable
-tau rule read from the data, close_iterated for the
-V-sequence closure, ZeroFromVSeq for the V-sequence tail read from the
-last entry, vanishes_by_cyclotomic for the root-of-unity test,
+64-entry prefix that genus-less sums had), WuCableEvaluator (with
+torus_vseq) for the Wu cable step on bound tuples, FlagEvaluator for the
+cable tau rule read from the data, close_iterated for the V-sequence
+closure (close_intervals closes a list of intervals, the form the closure
+once took), ZeroFromVSeq for the V-sequence tail read from the last
+entry, vanishes_by_cyclotomic for the root-of-unity test,
 cable_sigma_by_midpoints for the cable signature, sigma_by_fold and
 sigma_by_fraction_walk (with from_deltas and sigma_torus_by_fractions) for
 the one-walk signature on integer numerators, combination_check_by_box
@@ -21,6 +23,8 @@ json_indent2 for the CLI's --json writer, NoneInterval for the intervals
 with -inf/inf ends and obstruct_definite_by_verdicts for the closed form
 of the one-sided combination rule.  family_kn spells the suite thm1
 expression K_n apart from the composite that the suite takes it from.
+contains, monomial and all_certified are package API that only the tests
+read, kept here as functions.
 """
 
 import itertools
@@ -46,7 +50,9 @@ from defslice.hf_invariants import (
     VSeq,
     _as_evaluator,
     _close,
+    _lspace_vseq,
     _memoized,
+    wu_phi,
 )
 from defslice.knotexpr import (
     WHITEHEAD_TREFOIL,
@@ -59,7 +65,7 @@ from defslice.knotexpr import (
     normalize,
     torus_params,
 )
-from defslice.laurent import LaurentPoly, symmetric_normalized
+from defslice.laurent import LaurentPoly, symmetric_normalized, torus_alexander
 from defslice.obstructions import (
     RULE_A,
     RULE_B,
@@ -72,6 +78,22 @@ from defslice.obstructions import (
     obstruct_positive_definite,
 )
 from defslice.signatures import HALF, CombinationCheck, SigFn, SignatureUnavailable, sigma, sigma_torus
+
+
+def contains(iv, v):
+    """v lies in the closed interval iv (formerly IntInterval.contains)."""
+    return iv.lo <= v <= iv.hi
+
+
+def monomial(e, a=1):
+    """a * t^e (formerly LaurentPoly.monomial)."""
+    return LaurentPoly({e: a})
+
+
+def all_certified(report):
+    """Every hypothesis of a CompositeReport is certified (formerly
+    CompositeReport.all_certified)."""
+    return all(h.certified for h in report.hypotheses)
 
 
 def _upper_bidiagonal(n):
@@ -154,7 +176,7 @@ def div_exact(num, den):
 
 def torus_alexander_by_division(p, q):
     """(t^(pq)-1)(t-1)/((t^p-1)(t^q-1)) by div_exact, symmetric normalized."""
-    t = LaurentPoly.monomial
+    t = monomial
     one = LaurentPoly.one()
     num = (t(p * q) - one) * (t(1) - one)
     den = (t(p) - one) * (t(q) - one)
@@ -214,7 +236,7 @@ class AllSplitsEvaluator(Evaluator):
         if genus < inf:
             length = max(genus, 1)
         else:
-            length = max(2, min(self.max_length, sum(len(s.entries) for s in seqs)))
+            length = max(2, min(self.max_length, sum(map(len, seqs))))
         his = [seqs[0].at(k).hi for k in range(length)]
         for s in seqs[1:]:
             nxt = [s.at(k).hi for k in range(length)]
@@ -227,7 +249,7 @@ class AllSplitsEvaluator(Evaluator):
             his = out
         lo0 = self._sum_lower_v0(parts)
         entries = [IntInterval(lo0 if k == 0 else 0, his[k]) for k in range(length)]
-        return _close(entries, genus)
+        return close_intervals(entries, genus)
 
 
 class CappedEvaluator(AllSplitsEvaluator):
@@ -271,27 +293,67 @@ class FlagEvaluator(Evaluator):
         return Evaluator._tau.__wrapped__(self, e)
 
 
-def close_iterated(entries, genus):
+def close_intervals(entries, genus):
+    """_close of a list of IntIntervals, the form that V-sequence bounds
+    took before they were two tuples."""
+    return _close([iv.lo for iv in entries], [iv.hi for iv in entries], genus)
+
+
+@lru_cache(maxsize=None)
+def torus_vseq(p, q):
+    """Exact V-sequence of the positive torus knot T(p,q), q >= 1, closed
+    from its torsion coefficients (formerly hf_invariants._torus_vseq)."""
+    return _lspace_vseq(torus_alexander(p, q), (p - 1) * (q - 1) // 2)
+
+
+class WuCableEvaluator(Evaluator):
+    """Evaluator whose Wu cable step reads both companion indices through
+    VSeq.at and takes their maximum with max_with, adding V_i of the torus
+    knot read from its closed V-sequence torus_vseq; the reference for
+    Evaluator._vseq_cable, which reads one index of the closed bound
+    tuples.  tail_reads counts the companion reads past its prefix.
+    """
+
+    def __init__(self, db=None):
+        super().__init__(db)
+        self.tail_reads = 0
+
+    def _vseq_cable(self, e):
+        cseq = self._vseq_of(e.companion)
+        tor = torus_vseq(e.p, e.q)
+        entries = []
+        for i in range(e.p * e.q // 2 + 1):
+            ph = wu_phi(e.p, e.q, i)
+            a, b = ph // e.p, (e.p + e.q - 1 - ph) // e.p
+            self.tail_reads += (a >= len(cseq)) + (b >= len(cseq))
+            mx = cseq.at(a).max_with(cseq.at(b))
+            t = tor.at(i).value
+            entries.append(IntInterval(t + mx.lo, t + mx.hi))
+        return close_intervals(entries, self._genus(e))
+
+
+def close_iterated(los, his, genus):
     """V-sequence closure that repeats forward and backward sweeps until
     nothing changes, with V_k = 0 for k >= genus (inf when unknown); the
     reference for hf_invariants._close."""
-    n = len(entries)
+    n = len(los)
     length = max(n, 1, genus + 1 if genus < inf else 0)
-    los, his = [], []
+    out_lo, out_hi = [], []
     for k in range(length):
         if k < n:
-            lo = max(entries[k].lo, 0)
-            hi = entries[k].hi
+            lo = max(los[k], 0)
+            hi = his[k]
         else:
             lo, hi = 0, inf
         if k >= genus:
             if lo > 0 or hi < 0:
                 raise ContradictionError(
-                    f"V_{k} constrained to {entries[k]} but the tail is zero"
+                    f"V_{k} constrained to {IntInterval(los[k], his[k])} but the tail is zero"
                 )
             lo, hi = 0, 0
-        los.append(lo)
-        his.append(hi)
+        out_lo.append(lo)
+        out_hi.append(hi)
+    los, his = out_lo, out_hi
     changed = True
     while changed:
         changed = False
@@ -309,12 +371,10 @@ def close_iterated(entries, genus):
             if los[k] < los[k + 1]:
                 los[k] = los[k + 1]
                 changed = True
-    out = []
     for lo, hi in zip(los, his):
         if lo > hi:
             raise ContradictionError("V-sequence bounds are inconsistent")
-        out.append(IntInterval(lo, hi))
-    return VSeq(tuple(out))
+    return VSeq(tuple(los), tuple(his))
 
 
 @dataclass(frozen=True)
@@ -356,7 +416,7 @@ def cyclotomic(n):
     """n-th cyclotomic polynomial, by dividing t^n - 1 by every Phi_d, d | n."""
     if n < 1:
         raise ValueError("cyclotomic index must be >= 1")
-    poly = LaurentPoly.monomial(n) - LaurentPoly.one()
+    poly = monomial(n) - LaurentPoly.one()
     for d in range(1, n):
         if n % d == 0:
             poly = div_exact(poly, cyclotomic(d))

@@ -182,14 +182,14 @@ class TestCriterion10Properties:
     @given(e=expressions())
     def test_10a_vseq_nonneg_monotone_fixedpoint(self, e):
         s = v_seq(e)
-        for k in range(len(s.entries)):
+        for k in range(len(s)):
             iv = s.at(k)
             assert iv.lo >= 0
-        for k in range(len(s.entries) - 1):
+        for k in range(len(s) - 1):
             a, b = s.at(k), s.at(k + 1)
             assert a.lo >= b.lo >= a.lo - 1
             assert a.hi >= b.hi >= a.hi - 1
-        assert _close(list(s.entries), inf) == s
+        assert _close(s.lo, s.hi, inf) == s
 
     @RANDOMIZED
     @given(a=expressions(max_leaves=3), b=expressions(max_leaves=3))

@@ -12,6 +12,7 @@ from defslice.laurent import LaurentPoly, torsion_prefix, torus_alexander, vanis
 from oracles import (
     alexander_torus_division,
     cyclotomic,
+    monomial,
     torsion_coefficient,
     torus_alexander_by_division,
     vanishes_by_cyclotomic,
@@ -30,7 +31,7 @@ def _inputs():
     ]
     products = []
     for ds in [(1,), (2, 3), (6, 6), (4, 9, 12), (5, 10, 20), (7, 14), (8, 24), (15,), (16, 18)]:
-        poly = LaurentPoly.monomial(-len(ds), -1)
+        poly = monomial(-len(ds), -1)
         for d in ds:
             poly = poly * cyclotomic(d)
         products.append(poly)

@@ -35,7 +35,7 @@ from defslice.obstructions import (
     composite_cable_obstruction,
 )
 
-from oracles import obstruct_definite_by_verdicts
+from oracles import all_certified, obstruct_definite_by_verdicts
 from strategies import expressions
 
 WH = Atom(WHITEHEAD_TREFOIL)
@@ -152,26 +152,26 @@ class TestOneSidedCombination:
 class TestComposite:
     def test_whitehead_example(self):
         r = composite_cable_obstruction(Sum((WH, WH, WH)), WH, 4)
-        assert r.all_certified
+        assert all_certified(r)
         assert r.verdict.obstructed
         assert r.expression == kn(1)
 
     def test_equal_invariants_fail(self):
         t = torus_atom(2, 3)
         r = composite_cable_obstruction(t, t, 2)
-        assert not r.all_certified
+        assert not all_certified(r)
         failed = [h.name for h in r.hypotheses if not h.certified]
         assert "V0(K) > V0(J)" in failed
         assert not r.verdict.obstructed
 
     def test_torus_example(self):
         r = composite_cable_obstruction(torus_atom(2, 7), torus_atom(2, 3), 4)
-        assert r.all_certified  # V0: 2 > 1, tau: 3 < 4
+        assert all_certified(r)  # V0: 2 > 1, tau: 3 < 4
         assert r.verdict.obstructed
 
     def test_n_too_small_fails(self):
         r = composite_cable_obstruction(torus_atom(2, 7), torus_atom(2, 3), 3)
-        assert not r.all_certified  # tau(K) = 3 is not < 3*1
+        assert not all_certified(r)  # tau(K) = 3 is not < 3*1
 
     def test_n_validation(self):
         with pytest.raises(ValueError):
