@@ -38,7 +38,6 @@ from .hf_invariants import (
 from .knotexpr import (
     Atom,
     Cable,
-    CableSignError,
     KnotExpr,
     Mirror,
     ParseError,

@@ -222,7 +222,9 @@ def load_registry(path) -> CertificateDB:
     name must be a string that parse reads back as that one atom, within
     the size limits of knotexpr.check_size.  The unknot O is refused:
     normalize folds a cable of O into O or into a torus knot, which holds
-    only for the true unknot.
+    only for the true unknot.  A record for another built-in atom, T(p,q)
+    or Wh(T(2,3)), may only leave data out (_check_builtin): normalize
+    turns cable(p,q,O) into T(p,q), and a knot has one set of data.
     """
     try:
         fh = open(path, "r", encoding="utf-8")
@@ -275,7 +277,32 @@ def load_registry(path) -> CertificateDB:
             ok = False
         if not ok:
             raise CertificateError(f"registry record {cert.name!r}: the name does not parse as one atom")
+        _check_builtin(cert)
     return db
+
+
+def _check_builtin(cert):
+    """Refuse a record of a built-in atom that gives a field the built-in
+    lacks or has with another value; a record naming no built-in passes.
+
+    lspace needs no test of its own: an L-space record gives tau = genus =
+    the degree of its Alexander polynomial, so one for Wh(T(2,3)) already
+    differs from it in tau or in the polynomial, and every T(p,q) is an
+    L-space knot.
+    """
+    try:
+        known = builtin(cert.name)
+    except UnknownAtomError:
+        return
+    for key in ("tau", "genus", "alexander", "v0", "v0_mirror"):
+        value, own = getattr(cert, key), getattr(known, key)
+        # v0 = 0 is a value given, so the test is `is not None`
+        if value is not None and value != own:
+            has = "none" if own is None else own
+            raise CertificateError(
+                f"registry record {cert.name!r}: {key} {value} contradicts the "
+                f"built-in atom, which has {has}"
+            )
 
 
 def nu_equiv_reduce(e: KnotExpr) -> KnotExpr:

@@ -17,11 +17,10 @@ from functools import cache
 from math import inf
 
 from .certificates import CertificateGapError, default_db, load_registry
-from .hf_invariants import ContradictionError, Evaluator, IntInterval, RatInterval, lens_d
+from .hf_invariants import Evaluator, IntInterval, RatInterval, lens_d
 from .knotexpr import (
     Atom,
     Cable,
-    CableSignError,
     Mirror,
     ParseError,
     SizeLimitError,
@@ -222,64 +221,46 @@ def build_report(text: str, db) -> dict:
         data["alexander"] = None
         data["alexander_pretty"] = None
         data["topologically_slice_certified"] = None
-    try:
-        g = ev.genus_bound(e)
-        vs = ev.v_seq(e)
-        data["genus_bound"] = _json_end(g)
-        data["v"] = [vs.at(k) for k in range(min(g, len(vs) - 1, 24) + 1)]
-        # V_k = 0 exactly from the genus bound on
-        data["v_exact_tail_from"] = _json_end(g)
-        data["tau"] = ev.tau(e)
-        data["nu_plus"] = ev.nu_plus(e)
-        data["d1"] = ev.d1(e)
-    except CableSignError as exc:
-        warnings.append(str(exc))
-        for key in ("genus_bound", "v", "v_exact_tail_from", "tau", "nu_plus", "d1"):
-            data[key] = None
+    g = ev.genus_bound(e)
+    vs = ev.v_seq(e)
+    data["genus_bound"] = _json_end(g)
+    data["v"] = [vs.at(k) for k in range(min(g, len(vs) - 1, 24) + 1)]
+    # V_k = 0 exactly from the genus bound on
+    data["v_exact_tail_from"] = _json_end(g)
+    data["tau"] = ev.tau(e)
+    data["nu_plus"] = ev.nu_plus(e)
+    data["d1"] = ev.d1(e)
     try:
         data["sigma"] = [
             {"from": lo, "to": hi, "value": val} for lo, hi, val in ev.sigma(e).pieces()
         ]
-    except (SignatureUnavailable, CableSignError) as exc:
+    except SignatureUnavailable as exc:
         warnings.append(str(exc))
         data["sigma"] = None
-    try:
-        data["verdicts"] = [
-            obstruct_negative_definite(e, ev),
-            obstruct_positive_definite(e, ev),
-            obstruct_definite(e, ev),
-        ]
-    except (CableSignError, CertificateGapError) as exc:
-        warnings.append(str(exc))
-        data["verdicts"] = None
-    try:
-        data["kinkiness"] = kinkiness_bounds(e, ev)
-    except CableSignError as exc:
-        warnings.append(str(exc))
-        data["kinkiness"] = None
-    # one CableSignError can fail several stages; each message shows once
-    data["warnings"] = list(dict.fromkeys(warnings))
+    # the verdicts read the signature and the Alexander polynomial only
+    # through _signature_evidence, which turns their gaps into no evidence
+    data["verdicts"] = [
+        obstruct_negative_definite(e, ev),
+        obstruct_positive_definite(e, ev),
+        obstruct_definite(e, ev),
+    ]
+    data["kinkiness"] = kinkiness_bounds(e, ev)
+    data["warnings"] = warnings
     return data
 
 
 def print_report(data):
-    # IntInterval and KinkinessBound values are always true, so `or` picks
-    # out only the None of an unavailable value
     print(f"expression:  {data['expression']}")
     print(f"normalized:  {data['normalized']}")
     print(f"alexander:   {data['alexander_pretty'] or 'unavailable'}")
     ts = data["topologically_slice_certified"]
     print(f"topologically slice (certified): {'yes' if ts else 'no' if ts is not None else 'unavailable'}")
     print(f"genus bound: {data['genus_bound'] if data['genus_bound'] is not None else 'unknown'}")
-    print(
-        f"tau: {data['tau'] or 'unavailable'}    nu+: {data['nu_plus'] or 'unavailable'}    "
-        f"d1: {data['d1'] or 'unavailable'}"
-    )
-    if data["v"] is not None:
-        vals = "  ".join(f"V_{k}={iv}" for k, iv in enumerate(data["v"]))
-        print(f"V-sequence:  {vals}")
-        if data["v_exact_tail_from"] is not None:
-            print(f"             (V_k = 0 for k >= {data['v_exact_tail_from']})")
+    print(f"tau: {data['tau']}    nu+: {data['nu_plus']}    d1: {data['d1']}")
+    vals = "  ".join(f"V_{k}={iv}" for k, iv in enumerate(data["v"]))
+    print(f"V-sequence:  {vals}")
+    if data["v_exact_tail_from"] is not None:
+        print(f"             (V_k = 0 for k >= {data['v_exact_tail_from']})")
     if data["sigma"] is not None:
         if len(data["sigma"]) == 1 and data["sigma"][0]["value"] == 0:
             print("sigma:       0 on (0, 1/2]")
@@ -289,20 +270,18 @@ def print_report(data):
                 print(f"             ({piece['from']}, {piece['to']}): {piece['value']}")
     else:
         print("sigma:       unavailable")
-    if data["verdicts"] is not None:
-        print("verdicts:")
-        for v in data["verdicts"]:
-            line = f"  {v.target}: {v.status.upper() if v.obstructed else v.status}"
-            if v.reasons:
-                line += " (" + ", ".join(r.rule for r in v.reasons) + ")"
-            print(line)
-            for r in v.reasons:
-                print(f"      {r.rule}: {r.statement}")
-                evidence = json.dumps(r.evidence, default=_json_value, allow_nan=False)
-                print(f"      evidence: {evidence}")
-    if data["kinkiness"] is not None:
-        kb = data["kinkiness"]
-        print(f"kinkiness:   k+ >= {kb.k_plus_lo}, k- >= {kb.k_minus_lo}")
+    print("verdicts:")
+    for v in data["verdicts"]:
+        line = f"  {v.target}: {v.status.upper() if v.obstructed else v.status}"
+        if v.reasons:
+            line += " (" + ", ".join(r.rule for r in v.reasons) + ")"
+        print(line)
+        for r in v.reasons:
+            print(f"      {r.rule}: {r.statement}")
+            evidence = json.dumps(r.evidence, default=_json_value, allow_nan=False)
+            print(f"      evidence: {evidence}")
+    kb = data["kinkiness"]
+    print(f"kinkiness:   k+ >= {kb.k_plus_lo}, k- >= {kb.k_minus_lo}")
     for w in data["warnings"]:
         print(f"warning: {w}")
 
@@ -771,7 +750,7 @@ def main(argv=None) -> int:
     except CertificateGapError as exc:
         print(f"certificate gap: {exc}", file=sys.stderr)
         return EXIT_GAP
-    except (ContradictionError, CableSignError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

@@ -10,7 +10,8 @@ sentinel.
 Rules used, besides per-atom certificates:
   * L-space atoms: V_j equals the j-th torsion coefficient of Alexander.
   * Wu's cabling formula (without the spurious factor of 2 in front of
-    the maximum) for cables with q >= 1.
+    the maximum) for cables, which have q >= 1 in normal form: normalize
+    writes a cable with q < 0 as the mirror of a positive one.
   * Connected-sum subadditivity V_{m+n}(K # J) <= V_m(K) + V_n(J) and the
     derived lower bound V_0(A # B) >= V_0(A) - V_0(B*), which is optimal
     with a single summand as A (proof at Evaluator._sum_lower_v0).
@@ -38,7 +39,6 @@ from .knotexpr import (
     Mirror,
     Sum,
     alexander,
-    check_positive_cables,
     flip,
     normalize,
 )
@@ -268,8 +268,8 @@ class Evaluator:
     module-level functions make a fresh one per call, which is always safe.
     Reusing an instance across the queries of one report or suite shares
     that work between them.  The public rules take any expression through
-    _normal, which normalizes it and checks its cable signs once; the rules
-    below read only normal input.
+    _normal, which normalizes it once; the rules below read only normal
+    input.
     """
 
     def __init__(self, db=None):
@@ -278,9 +278,7 @@ class Evaluator:
 
     @_memoized
     def _normal(self, e):
-        e = normalize(e)
-        check_positive_cables(e)
-        return e
+        return normalize(e)
 
     # -- genus bound -------------------------------------------------
 

@@ -7,14 +7,18 @@ Expression grammar (whitespace-insensitive):
           | 'cable(' INT ',' INT ',' expr ')' | '(' expr ')'
     atom := 'O' | 'T(' INT ',' INT ')' | 'Wh(' atom ')' | IDENT
 
-Normal form: no mirror directly above a mirror or a connected sum, sums
-are flattened, cables of the unknot collapse to torus atoms.  Expressions
-are immutable after construction and safe to share between evaluations.
+Normal form: no mirror directly above a mirror, a connected sum or the
+unknot, sums are flattened, every cable has p >= 2 and q >= 1, and cables
+of the unknot collapse to torus atoms.  A cable with q < 0 is the mirror
+of a positive one, (K_{p,q})* = (K*)_{p,-q}, so normalize writes
+cable(p, q, K) with q < 0 as the mirror of cable(p, -q, K*), and no other
+rule needs to know the sign of q.  Expressions are immutable after
+construction and safe to share between evaluations.
 
-parse returns normal form, and an hf_invariants.Evaluator normalizes and
-cable-sign-checks each expression once, at its memoized _normal rule; its
-other rules read only normal input.  flip assumes a normal input, whose
-summands are not sums, and returns its mirror in normal form.
+parse returns normal form, and an hf_invariants.Evaluator normalizes each
+expression once, at its memoized _normal rule; its other rules read only
+normal input.  flip assumes a normal input, whose summands are not sums,
+and returns its mirror in normal form.
 """
 
 from __future__ import annotations
@@ -39,14 +43,6 @@ class SizeLimitError(ValueError):
     """An input past one of the size limits: MAX_SUMMANDS summands, genus
     bound MAX_GENUS or a cable with p above MAX_GENUS for an expression, or
     a numeric argument's limit."""
-
-
-class CableSignError(ValueError):
-    """Raised when an invariant rule is asked about a cable with q <= 0.
-
-    Such cables are representable, but none of the evaluation rules are
-    stated for them, so every invariant operation rejects them.
-    """
 
 
 @dataclass(frozen=True)
@@ -118,20 +114,23 @@ def normalize(e: KnotExpr) -> KnotExpr:
             parts.extend(n.parts if isinstance(n, Sum) else (n,))
         return parts[0] if len(parts) == 1 else Sum(tuple(parts))
     if isinstance(e, Cable):
-        c = normalize(e.companion)
         if e.p == 1:
-            return c
+            return normalize(e.companion)
+        # p >= 2 and gcd(p, q) = 1 leave q != 0
+        if e.q < 0:
+            return flip(normalize(Cable(e.p, -e.q, Mirror(e.companion))))
+        c = normalize(e.companion)
         if c == UNKNOT:
-            if e.q >= 2:
-                return torus_atom(e.p, e.q)
-            if e.q in (0, 1):
-                return UNKNOT
+            return torus_atom(e.p, e.q) if e.q >= 2 else UNKNOT
         return Cable(e.p, e.q, c)
     raise TypeError(f"not a knot expression: {e!r}")
 
 
 def flip(e: KnotExpr) -> KnotExpr:
-    """Mirror of a normal expression, in normal form."""
+    """Mirror of a normal expression, in normal form; the unknot is its
+    own mirror."""
+    if e == UNKNOT:
+        return e
     if isinstance(e, Mirror):
         return e.child
     if isinstance(e, Sum):
@@ -141,21 +140,6 @@ def flip(e: KnotExpr) -> KnotExpr:
 
 def mirror(e: KnotExpr) -> KnotExpr:
     return normalize(Mirror(e))
-
-
-def check_positive_cables(e: KnotExpr):
-    """Raise CableSignError if any cable in the expression has q <= 0."""
-    if isinstance(e, Mirror):
-        check_positive_cables(e.child)
-    elif isinstance(e, Sum):
-        for p in e.parts:
-            check_positive_cables(p)
-    elif isinstance(e, Cable):
-        if e.q <= 0:
-            raise CableSignError(
-                f"cable with q={e.q} <= 0 is outside every evaluation rule"
-            )
-        check_positive_cables(e.companion)
 
 
 def render(e: KnotExpr) -> str:

@@ -252,10 +252,13 @@ def composite_cable_obstruction(K, J, n: int, db=None) -> CompositeReport:
 def kinkiness_bounds(e, db=None) -> KinkinessBound:
     """Lower bounds for the minimal numbers of positive/negative kinks.
 
-    nu+ <= k+ and -k- <= tau <= k+, applied to the knot and its mirror.
+    nu+ <= k+ and -k- <= tau <= k+, applied to the knot and its mirror,
+    read from nu+ alone.  The lower end of nu_plus(K) is
+    max(raw, tau(K).lo, 0), which already bounds k+ by tau.  The mirror's
+    lower end holds tau(K*).lo, and tau(K*) = -tau(K) exactly, so it is
+    -tau(K).hi: the Mirror rule negates its child's interval, and a
+    mirrored sum adds the negated intervals of its parts and meets its
+    fallback window, which is the sum's own window negated.
     """
     ev = _as_evaluator(db)
-    np_e = ev.nu_plus(e)
-    np_m = ev.nu_plus(Mirror(e))
-    t = ev.tau(e)
-    return KinkinessBound(k_plus_lo=max(0, np_e.lo, t.lo), k_minus_lo=max(0, np_m.lo, -t.hi))
+    return KinkinessBound(k_plus_lo=ev.nu_plus(e).lo, k_minus_lo=ev.nu_plus(Mirror(e)).lo)

@@ -20,7 +20,6 @@ from .certificates import CertificateGapError, resolve_db
 from .knotexpr import (
     Atom,
     Cable,
-    CableSignError,
     Mirror,
     SizeLimitError,
     Sum,
@@ -231,8 +230,8 @@ def sigma(e, db=None) -> SigFn:
 
 
 def _deltas(e, db) -> tuple:
-    # (D, pairs) of a normal expression; raises at the first offending node
-    # in walk order, a cable's own sign before its companion
+    # (D, pairs) of a normal expression; raises at the first atom without
+    # a signature rule in walk order
     if isinstance(e, Atom):
         tq = torus_params(e.name)
         if tq is not None:
@@ -250,8 +249,6 @@ def _deltas(e, db) -> tuple:
         d = lcm(*(dp for dp, _ in parts))
         return d, [(n * (d // dp), delta) for dp, pairs in parts for n, delta in pairs]
     if isinstance(e, Cable):
-        if e.q <= 0:
-            raise CableSignError(f"cable with q={e.q} <= 0 has no signature rule")
         return _cable_sigma(_deltas(e.companion, db), e.p, e.q)
     raise TypeError(f"not a knot expression: {e!r}")
 

@@ -58,7 +58,6 @@ from defslice.knotexpr import (
     WHITEHEAD_TREFOIL,
     Atom,
     Cable,
-    CableSignError,
     Mirror,
     Sum,
     mirror,
@@ -464,8 +463,12 @@ def vanishes_by_sympy(poly, x):
 def cable_sigma_by_midpoints(base, p, q):
     """sigma_K(omega^p) + sigma_{T(p,q)}(omega), evaluated at the midpoint of
     every piece between candidate jump points and differenced; the reference
-    for signatures._cable_sigma."""
-    tor = sigma_torus(p, q)
+    for signatures._cable_sigma.  Litherland's formula holds for q of
+    either sign, with T(p,q) = T(p,|q|)* and so sigma_{T(p,|q|)} negated
+    for q < 0, so this reference does not go through normalize."""
+    tor = sigma_torus(p, abs(q))
+    if q < 0:
+        tor = SigFn(tuple((x, -d) for x, d in tor.jumps))
     if base.is_zero:
         return tor
     cuts = {x for x, _ in tor.jumps}
@@ -562,8 +565,8 @@ def sigma_by_fraction_walk(e, db=None):
 
 
 def _fraction_deltas(e, db):
-    # jump pairs of a normal expression; raises at the first offending node
-    # in walk order, a cable's own sign before its companion
+    # jump pairs of a normal expression; raises at the first atom without
+    # a signature rule in walk order
     if isinstance(e, Atom):
         tq = torus_params(e.name)
         if tq is not None:
@@ -578,8 +581,6 @@ def _fraction_deltas(e, db):
     if isinstance(e, Sum):
         return [pair for p in e.parts for pair in _fraction_deltas(p, db)]
     if isinstance(e, Cable):
-        if e.q <= 0:
-            raise CableSignError(f"cable with q={e.q} <= 0 has no signature rule")
         return _cable_sigma_by_fractions(_fraction_deltas(e.companion, db), e.p, e.q)
     raise TypeError(f"not a knot expression: {e!r}")
 
@@ -622,8 +623,6 @@ def _fold(e, db):
             out = from_deltas(out.jumps + _fold(p, db).jumps)
         return out
     if isinstance(e, Cable):
-        if e.q <= 0:
-            raise CableSignError(f"cable with q={e.q} <= 0 has no signature rule")
         return _cable_by_fold(_fold(e.companion, db), e.p, e.q)
     raise TypeError(f"not a knot expression: {e!r}")
 

@@ -8,7 +8,8 @@ ATOM_NAMES = ["O", "T(2,3)", "T(2,5)", "T(3,4)", WHITEHEAD_TREFOIL]
 
 # coprime (p, q) pairs with q >= 1, kept small so V-sequences stay short
 _CABLE_PQ = [(2, 1), (2, 3), (3, 1), (3, 2), (4, 1), (2, 5), (5, 1)]
-# plus q <= 0, and p = 1, which normalize drops
+# plus q < 0, which normalize writes as the mirror of a cable with q > 0,
+# and p = 1, which it drops
 CABLE_PQ_ANY = _CABLE_PQ + [(2, -1), (3, -2), (2, -3), (1, 2), (1, -1)]
 
 
@@ -32,6 +33,6 @@ def expressions(max_leaves=5, names=ATOM_NAMES):
 
 def expressions_any_cable(max_leaves=5, names=ATOM_NAMES):
     """Random expressions over the atoms of names that may contain cables
-    with q <= 0."""
+    with q < 0 or p = 1."""
     leaves = st.sampled_from(names).map(Atom)
     return st.recursive(leaves, lambda c: _extend(c, CABLE_PQ_ANY), max_leaves=max_leaves)

@@ -1,6 +1,8 @@
 """Certificate database, registry loading, and the substitution axiom."""
 
 import json
+import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -102,6 +104,47 @@ class TestRegistry:
         db = load_registry(reg)
         assert db.get("K") == AtomCertificate(name="K", tau=1, genus=2)
         assert not tau(parse("cable(2,1,K)", db), db).is_exact
+
+    @pytest.mark.parametrize(
+        "record, key",
+        [
+            ({"name": "T(2,3)", "tau": -1, "genus": 1, "v0_mirror": 1}, "tau"),
+            # v0 = 0 is a value given, not one left out
+            ({"name": "T(2,3)", "v0": 0}, "v0"),
+            ({"name": "T(2,5)", "genus": 3}, "genus"),
+            ({"name": "T(3,4)", "alexander": [[0, 1]]}, "alexander"),
+            # the built-in torus atoms carry no v0_mirror
+            ({"name": "T(2,5)", "v0_mirror": 0}, "v0_mirror"),
+            ({"name": "Wh(T(2,3))", "tau": 5, "genus": 5}, "tau"),
+            ({"name": "Wh(T(2,3))", "alexander": [[-1, 1], [0, -1], [1, 1]]}, "alexander"),
+            ({"name": "Wh(T(2,3))", "v0": 0}, "v0"),
+            ({"name": "Wh(T(2,3))", "v0_mirror": 0}, "v0_mirror"),
+            # an L-space record of the Whitehead double differs in tau
+            ({"name": "Wh(T(2,3))", "lspace": True, "tau": 0, "genus": 0, "alexander": [[0, 1]]}, "tau"),
+        ],
+    )
+    def test_builtin_contradiction_refused(self, tmp_path, record, key):
+        reg = tmp_path / "atoms.json"
+        reg.write_text(json.dumps({"atoms": [record]}))
+        with pytest.raises(CertificateError, match=rf"^registry record '{re.escape(record['name'])}': {key} ") as exc:
+            load_registry(reg)
+        assert "\n" not in str(exc.value)
+
+    def test_builtin_partial_record_loads(self, tmp_path):
+        # a record of a built-in atom may leave any data out
+        records = [
+            {"name": "T(2,3)", "genus": 1},
+            {"name": "T(2,5)", "tau": 2, "lspace": False, "v0": 1},
+            {"name": "T(3,4)", "tau": 3, "genus": 3, "lspace": True,
+             "alexander": [[-3, 1], [-2, -1], [0, 1], [2, -1], [3, 1]]},
+            {"name": "Wh(T(2,3))", "tau": 1, "v0": 1, "alexander": [[0, 1]]},
+        ]
+        reg = tmp_path / "atoms.json"
+        reg.write_text(json.dumps({"atoms": records}))
+        db = load_registry(reg)
+        assert db.get("T(2,3)") == AtomCertificate(name="T(2,3)", genus=1)
+        assert db.get("T(3,4)") == replace(builtin("T(3,4)"), v0=None)
+        assert db.get("Wh(T(2,3))").genus is None
 
     def test_bad_record(self, tmp_path):
         reg = tmp_path / "atoms.json"

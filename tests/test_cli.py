@@ -71,14 +71,20 @@ class TestReport:
             {"lo": 0, "hi": 0},
         ]
 
-    def test_warnings_once_each(self, capsys):
-        # the q <= 0 cable fails the V-sequence, verdict and kinkiness stages
-        code, out, _ = run(capsys, "report", "cable(2,-1,T(2,3)) # T(2,5)", "--json")
+    def test_negative_cable_full_report(self, capsys):
+        # a cable with q < 0 is the mirror of the positive cable of the
+        # mirrored companion: the same report, with no warning, under
+        # --strict too; sigma and surgery evaluate it as well
+        text, positive = "cable(2,-1,T(2,3)) # T(2,5)", "cable(2,1,T(2,3)*)* # T(2,5)"
+        code, out, _ = run(capsys, "report", text, "--json", "--strict")
         assert code == 0
-        assert json.loads(out)["warnings"] == [
-            "cable with q=-1 <= 0 is outside every evaluation rule",
-            "cable with q=-1 <= 0 has no signature rule",
-        ]
+        data = json.loads(out)
+        assert data["warnings"] == [] and data["normalized"] == positive
+        _, pos_out, _ = run(capsys, "report", positive, "--json")
+        assert {**json.loads(pos_out), "expression": text} == data
+        for argv in (["sigma", text, "--strict"], ["surgery", text, "3", "1"]):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0 and positive in out
 
     def test_unknot_inconclusive(self, capsys):
         code, out, _ = run(capsys, "report", "O", "--json")
@@ -269,14 +275,23 @@ class TestAtomsFile:
                   "alexander": [[0, 1]]}],
                 "the unknot 'O' cannot be replaced",
             ),
+            (
+                [{"name": "T(2,3)", "tau": -1, "genus": 1, "v0_mirror": 1}],
+                "registry record 'T(2,3)': tau -1 contradicts the built-in atom, which has 1",
+            ),
+            (
+                [{"name": "Wh(T(2,3))", "tau": 5, "genus": 5, "alexander": [[0, 1]], "v0": 1}],
+                "registry record 'Wh(T(2,3))': tau 5 contradicts the built-in atom, which has 1",
+            ),
         ],
-        ids=["not_lspace_form", "duplicate_name", "unknot"],
+        ids=["not_lspace_form", "duplicate_name", "unknot", "torus", "whitehead"],
     )
     @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["human", "json"])
     def test_contradictory_registry_exit_1(self, capsys, tmp_path, records, named, json_flag):
         # all loaded before: the first failed every report that used it, of
-        # the second the later record silently won, and with the third
-        # `report O` found the unknot obstructed
+        # the second the later record silently won, with the third
+        # `report O` found the unknot obstructed, and the last two gave a
+        # built-in knot data other than its own
         reg = tmp_path / "atoms.json"
         reg.write_text(json.dumps({"atoms": records}))
         code, out, err = run(capsys, "report", records[0]["name"], "--atoms", str(reg), *json_flag)
@@ -366,23 +381,11 @@ class TestSuites:
         assert code == 0
 
     def test_failure_exit_1(self, capsys, tmp_path):
-        # replacing the Whitehead certificate changes the axioms out from
-        # under the family, so the thm1 rows fail
+        # a Whitehead record that leaves out tau and v0 takes the axioms the
+        # family needs out from under it, so the thm1 rows fail
         reg = tmp_path / "atoms.json"
         reg.write_text(
-            json.dumps(
-                {
-                    "atoms": [
-                        {
-                            "name": "Wh(T(2,3))",
-                            "tau": 5,
-                            "genus": 5,
-                            "alexander": [[0, 1]],
-                            "v0": 1,
-                        }
-                    ]
-                }
-            )
+            json.dumps({"atoms": [{"name": "Wh(T(2,3))", "genus": 1, "alexander": [[0, 1]]}]})
         )
         code, out, _ = run(capsys, "suite", "thm1", "--n", "1..2", "--atoms", str(reg))
         assert code == 1

@@ -30,7 +30,6 @@ from defslice.hf_invariants import (
 from defslice.knotexpr import (
     Atom,
     Cable,
-    CableSignError,
     Mirror,
     Sum,
     UNKNOT,
@@ -233,11 +232,18 @@ class TestVSeq:
         s = v_seq(Sum((WH, WH, WH)))
         assert s.at(0) == IntInterval.exact(2)
 
-    def test_negative_cable_rejected(self):
-        with pytest.raises(CableSignError):
-            v_seq(Cable(3, -2, torus_atom(2, 3)))
-        with pytest.raises(CableSignError):
-            v_seq(Sum((WH, Mirror(Cable(3, -2, torus_atom(2, 3))))))
+    def test_negative_cable_is_mirrored(self):
+        # (K_{p,q})* = (K*)_{p,-q}: a cable with q < 0 is the mirror of the
+        # positive cable of the mirrored companion, for every invariant
+        t = torus_atom(2, 3)
+        pairs = [
+            (Cable(3, -2, t), Mirror(Cable(3, 2, Mirror(t)))),
+            (Sum((WH, Mirror(Cable(3, -2, t)))), Sum((WH, Cable(3, 2, Mirror(t))))),
+            (Cable(2, -1, Cable(3, -2, WH)), Mirror(Cable(2, 1, Cable(3, 2, Mirror(WH))))),
+        ]
+        for neg, pos in pairs:
+            for fn in (v_seq, tau, nu_plus, d1, genus_bound):
+                assert fn(neg) == fn(pos)
 
     def test_closure_is_fixed_point(self):
         for text in ["T(2,7)", "T(2,3) # T(2,5)*", "cable(2,3,T(2,3)) # Wh(T(2,3))"]:

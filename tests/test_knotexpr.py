@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from defslice.knotexpr import (
     Atom,
     Cable,
-    CableSignError,
     Mirror,
     MAX_GENUS,
     ParseError,
@@ -15,7 +14,6 @@ from defslice.knotexpr import (
     UNKNOT,
     WHITEHEAD_TREFOIL,
     alexander,
-    check_positive_cables,
     flip,
     normalize,
     parse,
@@ -36,13 +34,23 @@ WH = Atom(WHITEHEAD_TREFOIL)
 def _is_normal(e):
     """The conditions of normal form, read off the tree itself."""
     if isinstance(e, Mirror):
-        return not isinstance(e.child, (Mirror, Sum)) and _is_normal(e.child)
+        return not isinstance(e.child, (Mirror, Sum)) and e.child != UNKNOT and _is_normal(e.child)
     if isinstance(e, Sum):
         return all(not isinstance(p, Sum) and _is_normal(p) for p in e.parts)
     if isinstance(e, Cable):
-        collapses = e.companion == UNKNOT and e.q >= 0
-        return e.p > 1 and not collapses and _is_normal(e.companion)
+        return e.p > 1 and e.q >= 1 and e.companion != UNKNOT and _is_normal(e.companion)
     return True
+
+
+def _cables(e):
+    """Every cable node of the expression."""
+    if isinstance(e, Mirror):
+        return _cables(e.child)
+    if isinstance(e, Sum):
+        return [c for p in e.parts for c in _cables(p)]
+    if isinstance(e, Cable):
+        return [e, *_cables(e.companion)]
+    return []
 
 
 class TestParse:
@@ -109,8 +117,13 @@ class TestParse:
         assert parse(" cable( 4 , 1 , Wh( T(2,3) ) ) * ") == Mirror(Cable(4, 1, WH))
 
     def test_negative_cable_q_parses(self):
-        e = parse("cable(3,-2,T(2,3))")
-        assert e == Cable(3, -2, Atom("T(2,3)"))
+        # (K_{p,q})* = (K*)_{p,-q}: the mirror of the positive cable of K*
+        t = Atom("T(2,3)")
+        assert parse("cable(3,-2,T(2,3))") == Mirror(Cable(3, 2, Mirror(t)))
+        assert parse("cable(3,-2,T(2,3)*)") == Mirror(Cable(3, 2, t))
+        assert parse("cable(2,-1,T(2,3) # T(2,5))") == Mirror(
+            Cable(2, 1, Sum((Mirror(t), Mirror(Atom("T(2,5)")))))
+        )
 
 
 class TestNormalize:
@@ -127,6 +140,10 @@ class TestNormalize:
     def test_cable_of_unknot(self):
         assert normalize(Cable(2, 3, UNKNOT)) == torus_atom(2, 3)
         assert normalize(Cable(3, 1, UNKNOT)) == UNKNOT
+        # the unknot is its own mirror
+        assert normalize(Cable(2, -3, UNKNOT)) == Mirror(torus_atom(2, 3))
+        assert normalize(Cable(3, -1, UNKNOT)) == UNKNOT
+        assert normalize(Mirror(UNKNOT)) == UNKNOT
 
     def test_sum_flattening(self):
         a, b, c = Atom("T(2,3)"), Atom("T(2,5)"), WH
@@ -146,11 +163,13 @@ class TestNormalize:
         f = flip(n)
         assert _is_normal(n) and _is_normal(f)
         assert flip(f) == n
-        try:
-            check_positive_cables(n)
-        except CableSignError:
-            return
         assert sigma(f).jumps == tuple((x, -d) for x, d in sigma(n).jumps)
+
+    @settings(max_examples=200, deadline=None)
+    @given(expressions_any_cable())
+    def test_cables_positive(self, e):
+        # the only cables normal form holds have p >= 2 and q >= 1
+        assert all(c.p >= 2 and c.q >= 1 for c in _cables(normalize(e)))
 
     @settings(max_examples=200, deadline=None)
     @given(expressions_any_cable())

@@ -36,7 +36,7 @@ from defslice.obstructions import (
 )
 
 from oracles import all_certified, obstruct_definite_by_verdicts
-from strategies import expressions
+from strategies import ATOM_NAMES, expressions, expressions_any_cable
 
 WH = Atom(WHITEHEAD_TREFOIL)
 
@@ -217,3 +217,22 @@ class TestKinkiness:
                 kb = kinkiness_bounds(Sum(parts))
                 assert kb.k_plus_lo >= k
                 assert kb.k_minus_lo >= l
+
+    @settings(max_examples=200, deadline=None)
+    @given(e=expressions_any_cable(names=ATOM_NAMES + ["G", "H"]))
+    def test_nu_plus_holds_tau(self, degraded_db, e):
+        # the bounds read nu+ alone: nu+ of the knot and of its mirror
+        # already hold tau.lo and -tau.hi, as tau(K*) = -tau(K) exactly;
+        # checked with interval-valued atoms, full and degraded
+        for base in (default_db(), degraded_db):
+            ev = Evaluator(base.with_atom(_G).with_atom(_H))
+            kb = kinkiness_bounds(e, ev)
+            t, mirrored = ev.tau(e), ev.tau(Mirror(e))
+            assert (mirrored.lo, mirrored.hi) == (-t.hi, -t.lo)
+            old = (max(0, ev.nu_plus(e).lo, t.lo), max(0, ev.nu_plus(Mirror(e)).lo, -t.hi))
+            assert (kb.k_plus_lo, kb.k_minus_lo) == old
+
+
+# registry atoms whose invariants are intervals
+_G = AtomCertificate(name="G", genus=2)
+_H = AtomCertificate(name="H", tau=1, genus=3, v0=1)

@@ -23,7 +23,6 @@ from defslice.signatures import (
     sigma_torus,
     signature_combination_check,
 )
-from defslice.knotexpr import CableSignError
 
 from oracles import (
     alexander_from_seifert,
@@ -134,9 +133,15 @@ class TestSigmaExpressions:
                 continue
             assert fn.value(x) == expected
 
-    def test_negative_cable_rejected(self):
-        with pytest.raises(CableSignError):
-            sigma(Cable(3, -2, torus_atom(2, 3)))
+    def test_negative_cable_is_mirrored(self):
+        # (K_{p,q})* = (K*)_{p,-q}, so sigma of a cable with q < 0 is sigma
+        # of the positive cable of the mirrored companion, negated
+        t = torus_atom(2, 3)
+        for p, q, k in [(3, -2, t), (2, -3, t), (2, -1, Sum((t, Mirror(torus_atom(2, 5)))))]:
+            positive = sigma(Cable(p, -q, Mirror(k)))
+            assert sigma(Cable(p, q, k)).jumps == tuple((x, -d) for x, d in positive.jumps)
+        # Litherland's formula with sigma_{T(2,-3)} = -sigma_{T(2,3)}, by hand
+        assert [v for _, _, v in sigma(Cable(2, -3, t)).pieces()] == [0, -2, 0, 2]
 
     def test_atom_without_rule(self, degraded_db):
         from defslice.certificates import AtomCertificate, default_db
@@ -150,7 +155,10 @@ class TestSigmaExpressions:
 
     def test_cable_by_moving_jumps_matches_midpoints(self):
         # nested cables of depth <= 3 over torus knots, their mirrors and a
-        # sum, p = 2..5, each level also taken mirrored
+        # sum, p = 2..5, each level also taken mirrored; each cable is also
+        # taken with q negated, through sigma, which normalizes it to the
+        # mirror of a positive cable, against the midpoints read with the
+        # negated torus term
         rng = random.Random(20161)
         pqs = [(2, 1), (2, 3), (2, 5), (3, 1), (3, 2), (3, 4), (4, 1), (4, 3), (5, 1), (5, 2), (5, 3)]
         level = [
@@ -165,6 +173,8 @@ class TestSigmaExpressions:
                 for p, q in pqs:
                     got = _jumps(*_cable_sigma(over_one_denominator(base), p, q))
                     mismatches += got != cable_sigma_by_midpoints(base, p, q)
+                    negated = sigma(Cable(p, -q, e))
+                    mismatches += negated != cable_sigma_by_midpoints(base, p, -q)
                     checked += 1
                     nxt += [Cable(p, q, e), Mirror(Cable(p, q, e))]
             level = rng.sample(nxt, 12)
@@ -184,7 +194,7 @@ class TestSigmaExpressions:
                 assert _jumps(d, pairs) == cable_sigma_by_midpoints(base, p, q)
 
     @settings(max_examples=100, deadline=None)
-    @given(e=expressions(max_leaves=5))
+    @given(e=expressions_any_cable(max_leaves=5))
     def test_jumps_lie_on_alexander_roots(self, e):
         # Levine-Tristram signatures jump only at roots of the Alexander
         # polynomial
