@@ -26,13 +26,7 @@ from .hf_invariants import (
     IntInterval,
     RatInterval,
     VSeq,
-    d1,
-    genus_bound,
     lens_d,
-    nu_plus,
-    surgery_d,
-    tau,
-    v_seq,
     wu_phi,
 )
 from .knotexpr import (

@@ -180,15 +180,13 @@ def default_db() -> CertificateDB:
 
 
 def resolve_db(db) -> CertificateDB:
-    """Accept None, a CertificateDB, or anything carrying a .db attribute."""
+    """The database db, or the default one for None; anything else, an
+    Evaluator included, raises TypeError (pass a session's ev.db)."""
     if db is None:
         return _DEFAULT
     if isinstance(db, CertificateDB):
         return db
-    inner = getattr(db, "db", None)
-    if isinstance(inner, CertificateDB):
-        return inner
-    raise TypeError(f"cannot resolve certificate database from {db!r}")
+    raise TypeError(f"not a CertificateDB: {db!r}")
 
 
 def _poly_from_pairs(pairs):

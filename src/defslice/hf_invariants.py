@@ -7,6 +7,11 @@ otherwise: every interval is a guaranteed enclosure of the true invariant
 under the certificate axioms, so "unknown" is a wide interval, never a
 sentinel.
 
+The invariants of a knot expression are methods of an Evaluator, one
+session with one memo table over a CertificateDB:
+Evaluator(db).tau(e).  lens_d and wu_phi read no database and are module
+functions.
+
 Rules used, besides per-atom certificates:
   * L-space atoms: V_j equals the j-th torsion coefficient of Alexander.
   * Wu's cabling formula (without the spurious factor of 2 in front of
@@ -17,7 +22,10 @@ Rules used, besides per-atom certificates:
     with a single summand as A (proof at Evaluator._sum_lower_v0).
   * Monotonicity V_k - 1 <= V_{k+1} <= V_k, closed to a fixed point.
   * V_k = 0 for k at or above a derivable genus bound.
-  * The Whitehead-double substitution axiom, for V_0/nu+ queries only.
+  * The Whitehead-double substitution axiom, for V_0/nu+ queries only;
+    the substituted expression's V_0 and nu+ bounds lie inside the
+    expression's own and are read in their place (proof at
+    Evaluator._vseq_refined).
   * Hedden's cabling formula tau(J_{p,q}) = p*tau(J) + (p-1)(q-1)/2 when
     tau of the companion equals its genus bound (proof at Evaluator._tau).
   * tau <= nu+ and tau(K) = -tau(K*) for interval fallbacks.
@@ -264,10 +272,10 @@ class Evaluator:
 
     Every per-expression result of the session (genus bound, V-sequence,
     tau, nu+, signature function, Alexander polynomial) is computed once
-    and kept in that table.  An Evaluator is not thread-safe; the
-    module-level functions make a fresh one per call, which is always safe.
-    Reusing an instance across the queries of one report or suite shares
-    that work between them.  The public rules take any expression through
+    and kept in that table.  An Evaluator is not thread-safe: make one per
+    thread.  Reusing an instance across the queries of one report or suite
+    shares that work between them.  db is a CertificateDB or None (the
+    default database).  The public rules take any expression through
     _normal, which normalizes it once; the rules below read only normal
     input.
     """
@@ -444,28 +452,51 @@ class Evaluator:
 
     @_memoized
     def _vseq_refined(self, e):
+        """V(e) with V_0 read from red = _reduced(e), the Whitehead substitution.
+
+        The substitution axiom transports V_0 exactly, and V_0(red) lies
+        inside V_0(e), so red's V_0 replaces e's with no intersection.
+        Proof: let e hold k summands Wh = Wh(T(2,3)) and the rest R; red
+        has T(2,2k+1) in their place.
+
+          * Upper bounds.  A registry record of Wh may only omit data, so
+            Wh closes to hi = (1, 0) under genus 1, or to larger or
+            unbounded bounds, and k copies fold to hi_j >= k - j, while
+            T(2,2k+1) has hi_j = ceil((k - j)/2) and genus k <= k*g(Wh).
+            The fold and the closure are monotone, so hi_j(red) <= hi_j(e)
+            at every j.
+          * Lower bound of V_0.  hi_0(Wh*) is 1 or inf (no v0_mirror, genus
+            1 or none) and hi_0(T(2,2k+1)*) = k, from its genus.  In
+            _sum_lower_v0, e's term for a copy of Wh is at most
+            1 - sum_R hi_0(r*), and red's term for T(2,2k+1) is
+            ceil(k/2) - sum_R hi_0(r*); e's term for r in R subtracts
+            k*hi_0(Wh*) >= k where red's subtracts k.  So lo_0(red) >=
+            lo_0(e); for e = k*Wh alone, lo_0(e) <= 1 <= lo_0(T(2,2k+1)).
+
+        The lower bounds of a sum or a certificate atom are max(0, lo_0 - j),
+        so e's first possible zero is lo_0(e), and red's is lo_0(red) or,
+        for T(2,2k+1), k.  Both inclusions thus put red's nu+ window inside
+        e's, and _nu_raw reads red alone.  With lo(e) <= lo(red) <= hi(red)
+        <= hi(e), e's closure cannot fail where red's succeeds, so an input
+        raises ContradictionError exactly where the intersection did.
+        """
         base = self._vseq_of(e)
         red = self._reduced(e)
-        if red != e:
-            # the substitution axiom transports V_0 exactly
-            rb = self._vseq_of(red)
-            e0 = base.at(0).intersect(rb.at(0))
-            if e0 != base.at(0):
-                base = _close((e0.lo, *base.lo[1:]), (e0.hi, *base.hi[1:]), self._genus(e))
-        return base
+        if red == e:
+            return base
+        rb = self._vseq_of(red)
+        if (rb.lo[0], rb.hi[0]) == (base.lo[0], base.hi[0]):
+            return base
+        return _close((rb.lo[0], *base.lo[1:]), (rb.hi[0], *base.hi[1:]), self._genus(e))
 
     # -- nu+ and tau --------------------------------------------------
 
     @_memoized
     def _nu_raw(self, e):
-        # nu+ bounds from the V-sequence alone (no tau refinement)
-        seqs = [self._vseq_of(e)]
-        red = self._reduced(e)
-        if red != e:
-            seqs.append(self._vseq_of(red))
-        lo = max(s.first_possible_zero() for s in seqs)
-        hi = min(s.first_certain_zero() for s in seqs)
-        return IntInterval(lo, hi)  # lo > hi means inconsistent certificates
+        # nu+ bounds from the V-sequence alone (no tau refinement); the
+        # Whitehead substitution's window lies inside e's (_vseq_refined)
+        s = self._vseq_of(self._reduced(e))
+        return IntInterval(s.first_possible_zero(), s.first_certain_zero())
 
     def _tau_window(self, e):
         # fallback enclosure from tau <= nu+ and tau(K) = -tau(K*)
@@ -507,7 +538,7 @@ class Evaluator:
         """nu+ = min{k >= 0 : V_k = 0}, enclosed from the V-sequence and tau."""
         e = self._normal(e)
         raw = self._nu_raw(e)
-        lo = max(raw.lo, self._tau(e).lo, 0)
+        lo = max(raw.lo, self._tau(e).lo)
         if lo > raw.hi:
             raise ContradictionError(
                 "certificate data inconsistent: tau lower bound exceeds the nu+ upper bound"
@@ -542,30 +573,3 @@ class Evaluator:
         mx = s.at(i // q).max_with(s.at((p + q - 1 - i) // q))
         return RatInterval(base - 2 * mx.hi, base - 2 * mx.lo)
 
-
-def _as_evaluator(db) -> Evaluator:
-    return db if isinstance(db, Evaluator) else Evaluator(db)
-
-
-def v_seq(e, db=None) -> VSeq:
-    return _as_evaluator(db).v_seq(e)
-
-
-def tau(e, db=None) -> IntInterval:
-    return _as_evaluator(db).tau(e)
-
-
-def nu_plus(e, db=None) -> IntInterval:
-    return _as_evaluator(db).nu_plus(e)
-
-
-def d1(e, db=None) -> IntInterval:
-    return _as_evaluator(db).d1(e)
-
-
-def surgery_d(e, p: int, q: int, i: int, db=None) -> RatInterval:
-    return _as_evaluator(db).surgery_d(e, p, q, i)
-
-
-def genus_bound(e, db=None):
-    return _as_evaluator(db).genus_bound(e)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .certificates import CertificateGapError
-from .hf_invariants import IntInterval, _as_evaluator
+from .hf_invariants import Evaluator, IntInterval
 from .knotexpr import Cable, Mirror, Sum, check_size, normalize
 from .laurent import vanishes_at_unit_root
 from .signatures import SignatureUnavailable
@@ -88,9 +88,9 @@ def _verdict(target, reasons) -> Verdict:
     )
 
 
-def obstruct_negative_definite(e, db=None) -> Verdict:
-    """Obstruct sliceness in every negative-definite 4-manifold."""
-    ev = _as_evaluator(db)
+def obstruct_negative_definite(e, ev: Evaluator) -> Verdict:
+    """Obstruct sliceness in every negative-definite 4-manifold, reading
+    d1, V_0 and tau from the session ev."""
     reasons = []
     d = ev.d1(e)
     if d.hi < 0:
@@ -101,9 +101,9 @@ def obstruct_negative_definite(e, db=None) -> Verdict:
     return _verdict("negative_definite", reasons)
 
 
-def obstruct_positive_definite(e, db=None) -> Verdict:
-    """Obstruct sliceness in every positive-definite 4-manifold (mirror dual)."""
-    ev = _as_evaluator(db)
+def obstruct_positive_definite(e, ev: Evaluator) -> Verdict:
+    """Obstruct sliceness in every positive-definite 4-manifold (mirror
+    dual), reading d1 of the mirror and tau from the session ev."""
     reasons = []
     dm = ev.d1(Mirror(e))
     if dm.hi < 0:
@@ -155,8 +155,9 @@ def _regular_sample(lo, hi, alex):
     return None
 
 
-def obstruct_definite(e, db=None) -> Verdict:
-    """Obstruct sliceness in every definite 4-manifold.
+def obstruct_definite(e, ev: Evaluator) -> Verdict:
+    """Obstruct sliceness in every definite 4-manifold, reading d1, tau,
+    the signature function and the Alexander polynomial from the session ev.
 
     Fires on: (a) d1 != 0 certified with tau <= -1; (b) the mirror-dual
     form; (c) the signature taking both signs; else on both one-sided
@@ -170,7 +171,6 @@ def obstruct_definite(e, db=None) -> Verdict:
     then each fires alone: TAU_POS beside MIRROR_V0 would be (b), TAU_NEG
     beside V0 would be (a).
     """
-    ev = _as_evaluator(db)
     reasons = []
     d = ev.d1(e)
     t = ev.tau(e)
@@ -205,17 +205,17 @@ class CompositeReport:
     verdict: Verdict
 
 
-def composite_cable_obstruction(K, J, n: int, db=None) -> CompositeReport:
+def composite_cable_obstruction(K, J, n: int, ev: Evaluator) -> CompositeReport:
     """Check V_0(K) > V_0(J), tau(K) >= 1, tau(J) >= 1, tau(K) < n*tau(J);
     when all four are certified, the composite K # (J_{n,1})* is obstructed
-    in every definite 4-manifold.
+    in every definite 4-manifold.  V_0 and tau are read from the session
+    ev, and the composite is sized against ev.db.
 
     Raises ValueError for n < 1, and SizeLimitError for a composite past
     the limits of knotexpr.check_size (so n <= MAX_GENUS).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    ev = _as_evaluator(db)
     expr = normalize(Sum((K, Mirror(Cable(n, 1, J)))))
     check_size(expr, ev.db)
     v0K = ev.v_seq(K).at(0)
@@ -249,16 +249,16 @@ def composite_cable_obstruction(K, J, n: int, db=None) -> CompositeReport:
     return CompositeReport(expression=expr, hypotheses=checks, verdict=verdict)
 
 
-def kinkiness_bounds(e, db=None) -> KinkinessBound:
+def kinkiness_bounds(e, ev: Evaluator) -> KinkinessBound:
     """Lower bounds for the minimal numbers of positive/negative kinks.
 
     nu+ <= k+ and -k- <= tau <= k+, applied to the knot and its mirror,
-    read from nu+ alone.  The lower end of nu_plus(K) is
-    max(raw, tau(K).lo, 0), which already bounds k+ by tau.  The mirror's
-    lower end holds tau(K*).lo, and tau(K*) = -tau(K) exactly, so it is
-    -tau(K).hi: the Mirror rule negates its child's interval, and a
-    mirrored sum adds the negated intervals of its parts and meets its
-    fallback window, which is the sum's own window negated.
+    read from nu+ alone, through the session ev.  The lower end of
+    ev.nu_plus(K) is max(raw, tau(K).lo) with raw >= 0, which already
+    bounds k+ by tau and by 0.  The mirror's lower end holds tau(K*).lo,
+    and tau(K*) = -tau(K) exactly, so it is -tau(K).hi: the Mirror rule
+    negates its child's interval, and a mirrored sum adds the negated
+    intervals of its parts and meets its fallback window, which is the
+    sum's own window negated.
     """
-    ev = _as_evaluator(db)
     return KinkinessBound(k_plus_lo=ev.nu_plus(e).lo, k_minus_lo=ev.nu_plus(Mirror(e)).lo)

@@ -66,7 +66,7 @@ class SignatureUnavailable(CertificateGapError):
 class SigFn:
     """Piecewise-constant function on (0, 1/2] with value 0 near 0+.
 
-    jumps is a sorted tuple of (x, delta) with rational x in (0, 1/2] and
+    jumps is a sorted tuple of (x, delta) with x a Fraction in (0, 1/2] and
     nonzero even delta; the value at regular x is the sum of deltas at
     jump points below x.
     """
@@ -74,15 +74,18 @@ class SigFn:
     jumps: tuple = ()
 
     def __post_init__(self):
-        prev = Fraction(0)
+        # in integers: x = n/d with d > 0, so 0 < x <= 1/2 iff 0 < 2n <= d,
+        # and x > pn/pd iff n*pd > pn*d
+        pn, pd = 0, 1
         for x, delta in self.jumps:
-            if not (0 < x <= HALF):
+            n, d = x.numerator, x.denominator
+            if not 0 < 2 * n <= d:
                 raise ValueError(f"jump at {x} outside (0, 1/2]")
-            if x <= prev:
+            if n * pd <= pn * d:
                 raise ValueError("jumps must be strictly increasing")
             if delta == 0 or delta % 2:
                 raise ValueError(f"jump deltas must be even and nonzero, got {delta}")
-            prev = x
+            pn, pd = n, d
 
     @property
     def is_zero(self) -> bool:

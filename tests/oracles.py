@@ -8,7 +8,9 @@ PartitionEvaluator for the one-summand V_0 lower bound of connected sums,
 AllSplitsEvaluator for the windowed sum fold (and CappedEvaluator for the
 64-entry prefix that genus-less sums had), WuCableEvaluator (with
 torus_vseq) for the Wu cable step on bound tuples, FlagEvaluator for the
-cable tau rule read from the data, close_iterated for the V-sequence
+cable tau rule read from the data, IntersectingEvaluator for the
+Whitehead substitution read in place of the expression's own V_0 and
+nu+ bounds, close_iterated for the V-sequence
 closure (close_intervals closes a list of intervals, the form the closure
 once took), ZeroFromVSeq for the V-sequence tail read from the last
 entry, vanishes_by_cyclotomic for the root-of-unity test,
@@ -48,7 +50,6 @@ from defslice.hf_invariants import (
     Evaluator,
     IntInterval,
     VSeq,
-    _as_evaluator,
     _close,
     _lspace_vseq,
     _memoized,
@@ -290,6 +291,36 @@ class FlagEvaluator(Evaluator):
                 return IntInterval.exact(e.p * base + (e.p - 1) * (e.q - 1) // 2)
             return self._tau_window(e)
         return Evaluator._tau.__wrapped__(self, e)
+
+
+class IntersectingEvaluator(Evaluator):
+    """Evaluator that meets the Whitehead substitution with the expression's
+    own bounds: V_0 is the intersection of the two V_0 intervals, and the
+    nu+ window the larger first possible zero and the smaller first certain
+    zero of the two V-sequences.  Evaluator._vseq_refined proves that the
+    substituted bounds lie inside the expression's own, so it reads them
+    alone; this is the reference it is checked against.
+    """
+
+    @_memoized
+    def _vseq_refined(self, e):
+        base = self._vseq_of(e)
+        red = self._reduced(e)
+        if red != e:
+            e0 = base.at(0).intersect(self._vseq_of(red).at(0))
+            if e0 != base.at(0):
+                base = _close((e0.lo, *base.lo[1:]), (e0.hi, *base.hi[1:]), self._genus(e))
+        return base
+
+    @_memoized
+    def _nu_raw(self, e):
+        seqs = [self._vseq_of(e)]
+        red = self._reduced(e)
+        if red != e:
+            seqs.append(self._vseq_of(red))
+        lo = max(s.first_possible_zero() for s in seqs)
+        hi = min(s.first_certain_zero() for s in seqs)
+        return IntInterval(lo, hi)
 
 
 def close_intervals(entries, genus):
@@ -713,11 +744,10 @@ class NoneInterval:
         return IntInterval(-inf if self.lo is None else self.lo, inf if self.hi is None else self.hi)
 
 
-def obstruct_definite_by_verdicts(e, db=None):
+def obstruct_definite_by_verdicts(e, ev):
     """obstruct_definite with its last rule decided by running both
-    one-sided verdicts; the reference for the closed form d1 < 0 and d1
-    of the mirror < 0."""
-    ev = _as_evaluator(db)
+    one-sided verdicts in the session ev; the reference for the closed
+    form d1 < 0 and d1 of the mirror < 0."""
     e = normalize(e)
     reasons = []
     d = ev.d1(e)

@@ -12,7 +12,7 @@ from math import inf
 from hypothesis import HealthCheck, given, settings
 
 from defslice.cli import family_jk, family_kkl
-from defslice.hf_invariants import Evaluator, IntInterval, _close, lens_d, surgery_d, v_seq
+from defslice.hf_invariants import Evaluator, IntInterval, _close, lens_d
 from defslice.knotexpr import (
     Atom,
     Cable,
@@ -31,8 +31,7 @@ from defslice.obstructions import (
     obstruct_definite,
 )
 from defslice.qform_verify import bcg_cobordism_check
-from defslice.signatures import sigma, sigma_torus, signature_combination_check
-from defslice.hf_invariants import nu_plus, tau
+from defslice.signatures import sigma_torus, signature_combination_check
 
 from oracles import family_kn, numeric_signature, random_regular_angle, seifert_matrix_torus, torsion_coefficients
 from strategies import expressions, expressions_any_cable
@@ -58,7 +57,7 @@ def _report(n, label):
 def test_criterion_1_v0_closed_form():
     """V_0(T(2,2k+1)) = ceil(k/2) for k = 1..50, exact."""
     for k in range(1, 51):
-        v0 = v_seq(torus_atom(2, 2 * k + 1)).at(0)
+        v0 = Evaluator().v_seq(torus_atom(2, 2 * k + 1)).at(0)
         assert v0.is_exact and v0.value == (k + 1) // 2, k
     _report(1, "V_0(T(2,2k+1)) = ceil(k/2), k = 1..50")
 
@@ -72,7 +71,7 @@ def test_criterion_2_topologically_slice_family():
         t = ev.tau(e)
         assert t.is_exact and t.value == -n, n
         assert ev.v_seq(e).at(0).lo >= 1, n
-        assert topologically_slice_certified(e, ev), n
+        assert topologically_slice_certified(e, ev.db), n
         verdict = obstruct_definite(e, ev)
         assert verdict.obstructed, n
         assert any(r.rule == RULE_A for r in verdict.reasons), n
@@ -108,7 +107,7 @@ def test_criterion_5_one_surgery_consistency():
     K = T(2,q), q = 3, 5, ..., 21."""
     for q in range(3, 23, 2):
         e = torus_atom(2, q)
-        d = surgery_d(e, 1, 1, 0)
+        d = Evaluator().surgery_d(e, 1, 1, 0)
         k = (q - 1) // 2
         expected = -2 * ((k + 1) // 2)  # -2 * ceil(k/2)
         assert d.is_exact and d.value == expected, q
@@ -119,13 +118,13 @@ def test_criterion_6_wu_torsion_cross_validation():
     """V_0 of the (2,3)-cable of the trefoil agrees across Wu's formula and
     the cable Alexander torsion coefficient (both 1); V_i(K_{p,1}) = V_0(K)."""
     cable = Cable(2, 3, torus_atom(2, 3))
-    wu = v_seq(cable).at(0)
+    wu = Evaluator().v_seq(cable).at(0)
     assert wu.is_exact and wu.value == 1
     assert torsion_coefficients(alexander(cable), 0) == 1
     for K in (torus_atom(2, 3), torus_atom(2, 5)):
-        v0 = v_seq(K).at(0).value
+        v0 = Evaluator().v_seq(K).at(0).value
         for p in range(2, 10):
-            s = v_seq(Cable(p, 1, K))
+            s = Evaluator().v_seq(Cable(p, 1, K))
             for i in range(p // 2 + 1):
                 assert s.at(i) == IntInterval.exact(v0), (K, p, i)
     _report(6, "Wu cabling vs torsion coefficients; V_i(K_{p,1}) = V_0(K)")
@@ -148,7 +147,7 @@ def test_criterion_8_signature_family():
     ev = Evaluator()
     for k in range(1, 21):
         e = family_jk(k)
-        fn = sigma(e, ev)
+        fn = ev.sigma(e)
         assert fn.at_minus_one() == 2, k
         q = 2 * k + 9
         for i in (1, 2, 3):
@@ -157,7 +156,7 @@ def test_criterion_8_signature_family():
             assert fn.value(x) == -2, (k, i)
         verdict = obstruct_definite(e, ev)
         assert verdict.obstructed and any(r.rule == RULE_C for r in verdict.reasons), k
-    chk = signature_combination_check([family_jk(k) for k in (1, 2, 3, 4)], 3, ev)
+    chk = signature_combination_check([family_jk(k) for k in (1, 2, 3, 4)], 3, ev.db)
     assert chk.independent
     _report(8, "signature family k = 1..20 + independence at level 3")
 
@@ -181,7 +180,7 @@ class TestCriterion10Properties:
     @RANDOMIZED
     @given(e=expressions())
     def test_10a_vseq_nonneg_monotone_fixedpoint(self, e):
-        s = v_seq(e)
+        s = Evaluator().v_seq(e)
         for k in range(len(s)):
             iv = s.at(k)
             assert iv.lo >= 0
@@ -194,16 +193,16 @@ class TestCriterion10Properties:
     @RANDOMIZED
     @given(a=expressions(max_leaves=3), b=expressions(max_leaves=3))
     def test_10b_tau_additive_and_antisymmetric(self, a, b):
-        ta, tb = tau(a), tau(b)
+        ta, tb = Evaluator().tau(a), Evaluator().tau(b)
         if ta.is_exact and tb.is_exact:
-            assert tau(Sum((a, b))) == IntInterval.exact(ta.value + tb.value)
-        assert tau(Mirror(a)) == -ta
+            assert Evaluator().tau(Sum((a, b))) == IntInterval.exact(ta.value + tb.value)
+        assert Evaluator().tau(Mirror(a)) == -ta
 
     @RANDOMIZED
     @given(e=expressions())
     def test_10c_tau_lo_at_most_nu_hi(self, e):
-        t = tau(e)
-        n = nu_plus(e)
+        t = Evaluator().tau(e)
+        n = Evaluator().nu_plus(e)
         assert t.lo <= n.hi
 
     @RANDOMIZED

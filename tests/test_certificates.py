@@ -12,16 +12,44 @@ from defslice.certificates import (
     CertificateError,
     UnknownAtomError,
     builtin,
+    default_db,
     load_registry,
     nu_equiv_reduce,
+    resolve_db,
 )
-from defslice.hf_invariants import tau, v_seq
-from defslice.knotexpr import Atom, Mirror, Sum, WHITEHEAD_TREFOIL, normalize, parse, torus_atom
+from defslice.hf_invariants import Evaluator
+from defslice.knotexpr import Atom, Mirror, Sum, WHITEHEAD_TREFOIL, alexander, normalize, parse, torus_atom
 from defslice.laurent import LaurentPoly
+from defslice.signatures import sigma
 
 from strategies import expressions
 
 WH = Atom(WHITEHEAD_TREFOIL)
+
+
+class TestOneRule:
+    """A db is a CertificateDB or None; a session passed where a db is
+    taken raises instead of being read for its database."""
+
+    def test_db_or_none(self):
+        db = default_db().with_atom(AtomCertificate(name="Y"))
+        assert resolve_db(db) is db
+        assert resolve_db(None) is default_db()
+        assert Evaluator(db).db is db
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: sigma(parse("T(2,3) # T(2,5)"), Evaluator()),
+            lambda: alexander(parse("T(2,3) # T(2,5)"), Evaluator()),
+            lambda: parse("T(2,3)", Evaluator()),
+            lambda: Evaluator(Evaluator()),
+        ],
+        ids=["sigma", "alexander", "parse", "Evaluator"],
+    )
+    def test_session_is_not_a_db(self, call):
+        with pytest.raises(TypeError, match="not a CertificateDB"):
+            call()
 
 
 class TestBuiltin:
@@ -91,7 +119,7 @@ class TestRegistry:
         )
         db = load_registry(reg)
         e = parse("Gadget # T(2,3)", db)
-        s = v_seq(e, db)
+        s = Evaluator(db).v_seq(e)
         assert s.at(0).lo >= 0
         # built-ins still resolve
         assert db.get("T(2,3)").lspace
@@ -103,7 +131,7 @@ class TestRegistry:
         reg.write_text(json.dumps({"atoms": [{"name": "K", "tau": 1, "genus": 2, "tau_equals_genus": True}]}))
         db = load_registry(reg)
         assert db.get("K") == AtomCertificate(name="K", tau=1, genus=2)
-        assert not tau(parse("cable(2,1,K)", db), db).is_exact
+        assert not Evaluator(db).tau(parse("cable(2,1,K)", db)).is_exact
 
     @pytest.mark.parametrize(
         "record, key",
@@ -187,7 +215,7 @@ class TestReduce:
         for k in range(1, 51):
             reduced = nu_equiv_reduce(normalize(Sum(tuple([WH] * k))) if k > 1 else WH)
             assert reduced == torus_atom(2, 2 * k + 1)
-            v0 = v_seq(reduced).at(0)
+            v0 = Evaluator().v_seq(reduced).at(0)
             assert v0.is_exact and v0.value == (k + 1) // 2
 
     @settings(max_examples=200, deadline=None)

@@ -18,13 +18,7 @@ from defslice.hf_invariants import (
     IntInterval,
     VSeq,
     _close,
-    d1,
-    genus_bound,
     lens_d,
-    nu_plus,
-    surgery_d,
-    tau,
-    v_seq,
     wu_phi,
 )
 from defslice.knotexpr import (
@@ -46,6 +40,7 @@ from oracles import (
     AllSplitsEvaluator,
     CappedEvaluator,
     FlagEvaluator,
+    IntersectingEvaluator,
     NoneInterval,
     PartitionEvaluator,
     WuCableEvaluator,
@@ -197,7 +192,7 @@ class TestLensD:
 
 class TestVSeq:
     def test_t27_exact(self):
-        s = v_seq(torus_atom(2, 7))
+        s = Evaluator().v_seq(torus_atom(2, 7))
         assert [s.at(k) for k in range(4)] == [
             IntInterval.exact(2),
             IntInterval.exact(1),
@@ -207,29 +202,29 @@ class TestVSeq:
         assert s.at(100) == IntInterval.exact(0)
 
     def test_unknot(self):
-        s = v_seq(UNKNOT)
+        s = Evaluator().v_seq(UNKNOT)
         assert s.at(0) == IntInterval.exact(0)
         assert s.at(100) == IntInterval.exact(0)
 
     def test_cable_q1_rule(self):
         # V_i(K_{p,1}) = V_0(K) for 0 <= i <= p/2
-        s = v_seq(Cable(5, 1, WH))
+        s = Evaluator().v_seq(Cable(5, 1, WH))
         for i in range(3):
             assert s.at(i) == IntInterval.exact(1)
 
     def test_kn_lower_bound(self):
         for n in range(1, 6):
             e = parse(f"(3*Wh(T(2,3))) # cable({n + 3},1,Wh(T(2,3)))*")
-            assert v_seq(e).at(0).lo >= 1
+            assert Evaluator().v_seq(e).at(0).lo >= 1
 
     def test_wu_vs_torsion_on_cabled_trefoil(self):
         cable = Cable(2, 3, torus_atom(2, 3))
-        wu_value = v_seq(cable).at(0)
+        wu_value = Evaluator().v_seq(cable).at(0)
         assert wu_value.is_exact and wu_value.value == 1
         assert torsion_coefficients(alexander(cable), 0) == 1
 
     def test_whitehead_sum_reduction(self):
-        s = v_seq(Sum((WH, WH, WH)))
+        s = Evaluator().v_seq(Sum((WH, WH, WH)))
         assert s.at(0) == IntInterval.exact(2)
 
     def test_negative_cable_is_mirrored(self):
@@ -242,20 +237,20 @@ class TestVSeq:
             (Cable(2, -1, Cable(3, -2, WH)), Mirror(Cable(2, 1, Cable(3, 2, Mirror(WH))))),
         ]
         for neg, pos in pairs:
-            for fn in (v_seq, tau, nu_plus, d1, genus_bound):
-                assert fn(neg) == fn(pos)
+            for rule in ("v_seq", "tau", "nu_plus", "d1", "genus_bound"):
+                assert getattr(Evaluator(), rule)(neg) == getattr(Evaluator(), rule)(pos)
 
     def test_closure_is_fixed_point(self):
         for text in ["T(2,7)", "T(2,3) # T(2,5)*", "cable(2,3,T(2,3)) # Wh(T(2,3))"]:
-            s = v_seq(parse(text))
+            s = Evaluator().v_seq(parse(text))
             assert _close(s.lo, s.hi, inf) == s
 
     def test_missing_data_gives_wide_interval(self, degraded_db):
         # the substitution axiom still pins V_0 of the Whitehead atom itself,
         # so the data-free case is its mirror: wide interval, never an error
-        s = v_seq(Mirror(WH), degraded_db)
+        s = Evaluator(degraded_db).v_seq(Mirror(WH))
         assert s.at(0).lo == 0 and s.at(0).hi == 1  # genus tail still caps it
-        s2 = v_seq(WH, degraded_db)
+        s2 = Evaluator(degraded_db).v_seq(WH)
         assert s2.at(0) == IntInterval.exact(1)
 
 
@@ -357,29 +352,29 @@ class TestTau:
     def test_kn_family(self):
         for n in range(1, 11):
             e = parse(f"(3*Wh(T(2,3))) # cable({n + 3},1,Wh(T(2,3)))*")
-            t = tau(e)
+            t = Evaluator().tau(e)
             assert t.is_exact and t.value == -n
 
     def test_mirror_trefoil(self):
-        t = tau(Mirror(torus_atom(2, 3)))
+        t = Evaluator().tau(Mirror(torus_atom(2, 3)))
         assert t == IntInterval.exact(-1)
 
     def test_kkl_family(self):
         for k, l in [(1, 1), (2, 3), (3, 2)]:
             parts = tuple([WH] * (2 * k + 1)) + (Mirror(Cable(l + 2 * k + 1, 1, WH)),)
-            t = tau(Sum(parts))
+            t = Evaluator().tau(Sum(parts))
             assert t.is_exact and t.value == -l
 
     def test_cable_of_lspace_knot(self):
         # cable rule: tau = p*tau + (p-1)(q-1)/2
-        t = tau(Cable(2, 3, torus_atom(2, 3)))
+        t = Evaluator().tau(Cable(2, 3, torus_atom(2, 3)))
         assert t == IntInterval.exact(3)
 
     def test_unflagged_cable_gets_interval(self):
         e = Cable(2, 3, Mirror(torus_atom(2, 3)))
-        t = tau(e)
+        t = Evaluator().tau(e)
         assert not t.is_exact
-        n = nu_plus(e)
+        n = Evaluator().nu_plus(e)
         assert t.hi <= n.hi
 
 
@@ -440,32 +435,32 @@ class TestCableTauRule:
 
 class TestNuPlus:
     def test_t27(self):
-        assert nu_plus(torus_atom(2, 7)) == IntInterval.exact(3)
+        assert Evaluator().nu_plus(torus_atom(2, 7)) == IntInterval.exact(3)
 
     def test_unknot(self):
-        assert nu_plus(UNKNOT) == IntInterval.exact(0)
+        assert Evaluator().nu_plus(UNKNOT) == IntInterval.exact(0)
 
     def test_kkl_lower_bound(self):
         for k, l in [(1, 1), (2, 2), (3, 1)]:
             parts = tuple([WH] * (2 * k + 1)) + (Mirror(Cable(l + 2 * k + 1, 1, WH)),)
-            assert nu_plus(Sum(parts)).lo >= k
+            assert Evaluator().nu_plus(Sum(parts)).lo >= k
 
 
 class TestD1:
     def test_unknot(self):
-        assert d1(UNKNOT) == IntInterval.exact(0)
+        assert Evaluator().d1(UNKNOT) == IntInterval.exact(0)
 
     def test_trefoil(self):
-        assert d1(torus_atom(2, 3)) == IntInterval.exact(-2)
+        assert Evaluator().d1(torus_atom(2, 3)) == IntInterval.exact(-2)
 
     def test_kn_nonzero(self):
         for n in range(1, 6):
             e = parse(f"(3*Wh(T(2,3))) # cable({n + 3},1,Wh(T(2,3)))*")
-            assert d1(e).hi <= -2
+            assert Evaluator().d1(e).hi <= -2
 
     def test_always_nonpositive_and_even_when_exact(self):
         for text in ["O", "T(2,3)", "T(3,4)", "T(2,7)"]:
-            v = d1(parse(text))
+            v = Evaluator().d1(parse(text))
             assert v.hi <= 0
             if v.is_exact:
                 assert v.value % 2 == 0
@@ -475,22 +470,22 @@ class TestSurgeryD:
     def test_one_surgery_recovers_d1(self):
         for q in range(3, 23, 2):
             e = torus_atom(2, q)
-            d = surgery_d(e, 1, 1, 0)
+            d = Evaluator().surgery_d(e, 1, 1, 0)
             assert d.is_exact
-            assert d.value == d1(e).value
+            assert d.value == Evaluator().d1(e).value
 
     def test_unknot_gives_lens_values(self):
         for p, q in [(2, 1), (3, 1), (5, 2), (2, 3)]:
             for i in range(p):
-                d = surgery_d(UNKNOT, p, q, i)
+                d = Evaluator().surgery_d(UNKNOT, p, q, i)
                 assert d.is_exact and d.value == lens_d(p, q, i)
 
     def test_two_surgery_on_trefoil(self):
-        d = surgery_d(torus_atom(2, 3), 2, 1, 0)
+        d = Evaluator().surgery_d(torus_atom(2, 3), 2, 1, 0)
         assert d.is_exact and d.value == Fraction(-7, 4)
 
     def test_q_greater_than_one(self):
-        vals = [surgery_d(torus_atom(2, 3), 2, 3, i) for i in range(2)]
+        vals = [Evaluator().surgery_d(torus_atom(2, 3), 2, 3, i) for i in range(2)]
         assert [v.value for v in vals] == [Fraction(-7, 4), Fraction(-9, 4)]
 
     @pytest.mark.parametrize("sign", [1, -1])
@@ -508,15 +503,15 @@ class TestSurgeryD:
         assert sorted(d.value for d in ds) == sorted(lens_d(n, s * s % n, j) for j in range(n))
 
     def test_interval_output_for_uncertified_knot(self, degraded_db):
-        d = surgery_d(Mirror(WH), 1, 1, 0, degraded_db)
+        d = Evaluator(degraded_db).surgery_d(Mirror(WH), 1, 1, 0)
         assert not d.is_exact
         assert d.hi == 0 and d.lo == -2  # genus 1 still bounds V_0 <= 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            surgery_d(UNKNOT, 2, 1, 2)
+            Evaluator().surgery_d(UNKNOT, 2, 1, 2)
         with pytest.raises(ValueError):
-            surgery_d(UNKNOT, 4, 2, 0)
+            Evaluator().surgery_d(UNKNOT, 4, 2, 0)
 
 
 def _invariants(ev, e):
@@ -541,6 +536,44 @@ _SMALL = [Atom(n) for n in ("O", "T(2,3)", "T(2,5)", "T(3,4)")] + [
     Cable(2, 1, WH),
     Cable(2, 3, torus_atom(2, 3)),
 ]
+
+
+# a registry record of Wh(T(2,3)) without its genus: neither it nor its
+# mirror has a zero tail, and the V_0 of its mirror is unbounded
+NO_GENUS_WH_DB = default_db().with_atom(
+    AtomCertificate(name=WHITEHEAD_TREFOIL, tau=1, alexander=LaurentPoly.one(), v0=1)
+)
+
+
+def _whitehead_sums():
+    """k = 1..4 copies of Wh(T(2,3)) beside up to three other summands."""
+    parts = st.tuples(st.integers(1, 4), st.lists(expressions(max_leaves=3), max_size=3)).map(
+        lambda t: (WH,) * t[0] + tuple(t[1])
+    )
+    return parts.map(lambda ps: normalize(Sum(ps)) if len(ps) > 1 else WH)
+
+
+class TestWhiteheadSubstitution:
+    """The substituted bounds lie inside the expression's own, so reading
+    them alone equals meeting them with the expression's own."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(e=_whitehead_sums())
+    @example(e=WH)
+    @example(e=normalize(Sum((WH, WH, Mirror(torus_atom(2, 5))))))
+    @example(e=normalize(Sum((WH, Mirror(WH), Cable(2, 1, Mirror(WH))))))
+    def test_inside_own_bounds(self, db, degraded_db, e):
+        for base in (db, degraded_db, NO_GENUS_WH_DB):
+            got = _outcome(_invariants, Evaluator(base), e)
+            assert got == _outcome(_invariants, IntersectingEvaluator(base), e), (base, e)
+            if got is ContradictionError:
+                continue
+            ev = Evaluator(base)
+            own, sub = ev._vseq_of(e), ev._vseq_of(ev._reduced(e))
+            assert own.lo[0] <= sub.lo[0] and sub.hi[0] <= own.hi[0]
+            assert all(sub.at(k).hi <= own.at(k).hi for k in range(max(len(own), len(sub)) + 1))
+            assert own.first_possible_zero() <= sub.first_possible_zero()
+            assert sub.first_certain_zero() <= own.first_certain_zero()
 
 
 class TestSumLowerV0:
@@ -584,7 +617,7 @@ class TestSumLowerV0:
         for i in range(1, 20):
             base = base.with_atom(AtomCertificate(name=f"S{i}", tau=0, genus=1, v0=0, v0_mirror=0))
         e = Sum((torus_atom(2, 41),) + tuple(Atom(f"S{i}") for i in range(1, 20)))
-        assert v_seq(e, base).at(0) == IntInterval.exact(10)
+        assert Evaluator(base).v_seq(e).at(0) == IntInterval.exact(10)
 
 
 # summands whose V-sequences have wide windows (genus bound 6 to 20, or
@@ -658,9 +691,9 @@ class TestSumFold:
         # T(2,201) # G0 has no genus bound; its 102-entry prefix reaches
         # V_100 = 0, which the 64-entry prefix left at [0, 19]
         e = Sum((torus_atom(2, 201), Atom("G0")))
-        assert nu_plus(e, GENUSLESS_DB) == IntInterval.exact(100)
-        assert nu_plus(e, CappedEvaluator(GENUSLESS_DB)) == IntInterval(100, inf)
-        assert v_seq(e, GENUSLESS_DB).at(100) == IntInterval.exact(0)
+        assert Evaluator(GENUSLESS_DB).nu_plus(e) == IntInterval.exact(100)
+        assert CappedEvaluator(GENUSLESS_DB).nu_plus(e) == IntInterval(100, inf)
+        assert Evaluator(GENUSLESS_DB).v_seq(e).at(100) == IntInterval.exact(0)
 
 
 class TestTailRule:
@@ -756,16 +789,16 @@ class TestNormalDoor:
 
 class TestGenusBound:
     def test_values(self):
-        assert genus_bound(torus_atom(2, 7)) == 3
-        assert genus_bound(parse("(3*Wh(T(2,3))) # cable(4,1,Wh(T(2,3)))*")) == 7
-        assert genus_bound(UNKNOT) == 0
+        assert Evaluator().genus_bound(torus_atom(2, 7)) == 3
+        assert Evaluator().genus_bound(parse("(3*Wh(T(2,3))) # cable(4,1,Wh(T(2,3)))*")) == 7
+        assert Evaluator().genus_bound(UNKNOT) == 0
 
 
 class TestSoundnessProperties:
     @settings(max_examples=300, deadline=None)
     @given(expressions())
     def test_vseq_nonneg_monotone_fixedpoint(self, e):
-        s = v_seq(e)
+        s = Evaluator().v_seq(e)
         n = len(s)
         for k in range(n):
             iv = s.at(k)
@@ -780,21 +813,21 @@ class TestSoundnessProperties:
     @settings(max_examples=300, deadline=None)
     @given(expressions(max_leaves=3), expressions(max_leaves=3))
     def test_tau_additive_where_exact(self, a, b):
-        ta, tb = tau(a), tau(b)
-        ts = tau(Sum((a, b)))
+        ta, tb = Evaluator().tau(a), Evaluator().tau(b)
+        ts = Evaluator().tau(Sum((a, b)))
         if ta.is_exact and tb.is_exact:
             assert ts == IntInterval.exact(ta.value + tb.value)
 
     @settings(max_examples=300, deadline=None)
     @given(expressions())
     def test_tau_mirror_antisymmetric(self, e):
-        assert tau(Mirror(e)) == -tau(e)
+        assert Evaluator().tau(Mirror(e)) == -Evaluator().tau(e)
 
     @settings(max_examples=300, deadline=None)
     @given(expressions())
     def test_tau_lo_below_nu_hi(self, e):
-        t = tau(e)
-        n = nu_plus(e)
+        t = Evaluator().tau(e)
+        n = Evaluator().nu_plus(e)
         assert t.lo <= n.hi
 
     @settings(max_examples=200, deadline=None)

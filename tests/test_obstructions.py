@@ -54,40 +54,40 @@ def jk(k):
 
 class TestNegativeDefinite:
     def test_trefoil_obstructed(self):
-        v = obstruct_negative_definite(torus_atom(2, 3))
+        v = obstruct_negative_definite(torus_atom(2, 3), Evaluator())
         assert v.obstructed
 
     def test_unknot_inconclusive(self):
-        v = obstruct_negative_definite(UNKNOT)
+        v = obstruct_negative_definite(UNKNOT, Evaluator())
         assert not v.obstructed and v.status == "inconclusive"
 
     def test_whitehead_sum_obstructed(self):
-        v = obstruct_negative_definite(Sum((WH, WH, WH)))
+        v = obstruct_negative_definite(Sum((WH, WH, WH)), Evaluator())
         assert v.obstructed  # V_0 = 2 via the substitution axiom
 
 
 class TestDefinite:
     def test_kn_family_rule_a(self):
         for n in range(1, 11):
-            v = obstruct_definite(kn(n))
+            v = obstruct_definite(kn(n), Evaluator())
             assert v.obstructed
             assert any(r.rule == RULE_A for r in v.reasons)
 
     def test_jk_family_rule_c(self):
         for k in range(1, 11):
-            v = obstruct_definite(jk(k))
+            v = obstruct_definite(jk(k), Evaluator())
             assert v.obstructed
             rules = [r.rule for r in v.reasons]
             assert RULE_C in rules
             assert RULE_A not in rules  # d1 is not certified nonzero here
 
     def test_unknot_inconclusive(self):
-        assert not obstruct_definite(UNKNOT).obstructed
+        assert not obstruct_definite(UNKNOT, Evaluator()).obstructed
 
     def test_mirror_duality_of_rules(self):
         for e in [kn(2), torus_atom(2, 5), Mirror(kn(3))]:
-            ve = obstruct_definite(e)
-            vm = obstruct_definite(Mirror(e))
+            ve = obstruct_definite(e, Evaluator())
+            vm = obstruct_definite(Mirror(e), Evaluator())
             fires_a = any(r.rule == RULE_A for r in ve.reasons)
             fires_b_mirror = any(r.rule == RULE_B for r in vm.reasons)
             assert fires_a == fires_b_mirror
@@ -95,8 +95,8 @@ class TestDefinite:
     @settings(max_examples=150, deadline=None)
     @given(e=expressions(max_leaves=4))
     def test_mirror_duality_random(self, e):
-        ve = obstruct_definite(e)
-        vm = obstruct_definite(Mirror(e))
+        ve = obstruct_definite(e, Evaluator())
+        vm = obstruct_definite(Mirror(e), Evaluator())
         fires_a = any(r.rule == RULE_A for r in ve.reasons)
         fires_b_mirror = any(r.rule == RULE_B for r in vm.reasons)
         assert fires_a == fires_b_mirror
@@ -108,7 +108,7 @@ class TestDefinite:
         for n in range(1, 21):
             e = kn(n)
             assert topologically_slice_certified(e)
-            assert obstruct_definite(e).obstructed
+            assert obstruct_definite(e, Evaluator()).obstructed
 
     @settings(max_examples=150, deadline=None)
     @given(e=expressions(max_leaves=4))
@@ -151,42 +151,42 @@ class TestOneSidedCombination:
 
 class TestComposite:
     def test_whitehead_example(self):
-        r = composite_cable_obstruction(Sum((WH, WH, WH)), WH, 4)
+        r = composite_cable_obstruction(Sum((WH, WH, WH)), WH, 4, Evaluator())
         assert all_certified(r)
         assert r.verdict.obstructed
         assert r.expression == kn(1)
 
     def test_equal_invariants_fail(self):
         t = torus_atom(2, 3)
-        r = composite_cable_obstruction(t, t, 2)
+        r = composite_cable_obstruction(t, t, 2, Evaluator())
         assert not all_certified(r)
         failed = [h.name for h in r.hypotheses if not h.certified]
         assert "V0(K) > V0(J)" in failed
         assert not r.verdict.obstructed
 
     def test_torus_example(self):
-        r = composite_cable_obstruction(torus_atom(2, 7), torus_atom(2, 3), 4)
+        r = composite_cable_obstruction(torus_atom(2, 7), torus_atom(2, 3), 4, Evaluator())
         assert all_certified(r)  # V0: 2 > 1, tau: 3 < 4
         assert r.verdict.obstructed
 
     def test_n_too_small_fails(self):
-        r = composite_cable_obstruction(torus_atom(2, 7), torus_atom(2, 3), 3)
+        r = composite_cable_obstruction(torus_atom(2, 7), torus_atom(2, 3), 3, Evaluator())
         assert not all_certified(r)  # tau(K) = 3 is not < 3*1
 
     def test_n_validation(self):
         with pytest.raises(ValueError):
-            composite_cable_obstruction(WH, WH, 0)
+            composite_cable_obstruction(WH, WH, 0, Evaluator())
 
     def test_n_past_size_limit(self):
         # J without data counts genus 0, so n itself is limited
         db = default_db().with_atom(AtomCertificate(name="Y"))
         for n in (MAX_GENUS + 1, 10**400):
             with pytest.raises(SizeLimitError):
-                composite_cable_obstruction(torus_atom(2, 7), Atom("Y"), n, db)
+                composite_cable_obstruction(torus_atom(2, 7), Atom("Y"), n, Evaluator(db))
 
     def test_unbounded_tau_J_evidence(self):
         db = default_db().with_atom(AtomCertificate(name="Y"))
-        r = composite_cable_obstruction(torus_atom(2, 7), Atom("Y"), MAX_GENUS, db)
+        r = composite_cable_obstruction(torus_atom(2, 7), Atom("Y"), MAX_GENUS, Evaluator(db))
         check = r.hypotheses[3]
         assert not check.certified
         assert check.evidence == {"tau_K": IntInterval.exact(3), "n_tau_J": IntInterval(-inf, inf)}
@@ -202,11 +202,11 @@ class TestComposite:
 
 class TestKinkiness:
     def test_unknot(self):
-        kb = kinkiness_bounds(UNKNOT)
+        kb = kinkiness_bounds(UNKNOT, Evaluator())
         assert (kb.k_plus_lo, kb.k_minus_lo) == (0, 0)
 
     def test_trefoil(self):
-        assert kinkiness_bounds(torus_atom(2, 3)).k_plus_lo >= 1
+        assert kinkiness_bounds(torus_atom(2, 3), Evaluator()).k_plus_lo >= 1
 
     def test_kkl_family(self):
         for k in range(1, 6):
@@ -214,7 +214,7 @@ class TestKinkiness:
                 parts = tuple([WH] * (2 * k + 1)) + (
                     Mirror(Cable(l + 2 * k + 1, 1, WH)),
                 )
-                kb = kinkiness_bounds(Sum(parts))
+                kb = kinkiness_bounds(Sum(parts), Evaluator())
                 assert kb.k_plus_lo >= k
                 assert kb.k_minus_lo >= l
 

@@ -58,6 +58,33 @@ def jk(k):
     return Sum(parts)
 
 
+class TestSigFnRefusals:
+    """SigFn refuses a jump outside (0, 1/2], jumps out of order and an
+    odd or zero delta, each with its own message."""
+
+    @pytest.mark.parametrize("x", [Fraction(0), Fraction(-1, 3), Fraction(5, 9), Fraction(1)])
+    def test_outside_half_circle(self, x):
+        with pytest.raises(ValueError, match=rf"^jump at {x} outside \(0, 1/2\]$"):
+            SigFn(((Fraction(1, 7), 2), (x, -2)) if x > Fraction(1, 7) else ((x, 2),))
+
+    @pytest.mark.parametrize("second", [Fraction(1, 5), Fraction(2, 10), Fraction(1, 6)])
+    def test_not_increasing(self, second):
+        with pytest.raises(ValueError, match="^jumps must be strictly increasing$"):
+            SigFn(((Fraction(1, 5), 2), (second, -2)))
+
+    @pytest.mark.parametrize("delta", [0, 1, -3])
+    def test_odd_or_zero_delta(self, delta):
+        with pytest.raises(ValueError, match=f"^jump deltas must be even and nonzero, got {delta}$"):
+            SigFn(((Fraction(1, 5), 2), (HALF, delta)))
+
+    def test_accepts_the_edges(self):
+        # the least and the largest angles, and neighbours 10**-30 apart
+        below_half = Fraction(10**30 - 1, 2 * 10**30)
+        fn = SigFn(((Fraction(1, 10**30), 2), (below_half, -4), (HALF, 2)))
+        assert fn.value(Fraction(1, 4)) == 2
+        assert fn.value(below_half + Fraction(1, 10**31)) == -2
+
+
 class TestSigmaTorus:
     def test_trefoil_at_minus_one(self):
         assert sigma_torus(2, 3).at_minus_one() == -2
