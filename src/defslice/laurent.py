@@ -14,7 +14,9 @@ from math import gcd
 class LaurentPoly:
     """Sparse integer Laurent polynomial, stored as {exponent: coefficient}.
 
-    Instances are immutable; all arithmetic returns new objects.
+    Every stored coefficient is a nonzero int, so a polynomial has exactly
+    one dict, which __eq__ and __hash__ compare.  Instances are immutable;
+    all arithmetic returns new objects.
     """
 
     __slots__ = ("_c",)
@@ -23,10 +25,19 @@ class LaurentPoly:
         acc = {}
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs
         for e, a in items:
-            e, a = int(e), int(a)
+            if type(e) is not int or type(a) is not int:
+                raise TypeError(f"exponent and coefficient must be ints, got {e!r}: {a!r}")
             if a:
                 acc[e] = acc.get(e, 0) + a
         object.__setattr__(self, "_c", {e: a for e, a in acc.items() if a})
+
+    @classmethod
+    def _of(cls, c):
+        """The polynomial with coefficient dict c, taken as it is: every
+        value must already be a nonzero int."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "_c", c)
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -80,11 +91,13 @@ class LaurentPoly:
 
     def __mul__(self, other):
         out = {}
+        get = out.get
+        theirs = tuple(other._c.items())
         for e1, a1 in self._c.items():
-            for e2, a2 in other._c.items():
+            for e2, a2 in theirs:
                 k = e1 + e2
-                out[k] = out.get(k, 0) + a1 * a2
-        return LaurentPoly(out)
+                out[k] = get(k, 0) + a1 * a2
+        return LaurentPoly._of({k: a for k, a in out.items() if a})
 
     def shift(self, k):
         """Multiply by t**k."""
@@ -201,32 +214,58 @@ def torsion_prefix(poly: LaurentPoly, n: int) -> list:
 
 
 def vanishes_at_unit_root(poly: LaurentPoly, x) -> bool:
-    """Exact test of poly(e^(2*pi*i*x)) == 0 for rational x.
+    """Exact test of poly(e^(2*pi*i*x)) == 0 for rational x (an int or a
+    Fraction; anything else raises TypeError).
 
-    With n the reduced denominator of x, fold poly modulo t^n - 1 into g,
-    which agrees with poly at every n-th root of unity w.  For each prime
-    p | n and s = n/p, the step g -> p*g - h, where h[i] sums g over the
-    coset i + sZ/nZ, multiplies g(w) by p - sum_{k<p} w^(ks): by 0 when the
-    order of w divides n/p, by p otherwise.  Every proper divisor of n
-    divides some n/p, so in the end g(w) = 0 at the roots of order below n
-    and g(w) = (prod p) * poly(w) at the primitive ones.  The Fourier
-    transform on Z/n is invertible, so g == 0 iff poly vanishes at every
-    primitive n-th root, that is (poly is rational, and Galois conjugation
-    permutes those roots transitively) iff it vanishes at e^(2*pi*i*x).
+    Let n be the reduced denominator of x.  A degree test comes first.  The
+    n-th cyclotomic polynomial Phi_n is irreducible over Q, of degree
+    phi(n), and has e^(2*pi*i*x) as a root, so a nonzero poly vanishing
+    there has Phi_n dividing t^(-min exp) * poly, whose degree is the span
+    (max exp - min exp) of poly: phi(n) <= span.  So phi(n) > span means
+    no root, with no fold.  The zero polynomial vanishes everywhere.
+
+    Otherwise fold poly modulo t^n - 1 into g, which agrees with poly at
+    every n-th root of unity w.  For each prime p | n and s = n/p, the step
+    g -> p*g - h, where h[i] sums g over the coset i + sZ/nZ, multiplies
+    g(w) by p - sum_{k<p} w^(ks): by 0 when the order of w divides n/p, by
+    p otherwise.  Every proper divisor of n divides some n/p, so in the end
+    g(w) = 0 at the roots of order below n and g(w) = (prod p) * poly(w) at
+    the primitive ones.  The Fourier transform on Z/n is invertible, so
+    g == 0 iff poly vanishes at every primitive n-th root, that is (poly is
+    rational, and Galois conjugation permutes those roots transitively) iff
+    it vanishes at e^(2*pi*i*x).
     """
-    n = Fraction(x).denominator
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"angle must be an int or a Fraction, got {x!r}")
+    c = poly._c
+    if not c:
+        return True
+    n = x.denominator
+    primes = _prime_factors(n)
+    phi = n
+    for p in primes:
+        phi = phi // p * (p - 1)
+    if phi > max(c) - min(c):
+        return False
     g = [0] * n
-    for e, a in poly._c.items():
+    for e, a in c.items():
         g[e % n] += a
-    m, p = n, 2
-    while m > 1:
-        if p * p > m:
-            p = m
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            s = n // p
-            h = [sum(g[r::s]) for r in range(s)] * p
-            g = [p * a - b for a, b in zip(g, h)]
-        p += 1
+    for p in primes:
+        s = n // p
+        h = [sum(g[r::s]) for r in range(s)] * p
+        g = [p * a - b for a, b in zip(g, h)]
     return not any(g)
+
+
+def _prime_factors(n: int) -> list:
+    """The distinct primes dividing n >= 1, in increasing order."""
+    primes, p = [], 2
+    while n > 1:
+        if p * p > n:
+            p = n
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return primes

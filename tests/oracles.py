@@ -13,7 +13,9 @@ Whitehead substitution read in place of the expression's own V_0 and
 nu+ bounds, close_iterated for the V-sequence
 closure (close_intervals closes a list of intervals, the form the closure
 once took), ZeroFromVSeq for the V-sequence tail read from the last
-entry, vanishes_by_cyclotomic for the root-of-unity test,
+entry, vanishes_by_cyclotomic and vanishes_by_fold (the fold without
+the degree test before it) for the root-of-unity test, mul_by_dict (with
+alexander_by_dict_mul) for the Laurent product,
 cable_sigma_by_midpoints for the cable signature, sigma_by_fold and
 sigma_by_fraction_walk (with from_deltas and sigma_torus_by_fractions) for
 the one-walk signature on integer numerators, combination_check_by_box
@@ -172,6 +174,35 @@ def div_exact(num, den):
     if any(ac):
         raise ValueError("not divisible: nonzero remainder")
     return LaurentPoly({k + shift: c for k, c in enumerate(q)})
+
+
+def mul_by_dict(self, other):
+    """self * other, accumulated in a dict and built by the validating
+    constructor: the reference for LaurentPoly.__mul__."""
+    out = {}
+    for e1, a1 in self._c.items():
+        for e2, a2 in other._c.items():
+            k = e1 + e2
+            out[k] = out.get(k, 0) + a1 * a2
+    return LaurentPoly(out)
+
+
+def alexander_by_dict_mul(e, db=None):
+    """knotexpr.alexander with every product taken by mul_by_dict."""
+    return _alex_by_dict_mul(normalize(e), resolve_db(db))
+
+
+def _alex_by_dict_mul(e, db):
+    if isinstance(e, Atom):
+        return db.get(e.name).alexander
+    if isinstance(e, Mirror):
+        return _alex_by_dict_mul(e.child, db)
+    if isinstance(e, Sum):
+        out = LaurentPoly.one()
+        for p in e.parts:
+            out = mul_by_dict(out, _alex_by_dict_mul(p, db))
+        return out
+    return mul_by_dict(_alex_by_dict_mul(e.companion, db).subst_power(e.p), torus_alexander(e.p, e.q))
 
 
 def torus_alexander_by_division(p, q):
@@ -474,6 +505,38 @@ def vanishes_by_cyclotomic(poly, x):
             for j in range(dp + 1):
                 r[k - dp + j] -= c * pc[j]
     return not any(r)
+
+
+def vanishes_by_fold(poly: LaurentPoly, x) -> bool:
+    """Exact test of poly(e^(2*pi*i*x)) == 0 for rational x.
+
+    With n the reduced denominator of x, fold poly modulo t^n - 1 into g,
+    which agrees with poly at every n-th root of unity w.  For each prime
+    p | n and s = n/p, the step g -> p*g - h, where h[i] sums g over the
+    coset i + sZ/nZ, multiplies g(w) by p - sum_{k<p} w^(ks): by 0 when the
+    order of w divides n/p, by p otherwise.  Every proper divisor of n
+    divides some n/p, so in the end g(w) = 0 at the roots of order below n
+    and g(w) = (prod p) * poly(w) at the primitive ones.  The Fourier
+    transform on Z/n is invertible, so g == 0 iff poly vanishes at every
+    primitive n-th root, that is (poly is rational, and Galois conjugation
+    permutes those roots transitively) iff it vanishes at e^(2*pi*i*x).
+    """
+    n = Fraction(x).denominator
+    g = [0] * n
+    for e, a in poly._c.items():
+        g[e % n] += a
+    m, p = n, 2
+    while m > 1:
+        if p * p > m:
+            p = m
+        if m % p == 0:
+            while m % p == 0:
+                m //= p
+            s = n // p
+            h = [sum(g[r::s]) for r in range(s)] * p
+            g = [p * a - b for a, b in zip(g, h)]
+        p += 1
+    return not any(g)
 
 
 @lru_cache(maxsize=None)

@@ -1,23 +1,37 @@
-"""The root-of-unity test against cyclotomic division and against sympy;
-the one-pass torsion coefficients against their defining sums; the
-semigroup torus Alexander polynomials against long division."""
+"""The root-of-unity test against cyclotomic division, against sympy and
+against the fold without its degree test; the product against the dict
+product it replaced; the one-pass torsion coefficients against their
+defining sums; the semigroup torus Alexander polynomials against long
+division."""
 
+import importlib.util
 import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from defslice.knotexpr import alexander, parse
 from defslice.laurent import LaurentPoly, torsion_prefix, torus_alexander, vanishes_at_unit_root
 
 from oracles import (
+    alexander_by_dict_mul,
     alexander_torus_division,
     cyclotomic,
     monomial,
+    mul_by_dict,
     torsion_coefficient,
     torus_alexander_by_division,
     vanishes_by_cyclotomic,
+    vanishes_by_fold,
     vanishes_by_sympy,
 )
+from strategies import expressions
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 MAX_DEN = 24
 
@@ -65,6 +79,153 @@ def test_integer_and_zero_arguments():
     assert vanishes_at_unit_root(trefoil, Fraction(1, 6))
     assert vanishes_at_unit_root(LaurentPoly({0: 1, 3: -1}), 2)
     assert vanishes_at_unit_root(LaurentPoly.zero(), Fraction(2, 7))
+
+
+class TestDegreeTestAgainstFold:
+    """vanishes_at_unit_root answers False with no fold when phi(n) exceeds
+    the span of the polynomial; the fold alone is the reference."""
+
+    def test_cyclotomic_products(self):
+        # Phi_n has span phi(n) exactly, so a root at a/n sits on the bound;
+        # t^k * Phi_n * Phi_m with k = -phi(m) - 1 has degree phi(n) - 1,
+        # below its span
+        roots = 0
+        for n in range(1, 151):
+            m = n * 7 % 150 + 1
+            k = -cyclotomic(m).degree - 1
+            for poly in (cyclotomic(n), monomial(k) * cyclotomic(n) * cyclotomic(m)):
+                for d in (n, m):
+                    for a in range(d):
+                        x = Fraction(a, d)
+                        got = vanishes_at_unit_root(poly, x)
+                        assert got == vanishes_by_fold(poly, x), (n, m, poly, x)
+                        roots += got
+        assert roots > 11_000
+
+    def test_workload_expressions(self):
+        # the Alexander polynomial of every report in the cables and
+        # cli-mix workloads at their default seed, at one a/n for every n
+        polys = {alexander(e) for e in _workload_reports()}
+        assert len(polys) > 100
+        rng = random.Random(19)
+        xs = []
+        for n in range(1, 601):
+            a = rng.randrange(n)
+            while gcd(a, n) != 1:
+                a = rng.randrange(n)
+            xs.append(Fraction(a, n))
+        phis = [sum(gcd(a, n) == 1 for a in range(1, n + 1)) for n in range(1, 601)]
+        skipped = roots = 0
+        for poly in polys:
+            span = poly.degree - poly.min_exp
+            for x, phi in zip(xs, phis):
+                got = vanishes_at_unit_root(poly, x)
+                assert got == vanishes_by_fold(poly, x), (poly, x)
+                roots += got
+                skipped += phi > span
+        assert roots > 0 and skipped > 0
+
+    def test_constants_and_zero(self):
+        for a in (1, -1, 2, -7, 10**30):
+            for x in (0, Fraction(1, 2)):
+                assert not vanishes_at_unit_root(LaurentPoly({0: a}), x)
+                assert not vanishes_at_unit_root(LaurentPoly({5: a}), x)
+        for x in (Fraction(1, 30_030), Fraction(12_345, 99_991)):
+            assert vanishes_at_unit_root(LaurentPoly.zero(), x)
+            assert vanishes_by_fold(LaurentPoly.zero(), x)
+
+    def test_float_angle_raises(self):
+        # a float would be read as a denominator of up to 2^55
+        for x in (0.1, 0.5, 1.0, "1/2", None):
+            with pytest.raises(TypeError):
+                vanishes_at_unit_root(torus_alexander(2, 3), x)
+            with pytest.raises(TypeError):
+                vanishes_at_unit_root(LaurentPoly.zero(), x)
+
+
+def _workload_reports():
+    """The parsed knot expression of every report op in the cables and
+    cli-mix workloads at their default seed."""
+    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    exprs = []
+    for name in ("cables", "cli-mix"):
+        for op in workloads.make_ops(name, 1):
+            cmd, *args = op["argv"]
+            if cmd == "report":
+                try:
+                    exprs.append(parse(args[0]))
+                except ValueError:
+                    pass  # the workloads' malformed inputs
+    return exprs
+
+
+_COEFFS = st.one_of(st.integers(-2, 2), st.integers(-(10**30), 10**30))
+_POLYS = st.dictionaries(st.integers(-40, 40), _COEFFS, max_size=12).map(LaurentPoly)
+
+
+class TestProductAgainstDict:
+    """LaurentPoly.__mul__, built through the private constructor, against
+    the dict product it replaced, which goes through the validating one."""
+
+    @staticmethod
+    def _agree(p, q):
+        got = p * q
+        want = mul_by_dict(p, q)
+        assert got == want and hash(got) == hash(want)
+        assert 0 not in got._c.values()
+        assert all(type(a) is int for a in got._c.values())
+        return got
+
+    @settings(max_examples=300, deadline=None)
+    @given(_POLYS, _POLYS)
+    @example(LaurentPoly.zero(), LaurentPoly({-3: 2, 4: -1}))
+    @example(LaurentPoly({0: 5}), LaurentPoly({7: 10**30}))
+    @example(LaurentPoly({-2: 1}), LaurentPoly({2: -1}))
+    def test_random(self, p, q):
+        self._agree(p, q)
+        self._agree(q, p)
+
+    def test_cancelling_products(self):
+        t, one = monomial(1), LaurentPoly.one()
+        big = monomial(1, 10**30)
+        for p, q in [
+            (one - t, one + t),
+            (t - monomial(-1), t + monomial(-1)),
+            (one + t + monomial(2), one - t),
+            (big - one, big + one),
+        ]:
+            got = self._agree(p, q)
+            assert len(got._c) < len(p._c) * len(q._c)
+        assert (one - t) * (one + t) == one - monomial(2)
+        assert (t - monomial(-1)) * (t + monomial(-1)) == monomial(2) - monomial(-2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(expressions())
+    def test_alexander(self, e):
+        assert alexander(e) == alexander_by_dict_mul(e)
+
+
+class TestConstructorRefusesNonIntegers:
+    def test_non_int_exponent_or_coefficient(self):
+        for coeffs in (
+            {1.7: 2},
+            {0: 1.9},
+            {1: 2.0},
+            {Fraction(1, 2): 1},
+            {0: Fraction(3)},
+            {True: 1},
+            {0: True},
+            {"1": 1},
+            [(0, 1), (1, 0.5)],
+        ):
+            with pytest.raises(TypeError):
+                LaurentPoly(coeffs)
+
+    def test_ints_accumulate_and_zeros_drop(self):
+        assert LaurentPoly([(1, 2), (1, -2), (0, 3), (2, 0)]) == LaurentPoly({0: 3})
+        assert LaurentPoly({1: 0}).is_zero()
 
 
 def test_torsion_prefix_matches_per_index_sums():
