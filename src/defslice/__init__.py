@@ -59,7 +59,6 @@ from .obstructions import (
     composite_cable_obstruction,
 )
 from .qform_verify import (
-    CharVector,
     QMatrix,
     bcg_cobordism_check,
     c1_square,

@@ -99,6 +99,10 @@ class AtomCertificate:
                     f"{self.name}: L-space atom needs an Alexander polynomial whose "
                     "nonzero coefficients are +-1 and alternate in sign from +1 at the top"
                 )
+            # the engine reads V_0 of an L-space atom from t_0, not from v0
+            t0 = torsion_prefix(self.alexander, 1)[0]
+            if self.v0 not in (None, t0):
+                raise CertificateError(f"{self.name}: L-space atom needs v0 = t_0 = {t0}, got {self.v0}")
 
 
 @cache
@@ -189,13 +193,6 @@ def resolve_db(db) -> CertificateDB:
     raise TypeError(f"not a CertificateDB: {db!r}")
 
 
-def _poly_from_pairs(pairs):
-    pairs = [(e, a) for e, a in pairs]
-    if any(type(v) is not int for pair in pairs for v in pair):
-        raise ValueError("exponents and coefficients must be integers")
-    return symmetric_normalized(LaurentPoly(pairs))
-
-
 def _field(rec, key, kind, default=None):
     """rec[key], which must have type kind exactly (a bool is no int)."""
     value = rec.get(key)
@@ -253,7 +250,7 @@ def load_registry(path) -> CertificateDB:
         alex = None
         if rec.get("alexander") is not None:
             try:
-                alex = _poly_from_pairs(rec["alexander"])
+                alex = symmetric_normalized(LaurentPoly(rec["alexander"]))
             except (TypeError, ValueError) as exc:
                 raise CertificateError(f"{rec['name']}: bad Alexander data: {exc}") from None
         atoms[rec["name"]] = AtomCertificate(

@@ -5,6 +5,8 @@ V_n(K # J) <= V_0(K) + V_n(J) bound: the three-handle intersection form,
 its characteristic class, the square and restriction split of c_1, the
 signatures, the pairings with the capped surface classes, and the final
 cancellation of the definite-cobordism inequality down to the bound.
+Each form is reduced once, by symmetric congruence, and c_1^2 and the
+inertia are both read off the one diagonal.
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ class QMatrix:
         for r in self.rows:
             if len(r) != n:
                 raise ValueError("matrix must be square")
+            for x in r:
+                if type(x) is not int:
+                    raise TypeError(f"matrix entries must be ints, got {x!r}")
         for i in range(n):
             for j in range(i):
                 if self.rows[i][j] != self.rows[j][i]:
@@ -33,65 +38,45 @@ class QMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> "QMatrix":
-        return cls(tuple(tuple(int(x) for x in r) for r in rows))
+        return cls(tuple(tuple(r) for r in rows))
 
     @property
     def n(self) -> int:
         return len(self.rows)
 
 
-@dataclass(frozen=True)
-class CharVector:
-    """Integer class in the dual (cocore) basis.
-
-    Characteristic for Q iff v.x = x^T Q x (mod 2) for all x, which in the
-    dual pairing reduces to v_i = Q_ii (mod 2).
-    """
-
-    coords: tuple
-
-    @classmethod
-    def of(cls, *coords) -> "CharVector":
-        return cls(tuple(int(c) for c in coords))
-
-
-def is_characteristic(Q: QMatrix, v: CharVector) -> bool:
-    if len(v.coords) != Q.n:
+def is_characteristic(Q: QMatrix, v: tuple) -> bool:
+    """Whether the integer class v, a tuple in the dual (cocore) basis, is
+    characteristic for Q: v.x = x^T Q x (mod 2) for all x, which in the
+    dual pairing reduces to v_i = Q_ii (mod 2)."""
+    if len(v) != Q.n:
         return False
-    return all((v.coords[i] - Q.rows[i][i]) % 2 == 0 for i in range(Q.n))
+    return all((v[i] - Q.rows[i][i]) % 2 == 0 for i in range(Q.n))
 
 
-def _solve(Q: QMatrix, rhs):
-    """Solve Q x = rhs over the rationals; raises ValueError when singular."""
+def _diagonalize(Q: QMatrix, v=None):
+    """(d, u): a congruence P^T Q P = diag(d) over the rationals, and
+    u = P^T v, with v = 0 when it is not given.
+
+    Each step is a row operation E^T a followed by the matching column
+    operation a E on the working matrix a, so a stays symmetric and equal to
+    P^T Q P for the product P of the E so far; u = P^T v takes each step as
+    u <- E^T u, the row operation alone:
+      - swap i and k: swap u_i and u_k;
+      - pairing (row i += row k, column i += column k, used when
+        a_ii = a_kk = 0 and a_ik != 0, making a_ii = 2 a_ik): u_i += u_k;
+      - elimination (row j -= f row i, column j -= f column i, with
+        f = a_ji / a_ii): u_j -= f u_i.
+    A pivot whose remaining row is zero is skipped with d_i = 0.
+
+    P is invertible, so diag(d) has the inertia of Q (Sylvester's law of
+    inertia), and Q is singular exactly when some d_i is 0.  Otherwise
+    Q^{-1} = P diag(d)^{-1} P^T, so v^T Q^{-1} v = sum u_i^2 / d_i.
+    """
     n = Q.n
-    a = [[Fraction(Q.rows[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
-
-
-def c1_square(Q: QMatrix, v: CharVector) -> Fraction:
-    """v^T Q^{-1} v for a characteristic v given in the cocore basis."""
-    if not is_characteristic(Q, v):
-        raise ValueError(f"{v.coords} is not characteristic for the form")
-    x = _solve(Q, v.coords)
-    return sum((Fraction(c) * xi for c, xi in zip(v.coords, x)), Fraction(0))
-
-
-def signature_of_form(Q: QMatrix):
-    """Exact inertia (n_plus, n_minus, n_zero) by symmetric congruence."""
-    n = Q.n
-    a = [[Fraction(Q.rows[i][j]) for j in range(n)] for i in range(n)]
-    pos = neg = zero = 0
+    a = [[Fraction(x) for x in row] for row in Q.rows]
+    u = [Fraction(c) for c in (v if v is not None else [0] * n)]
+    d = []
     for i in range(n):
         if a[i][i] == 0:
             k = next((j for j in range(i + 1, n) if a[j][j] != 0), None)
@@ -99,29 +84,51 @@ def signature_of_form(Q: QMatrix):
                 a[i], a[k] = a[k], a[i]
                 for row in a:
                     row[i], row[k] = row[k], row[i]
+                u[i], u[k] = u[k], u[i]
             else:
                 k = next((j for j in range(i + 1, n) if a[i][j] != 0), None)
                 if k is None:
-                    zero += 1
+                    d.append(a[i][i])
                     continue
-                # a_ii = a_kk = 0, a_ik != 0: make the diagonal nonzero
                 for j in range(n):
                     a[i][j] += a[k][j]
                 for j in range(n):
                     a[j][i] += a[j][k]
-        d = a[i][i]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
+                u[i] += u[k]
+        d.append(a[i][i])
         for j in range(i + 1, n):
             if a[j][i] != 0:
-                f = a[j][i] / d
+                f = a[j][i] / a[i][i]
                 for k2 in range(n):
                     a[j][k2] -= f * a[i][k2]
                 for k2 in range(n):
                     a[k2][j] -= f * a[k2][i]
-    return (pos, neg, zero)
+                u[j] -= f * u[i]
+    return d, u
+
+
+def _inertia(d):
+    return (sum(x > 0 for x in d), sum(x < 0 for x in d), d.count(0))
+
+
+def _c1_and_inertia(Q: QMatrix, v: tuple):
+    """(v^T Q^{-1} v, inertia of Q) from one reduction of Q."""
+    if not is_characteristic(Q, v):
+        raise ValueError(f"{v} is not characteristic for the form")
+    d, u = _diagonalize(Q, v)
+    if 0 in d:
+        raise ValueError("matrix is singular")
+    return sum((ui * ui / di for ui, di in zip(u, d)), Fraction(0)), _inertia(d)
+
+
+def c1_square(Q: QMatrix, v: tuple) -> Fraction:
+    """v^T Q^{-1} v for a characteristic v given in the cocore basis."""
+    return _c1_and_inertia(Q, v)[0]
+
+
+def signature_of_form(Q: QMatrix):
+    """Exact inertia (n_plus, n_minus, n_zero) by symmetric congruence."""
+    return _inertia(_diagonalize(Q)[0])
 
 
 def cobordism_form(n: int) -> QMatrix:
@@ -147,8 +154,6 @@ class CobordismReport:
     c1_sq: Fraction
     c1_outside: Fraction
     c1_cobordism: Fraction
-    sigma_total: int
-    sigma_outside: int
     sigma_cobordism: int
     b2_cobordism: int
 
@@ -164,7 +169,7 @@ def bcg_cobordism_check(n: int) -> CobordismReport:
     an implementation or sign-convention error, not a mathematical one.
     """
     Q = cobordism_form(n)
-    v = CharVector.of(-2, 0, 0)
+    v = (-2, 0, 0)
     items = []
 
     char_ok = is_characteristic(Q, v)
@@ -172,18 +177,18 @@ def bcg_cobordism_check(n: int) -> CobordismReport:
         CheckItem(
             "characteristic_vector",
             char_ok,
-            f"v = {v.coords} has v_i = Q_ii (mod 2)",
+            f"v = {v} has v_i = Q_ii (mod 2)",
         )
     )
 
-    c1 = c1_square(Q, v)
+    c1, inertia_total = _c1_and_inertia(Q, v)
     items.append(
         CheckItem("c1_square", c1 == Fraction(2, n + 1), f"c1^2 = {c1} (expected 2/(n+1))")
     )
 
     # restriction to the boundary-sum piece: dual coordinates (-2, 0) on diag(2, 2n)
     outside = QMatrix.from_rows([[2, 0], [0, 2 * n]])
-    c1_out = c1_square(outside, CharVector.of(-2, 0))
+    c1_out, inertia_out = _c1_and_inertia(outside, (-2, 0))
     c1_w = c1 - c1_out
     split_ok = c1_out == 2 and c1_w == Fraction(-2 * n, n + 1)
     items.append(
@@ -194,8 +199,6 @@ def bcg_cobordism_check(n: int) -> CobordismReport:
         )
     )
 
-    inertia_total = signature_of_form(Q)
-    inertia_out = signature_of_form(outside)
     sigma_total = inertia_total[0] - inertia_total[1]
     sigma_out = inertia_out[0] - inertia_out[1]
     sigma_w = sigma_total - sigma_out
@@ -213,7 +216,7 @@ def bcg_cobordism_check(n: int) -> CobordismReport:
 
     surfaces = {"F_K": (1, 0, 0), "F_J": (0, 1, 0), "F_KJ": (1, -1, 2 * n)}
     pairings = {
-        name: sum(c * f for c, f in zip(v.coords, fv)) for name, fv in surfaces.items()
+        name: sum(c * f for c, f in zip(v, fv)) for name, fv in surfaces.items()
     }
     framings = {"F_K": 2, "F_J": 2 * n, "F_KJ": 2 * n + 2}
     labels = {name: (pairings[name] + framings[name]) // 2 for name in surfaces}
@@ -255,8 +258,6 @@ def bcg_cobordism_check(n: int) -> CobordismReport:
         c1_sq=c1,
         c1_outside=c1_out,
         c1_cobordism=c1_w,
-        sigma_total=sigma_total,
-        sigma_outside=sigma_out,
         sigma_cobordism=sigma_w,
         b2_cobordism=b2_w,
     )

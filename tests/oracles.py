@@ -24,8 +24,10 @@ torsion coefficients (torsion_coefficients adds the check that the
 polynomial is an Alexander polynomial), torus_alexander_by_division (with
 its long division div_exact) for the semigroup torus Alexander polynomials,
 json_indent2 for the CLI's --json writer, NoneInterval for the intervals
-with -inf/inf ends and obstruct_definite_by_verdicts for the closed form
-of the one-sided combination rule.  family_kn spells the suite thm1
+with -inf/inf ends, obstruct_definite_by_verdicts for the closed form
+of the one-sided combination rule, and c1_square_by_solve (a Gauss-Jordan
+solve, solve_by_gauss_jordan) and inertia_by_congruence for the one
+symmetric reduction that gives both c1^2 and the inertia of a form.  family_kn spells the suite thm1
 expression K_n apart from the composite that the suite takes it from.
 contains, monomial and all_certified are package API that only the tests
 read, kept here as functions.
@@ -79,6 +81,7 @@ from defslice.obstructions import (
     obstruct_negative_definite,
     obstruct_positive_definite,
 )
+from defslice.qform_verify import QMatrix, is_characteristic
 from defslice.signatures import HALF, CombinationCheck, SigFn, SignatureUnavailable, sigma, sigma_torus
 
 
@@ -835,3 +838,66 @@ def obstruct_definite_by_verdicts(e, ev):
                 )
             )
     return _verdict("any_definite", reasons)
+
+
+def solve_by_gauss_jordan(Q: QMatrix, rhs):
+    """Solve Q x = rhs over the rationals; raises ValueError when singular."""
+    n = Q.n
+    a = [[Fraction(Q.rows[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            raise ValueError("matrix is singular")
+        a[col], a[pivot] = a[pivot], a[col]
+        pv = a[col][col]
+        a[col] = [x / pv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [a[i][n] for i in range(n)]
+
+
+def c1_square_by_solve(Q: QMatrix, v) -> Fraction:
+    """v^T Q^{-1} v for a characteristic v given in the cocore basis."""
+    if not is_characteristic(Q, v):
+        raise ValueError(f"{v} is not characteristic for the form")
+    x = solve_by_gauss_jordan(Q, v)
+    return sum((Fraction(c) * xi for c, xi in zip(v, x)), Fraction(0))
+
+
+def inertia_by_congruence(Q: QMatrix):
+    """Exact inertia (n_plus, n_minus, n_zero) by symmetric congruence."""
+    n = Q.n
+    a = [[Fraction(Q.rows[i][j]) for j in range(n)] for i in range(n)]
+    pos = neg = zero = 0
+    for i in range(n):
+        if a[i][i] == 0:
+            k = next((j for j in range(i + 1, n) if a[j][j] != 0), None)
+            if k is not None:
+                a[i], a[k] = a[k], a[i]
+                for row in a:
+                    row[i], row[k] = row[k], row[i]
+            else:
+                k = next((j for j in range(i + 1, n) if a[i][j] != 0), None)
+                if k is None:
+                    zero += 1
+                    continue
+                # a_ii = a_kk = 0, a_ik != 0: make the diagonal nonzero
+                for j in range(n):
+                    a[i][j] += a[k][j]
+                for j in range(n):
+                    a[j][i] += a[j][k]
+        d = a[i][i]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        for j in range(i + 1, n):
+            if a[j][i] != 0:
+                f = a[j][i] / d
+                for k2 in range(n):
+                    a[j][k2] -= f * a[i][k2]
+                for k2 in range(n):
+                    a[k2][j] -= f * a[k2][i]
+    return (pos, neg, zero)

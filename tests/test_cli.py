@@ -182,26 +182,30 @@ class TestAtomsFile:
         assert err.startswith("error: cannot read registry file") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "registry",
+        "registry, named",
         [
-            [1, 2],
-            {"atoms": {"name": "K"}},
-            {"atoms": [5]},
-            {"atoms": [{"name": "K", "tau": "x"}]},
-            {"atoms": [{"name": "K", "genus": 1.5}]},
-            {"atoms": [{"name": "K", "v0": True}]},
-            {"atoms": [{"name": "K", "lspace": 0}]},
-            {"atoms": [{"name": "K", "alexander": 5}]},
-            {"atoms": [{"name": "K", "alexander": [[0.5, 1]]}]},
+            ([1, 2], "the top level must be an object"),
+            ({"atoms": {"name": "K"}}, "'atoms' must be a list"),
+            ({"atoms": [5]}, "registry record is not an object: 5"),
+            ({"atoms": [{"name": "K", "tau": "x"}]}, "K: tau must be an integer, got 'x'"),
+            ({"atoms": [{"name": "K", "genus": 1.5}]}, "K: genus must be an integer, got 1.5"),
+            ({"atoms": [{"name": "K", "v0": True}]}, "K: v0 must be an integer, got True"),
+            ({"atoms": [{"name": "K", "lspace": 0}]}, "K: lspace must be true or false, got 0"),
+            ({"atoms": [{"name": "K", "alexander": 5}]}, "K: bad Alexander data: "),
+            # the message names the offending pair
+            ({"atoms": [{"name": "K", "alexander": [[0.5, 1]]}]},
+             "K: bad Alexander data: exponent and coefficient must be ints, got 0.5: 1"),
         ],
+        ids=[f"registry{i}" for i in range(9)],
     )
-    def test_malformed_registry_exit_1(self, capsys, tmp_path, registry):
+    def test_malformed_registry_exit_1(self, capsys, tmp_path, registry, named):
         reg = tmp_path / "atoms.json"
         reg.write_text(json.dumps(registry))
         code, out, err = run(capsys, "report", "T(2,3)", "--atoms", str(reg))
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
 
     @pytest.mark.parametrize(
         "record, named",
@@ -299,6 +303,26 @@ class TestAtomsFile:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert named in err
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["human", "json"])
+    def test_lspace_v0_is_its_torsion_coefficient(self, capsys, tmp_path, json_flag):
+        # t^2 - t + 1 - t^-1 + t^-2, the Alexander polynomial of T(2,5), has
+        # t_0 = 1; a record with v0 = 2 loaded before and report printed V_0 = 1
+        record = {"name": "L", "lspace": True, "tau": 2, "genus": 2,
+                  "alexander": [[-2, 1], [-1, -1], [0, 1], [1, -1], [2, 1]]}
+        reg = tmp_path / "atoms.json"
+        reg.write_text(json.dumps({"atoms": [dict(record, v0=2)]}))
+        code, out, err = run(capsys, "report", "L", "--atoms", str(reg), *json_flag)
+        assert code == 1
+        assert out == ""
+        assert err == "error: L: L-space atom needs v0 = t_0 = 1, got 2\n"
+        reg.write_text(json.dumps({"atoms": [dict(record, v0=1)]}))
+        code, out, _ = run(capsys, "report", "L", "--atoms", str(reg), *json_flag)
+        assert code == 0
+        if json_flag:
+            assert json.loads(out)["v"][:3] == [{"lo": 1, "hi": 1}, {"lo": 1, "hi": 1}, {"lo": 0, "hi": 0}]
+        else:
+            assert "V-sequence:  V_0=1  V_1=1  V_2=0" in out
 
     def test_lspace_form_decides_loading(self, capsys, tmp_path):
         # every lspace record of degree d = 1..3 with a_1..a_d in [-2, 2],

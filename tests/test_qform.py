@@ -1,5 +1,6 @@
 """Exact quadratic-form arithmetic and the cobordism replay."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +8,6 @@ import numpy as np
 import pytest
 
 from defslice.qform_verify import (
-    CharVector,
     QMatrix,
     bcg_cobordism_check,
     c1_square,
@@ -15,36 +15,48 @@ from defslice.qform_verify import (
     is_characteristic,
     signature_of_form,
 )
+from oracles import c1_square_by_solve, inertia_by_congruence
 
 
 class TestC1Square:
     def test_cobordism_form_n1(self):
-        assert c1_square(cobordism_form(1), CharVector.of(-2, 0, 0)) == 1
+        assert c1_square(cobordism_form(1), (-2, 0, 0)) == 1
 
     def test_cobordism_form_sweep(self):
         for n in range(1, 51):
-            c1 = c1_square(cobordism_form(n), CharVector.of(-2, 0, 0))
+            c1 = c1_square(cobordism_form(n), (-2, 0, 0))
             assert c1 == Fraction(2, n + 1)
 
     def test_rank_one(self):
-        assert c1_square(QMatrix.from_rows([[1]]), CharVector.of(1)) == 1
+        assert c1_square(QMatrix.from_rows([[1]]), (1,)) == 1
 
     def test_non_characteristic_rejected(self):
         with pytest.raises(ValueError, match="characteristic"):
-            c1_square(cobordism_form(1), CharVector.of(1, 0, 0))
+            c1_square(cobordism_form(1), (1, 0, 0))
 
     def test_singular_rejected(self):
         with pytest.raises(ValueError, match="singular"):
-            c1_square(QMatrix.from_rows([[0, 0], [0, 2]]), CharVector.of(0, 0))
+            c1_square(QMatrix.from_rows([[0, 0], [0, 2]]), (0, 0))
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             QMatrix.from_rows([[1, 2], [3, 1]])
 
+    @pytest.mark.parametrize(
+        "rows",
+        [[[1.7]], [[True, 0], [0, 2]], [[1, 0], [0, 2.9]], [[Fraction(1, 2)]], [[Fraction(2)]]],
+    )
+    def test_non_int_entries_rejected(self, rows):
+        # these were truncated through int(): [[1.7]] read as [[1]]
+        with pytest.raises(TypeError, match="matrix entries must be ints"):
+            QMatrix.from_rows(rows)
+        with pytest.raises(TypeError, match="matrix entries must be ints"):
+            QMatrix(tuple(tuple(r) for r in rows))
+
     def test_basis_invariance(self):
         rng = random.Random(99)
         Q = cobordism_form(3)
-        v = CharVector.of(-2, 0, 0)
+        v = (-2, 0, 0)
         base = c1_square(Q, v)
         for _ in range(50):
             U = _random_unimodular(rng, 3)
@@ -80,8 +92,93 @@ def _congruent(Q, U):
 
 
 def _dual_transform(v, U):
-    n = len(v.coords)
-    return CharVector.of(*(sum(U[k][i] * v.coords[k] for k in range(n)) for i in range(n)))
+    n = len(v)
+    return tuple(sum(U[k][i] * v[k] for k in range(n)) for i in range(n))
+
+
+def _random_form(rng, n):
+    """A random symmetric form whose diagonal is often zero in places, or
+    entirely, so that the swap and the pairing steps of the reduction run,
+    with a characteristic v_i = Q_ii + 2 * random."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = rng.randrange(-3, 4)
+    all_zero = rng.random() < 0.3
+    for i in range(n):
+        if not all_zero and rng.random() < 0.5:
+            rows[i][i] = rng.randrange(-4, 5)
+    v = tuple(rows[i][i] + 2 * rng.randrange(-3, 4) for i in range(n))
+    return rows, v
+
+
+class TestReductionAgainstOracles:
+    """One reduction gives c1^2 and the inertia; the Gauss-Jordan solve and
+    the inertia-only congruence it replaced are the references."""
+
+    FORMS = [_random_form(random.Random(seed), 1 + seed % 6) for seed in range(360)]
+
+    def test_forms_exercise_every_branch(self):
+        zero_diag = sum(any(r[i] == 0 for i, r in enumerate(rows)) for rows, _ in self.FORMS)
+        all_zero = sum(all(r[i] == 0 for i, r in enumerate(rows)) for rows, _ in self.FORMS)
+        singular = sum(abs(np.linalg.det(np.array(rows, dtype=float))) < 0.5 for rows, _ in self.FORMS)
+        assert zero_diag >= 150 and all_zero >= 60 and singular >= 20
+
+    def test_c1_square(self):
+        for rows, v in self.FORMS:
+            Q = QMatrix.from_rows(rows)
+            try:
+                expected = c1_square_by_solve(Q, v)
+            except ValueError as exc:
+                assert str(exc) == "matrix is singular"
+                with pytest.raises(ValueError, match="^matrix is singular$"):
+                    c1_square(Q, v)
+                continue
+            assert c1_square(Q, v) == expected
+            a = np.array(rows, dtype=float)
+            w = np.array(v, dtype=float)
+            assert math.isclose(w @ np.linalg.inv(a) @ w, expected, rel_tol=1e-9, abs_tol=1e-9)
+
+    def test_inertia(self):
+        for rows, _ in self.FORMS:
+            Q = QMatrix.from_rows(rows)
+            assert signature_of_form(Q) == inertia_by_congruence(Q)
+
+    @pytest.mark.parametrize(
+        "rows, v",
+        [
+            # pairing: no nonzero diagonal entry is left to swap in
+            ([[0, 1], [1, 0]], (2, 4)),
+            ([[0, 1, 2], [1, 0, 3], [2, 3, 0]], (2, 4, -6)),
+            # pairing after one elimination leaves a zero diagonal block
+            ([[1, 1, 1], [1, 1, 0], [1, 0, 1]], (1, 3, -1)),
+            # swap: a later diagonal entry is nonzero
+            ([[0, 1], [1, 2]], (2, 4)),
+            ([[0, 1, 1], [1, 0, 2], [1, 2, 3]], (4, -2, 1)),
+            # swap after one elimination
+            ([[1, 1, 0], [1, 1, 1], [0, 1, 2]], (3, 1, 0)),
+        ],
+    )
+    def test_swap_and_pairing(self, rows, v):
+        Q = QMatrix.from_rows(rows)
+        assert c1_square(Q, v) == c1_square_by_solve(Q, v)
+        assert signature_of_form(Q) == inertia_by_congruence(Q)
+
+    def test_hyperbolic_value(self):
+        # Q^{-1} = Q for the hyperbolic plane, so c1^2 = 2 * 2 * 4
+        assert c1_square(QMatrix.from_rows([[0, 1], [1, 0]]), (2, 4)) == 16
+
+    def test_replay(self):
+        for n in range(1, 301):
+            rep = bcg_cobordism_check(n)
+            Q, outside = cobordism_form(n), QMatrix.from_rows([[2, 0], [0, 2 * n]])
+            c1 = c1_square_by_solve(Q, (-2, 0, 0))
+            c1_out = c1_square_by_solve(outside, (-2, 0))
+            pos, neg, _ = inertia_by_congruence(Q)
+            pos_out, neg_out, _ = inertia_by_congruence(outside)
+            assert (rep.c1_sq, rep.c1_outside, rep.c1_cobordism) == (c1, c1_out, c1 - c1_out)
+            assert rep.sigma_cobordism == (pos - neg) - (pos_out - neg_out)
+            assert rep.b2_cobordism == (pos + neg) - (pos_out + neg_out)
 
 
 class TestSignatureOfForm:
