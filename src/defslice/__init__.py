@@ -23,8 +23,7 @@ from .certificates import (
 from .hf_invariants import (
     ContradictionError,
     Evaluator,
-    IntInterval,
-    RatInterval,
+    Interval,
     VSeq,
     lens_d,
     wu_phi,
@@ -71,7 +70,6 @@ from .signatures import (
     SigFn,
     SignatureUnavailable,
     sigma,
-    sigma_torus,
     signature_combination_check,
 )
 

@@ -99,10 +99,19 @@ class AtomCertificate:
                     f"{self.name}: L-space atom needs an Alexander polynomial whose "
                     "nonzero coefficients are +-1 and alternate in sign from +1 at the top"
                 )
+            # and a nontrivial one has t^g - t^(g-1) at the top (Hedden-Watson)
+            if deg >= 1 and self.alexander.coeff(deg - 1) != -1:
+                raise CertificateError(
+                    f"{self.name}: L-space atom needs an Alexander polynomial whose "
+                    f"t^{deg - 1} coefficient is -1"
+                )
             # the engine reads V_0 of an L-space atom from t_0, not from v0
             t0 = torsion_prefix(self.alexander, 1)[0]
             if self.v0 not in (None, t0):
                 raise CertificateError(f"{self.name}: L-space atom needs v0 = t_0 = {t0}, got {self.v0}")
+            # the mirror of an L-space knot has V = 0
+            if self.v0_mirror not in (None, 0):
+                raise CertificateError(f"{self.name}: L-space atom needs v0_mirror = 0, got {self.v0_mirror}")
 
 
 @cache

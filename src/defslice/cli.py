@@ -17,7 +17,7 @@ from functools import cache
 from math import inf
 
 from .certificates import CertificateGapError, default_db, load_registry
-from .hf_invariants import Evaluator, IntInterval, RatInterval, lens_d
+from .hf_invariants import Evaluator, Interval, lens_d
 from .knotexpr import (
     Atom,
     Cable,
@@ -119,7 +119,7 @@ def _json_value(x):
     form, so an infinity or a NaN anywhere else is refused."""
     if isinstance(x, Fraction):
         return {"num": x.numerator, "den": x.denominator}
-    if isinstance(x, (IntInterval, RatInterval)):
+    if isinstance(x, Interval):
         return {"lo": _json_end(x.lo), "hi": _json_end(x.hi)}
     if is_dataclass(x):
         return {f.name: getattr(x, f.name) for f in fields(x)}

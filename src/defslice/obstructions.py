@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .certificates import CertificateGapError
-from .hf_invariants import Evaluator, IntInterval
+from .hf_invariants import Evaluator, Interval
 from .knotexpr import Cable, Mirror, Sum, check_size, normalize
 from .laurent import vanishes_at_unit_root
 from .signatures import SignatureUnavailable
@@ -222,30 +222,17 @@ def composite_cable_obstruction(K, J, n: int, ev: Evaluator) -> CompositeReport:
     v0J = ev.v_seq(J).at(0)
     tK = ev.tau(K)
     tJ = ev.tau(J)
-    n_tJ = IntInterval(n * tJ.lo, n * tJ.hi)
+    n_tJ = Interval(n * tJ.lo, n * tJ.hi)
     checks = [
         HypothesisCheck("V0(K) > V0(J)", v0K.lo > v0J.hi, {"v0_K": v0K, "v0_J": v0J}),
         HypothesisCheck("tau(K) >= 1", tK.lo >= 1, {"tau_K": tK}),
         HypothesisCheck("tau(J) >= 1", tJ.lo >= 1, {"tau_J": tJ}),
         HypothesisCheck("tau(K) < n*tau(J)", tK.hi < n_tJ.lo, {"tau_K": tK, "n_tau_J": n_tJ}),
     ]
+    reasons = []
     if all(c.certified for c in checks):
-        verdict = Verdict(
-            target="any_definite",
-            status=OBSTRUCTED,
-            reasons=[
-                _reason(
-                    RULE_COMPOSITE,
-                    v0_K=v0K,
-                    v0_J=v0J,
-                    tau_K=tK,
-                    tau_J=tJ,
-                    n=n,
-                )
-            ],
-        )
-    else:
-        verdict = Verdict(target="any_definite", status=INCONCLUSIVE, reasons=[])
+        reasons.append(_reason(RULE_COMPOSITE, v0_K=v0K, v0_J=v0J, tau_K=tK, tau_J=tJ, n=n))
+    verdict = _verdict("any_definite", reasons)
     return CompositeReport(expression=expr, hypotheses=checks, verdict=verdict)
 
 

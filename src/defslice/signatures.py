@@ -148,12 +148,6 @@ def _torus_deltas(p: int, q: int) -> tuple:
     return d, tuple((n, delta) for n, delta in pairs if 2 * n <= d)
 
 
-def sigma_torus(p: int, q: int) -> SigFn:
-    """Signature function of the positive torus knot T(p,q), converted
-    from the integer counting of _torus_deltas."""
-    return _jumps(*_torus_deltas(p, q))
-
-
 def _jumps(d: int, pairs) -> SigFn:
     # the one merge and the one conversion to Fraction: sum the deltas at
     # each numerator, drop the zeros, sort, and build each jump n/d once

@@ -47,12 +47,12 @@ from sympy import ZZ
 from sympy.polys.densearith import dup_rem
 from sympy.polys.rings import ring
 
-from defslice.certificates import resolve_db
+from defslice.certificates import _reduce_normal, resolve_db
 from defslice.cli import _json_value
 from defslice.hf_invariants import (
     ContradictionError,
     Evaluator,
-    IntInterval,
+    Interval,
     VSeq,
     _close,
     _lspace_vseq,
@@ -67,6 +67,7 @@ from defslice.knotexpr import (
     Sum,
     mirror,
     normalize,
+    torus_atom,
     torus_params,
 )
 from defslice.laurent import LaurentPoly, symmetric_normalized, torus_alexander
@@ -82,7 +83,7 @@ from defslice.obstructions import (
     obstruct_positive_definite,
 )
 from defslice.qform_verify import QMatrix, is_characteristic
-from defslice.signatures import HALF, CombinationCheck, SigFn, SignatureUnavailable, sigma, sigma_torus
+from defslice.signatures import HALF, CombinationCheck, SigFn, SignatureUnavailable, sigma
 
 
 def contains(iv, v):
@@ -282,7 +283,7 @@ class AllSplitsEvaluator(Evaluator):
                 out.append(best)
             his = out
         lo0 = self._sum_lower_v0(parts)
-        entries = [IntInterval(lo0 if k == 0 else 0, his[k]) for k in range(length)]
+        entries = [Interval(lo0 if k == 0 else 0, his[k]) for k in range(length)]
         return close_intervals(entries, genus)
 
 
@@ -322,7 +323,7 @@ class FlagEvaluator(Evaluator):
         if isinstance(e, Cable):
             if self._flag(e.companion):
                 base = self._tau(e.companion).value
-                return IntInterval.exact(e.p * base + (e.p - 1) * (e.q - 1) // 2)
+                return Interval.exact(e.p * base + (e.p - 1) * (e.q - 1) // 2)
             return self._tau_window(e)
         return Evaluator._tau.__wrapped__(self, e)
 
@@ -339,7 +340,7 @@ class IntersectingEvaluator(Evaluator):
     @_memoized
     def _vseq_refined(self, e):
         base = self._vseq_of(e)
-        red = self._reduced(e)
+        red = _reduce_normal(e)
         if red != e:
             e0 = base.at(0).intersect(self._vseq_of(red).at(0))
             if e0 != base.at(0):
@@ -349,16 +350,16 @@ class IntersectingEvaluator(Evaluator):
     @_memoized
     def _nu_raw(self, e):
         seqs = [self._vseq_of(e)]
-        red = self._reduced(e)
+        red = _reduce_normal(e)
         if red != e:
             seqs.append(self._vseq_of(red))
         lo = max(s.first_possible_zero() for s in seqs)
         hi = min(s.first_certain_zero() for s in seqs)
-        return IntInterval(lo, hi)
+        return Interval(lo, hi)
 
 
 def close_intervals(entries, genus):
-    """_close of a list of IntIntervals, the form that V-sequence bounds
+    """_close of a list of Intervals, the form that V-sequence bounds
     took before they were two tuples."""
     return _close([iv.lo for iv in entries], [iv.hi for iv in entries], genus)
 
@@ -392,7 +393,7 @@ class WuCableEvaluator(Evaluator):
             self.tail_reads += (a >= len(cseq)) + (b >= len(cseq))
             mx = cseq.at(a).max_with(cseq.at(b))
             t = tor.at(i).value
-            entries.append(IntInterval(t + mx.lo, t + mx.hi))
+            entries.append(Interval(t + mx.lo, t + mx.hi))
         return close_intervals(entries, self._genus(e))
 
 
@@ -412,7 +413,7 @@ def close_iterated(los, his, genus):
         if k >= genus:
             if lo > 0 or hi < 0:
                 raise ContradictionError(
-                    f"V_{k} constrained to {IntInterval(los[k], his[k])} but the tail is zero"
+                    f"V_{k} constrained to {Interval(los[k], his[k])} but the tail is zero"
                 )
             lo, hi = 0, 0
         out_lo.append(lo)
@@ -455,10 +456,10 @@ class ZeroFromVSeq:
         if k < len(self.entries):
             return self.entries[k]
         if self.zero_from is not None:
-            return IntInterval.exact(0)
+            return Interval.exact(0)
         last = self.entries[-1]
         d = k - (len(self.entries) - 1)
-        return IntInterval(max(0, last.lo - d), last.hi)
+        return Interval(max(0, last.lo - d), last.hi)
 
     def first_possible_zero(self):
         for k, iv in enumerate(self.entries):
@@ -563,7 +564,7 @@ def cable_sigma_by_midpoints(base, p, q):
     for signatures._cable_sigma.  Litherland's formula holds for q of
     either sign, with T(p,q) = T(p,|q|)* and so sigma_{T(p,|q|)} negated
     for q < 0, so this reference does not go through normalize."""
-    tor = sigma_torus(p, abs(q))
+    tor = sigma(torus_atom(p, abs(q)))
     if q < 0:
         tor = SigFn(tuple((x, -d) for x, d in tor.jumps))
     if base.is_zero:
@@ -631,7 +632,7 @@ def _cable_by_fold(base, p, q):
         for x, delta in (((m + u) / p, d), ((m + 1 - u) / p, -d))
         if x <= HALF
     )
-    return from_deltas(itertools.chain(sigma_torus(p, q).jumps, moved))
+    return from_deltas(itertools.chain(sigma(torus_atom(p, q)).jumps, moved))
 
 
 def from_deltas(deltas):
@@ -646,7 +647,8 @@ def from_deltas(deltas):
 
 def sigma_torus_by_fractions(p, q):
     """The counting form of T(p,q) in Fraction arithmetic; the reference
-    for signatures.sigma_torus, which counts integer numerators over p*q."""
+    for the torus atoms of signatures.sigma, which counts integer numerators
+    over p*q."""
     if p < 1 or q < 1 or math.gcd(p, q) != 1:
         raise ValueError(f"need coprime p,q >= 1, got ({p},{q})")
     sums = (Fraction(i, p) + Fraction(j, q) for i in range(1, p) for j in range(1, q))
@@ -708,7 +710,7 @@ def _fold(e, db):
     if isinstance(e, Atom):
         tq = torus_params(e.name)
         if tq is not None:
-            return sigma_torus(*tq)
+            return sigma(torus_atom(*tq))
         if db.get(e.name).alexander == LaurentPoly.one():
             return SigFn()
         raise SignatureUnavailable(f"atom {e.name!r} has no signature rule")
@@ -760,7 +762,7 @@ def json_indent2(data):
 @dataclass(frozen=True)
 class NoneInterval:
     """Closed integer interval with None for an unbounded end, and the
-    operations it had in that spelling; the reference for IntInterval,
+    operations it had in that spelling; the reference for Interval,
     whose unbounded ends are -inf and inf.  Its JSON form is its fields."""
 
     lo: int | None
@@ -807,7 +809,7 @@ class NoneInterval:
 
     def as_inf(self):
         """The same interval with -inf and inf ends."""
-        return IntInterval(-inf if self.lo is None else self.lo, inf if self.hi is None else self.hi)
+        return Interval(-inf if self.lo is None else self.lo, inf if self.hi is None else self.hi)
 
 
 def obstruct_definite_by_verdicts(e, ev):

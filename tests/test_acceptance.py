@@ -12,7 +12,7 @@ from math import inf
 from hypothesis import HealthCheck, given, settings
 
 from defslice.cli import family_jk, family_kkl
-from defslice.hf_invariants import Evaluator, IntInterval, _close, lens_d
+from defslice.hf_invariants import Evaluator, Interval, _close, lens_d
 from defslice.knotexpr import (
     Atom,
     Cable,
@@ -31,7 +31,7 @@ from defslice.obstructions import (
     obstruct_definite,
 )
 from defslice.qform_verify import bcg_cobordism_check
-from defslice.signatures import sigma_torus, signature_combination_check
+from defslice.signatures import sigma, signature_combination_check
 
 from oracles import family_kn, numeric_signature, random_regular_angle, seifert_matrix_torus, torsion_coefficients
 from strategies import expressions, expressions_any_cable
@@ -126,7 +126,7 @@ def test_criterion_6_wu_torsion_cross_validation():
         for p in range(2, 10):
             s = Evaluator().v_seq(Cable(p, 1, K))
             for i in range(p // 2 + 1):
-                assert s.at(i) == IntInterval.exact(v0), (K, p, i)
+                assert s.at(i) == Interval.exact(v0), (K, p, i)
     _report(6, "Wu cabling vs torsion coefficients; V_i(K_{p,1}) = V_0(K)")
 
 
@@ -166,7 +166,7 @@ def test_criterion_9_signature_oracle():
     for T(2,q), q in {3,5,7,9}, at 100 random regular angles each."""
     rng = random.Random(1729)
     for q in (3, 5, 7, 9):
-        fn = sigma_torus(2, q)
+        fn = sigma(torus_atom(2, q))
         V = seifert_matrix_torus(2, q)
         for _ in range(100):
             x = random_regular_angle(rng, fn)
@@ -195,7 +195,7 @@ class TestCriterion10Properties:
     def test_10b_tau_additive_and_antisymmetric(self, a, b):
         ta, tb = Evaluator().tau(a), Evaluator().tau(b)
         if ta.is_exact and tb.is_exact:
-            assert Evaluator().tau(Sum((a, b))) == IntInterval.exact(ta.value + tb.value)
+            assert Evaluator().tau(Sum((a, b))) == Interval.exact(ta.value + tb.value)
         assert Evaluator().tau(Mirror(a)) == -ta
 
     @RANDOMIZED

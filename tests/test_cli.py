@@ -1,11 +1,13 @@
 """CLI surface: subcommands, exit codes, JSON/human parity."""
 
 import contextlib
+import gc
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from itertools import accumulate, product
 from pathlib import Path
@@ -327,26 +329,70 @@ class TestAtomsFile:
     def test_lspace_form_decides_loading(self, capsys, tmp_path):
         # every lspace record of degree d = 1..3 with a_1..a_d in [-2, 2],
         # a_0 fixed by the value 1 at t = 1: it loads iff every suffix sum
-        # a_d + ... + a_{j+1}, j >= 0, is 0 or 1, and then report runs
+        # a_d + ... + a_{j+1}, j >= 0, is 0 or 1 and a_{d-1} = -1, and then
+        # report runs
         reg = tmp_path / "atoms.json"
         seen = loaded = 0
         for d in range(1, 4):
             for top in product(range(-2, 3), repeat=d):
                 if top[-1] == 0:
                     continue
-                pairs = [[0, 1 - 2 * sum(top)]]
+                coeffs = (1 - 2 * sum(top), *top)
+                pairs = [[0, coeffs[0]]]
                 pairs += [[s * k, a] for k, a in enumerate(top, 1) for s in (-1, 1)]
                 record = {"name": "L", "lspace": True, "tau": d, "genus": d, "alexander": pairs}
                 reg.write_text(json.dumps({"atoms": [record]}))
                 code, _, err = run(capsys, "report", "L", "--atoms", str(reg))
                 seen += 1
-                if all(s in (0, 1) for s in accumulate(reversed(top))):
+                if all(s in (0, 1) for s in accumulate(reversed(top))) and coeffs[d - 1] == -1:
                     assert code == 0, top
                     loaded += 1
                 else:
                     assert code == 1, top
                     assert err.startswith("error: L: L-space atom needs an Alexander polynomial")
-        assert (seen, loaded) == (124, 7)
+        assert (seen, loaded) == (124, 4)
+
+    @pytest.mark.parametrize(
+        "alexander, g",
+        [
+            ([[-2, 1], [0, -1], [2, 1]], 2),
+            ([[-3, 1], [-1, -1], [0, 1], [1, -1], [3, 1]], 3),
+            ([[-3, 1], [0, -1], [3, 1]], 3),
+        ],
+        ids=["t2-1+t-2", "t3-t+1-t-1+t-3", "t3-1+t-3"],
+    )
+    def test_lspace_needs_minus_t_to_the_g_minus_1(self, capsys, tmp_path, alexander, g):
+        # a nontrivial L-space knot has t^g - t^(g-1) at the top (Hedden and
+        # Watson); t^2 - 1 + t^-2 as an L-space atom read V_0 = 2 > ceil(g/2)
+        record = {"name": "L", "lspace": True, "tau": g, "genus": g, "alexander": alexander}
+        reg = tmp_path / "atoms.json"
+        reg.write_text(json.dumps({"atoms": [record]}))
+        code, out, err = run(capsys, "report", "L", "--atoms", str(reg))
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: L: L-space atom needs an Alexander polynomial whose "
+            f"t^{g - 1} coefficient is -1\n"
+        )
+
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["human", "json"])
+    def test_lspace_v0_mirror_is_zero(self, capsys, tmp_path, json_flag):
+        # the mirror of an L-space knot has V = 0; a record with v0_mirror = 1
+        # loaded before, and report 'L*' printed V_0=1 and two obstructions
+        record = {"name": "L", "lspace": True, "tau": 2, "genus": 2,
+                  "alexander": [[-2, 1], [-1, -1], [0, 1], [1, -1], [2, 1]]}
+        reg = tmp_path / "atoms.json"
+        reg.write_text(json.dumps({"atoms": [dict(record, v0_mirror=1)]}))
+        code, out, err = run(capsys, "report", "L*", "--atoms", str(reg), *json_flag)
+        assert (code, out) == (1, "")
+        assert err == "error: L: L-space atom needs v0_mirror = 0, got 1\n"
+        reg.write_text(json.dumps({"atoms": [dict(record, v0_mirror=0)]}))
+        code, out, _ = run(capsys, "report", "L*", "--atoms", str(reg), *json_flag)
+        assert code == 0
+        if json_flag:
+            data = json.loads(out)
+            assert data["v"][0] == {"lo": 0, "hi": 0} and data["d1"] == {"lo": 0, "hi": 0}
+        else:
+            assert "d1: 0" in out and "V-sequence:  V_0=0" in out
 
     def test_consistent_bounds_load(self, capsys, tmp_path):
         reg = tmp_path / "atoms.json"
@@ -689,6 +735,20 @@ class TestRepeatedMain:
             assert got == outcome(argv), argv
             codes.add(got[2])
         assert codes == {0, 1, 2, 3}
+
+    def test_surgery_keeps_no_memory(self):
+        # 20 surgeries of P = 9998 in one process leave nothing behind; a
+        # process-wide cache of the lens terms held 49.8 MiB after them
+        tracemalloc.start()
+        try:
+            with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+                for q in range(1, 41, 2):
+                    assert main(["surgery", "T(2,3)", "9998", str(q), "--json"]) == 0
+            gc.collect()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 2**20
 
 
 # Full human-form stdout and exit code of one command of each output shape,

@@ -10,12 +10,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from defslice import obstructions
-from defslice.certificates import AtomCertificate, default_db
+from defslice.certificates import AtomCertificate, _reduce_normal, default_db
 from defslice.cli import _json_value
 from defslice.hf_invariants import (
     ContradictionError,
     Evaluator,
-    IntInterval,
+    Interval,
     VSeq,
     _close,
     lens_d,
@@ -56,21 +56,44 @@ WH = Atom(WHITEHEAD_TREFOIL)
 
 
 class TestIntInterval:
+    """Interval with int ends."""
+
     def test_add_neg(self):
-        a = IntInterval(1, 3)
-        b = IntInterval(-2, inf)
-        assert a + b == IntInterval(-1, inf)
-        assert -a == IntInterval(-3, -1)
-        assert -b == IntInterval(-inf, 2)
+        a = Interval(1, 3)
+        b = Interval(-2, inf)
+        assert a + b == Interval(-1, inf)
+        assert -a == Interval(-3, -1)
+        assert -b == Interval(-inf, 2)
 
     def test_intersect(self):
-        assert IntInterval(0, 5).intersect(IntInterval(3, inf)) == IntInterval(3, 5)
+        assert Interval(0, 5).intersect(Interval(3, inf)) == Interval(3, 5)
         with pytest.raises(ContradictionError):
-            IntInterval(0, 1).intersect(IntInterval(3, 4))
+            Interval(0, 1).intersect(Interval(3, 4))
 
     def test_max_with(self):
-        assert IntInterval(0, 2).max_with(IntInterval(1, inf)) == IntInterval(1, inf)
-        assert IntInterval.exact(1).max_with(IntInterval.exact(0)) == IntInterval.exact(1)
+        assert Interval(0, 2).max_with(Interval(1, inf)) == Interval(1, inf)
+        assert Interval.exact(1).max_with(Interval.exact(0)) == Interval.exact(1)
+
+
+class TestFractionInterval:
+    """Interval with Fraction ends, as the surgery terms take: refused when
+    empty, like an interval of ints."""
+
+    def test_empty_refused(self):
+        with pytest.raises(ContradictionError, match=r"^empty interval \[1/2, 1/3\]$"):
+            Interval(Fraction(1, 2), Fraction(1, 3))
+
+    def test_operations(self):
+        a = Interval(Fraction(-7, 4), Fraction(1, 4))
+        assert a + Interval.exact(Fraction(1, 2)) == Interval(Fraction(-5, 4), Fraction(3, 4))
+        assert -a == Interval(Fraction(-1, 4), Fraction(7, 4))
+        assert str(a) == "[-7/4, 1/4]" and str(Interval.exact(Fraction(-7, 4))) == "-7/4"
+
+    def test_surgery_d_is_an_interval(self, degraded_db):
+        exact = Evaluator().surgery_d(torus_atom(2, 3), 2, 3, 0)
+        wide = Evaluator(degraded_db).surgery_d(Mirror(WH), 1, 1, 0)
+        assert exact == Interval.exact(Fraction(-7, 4))
+        assert type(wide) is Interval and wide == Interval(-2, 0)
 
 
 def _none_intervals():
@@ -194,23 +217,23 @@ class TestVSeq:
     def test_t27_exact(self):
         s = Evaluator().v_seq(torus_atom(2, 7))
         assert [s.at(k) for k in range(4)] == [
-            IntInterval.exact(2),
-            IntInterval.exact(1),
-            IntInterval.exact(1),
-            IntInterval.exact(0),
+            Interval.exact(2),
+            Interval.exact(1),
+            Interval.exact(1),
+            Interval.exact(0),
         ]
-        assert s.at(100) == IntInterval.exact(0)
+        assert s.at(100) == Interval.exact(0)
 
     def test_unknot(self):
         s = Evaluator().v_seq(UNKNOT)
-        assert s.at(0) == IntInterval.exact(0)
-        assert s.at(100) == IntInterval.exact(0)
+        assert s.at(0) == Interval.exact(0)
+        assert s.at(100) == Interval.exact(0)
 
     def test_cable_q1_rule(self):
         # V_i(K_{p,1}) = V_0(K) for 0 <= i <= p/2
         s = Evaluator().v_seq(Cable(5, 1, WH))
         for i in range(3):
-            assert s.at(i) == IntInterval.exact(1)
+            assert s.at(i) == Interval.exact(1)
 
     def test_kn_lower_bound(self):
         for n in range(1, 6):
@@ -225,7 +248,7 @@ class TestVSeq:
 
     def test_whitehead_sum_reduction(self):
         s = Evaluator().v_seq(Sum((WH, WH, WH)))
-        assert s.at(0) == IntInterval.exact(2)
+        assert s.at(0) == Interval.exact(2)
 
     def test_negative_cable_is_mirrored(self):
         # (K_{p,q})* = (K*)_{p,-q}: a cable with q < 0 is the mirror of the
@@ -251,7 +274,7 @@ class TestVSeq:
         s = Evaluator(degraded_db).v_seq(Mirror(WH))
         assert s.at(0).lo == 0 and s.at(0).hi == 1  # genus tail still caps it
         s2 = Evaluator(degraded_db).v_seq(WH)
-        assert s2.at(0) == IntInterval.exact(1)
+        assert s2.at(0) == Interval.exact(1)
 
 
 def _lspace_cable_qs(p, g, count):
@@ -289,7 +312,7 @@ class TestLSpaceCableOracle:
             assert alex.degree == g
             s = ev.v_seq(cable)
             for j in range(g + 2):
-                assert s.at(j) == IntInterval.exact(torsion_coefficient(alex, j)), (cable, j)
+                assert s.at(j) == Interval.exact(torsion_coefficient(alex, j)), (cable, j)
 
 
 class TestTorusGapCount:
@@ -315,7 +338,7 @@ class TestTorusGapCount:
             s = ev.v_seq(torus_atom(p, q))
             for k in range(g + 2):
                 want = sum(1 for n in gaps if n >= g + k)
-                assert s.at(k) == IntInterval.exact(want), (p, q, k)
+                assert s.at(k) == Interval.exact(want), (p, q, k)
 
 
 class TestClose:
@@ -357,7 +380,7 @@ class TestTau:
 
     def test_mirror_trefoil(self):
         t = Evaluator().tau(Mirror(torus_atom(2, 3)))
-        assert t == IntInterval.exact(-1)
+        assert t == Interval.exact(-1)
 
     def test_kkl_family(self):
         for k, l in [(1, 1), (2, 3), (3, 2)]:
@@ -368,7 +391,7 @@ class TestTau:
     def test_cable_of_lspace_knot(self):
         # cable rule: tau = p*tau + (p-1)(q-1)/2
         t = Evaluator().tau(Cable(2, 3, torus_atom(2, 3)))
-        assert t == IntInterval.exact(3)
+        assert t == Interval.exact(3)
 
     def test_unflagged_cable_gets_interval(self):
         e = Cable(2, 3, Mirror(torus_atom(2, 3)))
@@ -425,20 +448,20 @@ class TestCableTauRule:
     def test_registry_cable_is_exact(self):
         ev, old = Evaluator(TAU_GENUS_DB), FlagEvaluator(TAU_GENUS_DB)
         e = Cable(2, 5, Atom("A2"))
-        assert ev.tau(e) == IntInterval.exact(6) and not old.tau(e).is_exact
-        assert ev.nu_plus(e) == IntInterval.exact(6)
+        assert ev.tau(e) == Interval.exact(6) and not old.tau(e).is_exact
+        assert ev.nu_plus(e) == Interval.exact(6)
         # tau(N1*) = 1 = g, so its cable has tau = 2*1 + 1 = 3
-        assert ev.tau(Cable(2, 3, Mirror(Atom("N1")))) == IntInterval.exact(3)
+        assert ev.tau(Cable(2, 3, Mirror(Atom("N1")))) == Interval.exact(3)
         # tau(Z2) = 0 < 2 = g proves nothing
         assert not ev.tau(Cable(2, 3, Atom("Z2"))).is_exact
 
 
 class TestNuPlus:
     def test_t27(self):
-        assert Evaluator().nu_plus(torus_atom(2, 7)) == IntInterval.exact(3)
+        assert Evaluator().nu_plus(torus_atom(2, 7)) == Interval.exact(3)
 
     def test_unknot(self):
-        assert Evaluator().nu_plus(UNKNOT) == IntInterval.exact(0)
+        assert Evaluator().nu_plus(UNKNOT) == Interval.exact(0)
 
     def test_kkl_lower_bound(self):
         for k, l in [(1, 1), (2, 2), (3, 1)]:
@@ -448,10 +471,10 @@ class TestNuPlus:
 
 class TestD1:
     def test_unknot(self):
-        assert Evaluator().d1(UNKNOT) == IntInterval.exact(0)
+        assert Evaluator().d1(UNKNOT) == Interval.exact(0)
 
     def test_trefoil(self):
-        assert Evaluator().d1(torus_atom(2, 3)) == IntInterval.exact(-2)
+        assert Evaluator().d1(torus_atom(2, 3)) == Interval.exact(-2)
 
     def test_kn_nonzero(self):
         for n in range(1, 6):
@@ -569,7 +592,7 @@ class TestWhiteheadSubstitution:
             if got is ContradictionError:
                 continue
             ev = Evaluator(base)
-            own, sub = ev._vseq_of(e), ev._vseq_of(ev._reduced(e))
+            own, sub = ev._vseq_of(e), ev._vseq_of(_reduce_normal(e))
             assert own.lo[0] <= sub.lo[0] and sub.hi[0] <= own.hi[0]
             assert all(sub.at(k).hi <= own.at(k).hi for k in range(max(len(own), len(sub)) + 1))
             assert own.first_possible_zero() <= sub.first_possible_zero()
@@ -617,7 +640,7 @@ class TestSumLowerV0:
         for i in range(1, 20):
             base = base.with_atom(AtomCertificate(name=f"S{i}", tau=0, genus=1, v0=0, v0_mirror=0))
         e = Sum((torus_atom(2, 41),) + tuple(Atom(f"S{i}") for i in range(1, 20)))
-        assert Evaluator(base).v_seq(e).at(0) == IntInterval.exact(10)
+        assert Evaluator(base).v_seq(e).at(0) == Interval.exact(10)
 
 
 # summands whose V-sequences have wide windows (genus bound 6 to 20, or
@@ -691,9 +714,9 @@ class TestSumFold:
         # T(2,201) # G0 has no genus bound; its 102-entry prefix reaches
         # V_100 = 0, which the 64-entry prefix left at [0, 19]
         e = Sum((torus_atom(2, 201), Atom("G0")))
-        assert Evaluator(GENUSLESS_DB).nu_plus(e) == IntInterval.exact(100)
-        assert CappedEvaluator(GENUSLESS_DB).nu_plus(e) == IntInterval(100, inf)
-        assert Evaluator(GENUSLESS_DB).v_seq(e).at(100) == IntInterval.exact(0)
+        assert Evaluator(GENUSLESS_DB).nu_plus(e) == Interval.exact(100)
+        assert CappedEvaluator(GENUSLESS_DB).nu_plus(e) == Interval(100, inf)
+        assert Evaluator(GENUSLESS_DB).v_seq(e).at(100) == Interval.exact(0)
 
 
 class TestTailRule:
@@ -816,7 +839,7 @@ class TestSoundnessProperties:
         ta, tb = Evaluator().tau(a), Evaluator().tau(b)
         ts = Evaluator().tau(Sum((a, b)))
         if ta.is_exact and tb.is_exact:
-            assert ts == IntInterval.exact(ta.value + tb.value)
+            assert ts == Interval.exact(ta.value + tb.value)
 
     @settings(max_examples=300, deadline=None)
     @given(expressions())

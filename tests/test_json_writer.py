@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defslice.cli import _print_json
-from defslice.hf_invariants import IntInterval
+from defslice.hf_invariants import Interval
 from defslice.obstructions import KinkinessBound, Reason, Verdict
 from oracles import json_indent2
 
@@ -35,7 +35,7 @@ ints = st.one_of(st.integers(), st.integers(-(10**60), 10**60), st.sampled_from(
 scalars = st.one_of(strings, ints, st.booleans(), st.none())
 ends = st.integers(-50, 50)
 intervals = st.builds(
-    lambda a, b, lo_inf, hi_inf: IntInterval(-inf if lo_inf else min(a, b), inf if hi_inf else max(a, b)),
+    lambda a, b, lo_inf, hi_inf: Interval(-inf if lo_inf else min(a, b), inf if hi_inf else max(a, b)),
     ends,
     ends,
     st.booleans(),
@@ -89,7 +89,7 @@ class TestDifferential:
             -(10**100),
             "",
             Fraction(-7, 3),
-            [IntInterval(-inf, 4), IntInterval(2, 2), IntInterval(-inf, inf)],
+            [Interval(-inf, 4), Interval(2, 2), Interval(-inf, inf)],
             {"v": Verdict("any_definite", "obstructed", [Reason("r", "s", {"at": Fraction(1, 6)})])},
         ],
     )

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 from defslice.certificates import AtomCertificate, default_db
-from defslice.hf_invariants import Evaluator, IntInterval
+from defslice.hf_invariants import Evaluator, Interval
 from defslice.cli import _print_json
 from defslice.knotexpr import (
     MAX_GENUS,
@@ -189,7 +189,7 @@ class TestComposite:
         r = composite_cable_obstruction(torus_atom(2, 7), Atom("Y"), MAX_GENUS, Evaluator(db))
         check = r.hypotheses[3]
         assert not check.certified
-        assert check.evidence == {"tau_K": IntInterval.exact(3), "n_tau_J": IntInterval(-inf, inf)}
+        assert check.evidence == {"tau_K": Interval.exact(3), "n_tau_J": Interval(-inf, inf)}
         # an unbounded end is an interval end, which the JSON edge writes as null
         out = io.StringIO()
         with contextlib.redirect_stdout(out):

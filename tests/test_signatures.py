@@ -20,7 +20,6 @@ from defslice.signatures import (
     _cable_sigma,
     _jumps,
     sigma,
-    sigma_torus,
     signature_combination_check,
 )
 
@@ -87,21 +86,21 @@ class TestSigFnRefusals:
 
 class TestSigmaTorus:
     def test_trefoil_at_minus_one(self):
-        assert sigma_torus(2, 3).at_minus_one() == -2
+        assert sigma(torus_atom(2, 3)).at_minus_one() == -2
 
     def test_t27_at_minus_one(self):
-        assert sigma_torus(2, 7).at_minus_one() == -6
+        assert sigma(torus_atom(2, 7)).at_minus_one() == -6
 
     def test_vanishes_near_zero(self):
         for p, q in [(2, 3), (3, 4), (2, 9)]:
-            assert sigma_torus(p, q).value(Fraction(1, 10**6)) == 0
+            assert sigma(torus_atom(p, q)).value(Fraction(1, 10**6)) == 0
 
     def test_trefoil_jump_structure(self):
-        assert sigma_torus(2, 3).jumps == ((Fraction(1, 6), -2),)
+        assert sigma(torus_atom(2, 3)).jumps == ((Fraction(1, 6), -2),)
 
     def test_jump_point_query_raises_with_limits(self):
         with pytest.raises(JumpPointError) as exc:
-            sigma_torus(2, 3).value(Fraction(1, 6))
+            sigma(torus_atom(2, 3)).value(Fraction(1, 6))
         assert exc.value.left == 0 and exc.value.right == -2
 
 
@@ -109,7 +108,7 @@ class TestSigmaTorus:
         for p in range(1, 12):
             for q in range(1, 30):
                 if gcd(p, q) == 1:
-                    assert sigma_torus(p, q) == sigma_torus_by_fractions(p, q), (p, q)
+                    assert sigma(torus_atom(p, q)) == sigma_torus_by_fractions(p, q), (p, q)
 
 class TestOracleAgreement:
     def test_oracle_matrix_is_anchored(self):
@@ -124,7 +123,7 @@ class TestOracleAgreement:
     def test_counting_formula_matches_oracle(self):
         rng = random.Random(20240811)
         for p, q in [(2, 3), (2, 5), (2, 7), (2, 9), (3, 4), (3, 5)]:
-            fn = sigma_torus(p, q)
+            fn = sigma(torus_atom(p, q))
             V = seifert_matrix_torus(p, q)
             for _ in range(100):
                 x = random_regular_angle(rng, fn)
@@ -148,7 +147,7 @@ class TestSigmaExpressions:
     def test_cable_against_pointwise_formula(self):
         rng = random.Random(1)
         base = sigma(torus_atom(2, 5))
-        tor = sigma_torus(3, 2)
+        tor = sigma(torus_atom(3, 2))
         fn = sigma(Cable(3, 2, torus_atom(2, 5)))
         for _ in range(50):
             x = random_regular_angle(rng, fn)
@@ -380,7 +379,7 @@ class TestWalkAgainstFold:
         # K # K* has zero signature, so its cable's is the torus term's
         k = Sum((Cable(2, 3, torus_atom(2, 5)), torus_atom(3, 4)))
         e = Cable(3, 2, Sum((k, Mirror(k))))
-        assert sigma(e) == sigma_torus(3, 2) == sigma_by_fold(e)
+        assert sigma(e) == sigma(torus_atom(3, 2)) == sigma_by_fold(e)
 
     def test_mirror_negates(self):
         for text in ["T(2,3)", "cable(2,3,T(2,5)) # T(3,4)*", "cable(3,2,T(2,3) # T(2,5))*"]:
