@@ -10,7 +10,6 @@ after construction, so concurrent reads are safe.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
 
@@ -21,6 +20,7 @@ from .knotexpr import (
     Sum,
     UNKNOT,
     WHITEHEAD_TREFOIL,
+    _Frozen,
     normalize,
     parse,
     torus_atom,
@@ -41,17 +41,26 @@ class CertificateGapError(CertificateError):
     """An evaluation needed certificate data the atom does not carry."""
 
 
-@dataclass(frozen=True)
-class AtomCertificate:
-    name: str
-    tau: int | None = None
-    genus: int | None = None
-    lspace: bool = False
-    alexander: LaurentPoly | None = None
-    v0: int | None = None
-    v0_mirror: int | None = None
+class AtomCertificate(_Frozen):
+    __slots__ = ("name", "tau", "genus", "lspace", "alexander", "v0", "v0_mirror")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        name: str,
+        tau: int | None = None,
+        genus: int | None = None,
+        lspace: bool = False,
+        alexander: LaurentPoly | None = None,
+        v0: int | None = None,
+        v0_mirror: int | None = None,
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "lspace", lspace)
+        object.__setattr__(self, "alexander", alexander)
+        object.__setattr__(self, "v0", v0)
+        object.__setattr__(self, "v0_mirror", v0_mirror)
         if self.genus is not None and self.genus < 0:
             raise CertificateError(f"{self.name}: genus must be >= 0")
         if self.v0 is not None and self.v0 < 0:

@@ -11,7 +11,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from functools import cache
 from math import inf
@@ -26,6 +25,7 @@ from .knotexpr import (
     SizeLimitError,
     Sum,
     WHITEHEAD_TREFOIL,
+    _Record,
     check_size,
     normalize,
     parse,
@@ -113,16 +113,17 @@ def family_jk(k: int):
 
 def _json_value(x):
     """JSON form of a typed value: a Fraction as {num, den}, an interval as
-    {lo, hi} with an infinite end as null, any other dataclass (verdict,
-    reason, bound, check item) as its fields in order.  This is the one
-    place where JSON spells an unbounded end; no other float has a JSON
-    form, so an infinity or a NaN anywhere else is refused."""
+    {lo, hi} with an infinite end as null, any other record (verdict,
+    reason, bound, check item: a knotexpr._Record) as its fields in order.
+    This is the one place where JSON spells an unbounded end; no other
+    float has a JSON form, so an infinity or a NaN anywhere else is
+    refused, and so is a LaurentPoly."""
     if isinstance(x, Fraction):
         return {"num": x.numerator, "den": x.denominator}
     if isinstance(x, Interval):
         return {"lo": _json_end(x.lo), "hi": _json_end(x.hi)}
-    if is_dataclass(x):
-        return {f.name: getattr(x, f.name) for f in fields(x)}
+    if isinstance(x, _Record):
+        return {name: getattr(x, name) for name in x.__slots__}
     raise TypeError(f"{type(x).__name__} has no JSON form")
 
 

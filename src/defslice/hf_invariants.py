@@ -33,7 +33,6 @@ Rules used, besides per-atom certificates:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
 from itertools import accumulate, repeat
@@ -46,6 +45,7 @@ from .knotexpr import (
     Cable,
     Mirror,
     Sum,
+    _Frozen,
     alexander,
     flip,
     normalize,
@@ -58,8 +58,7 @@ class ContradictionError(ValueError):
     """An intersection of constraints came out empty."""
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(_Frozen):
     """Closed interval of ints or Fractions; an unbounded end is -math.inf
     or math.inf.  An empty interval raises ContradictionError.
 
@@ -72,12 +71,13 @@ class Interval:
     and composite_cable_obstruction apply, keep every number far below it.
     """
 
-    lo: int | Fraction | float
-    hi: int | Fraction | float
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ContradictionError(f"empty interval [{self.lo}, {self.hi}]")
+    def __init__(self, lo: int | Fraction | float, hi: int | Fraction | float):
+        if lo > hi:
+            raise ContradictionError(f"empty interval [{lo}, {hi}]")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @classmethod
     def exact(cls, v) -> "Interval":
@@ -115,8 +115,7 @@ def _show(lo, hi) -> str:
     return str(lo) if lo == hi else f"[{lo}, {hi}]"
 
 
-@dataclass(frozen=True)
-class VSeq:
+class VSeq(_Frozen):
     """Interval-valued V-sequence: a closed prefix and the tail it implies.
 
     lo[k] <= V_k <= hi[k] for k < len(lo): two tuples of the same length,
@@ -127,8 +126,11 @@ class VSeq:
     V_g = 0 exactly, so the same rule gives V_k = 0 for every k >= g.
     """
 
-    lo: tuple
-    hi: tuple
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: tuple, hi: tuple):
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     def __len__(self):
         return len(self.lo)

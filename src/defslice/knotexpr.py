@@ -13,7 +13,9 @@ of the unknot collapse to torus atoms.  A cable with q < 0 is the mirror
 of a positive one, (K_{p,q})* = (K*)_{p,-q}, so normalize writes
 cable(p, q, K) with q < 0 as the mirror of cable(p, -q, K*), and no other
 rule needs to know the sign of q.  Expressions are immutable after
-construction and safe to share between evaluations.
+construction and safe to share between evaluations.  KnotExpr is the tuple
+(Atom, Mirror, Sum, Cable) of the expression classes, so
+isinstance(e, KnotExpr) tests for an expression.
 
 parse returns normal form, and an hf_invariants.Evaluator normalizes each
 expression once, at its memoized _normal rule; its other rules read only
@@ -24,9 +26,7 @@ and returns its mirror in normal form.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import gcd
-from typing import Union
 
 from .laurent import LaurentPoly, torus_alexander
 
@@ -45,43 +45,116 @@ class SizeLimitError(ValueError):
     a numeric argument's limit."""
 
 
-@dataclass(frozen=True)
-class Atom:
-    name: str
+class _Record:
+    """Base of the package's value types.  A record's fields are the names
+    in its class's __slots__, in order: its repr names them as
+    Name(field=value, ...), and == compares them as a tuple, only between
+    records of the same class.  A record is mutable and unhashable; a
+    _Frozen one refuses assignment and hashes the tuple of its fields.
 
-    def __post_init__(self):
-        if not self.name:
+    The expressions, which the engine hashes and compares on every memo
+    lookup, spell out __eq__ and __hash__ over their fields instead of
+    looping over __slots__."""
+
+    __slots__ = ()
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({args})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+
+class _Frozen(_Record):
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Atom(_Frozen):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        if not name:
             raise ValueError("atom name must be nonempty")
+        object.__setattr__(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name,) == (other.name,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name,))
 
 
-@dataclass(frozen=True)
-class Mirror:
-    child: "KnotExpr"
+class Mirror(_Frozen):
+    __slots__ = ("child",)
+
+    def __init__(self, child: KnotExpr):
+        object.__setattr__(self, "child", child)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.child,) == (other.child,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.child,))
 
 
-@dataclass(frozen=True)
-class Sum:
-    parts: tuple
+class Sum(_Frozen):
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        if len(self.parts) < 2:
+    def __init__(self, parts: tuple):
+        if len(parts) < 2:
             raise ValueError("connected sum needs at least two summands")
+        object.__setattr__(self, "parts", parts)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.parts,) == (other.parts,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.parts,))
 
 
-@dataclass(frozen=True)
-class Cable:
-    p: int
-    q: int
-    companion: "KnotExpr"
+class Cable(_Frozen):
+    __slots__ = ("p", "q", "companion")
 
-    def __post_init__(self):
-        if self.p < 1:
-            raise ValueError(f"cable requires p >= 1, got p={self.p}")
-        if gcd(self.p, self.q) != 1:
-            raise ValueError(f"cable requires gcd(p,q)=1, got ({self.p},{self.q})")
+    def __init__(self, p: int, q: int, companion: KnotExpr):
+        if p < 1:
+            raise ValueError(f"cable requires p >= 1, got p={p}")
+        if gcd(p, q) != 1:
+            raise ValueError(f"cable requires gcd(p,q)=1, got ({p},{q})")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "companion", companion)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.p, self.q, self.companion) == (other.p, other.q, other.companion)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.p, self.q, self.companion))
 
 
-KnotExpr = Union[Atom, Mirror, Sum, Cable]
+KnotExpr = (Atom, Mirror, Sum, Cable)
 
 UNKNOT = Atom("O")
 WHITEHEAD_TREFOIL = "Wh(T(2,3))"

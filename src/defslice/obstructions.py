@@ -8,11 +8,9 @@ fired with its numeric evidence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .certificates import CertificateGapError
 from .hf_invariants import Evaluator, Interval
-from .knotexpr import Cable, Mirror, Sum, check_size, normalize
+from .knotexpr import Cable, Mirror, Sum, _Frozen, _Record, check_size, normalize
 from .laurent import vanishes_at_unit_root
 from .signatures import SignatureUnavailable
 
@@ -52,28 +50,34 @@ OBSTRUCTED = "obstructed"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass
-class Reason:
-    rule: str
-    statement: str
-    evidence: dict
+class Reason(_Record):
+    __slots__ = ("rule", "statement", "evidence")
+
+    def __init__(self, rule: str, statement: str, evidence: dict):
+        self.rule = rule
+        self.statement = statement
+        self.evidence = evidence
 
 
-@dataclass
-class Verdict:
-    target: str  # negative_definite | positive_definite | any_definite
-    status: str  # obstructed | inconclusive
-    reasons: list
+class Verdict(_Record):
+    __slots__ = ("target", "status", "reasons")
+
+    def __init__(self, target: str, status: str, reasons: list):
+        self.target = target  # negative_definite | positive_definite | any_definite
+        self.status = status  # obstructed | inconclusive
+        self.reasons = reasons
 
     @property
     def obstructed(self) -> bool:
         return self.status == OBSTRUCTED
 
 
-@dataclass(frozen=True)
-class KinkinessBound:
-    k_plus_lo: int
-    k_minus_lo: int
+class KinkinessBound(_Frozen):
+    __slots__ = ("k_plus_lo", "k_minus_lo")
+
+    def __init__(self, k_plus_lo: int, k_minus_lo: int):
+        object.__setattr__(self, "k_plus_lo", k_plus_lo)
+        object.__setattr__(self, "k_minus_lo", k_minus_lo)
 
 
 def _reason(rule, **evidence) -> Reason:
@@ -189,20 +193,24 @@ def obstruct_definite(e, ev: Evaluator) -> Verdict:
     return _verdict("any_definite", reasons)
 
 
-@dataclass
-class HypothesisCheck:
-    name: str
-    certified: bool
-    evidence: dict
+class HypothesisCheck(_Record):
+    __slots__ = ("name", "certified", "evidence")
+
+    def __init__(self, name: str, certified: bool, evidence: dict):
+        self.name = name
+        self.certified = certified
+        self.evidence = evidence
 
 
-@dataclass
-class CompositeReport:
+class CompositeReport(_Record):
     """Hypothesis audit and verdict for K # (J_{n,1})* composites."""
 
-    expression: object
-    hypotheses: list
-    verdict: Verdict
+    __slots__ = ("expression", "hypotheses", "verdict")
+
+    def __init__(self, expression: object, hypotheses: list, verdict: Verdict):
+        self.expression = expression
+        self.hypotheses = hypotheses
+        self.verdict = verdict
 
 
 def composite_cable_obstruction(K, J, n: int, ev: Evaluator) -> CompositeReport:

@@ -11,21 +11,20 @@ inertia are both read off the one diagonal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .hf_invariants import lens_d
+from .knotexpr import _Frozen, _Record
 
 
-@dataclass(frozen=True)
-class QMatrix:
+class QMatrix(_Frozen):
     """Symmetric integer matrix (an intersection form in a handle basis)."""
 
-    rows: tuple
+    __slots__ = ("rows",)
 
-    def __post_init__(self):
-        n = len(self.rows)
-        for r in self.rows:
+    def __init__(self, rows: tuple):
+        n = len(rows)
+        for r in rows:
             if len(r) != n:
                 raise ValueError("matrix must be square")
             for x in r:
@@ -33,8 +32,9 @@ class QMatrix:
                     raise TypeError(f"matrix entries must be ints, got {x!r}")
         for i in range(n):
             for j in range(i):
-                if self.rows[i][j] != self.rows[j][i]:
+                if rows[i][j] != rows[j][i]:
                     raise ValueError("matrix must be symmetric")
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def from_rows(cls, rows) -> "QMatrix":
@@ -139,23 +139,46 @@ def cobordism_form(n: int) -> QMatrix:
     return QMatrix.from_rows([[2, 0, 1], [0, 2 * n, 1], [1, 1, 0]])
 
 
-@dataclass
-class CheckItem:
-    name: str
-    passed: bool
-    detail: str
+class CheckItem(_Record):
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str):
+        self.name = name
+        self.passed = passed
+        self.detail = detail
 
 
-@dataclass
-class CobordismReport:
-    n: int
-    items: list
-    skipped: tuple
-    c1_sq: Fraction
-    c1_outside: Fraction
-    c1_cobordism: Fraction
-    sigma_cobordism: int
-    b2_cobordism: int
+class CobordismReport(_Record):
+    __slots__ = (
+        "n",
+        "items",
+        "skipped",
+        "c1_sq",
+        "c1_outside",
+        "c1_cobordism",
+        "sigma_cobordism",
+        "b2_cobordism",
+    )
+
+    def __init__(
+        self,
+        n: int,
+        items: list,
+        skipped: tuple,
+        c1_sq: Fraction,
+        c1_outside: Fraction,
+        c1_cobordism: Fraction,
+        sigma_cobordism: int,
+        b2_cobordism: int,
+    ):
+        self.n = n
+        self.items = items
+        self.skipped = skipped
+        self.c1_sq = c1_sq
+        self.c1_outside = c1_outside
+        self.c1_cobordism = c1_cobordism
+        self.sigma_cobordism = sigma_cobordism
+        self.b2_cobordism = b2_cobordism
 
     @property
     def passed(self) -> bool:

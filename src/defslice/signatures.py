@@ -11,7 +11,6 @@ each surviving jump to a Fraction once.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -23,6 +22,7 @@ from .knotexpr import (
     Mirror,
     SizeLimitError,
     Sum,
+    _Frozen,
     normalize,
     torus_params,
 )
@@ -62,8 +62,7 @@ class SignatureUnavailable(CertificateGapError):
     """An atom has no signature rule (not a torus knot, Alexander != 1)."""
 
 
-@dataclass(frozen=True)
-class SigFn:
+class SigFn(_Frozen):
     """Piecewise-constant function on (0, 1/2] with value 0 near 0+.
 
     jumps is a sorted tuple of (x, delta) with x a Fraction in (0, 1/2] and
@@ -71,13 +70,13 @@ class SigFn:
     jump points below x.
     """
 
-    jumps: tuple = ()
+    __slots__ = ("jumps",)
 
-    def __post_init__(self):
+    def __init__(self, jumps: tuple = ()):
         # in integers: x = n/d with d > 0, so 0 < x <= 1/2 iff 0 < 2n <= d,
         # and x > pn/pd iff n*pd > pn*d
         pn, pd = 0, 1
-        for x, delta in self.jumps:
+        for x, delta in jumps:
             n, d = x.numerator, x.denominator
             if not 0 < 2 * n <= d:
                 raise ValueError(f"jump at {x} outside (0, 1/2]")
@@ -86,6 +85,7 @@ class SigFn:
             if delta == 0 or delta % 2:
                 raise ValueError(f"jump deltas must be even and nonzero, got {delta}")
             pn, pd = n, d
+        object.__setattr__(self, "jumps", jumps)
 
     @property
     def is_zero(self) -> bool:
@@ -250,13 +250,15 @@ def _deltas(e, db) -> tuple:
     raise TypeError(f"not a knot expression: {e!r}")
 
 
-@dataclass(frozen=True)
-class CombinationCheck:
+class CombinationCheck(_Frozen):
     """Result of the signature independence check."""
 
-    bound: int
-    count: int
-    dependent: tuple
+    __slots__ = ("bound", "count", "dependent")
+
+    def __init__(self, bound: int, count: int, dependent: tuple):
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "dependent", dependent)
 
     @property
     def independent(self) -> bool:

@@ -2,7 +2,6 @@
 
 import json
 import re
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -171,7 +170,10 @@ class TestRegistry:
         reg.write_text(json.dumps({"atoms": records}))
         db = load_registry(reg)
         assert db.get("T(2,3)") == AtomCertificate(name="T(2,3)", genus=1)
-        assert db.get("T(3,4)") == replace(builtin("T(3,4)"), v0=None)
+        t34 = builtin("T(3,4)")
+        assert db.get("T(3,4)") == AtomCertificate(
+            "T(3,4)", t34.tau, t34.genus, t34.lspace, t34.alexander, None, t34.v0_mirror
+        )
         assert db.get("Wh(T(2,3))").genus is None
 
     def test_bad_record(self, tmp_path):

@@ -7,8 +7,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
-from dataclasses import replace
 from itertools import accumulate, product
 from pathlib import Path
 
@@ -28,7 +26,7 @@ from defslice.knotexpr import (
     SizeLimitError,
     Sum,
 )
-from defslice.obstructions import INCONCLUSIVE, Verdict
+from defslice.obstructions import INCONCLUSIVE, CompositeReport, Verdict
 from defslice.signatures import MAX_BOX, MAX_COUNT_DIGITS
 
 from oracles import all_certified, family_kn
@@ -470,8 +468,9 @@ class TestSuites:
         def faulty(K, J, n, ev):
             report = real(K, J, n, ev)
             if fault == "inconclusive":
-                return replace(report, verdict=Verdict("any_definite", INCONCLUSIVE, []))
-            return replace(report, expression=family_kn(n - 2))
+                verdict = Verdict("any_definite", INCONCLUSIVE, [])
+                return CompositeReport(report.expression, report.hypotheses, verdict)
+            return CompositeReport(family_kn(n - 2), report.hypotheses, report.verdict)
 
         monkeypatch.setattr(cli, "composite_cable_obstruction", faulty)
         code, out, _ = run(capsys, "suite", "thm1", "--n", "1..2")
@@ -737,18 +736,21 @@ class TestRepeatedMain:
         assert codes == {0, 1, 2, 3}
 
     def test_surgery_keeps_no_memory(self):
-        # 20 surgeries of P = 9998 in one process leave nothing behind; a
-        # process-wide cache of the lens terms held 49.8 MiB after them
-        tracemalloc.start()
-        try:
-            with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-                for q in range(1, 41, 2):
-                    assert main(["surgery", "T(2,3)", "9998", str(q), "--json"]) == 0
-            gc.collect()
-            held, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert held < 2**20
+        # 20 surgeries of P = 9998 in one process leave nothing behind: the
+        # interpreter's count of allocated blocks grows by about 2.3 thousand
+        # across them, and by about a million with a process-wide cache of
+        # the lens terms (which held 49.8 MiB).  The count covers only the
+        # small-object allocator's blocks (512 bytes or less), and is 0 when
+        # that allocator is off (PYTHONMALLOC=malloc), so the test then skips
+        gc.collect()
+        before = sys.getallocatedblocks()
+        if before == 0:
+            pytest.skip("sys.getallocatedblocks() counts nothing without pymalloc")
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            for q in range(1, 41, 2):
+                assert main(["surgery", "T(2,3)", "9998", str(q), "--json"]) == 0
+        gc.collect()
+        assert sys.getallocatedblocks() - before < 50_000
 
 
 # Full human-form stdout and exit code of one command of each output shape,

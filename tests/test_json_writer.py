@@ -53,7 +53,7 @@ def containers(children):
 
 
 # Typed values nest in containers and in each other, so a Fraction or an
-# interval sits inside a list or a dict inside a dataclass
+# interval sits inside a list or a dict inside a record (a verdict or a reason)
 typed = st.recursive(
     st.one_of(st.fractions(), intervals, bounds),
     lambda c: st.one_of(
