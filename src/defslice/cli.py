@@ -143,13 +143,20 @@ def _print_json(data):
     `default=_json_value` prints it (tests/oracles.py:json_indent2).  Up
     to Python 3.12, json.dumps with an indent takes CPython's pure-Python
     encoder; this writer does the same walk with exact type tests and
-    writes str and int items without a call of its own, and a Fraction as
-    its {num, den} text without building the dict.  It refuses what
+    writes str and int items without a call of its own, and a Fraction,
+    at the top or as an item, as one {num, den} text without building the
+    dict or recursing.  It refuses what
     the CLI never emits: a key that is not a str and a value `_json_value`
     refuses, floats included."""
     out = []
     _write_json(data, "\n", out)
     print("".join(out))
+
+
+def _fraction_text(x, nl):
+    # the {num, den} form of _json_value, written without building it
+    inner = nl + "  "
+    return f'{{{inner}"num": {x.numerator},{inner}"den": {x.denominator}{nl}}}'
 
 
 def _write_json(x, nl, out):
@@ -167,11 +174,13 @@ def _write_json(x, nl, out):
             if type(key) is not str:
                 raise TypeError(f"key {key!r} is not a str")
             leaf = _LEAF.get(type(value))
-            if leaf is None:
+            if leaf is not None:
+                out += (sep, _encode_str(key), ": ", leaf(value))
+            elif type(value) is Fraction:
+                out += (sep, _encode_str(key), ": ", _fraction_text(value, inner))
+            else:
                 out += (sep, _encode_str(key), ": ")
                 _write_json(value, inner, out)
-            else:
-                out += (sep, _encode_str(key), ": ", leaf(value))
         # every entry was written after a separator; the first takes the brace
         out[start] = "{" + inner
         out.append(nl + "}")
@@ -184,17 +193,17 @@ def _write_json(x, nl, out):
         start = len(out)
         for item in x:
             leaf = _LEAF.get(type(item))
-            if leaf is None:
+            if leaf is not None:
+                out += (sep, leaf(item))
+            elif type(item) is Fraction:
+                out += (sep, _fraction_text(item, inner))
+            else:
                 out.append(sep)
                 _write_json(item, inner, out)
-            else:
-                out += (sep, leaf(item))
         out[start] = "[" + inner
         out.append(nl + "]")
     elif t is Fraction:
-        # the {num, den} form of _json_value, written without building it
-        inner = nl + "  "
-        out.append(f'{{{inner}"num": {x.numerator},{inner}"den": {x.denominator}{nl}}}')
+        out.append(_fraction_text(x, nl))
     elif t in _LEAF:
         out.append(_LEAF[t](x))
     elif x is None:

@@ -352,6 +352,25 @@ class Evaluator:
         whose L * w term then drops out.  The cost is L times the sum of
         the other windows instead of r * L^2 over r summands.
 
+        A split n < w whose next step falls, hi_B[n+1] = hi_B[n] - 1, is
+        dominated by split n + 1 at every k > n, so it only sets his[k] at
+        k = n, to at most his[0] + hi_B[n], and costs O(1):
+
+          * A closed sequence also rises by at most one per step backwards,
+            his[j-1] <= his[j] + 1, and so does the convolution of two such
+            sequences: if his[k] = hi_A[m] + hi_B[n] with m >= 1, then
+            his[k-1] <= hi_A[m-1] + hi_B[n] <= his[k] + 1, and with m = 0
+            the split (0, n - 1) gives the same.  A prefix padded with its
+            last hi, as the fold's first summand is, keeps both properties.
+          * So at k > n, with j = k - n >= 1, split n + 1 gives
+            his[j-1] + hi_B[n] - 1 <= his[j] + hi_B[n], split n's term.
+
+        An infinite hi_B[n] passes the test, as inf - 1 == inf, and its split
+        adds only inf, so skipping it is sound too.  A mirrored torus knot,
+        whose closed hi falls by one at every step, then folds in O(L), and a
+        positive T(2, 2g+1), whose hi falls every other step, in half the
+        slice updates.
+
         Under a genus bound g the prefix has length L = g, and _close
         adds V_g = 0.  Without one, L is the summands' prefix lengths added
         up: the convolution is constant from the sum of their settle
@@ -372,8 +391,14 @@ class Evaluator:
         his = [*first[:length], *repeat(first[-1], length - len(first))]
         for window, nxt in folds[1:]:
             out = [h + nxt[0] for h in his]
+            h0 = his[0]
             for n in range(1, window + 1):
-                out[n:] = map(min, out[n:], map(add, his, repeat(nxt[n])))
+                if n < window and nxt[n + 1] == nxt[n] - 1:
+                    # split n + 1 is no worse at every k > n
+                    if h0 + nxt[n] < out[n]:
+                        out[n] = h0 + nxt[n]
+                else:
+                    out[n:] = map(min, out[n:], map(add, his, repeat(nxt[n])))
             his = out
         los = [0] * length
         los[0] = self._sum_lower_v0(parts)

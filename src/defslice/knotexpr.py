@@ -53,8 +53,8 @@ class _Record:
     _Frozen one refuses assignment and hashes the tuple of its fields.
 
     The expressions, which the engine hashes and compares on every memo
-    lookup, spell out __eq__ and __hash__ over their fields instead of
-    looping over __slots__."""
+    lookup, spell out __eq__ over their fields instead of looping over
+    __slots__, and compute their hash once (_Expr)."""
 
     __slots__ = ()
 
@@ -84,56 +84,70 @@ class _Frozen(_Record):
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class Atom(_Frozen):
+class _Expr(_Frozen):
+    """Base of the expression classes.  Each stores the hash of its field
+    tuple in _h when it is built, reading its children's stored hashes, so
+    a memo lookup reads one slot instead of hashing the whole tree.  _h is
+    in this class's __slots__, not in a subclass's, so it is no field: repr,
+    == and the JSON form never see it.  A part that cannot be hashed raises
+    TypeError when the expression is built."""
+
+    __slots__ = ("_h",)
+
+    def __hash__(self):
+        return self._h
+
+
+class Atom(_Expr):
     __slots__ = ("name",)
 
     def __init__(self, name: str):
         if not name:
             raise ValueError("atom name must be nonempty")
         object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_h", hash((name,)))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return (self.name,) == (other.name,)
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self.name,))
+    __hash__ = _Expr.__hash__
 
 
-class Mirror(_Frozen):
+class Mirror(_Expr):
     __slots__ = ("child",)
 
     def __init__(self, child: KnotExpr):
         object.__setattr__(self, "child", child)
+        object.__setattr__(self, "_h", hash((child,)))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return (self.child,) == (other.child,)
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self.child,))
+    __hash__ = _Expr.__hash__
 
 
-class Sum(_Frozen):
+class Sum(_Expr):
     __slots__ = ("parts",)
 
     def __init__(self, parts: tuple):
         if len(parts) < 2:
             raise ValueError("connected sum needs at least two summands")
         object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "_h", hash((parts,)))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return (self.parts,) == (other.parts,)
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self.parts,))
+    __hash__ = _Expr.__hash__
 
 
-class Cable(_Frozen):
+class Cable(_Expr):
     __slots__ = ("p", "q", "companion")
 
     def __init__(self, p: int, q: int, companion: KnotExpr):
@@ -144,14 +158,14 @@ class Cable(_Frozen):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "companion", companion)
+        object.__setattr__(self, "_h", hash((p, q, companion)))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return (self.p, self.q, self.companion) == (other.p, other.q, other.companion)
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self.p, self.q, self.companion))
+    __hash__ = _Expr.__hash__
 
 
 KnotExpr = (Atom, Mirror, Sum, Cable)
@@ -240,13 +254,15 @@ MAX_NESTING = 100
 # Largest expressions that parse accepts: at most MAX_SUMMANDS atoms after
 # normalization, a genus bound of at most MAX_GENUS and no cable with
 # p above MAX_GENUS.  The V-sequence fold of r summands into a sum of
-# genus bound L takes about L * (r + sum of the summands' genera) <=
-# L * (r + L) steps, a torus knot's Alexander polynomial about 2g steps
-# and a (p,q)-cable's Wu step about p*q/2, at most 2 * MAX_GENUS + 1
-# within the limits, so the limits bound each of them.  `report --json` on
-# the largest accepted input of each shape, median of three runs from
-# interpreter start (py3.11, 2-vCPU VM): 64*T(2,3) 0.09 s; 64*T(2,17)
-# (r = 64, g = 512) 0.26 s; T(2,1025) 0.09 s; cable(2,1,...) nested 9
+# genus bound L takes at most about L * (r + sum of the summands' genera)
+# <= L * (r + L) steps (about L * r for mirrored torus knots, whose
+# dominated splits it skips), a torus knot's Alexander polynomial about
+# 2g steps and a (p,q)-cable's Wu step about p*q/2, at most
+# 2 * MAX_GENUS + 1 within the limits, so the limits bound each of them.
+# `report --json` on the largest accepted input of each shape, median of
+# seven runs from interpreter start (py3.11, 2-vCPU VM): 64*T(2,3) 0.08 s;
+# 64*T(2,17) (r = 64, g = 512) 0.21 s and its mirror 0.19 s, most of
+# each the Alexander product; T(2,1025) 0.11 s; cable(2,1,...) nested 9
 # deep around T(2,3) (g = 512) 0.10 s.  With the limits lifted,
 # 256*T(2,3) took 0.18 s, 512*T(2,3) 0.42 s and 64*T(2,63) (g = 1984)
 # 2.4 s, so the limits leave room: they were set for a fold of r * L^2

@@ -114,14 +114,15 @@ class SigFn(_Frozen):
         """(lo, hi, value) triples: value holds on the open interval (lo, hi).
 
         The last piece ends at 1/2 and its value also holds at x = 1/2
-        whenever 1/2 is not itself a jump point.
+        whenever 1/2 is not itself a jump point.  The constructor keeps the
+        jumps strictly increasing in (0, 1/2], so no piece is empty and only
+        the last jump needs comparing with 1/2.
         """
         out = []
         acc = 0
         prev = Fraction(0)
         for x, delta in self.jumps:
-            if x > prev:
-                out.append((prev, x, acc))
+            out.append((prev, x, acc))
             acc += delta
             prev = x
         if prev < HALF:

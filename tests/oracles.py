@@ -6,7 +6,8 @@ with the package implementations they check.  The remaining oracles are
 earlier package implementations kept as references for their rewrites:
 PartitionEvaluator for the one-summand V_0 lower bound of connected sums,
 AllSplitsEvaluator for the windowed sum fold (and CappedEvaluator for the
-64-entry prefix that genus-less sums had), WuCableEvaluator (with
+64-entry prefix that genus-less sums had), fold_every_split for the fold
+that skips dominated splits, WuCableEvaluator (with
 torus_vseq) for the Wu cable step on bound tuples, FlagEvaluator for the
 cable tau rule read from the data, IntersectingEvaluator for the
 Whitehead substitution read in place of the expression's own V_0 and
@@ -16,7 +17,8 @@ once took), ZeroFromVSeq for the V-sequence tail read from the last
 entry, vanishes_by_cyclotomic and vanishes_by_fold (the fold without
 the degree test before it) for the root-of-unity test, mul_by_dict (with
 alexander_by_dict_mul) for the Laurent product,
-cable_sigma_by_midpoints for the cable signature, sigma_by_fold and
+cable_sigma_by_midpoints for the cable signature, pieces_by_comparison
+for SigFn.pieces, sigma_by_fold and
 sigma_by_fraction_walk (with from_deltas and sigma_torus_by_fractions) for
 the one-walk signature on integer numerators, combination_check_by_box
 for the signature independence check, torsion_coefficient for the one-pass
@@ -218,6 +220,23 @@ def torus_alexander_by_division(p, q):
     return symmetric_normalized(div_exact(num, den))
 
 
+def pieces_by_comparison(fn):
+    """SigFn.pieces as it was, comparing each jump with the one before it,
+    though SigFn's constructor already keeps the jumps strictly
+    increasing."""
+    out = []
+    acc = 0
+    prev = Fraction(0)
+    for x, delta in fn.jumps:
+        if x > prev:
+            out.append((prev, x, acc))
+        acc += delta
+        prev = x
+    if prev < HALF:
+        out.append((prev, HALF, acc))
+    return out
+
+
 def random_regular_angle(rng, fn, max_den=997):
     """Random rational in (0, 1/2) that is not a jump point of fn."""
     jump_xs = {x for x, _ in fn.jumps}
@@ -285,6 +304,32 @@ class AllSplitsEvaluator(Evaluator):
         lo0 = self._sum_lower_v0(parts)
         entries = [Interval(lo0 if k == 0 else 0, his[k]) for k in range(length)]
         return close_intervals(entries, genus)
+
+
+def fold_every_split(ev, e):
+    """V-sequence of the sum e as Evaluator._vseq_sum folded it before it
+    skipped dominated splits: each added summand tries every split n up to
+    its settle window, with a slice update for each.  Reads the rest of
+    the session's rules through ev."""
+    parts = e.parts
+    uppers = [ev._vseq_of(p).hi for p in parts]
+    g = ev._genus(e)
+    length = max(g, 1) if g < inf else max(2, sum(map(len, uppers)))
+    folds = sorted(
+        ((min(hi.index(hi[-1]), length - 1), hi) for hi in uppers),
+        key=lambda t: t[0],
+        reverse=True,
+    )
+    first = folds[0][1]
+    his = [*first[:length], *itertools.repeat(first[-1], length - len(first))]
+    for window, nxt in folds[1:]:
+        out = [h + nxt[0] for h in his]
+        for n in range(1, window + 1):
+            out[n:] = map(min, out[n:], [h + nxt[n] for h in his])
+        his = out
+    los = [0] * length
+    los[0] = ev._sum_lower_v0(parts)
+    return _close(los, his, g)
 
 
 class CappedEvaluator(AllSplitsEvaluator):

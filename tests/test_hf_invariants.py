@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from defslice import obstructions
+from defslice import hf_invariants, obstructions
 from defslice.certificates import AtomCertificate, _reduce_normal, default_db
 from defslice.cli import _json_value
 from defslice.hf_invariants import (
@@ -29,6 +29,7 @@ from defslice.knotexpr import (
     UNKNOT,
     WHITEHEAD_TREFOIL,
     alexander,
+    flip,
     mirror,
     normalize,
     parse,
@@ -36,6 +37,7 @@ from defslice.knotexpr import (
 )
 from defslice.laurent import LaurentPoly, torus_alexander
 
+import oracles
 from oracles import (
     AllSplitsEvaluator,
     CappedEvaluator,
@@ -47,10 +49,11 @@ from oracles import (
     ZeroFromVSeq,
     close_iterated,
     contains,
+    fold_every_split,
     torsion_coefficient,
     torsion_coefficients,
 )
-from strategies import expressions, expressions_any_cable
+from strategies import ATOM_NAMES, expressions, expressions_any_cable
 
 WH = Atom(WHITEHEAD_TREFOIL)
 
@@ -717,6 +720,95 @@ class TestSumFold:
         assert Evaluator(GENUSLESS_DB).nu_plus(e) == Interval.exact(100)
         assert CappedEvaluator(GENUSLESS_DB).nu_plus(e) == Interval(100, inf)
         assert Evaluator(GENUSLESS_DB).v_seq(e).at(100) == Interval.exact(0)
+
+
+def _sums(e):
+    """Every connected sum in the normal expression e, e included."""
+    if isinstance(e, Sum):
+        yield e
+        for p in e.parts:
+            yield from _sums(p)
+    elif isinstance(e, Mirror):
+        yield from _sums(e.child)
+    elif isinstance(e, Cable):
+        yield from _sums(e.companion)
+
+
+class _TableEvaluator(Evaluator):
+    """Evaluator whose atoms and mirrored atoms read the closed V-sequences
+    and genus bounds of a table {expression: (VSeq, genus)}."""
+
+    def __init__(self, table):
+        super().__init__()
+        self.table = table
+
+    def _vseq_atom(self, e):
+        return self.table[e][0]
+
+    _vseq_mirror = _vseq_atom
+
+    def _genus(self, e):
+        return self.table[e][1] if e in self.table else super()._genus(e)
+
+
+_UPPER = st.one_of(st.integers(0, 12), st.just(inf))
+
+
+@st.composite
+def _closed_sums(draw):
+    """A sum of two to six atoms and mirrored atoms, each with a random
+    closed V-sequence under a random genus bound or none: upper bounds of
+    any shape the closure allows, infinite prefixes included."""
+    table = {}
+    for i in range(draw(st.integers(1, 4))):
+        a = Atom(f"A{i}")
+        genus = draw(st.one_of(st.integers(0, 12), st.just(inf)))
+        for k in (a, Mirror(a)):
+            his = draw(st.lists(_UPPER, min_size=1, max_size=14))
+            table[k] = (_close([0] * len(his), his, genus), genus)
+    parts = draw(st.lists(st.sampled_from(sorted(table, key=repr)), min_size=2, max_size=6))
+    return table, Sum(tuple(parts))
+
+
+class TestDominatedSplits:
+    """The sum fold that skips a split whose next step falls against the
+    fold that tries every split up to the window."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_closed_sums())
+    def test_random_closed_sequences(self, case):
+        # the skip keeps the convolution itself, not only its closure: both
+        # folds hand _close the same bounds
+        table, e = case
+        ev = _TableEvaluator(table)
+        handed = []
+
+        def close(los, his, genus):
+            handed.append((list(los), list(his), genus))
+            return _close(los, his, genus)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hf_invariants, "_close", close)
+            mp.setattr(oracles, "_close", close)
+            assert ev._vseq_sum(e) == fold_every_split(ev, e)
+        assert len(handed) == 2 and handed[0] == handed[1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(expressions(max_leaves=8, names=ATOM_NAMES + ["G", "H", "G0"]))
+    @example(parse("T(2,7)* # T(2,9)* # T(3,4) # T(2,5)"))
+    @example(Sum((Atom("H"), Mirror(torus_atom(2, 9)), Atom("G"), Cable(2, 1, Atom("H")))))
+    def test_random_sums(self, e):
+        # G and H have no genus, H no v0 and G0 no genus with V_0 = 0
+        ev = Evaluator(GENUSLESS_DB)
+        e = normalize(e)
+        for s in [*_sums(e), *_sums(flip(e))]:
+            assert _outcome(ev._vseq_sum, s) == _outcome(fold_every_split, ev, s), s
+
+    @pytest.mark.parametrize("text", ["64*T(2,17)", "64*T(2,17)*", "T(2,3) # 20*T(2,5)* # T(3,7)"])
+    def test_largest_sums(self, text):
+        ev = Evaluator()
+        e = parse(text)
+        assert ev._vseq_sum(e) == fold_every_split(ev, e)
 
 
 class TestTailRule:

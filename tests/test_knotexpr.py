@@ -22,6 +22,7 @@ from defslice.knotexpr import (
     torus_atom,
 )
 from defslice.certificates import AtomCertificate, default_db
+from defslice.cli import _json_value
 from defslice.laurent import LaurentPoly
 from defslice.signatures import sigma
 
@@ -221,3 +222,49 @@ class TestTopologicallySlice:
 
     def test_trefoil_not_certified(self):
         assert not topologically_slice_certified(Atom("T(2,3)"))
+
+
+class _CountingPart:
+    """A hashable part that counts the calls of its __hash__."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __hash__(self):
+        self.calls += 1
+        return 7
+
+
+class TestHashOnce:
+    """An expression stores the hash of its field tuple when it is built,
+    in a slot _h that is no field."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(expressions_any_cable(max_leaves=8))
+    def test_hash_is_the_field_tuple_hash(self, e):
+        for k in (e, normalize(e)):
+            fields = tuple(getattr(k, name) for name in k.__slots__)
+            assert hash(k) == hash(fields)
+            assert "_h" not in repr(k)
+            assert "_h" not in _json_value(k)
+            assert list(_json_value(k)) == list(k.__slots__)
+
+    def test_parts_are_hashed_once_when_built(self):
+        for build in (Mirror, lambda c: Sum((c, c)), lambda c: Cable(2, 3, c)):
+            part = _CountingPart()
+            e = build(part)
+            built = part.calls
+            assert built >= 1
+            memo = {e: 1}
+            for _ in range(5):
+                hash(e)
+                assert memo[e] == 1
+                assert memo[build(part)] == 1
+            # each lookup by a fresh equal expression hashed the part when
+            # that expression was built, and never again on lookup
+            assert part.calls == 6 * built
+
+    def test_unhashable_part_refused_when_built(self):
+        for build in (Mirror, lambda c: Sum((c, c)), lambda c: Cable(2, 3, c)):
+            with pytest.raises(TypeError, match="unhashable"):
+                build([])

@@ -29,6 +29,7 @@ from oracles import (
     cable_sigma_by_midpoints,
     combination_check_by_box,
     numeric_signature,
+    pieces_by_comparison,
     random_regular_angle,
     seifert_matrix_torus,
     sigma_by_fold,
@@ -82,6 +83,21 @@ class TestSigFnRefusals:
         fn = SigFn(((Fraction(1, 10**30), 2), (below_half, -4), (HALF, 2)))
         assert fn.value(Fraction(1, 4)) == 2
         assert fn.value(below_half + Fraction(1, 10**31)) == -2
+
+
+class TestSigFnPieces:
+    @pytest.mark.parametrize(
+        "jumps",
+        [(), ((HALF, 2),), ((Fraction(1, 6), -2), (HALF, 4)), ((Fraction(1, 10**30), 2), (Fraction(1, 3), -4))],
+        ids=["zero", "at-half", "before-and-at-half", "below-half"],
+    )
+    def test_pieces_end_at_one_half(self, jumps):
+        # a knot's signature never jumps at 1/2, where its Alexander
+        # polynomial is odd, so only a SigFn built by hand reaches the
+        # last piece's comparison
+        fn = SigFn(jumps)
+        assert fn.pieces() == pieces_by_comparison(fn)
+        assert fn.pieces()[-1][1] == HALF and all(lo < hi for lo, hi, _ in fn.pieces())
 
 
 class TestSigmaTorus:
@@ -335,10 +351,13 @@ def _nested_cables(draw):
 def _agree(e, db=SIG_DB):
     """sigma(e, db) against the Fraction walk it replaced and against the
     per-node fold: the same function, or the same error raised at the same
-    node; returns that outcome."""
+    node; returns that outcome.  The function's pieces match the loop that
+    compared each jump with the one before it."""
     got = _outcome(sigma, e, db)
     assert got == _outcome(sigma_by_fraction_walk, e, db)
     assert got == _outcome(sigma_by_fold, e, db)
+    if not isinstance(got, tuple):
+        assert got.pieces() == pieces_by_comparison(got)
     return got
 
 
