@@ -115,9 +115,10 @@ def _json_value(x):
     """JSON form of a typed value: a Fraction as {num, den}, an interval as
     {lo, hi} with an infinite end as null, any other record (verdict,
     reason, bound, check item: a knotexpr._Record) as its fields in order.
-    This is the one place where JSON spells an unbounded end; no other
-    float has a JSON form, so an infinity or a NaN anywhere else is
-    refused, and so is a LaurentPoly."""
+    Its _json_end, which the writer's inline interval text also calls, is
+    the one place where JSON spells an unbounded end; no other float has a
+    JSON form, so an infinity or a NaN anywhere else is refused, and so is
+    a LaurentPoly."""
     if isinstance(x, Fraction):
         return {"num": x.numerator, "den": x.denominator}
     if isinstance(x, Interval):
@@ -143,11 +144,15 @@ def _print_json(data):
     `default=_json_value` prints it (tests/oracles.py:json_indent2).  Up
     to Python 3.12, json.dumps with an indent takes CPython's pure-Python
     encoder; this writer does the same walk with exact type tests and
-    writes str and int items without a call of its own, and a Fraction,
-    at the top or as an item, as one {num, den} text without building the
-    dict or recursing.  It refuses what
-    the CLI never emits: a key that is not a str and a value `_json_value`
-    refuses, floats included."""
+    writes str and int items without a call of its own.  Four shapes,
+    nearly all of a report, are written as one text at their indent, with
+    no recursion and no dict built (_INLINE): a Fraction, an Interval
+    whose ends are ints or infinite, an [exp, coeff] list of two ints and
+    a signature piece {"from": Fraction, "to": Fraction, "value": int}
+    with its keys in that order; any other value, such as an Interval with
+    a Fraction end or a pair holding a bool, takes the general walk.  It
+    refuses what the CLI never emits: a key that is not a str and a value
+    `_json_value` refuses, floats included."""
     out = []
     _write_json(data, "\n", out)
     print("".join(out))
@@ -157,6 +162,61 @@ def _fraction_text(x, nl):
     # the {num, den} form of _json_value, written without building it
     inner = nl + "  "
     return f'{{{inner}"num": {x.numerator},{inner}"den": {x.denominator}{nl}}}'
+
+
+def _interval_text(x, nl):
+    # the {lo, hi} form of _json_value if each end is an int or infinite
+    lo, hi = x.lo, x.hi
+    if type(lo) is not int:
+        if _json_end(lo) is not None:
+            return None
+        lo = "null"
+    if type(hi) is not int:
+        if _json_end(hi) is not None:
+            return None
+        hi = "null"
+    inner = nl + "  "
+    return f'{{{inner}"lo": {lo},{inner}"hi": {hi}{nl}}}'
+
+
+def _pair_text(x, nl):
+    # an [exp, coeff] list of two ints
+    if len(x) == 2:
+        a, b = x
+        if type(a) is int and type(b) is int:
+            inner = nl + "  "
+            return f"[{inner}{a},{inner}{b}{nl}]"
+    return None
+
+
+def _piece_text(x, nl):
+    # a signature piece {"from": Fraction, "to": Fraction, "value": int}
+    if len(x) == 3:
+        (k1, lo), (k2, hi), (k3, v) = x.items()
+        if (
+            k1 == "from" and k2 == "to" and k3 == "value"
+            and type(lo) is Fraction and type(hi) is Fraction and type(v) is int
+        ):
+            # the two {num, den} texts of _fraction_text, one level deeper
+            i = nl + "  "
+            j = i + "  "
+            return (
+                f'{{{i}"from": {{{j}"num": {lo.numerator},{j}"den": {lo.denominator}{i}}},'
+                f'{i}"to": {{{j}"num": {hi.numerator},{j}"den": {hi.denominator}{i}}},'
+                f'{i}"value": {v}{nl}}}'
+            )
+    return None
+
+
+# Writers of the shapes that a container writes as one text, keyed by exact
+# type; each takes the value and its indent and returns None for a value of
+# its type but not of its shape, which then takes the general walk
+_INLINE = {
+    Fraction: _fraction_text,
+    Interval: _interval_text,
+    list: _pair_text,
+    dict: _piece_text,
+}
 
 
 def _write_json(x, nl, out):
@@ -176,11 +236,14 @@ def _write_json(x, nl, out):
             leaf = _LEAF.get(type(value))
             if leaf is not None:
                 out += (sep, _encode_str(key), ": ", leaf(value))
-            elif type(value) is Fraction:
-                out += (sep, _encode_str(key), ": ", _fraction_text(value, inner))
-            else:
+                continue
+            inline = _INLINE.get(type(value))
+            text = None if inline is None else inline(value, inner)
+            if text is None:
                 out += (sep, _encode_str(key), ": ")
                 _write_json(value, inner, out)
+            else:
+                out += (sep, _encode_str(key), ": ", text)
         # every entry was written after a separator; the first takes the brace
         out[start] = "{" + inner
         out.append(nl + "}")
@@ -195,11 +258,14 @@ def _write_json(x, nl, out):
             leaf = _LEAF.get(type(item))
             if leaf is not None:
                 out += (sep, leaf(item))
-            elif type(item) is Fraction:
-                out += (sep, _fraction_text(item, inner))
-            else:
+                continue
+            inline = _INLINE.get(type(item))
+            text = None if inline is None else inline(item, inner)
+            if text is None:
                 out.append(sep)
                 _write_json(item, inner, out)
+            else:
+                out += (sep, text)
         out[start] = "[" + inner
         out.append(nl + "]")
     elif t is Fraction:

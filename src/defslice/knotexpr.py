@@ -510,9 +510,16 @@ def _alex(e, db):
     if isinstance(e, Mirror):
         return _alex(e.child, db)
     if isinstance(e, Sum):
-        out = LaurentPoly.one()
+        # a summand and its mirror share one polynomial, which is computed
+        # once and raised to the number of such summands by squaring
+        counts = {}
         for p in e.parts:
-            out = out * _alex(p, db)
+            if type(p) is Mirror:
+                p = p.child
+            counts[p] = counts.get(p, 0) + 1
+        out = LaurentPoly.one()
+        for p, k in counts.items():
+            out = out * _alex(p, db) ** k
         return out
     if isinstance(e, Cable):
         return _alex(e.companion, db).subst_power(e.p) * torus_alexander(e.p, e.q)

@@ -99,6 +99,20 @@ class LaurentPoly:
                 out[k] = get(k, 0) + a1 * a2
         return LaurentPoly._of({k: a for k, a in out.items() if a})
 
+    def __pow__(self, k):
+        """self ** k for an int k >= 0, by repeated squaring."""
+        if type(k) is not int or k < 0:
+            raise ValueError(f"exponent must be an int >= 0, got {k!r}")
+        out = None
+        base = self
+        while k:
+            if k & 1:
+                out = base if out is None else out * base
+            k >>= 1
+            if k:
+                base = base * base
+        return LaurentPoly.one() if out is None else out
+
     def shift(self, k):
         """Multiply by t**k."""
         return LaurentPoly({e + k: a for e, a in self._c.items()})

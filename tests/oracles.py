@@ -16,7 +16,8 @@ closure (close_intervals closes a list of intervals, the form the closure
 once took), ZeroFromVSeq for the V-sequence tail read from the last
 entry, vanishes_by_cyclotomic and vanishes_by_fold (the fold without
 the degree test before it) for the root-of-unity test, mul_by_dict (with
-alexander_by_dict_mul) for the Laurent product,
+alexander_by_dict_mul, which also multiplies a sum's summands one at a
+time) for the Laurent product and its powers,
 cable_sigma_by_midpoints for the cable signature, pieces_by_comparison
 for SigFn.pieces, sigma_by_fold and
 sigma_by_fraction_walk (with from_deltas and sigma_torus_by_fractions) for
@@ -194,7 +195,8 @@ def mul_by_dict(self, other):
 
 
 def alexander_by_dict_mul(e, db=None):
-    """knotexpr.alexander with every product taken by mul_by_dict."""
+    """knotexpr.alexander with every product taken by mul_by_dict, and a
+    sum's polynomial as the product of its summands' one at a time."""
     return _alex_by_dict_mul(normalize(e), resolve_db(db))
 
 

@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defslice.cli import _print_json
+from defslice.certificates import default_db
+from defslice.cli import _INLINE, _print_json, build_report
 from defslice.hf_invariants import Interval
 from defslice.obstructions import KinkinessBound, Reason, Verdict
 from oracles import json_indent2
+from workload_inputs import workload_report_texts
 
 
 def printed(data):
@@ -118,6 +120,121 @@ class TestDifferential:
         for depth in range(120):
             data = [data] if depth % 2 else {"k": data, "n": depth}
         assert printed(data) == json_indent2(data) + "\n"
+
+
+# The record shapes that the writer writes as one text, and values of the
+# same types in other shapes: [exp, coeff] pairs of ints of up to 60 digits
+# and of bools; signature pieces with their keys in and out of order, with
+# an extra key and with int, bool or Fraction values; intervals with int,
+# Fraction or bool ends and with infinite ends
+pairs = st.one_of(
+    st.tuples(ints, ints).map(list),
+    st.tuples(ints, ints),
+    st.lists(st.one_of(ints, st.booleans()), min_size=2, max_size=2),
+    st.lists(st.one_of(ints, st.booleans(), st.fractions(), st.none()), max_size=3),
+)
+_PIECE_KEYS = ["from", "to", "value"]
+piece_values = st.one_of(st.fractions(), ints, st.booleans())
+pieces = st.one_of(
+    st.builds(lambda a, b, v: {"from": a, "to": b, "value": v}, st.fractions(), st.fractions(), ints),
+    st.builds(
+        lambda keys, vals: dict(zip(keys, vals)),
+        st.permutations(_PIECE_KEYS),
+        st.lists(piece_values, min_size=3, max_size=3),
+    ),
+    st.builds(
+        lambda keys, at, extra, vals: dict(zip(keys[:at] + [extra] + keys[at:], vals)),
+        st.permutations(_PIECE_KEYS),
+        st.integers(0, 3),
+        st.one_of(strings, st.sampled_from(["from", "value", "hi"])),
+        st.lists(piece_values, min_size=4, max_size=4),
+    ),
+)
+any_ends = st.one_of(st.integers(-50, 50), st.fractions(), st.booleans(), ints)
+any_intervals = st.builds(
+    lambda a, b, lo_inf, hi_inf: Interval(-inf if lo_inf else min(a, b), inf if hi_inf else max(a, b)),
+    any_ends,
+    any_ends,
+    st.booleans(),
+    st.booleans(),
+)
+records = st.one_of(pairs, pieces, any_intervals, st.fractions())
+
+
+class TestRecordShapes:
+    @settings(max_examples=150, deadline=None)
+    @given(st.recursive(records, containers, max_leaves=8))
+    def test_matches_json_dumps(self, data):
+        assert printed(data) == json_indent2(data) + "\n"
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(records, min_size=1, max_size=3), st.integers(1, 4))
+    def test_nested_in_lists_and_dicts(self, items, depth):
+        # each level adds a list and a dict around the records, so an item
+        # written at the wrong indent shows
+        data = items
+        for level in range(depth):
+            data = {"k": [data, {"r": items[0]}], "n": level}
+        assert printed(data) == json_indent2(data) + "\n"
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [1, True],
+            (False, 0),
+            (0, -1),
+            [1, None],
+            [1, Fraction(1, 2)],
+            [1, 2, 3],
+            {"to": Fraction(1), "from": Fraction(0), "value": 0},
+            {"from": Fraction(0), "to": Fraction(1), "value": True},
+            {"from": 0, "to": Fraction(1), "value": 0},
+            {"from": Fraction(0), "to": Fraction(1), "value": Fraction(2)},
+            {"from": Fraction(0), "to": Fraction(1), "value": 0, "x": 1},
+            Interval(Fraction(1, 2), 3),
+            Interval(-inf, Fraction(7, 3)),
+            Interval(False, True),
+        ],
+    )
+    def test_other_shapes_take_the_general_walk(self, data):
+        inline = _INLINE.get(type(data))
+        assert inline is None or inline(data, "\n") is None
+        assert printed([data, {"x": data}]) == json_indent2([data, {"x": data}]) + "\n"
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [-3, 10**60],
+            [0, -1],
+            {"from": Fraction(0), "to": Fraction(1, 12), "value": -2},
+            Interval(-inf, 4),
+            Interval(0, inf),
+            Interval(-(10**60), 10**60),
+        ],
+    )
+    def test_record_shapes_are_written_inline(self, data):
+        text = _INLINE[type(data)](data, "\n    ")
+        assert text is not None
+        assert printed({"a": [data]}) == '{\n  "a": [\n    ' + text + "\n  ]\n}\n"
+
+    def test_workload_reports(self):
+        # every --json report document of the cables, cli-mix and wide-sums
+        # workloads at their default seed
+        db = default_db()
+        shapes = {"pairs": 0, "pieces": 0, "intervals": 0}
+        documents = 0
+        for text in workload_report_texts(("cables", "cli-mix", "wide-sums")):
+            try:
+                data = build_report(text, db)
+            except ValueError:
+                continue  # the workloads' malformed inputs
+            assert printed(data) == json_indent2(data) + "\n", text
+            documents += 1
+            shapes["pairs"] += len(data["alexander"] or ())
+            shapes["pieces"] += len(data["sigma"] or ())
+            shapes["intervals"] += len(data["v"]) + 3
+        assert documents == 405, documents
+        assert min(shapes.values()) > 3000, shapes
 
 
 class TestRefused:

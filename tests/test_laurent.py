@@ -4,11 +4,9 @@ product it replaced; the one-pass torsion coefficients against their
 defining sums; the semigroup torus Alexander polynomials against long
 division."""
 
-import importlib.util
 import random
 from fractions import Fraction
 from math import gcd
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,8 +28,8 @@ from oracles import (
     vanishes_by_sympy,
 )
 from strategies import expressions
+from workload_inputs import workload_reports
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 MAX_DEN = 24
 
@@ -105,7 +103,7 @@ class TestDegreeTestAgainstFold:
     def test_workload_expressions(self):
         # the Alexander polynomial of every report in the cables and
         # cli-mix workloads at their default seed, at one a/n for every n
-        polys = {alexander(e) for e in _workload_reports()}
+        polys = {alexander(e) for e in workload_reports()}
         assert len(polys) > 100
         rng = random.Random(19)
         xs = []
@@ -141,24 +139,6 @@ class TestDegreeTestAgainstFold:
                 vanishes_at_unit_root(torus_alexander(2, 3), x)
             with pytest.raises(TypeError):
                 vanishes_at_unit_root(LaurentPoly.zero(), x)
-
-
-def _workload_reports():
-    """The parsed knot expression of every report op in the cables and
-    cli-mix workloads at their default seed."""
-    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    exprs = []
-    for name in ("cables", "cli-mix"):
-        for op in workloads.make_ops(name, 1):
-            cmd, *args = op["argv"]
-            if cmd == "report":
-                try:
-                    exprs.append(parse(args[0]))
-                except ValueError:
-                    pass  # the workloads' malformed inputs
-    return exprs
 
 
 _COEFFS = st.one_of(st.integers(-2, 2), st.integers(-(10**30), 10**30))
@@ -205,6 +185,59 @@ class TestProductAgainstDict:
     @given(expressions())
     def test_alexander(self, e):
         assert alexander(e) == alexander_by_dict_mul(e)
+
+
+class TestPowerBySquaring:
+    """LaurentPoly.__pow__, and the Alexander polynomial of a sum, which
+    raises each distinct summand's polynomial to its multiplicity with it,
+    against the product taken one factor at a time."""
+
+    @staticmethod
+    def _sequential(p, k):
+        out = LaurentPoly.one()
+        for _ in range(k):
+            out = mul_by_dict(out, p)
+        return out
+
+    @settings(max_examples=150, deadline=None)
+    @given(_POLYS, st.integers(0, 12))
+    @example(LaurentPoly.zero(), 0)
+    @example(LaurentPoly.zero(), 3)
+    @example(LaurentPoly({5: -(10**30)}), 7)
+    def test_random(self, p, k):
+        got = p**k
+        assert got == self._sequential(p, k)
+        assert 0 not in got._c.values()
+
+    def test_exponents_up_to_64(self):
+        p = LaurentPoly({-1: 1, 0: -1, 1: 1})
+        for k in range(65):
+            assert p**k == self._sequential(p, k), k
+
+    def test_refuses_negative_and_non_int_exponents(self):
+        for k in (-1, 1.0, True, Fraction(2)):
+            with pytest.raises(ValueError):
+                LaurentPoly.one() ** k
+
+    @pytest.mark.parametrize("knot", ["T(2,3)", "T(2,17)", "T(3,4)", "cable(2,1,T(2,3))", "Wh(T(2,3))"])
+    def test_multiples(self, knot):
+        for k in (1, 2, 3, 7, 16, 31, 64):
+            for text in (f"{k}*{knot}", f"{k}*{knot}*"):
+                assert alexander(parse(text)) == alexander_by_dict_mul(parse(text)), text
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "T(2,3) # T(2,3)*",
+            "T(2,3) # T(2,3)* # T(2,3) # T(2,5) # T(2,5)*",
+            "32*T(2,17) # 32*T(2,17)*",
+            "21*T(2,3) # 21*T(2,3)* # 11*T(2,5) # 11*T(3,4)*",
+            "5*cable(2,1,T(2,3)) # 3*cable(2,1,T(2,3))* # 2*cable(3,2,T(2,3)) # T(2,3)",
+            "9*Wh(T(2,3)) # 9*Wh(T(2,3))* # 6*T(2,7)* # 40*T(2,3)",
+        ],
+    )
+    def test_mixed_sums(self, text):
+        assert alexander(parse(text)) == alexander_by_dict_mul(parse(text))
 
 
 class TestConstructorRefusesNonIntegers:

@@ -1,10 +1,8 @@
 """Signature step functions against the Seifert-matrix eigenvalue oracle."""
 
-import importlib.util
 import random
 from fractions import Fraction
 from math import gcd, lcm
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -37,9 +35,9 @@ from oracles import (
     sigma_torus_by_fractions,
 )
 from strategies import ATOM_NAMES, CABLE_PQ_ANY, expressions, expressions_any_cable
+from workload_inputs import workload_argvs
 
 HALF = Fraction(1, 2)
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 WH = Atom(WHITEHEAD_TREFOIL)
 
 
@@ -321,17 +319,12 @@ def _repeated_summand_cables(draw):
 def _workload_expressions():
     """Every knot expression in the argv lists of the cables and cli-mix
     workloads at their default seed, in order, as written."""
-    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
     texts = []
-    for name in ("cables", "cli-mix"):
-        for op in workloads.make_ops(name, 1):
-            cmd, *args = op["argv"]
-            if cmd == "independence":
-                texts += args[: args.index("--bound")]
-            else:
-                texts.append(args[0])
+    for cmd, *args in workload_argvs(("cables", "cli-mix")):
+        if cmd == "independence":
+            texts += args[: args.index("--bound")]
+        else:
+            texts.append(args[0])
     return texts
 
 
