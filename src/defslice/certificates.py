@@ -20,7 +20,7 @@ from .knotexpr import (
     Sum,
     UNKNOT,
     WHITEHEAD_TREFOIL,
-    _Frozen,
+    _Record,
     normalize,
     parse,
     torus_atom,
@@ -41,7 +41,7 @@ class CertificateGapError(CertificateError):
     """An evaluation needed certificate data the atom does not carry."""
 
 
-class AtomCertificate(_Frozen):
+class AtomCertificate(_Record):
     __slots__ = ("name", "tau", "genus", "lspace", "alexander", "v0", "v0_mirror")
 
     def __init__(
@@ -54,13 +54,7 @@ class AtomCertificate(_Frozen):
         v0: int | None = None,
         v0_mirror: int | None = None,
     ):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "lspace", lspace)
-        object.__setattr__(self, "alexander", alexander)
-        object.__setattr__(self, "v0", v0)
-        object.__setattr__(self, "v0_mirror", v0_mirror)
+        super().__init__(name, tau, genus, lspace, alexander, v0, v0_mirror)
         if self.genus is not None and self.genus < 0:
             raise CertificateError(f"{self.name}: genus must be >= 0")
         if self.v0 is not None and self.v0 < 0:
@@ -325,11 +319,7 @@ def nu_equiv_reduce(e: KnotExpr) -> KnotExpr:
     signatures of the reduced expression are unrelated to the original.
     Non-Whitehead summands are kept untouched, in order.
     """
-    return _reduce_normal(normalize(e))
-
-
-def _reduce_normal(e: KnotExpr) -> KnotExpr:
-    """nu_equiv_reduce of an expression that is already normal."""
+    e = normalize(e)
     wh = Atom(WHITEHEAD_TREFOIL)
     if e == wh:
         return torus_atom(2, 3)

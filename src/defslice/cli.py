@@ -753,8 +753,12 @@ def _parser() -> argparse.ArgumentParser:
     it makes for each call, so no call sees another's arguments."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--strict", action="store_true", help="exit 3 on certificate gaps")
-    common.add_argument("--atoms", metavar="FILE", help="JSON registry of extra atoms")
+    # every command but check-bcg reads atoms; only report and sigma have
+    # certificate gaps to report
+    atoms = argparse.ArgumentParser(add_help=False, parents=[common])
+    atoms.add_argument("--atoms", metavar="FILE", help="JSON registry of extra atoms")
+    strict = argparse.ArgumentParser(add_help=False, parents=[atoms])
+    strict.add_argument("--strict", action="store_true", help="exit 3 on certificate gaps")
 
     ap = argparse.ArgumentParser(
         prog="defslice",
@@ -763,21 +767,21 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("report", parents=[common], help="full invariant report")
+    p = sub.add_parser("report", parents=[strict], help="full invariant report")
     p.add_argument("expr")
 
-    p = sub.add_parser("suite", parents=[common], help="verification suites")
+    p = sub.add_parser("suite", parents=[atoms], help="verification suites")
     p.add_argument("name", choices=["thm1", "thm2", "remark", "bcg", "lens"])
     p.add_argument("--n", metavar="A..B")
     p.add_argument("--k", metavar="A..B")
     p.add_argument("--l", metavar="A..B")
 
-    p = sub.add_parser("surgery", parents=[common], help="surgery correction terms")
+    p = sub.add_parser("surgery", parents=[atoms], help="surgery correction terms")
     p.add_argument("expr")
     p.add_argument("p", type=int)
     p.add_argument("q", type=int)
 
-    p = sub.add_parser("sigma", parents=[common], help="signature step function")
+    p = sub.add_parser("sigma", parents=[strict], help="signature step function")
     p.add_argument("expr")
     p.add_argument(
         "--at",
@@ -789,7 +793,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-bcg", parents=[common], help="cobordism arithmetic replay")
     p.add_argument("--n", metavar="A..B")
 
-    p = sub.add_parser("independence", parents=[common], help="signature independence check")
+    p = sub.add_parser("independence", parents=[atoms], help="signature independence check")
     p.add_argument("exprs", nargs="+")
     p.add_argument("--bound", type=int, default=3)
 
@@ -806,6 +810,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
 
     try:
+        if args.command == "check-bcg":
+            return cmd_check_bcg(args)
         db = load_registry(args.atoms) if args.atoms else default_db()
         if args.command == "report":
             return cmd_report(args, db)
@@ -815,8 +821,6 @@ def main(argv=None) -> int:
             return cmd_surgery(args, db)
         if args.command == "sigma":
             return cmd_sigma(args, db)
-        if args.command == "check-bcg":
-            return cmd_check_bcg(args)
         if args.command == "independence":
             return cmd_independence(args, db)
         raise AssertionError(args.command)

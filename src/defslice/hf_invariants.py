@@ -39,13 +39,13 @@ from itertools import accumulate, repeat
 from math import gcd, inf
 from operator import add, gt, itemgetter
 
-from .certificates import _reduce_normal, resolve_db
+from .certificates import nu_equiv_reduce, resolve_db
 from .knotexpr import (
     Atom,
     Cable,
     Mirror,
     Sum,
-    _Frozen,
+    _Record,
     alexander,
     flip,
     normalize,
@@ -58,7 +58,7 @@ class ContradictionError(ValueError):
     """An intersection of constraints came out empty."""
 
 
-class Interval(_Frozen):
+class Interval(_Record):
     """Closed interval of ints or Fractions; an unbounded end is -math.inf
     or math.inf.  An empty interval raises ContradictionError.
 
@@ -115,7 +115,7 @@ def _show(lo, hi) -> str:
     return str(lo) if lo == hi else f"[{lo}, {hi}]"
 
 
-class VSeq(_Frozen):
+class VSeq(_Record):
     """Interval-valued V-sequence: a closed prefix and the tail it implies.
 
     lo[k] <= V_k <= hi[k] for k < len(lo): two tuples of the same length,
@@ -127,10 +127,6 @@ class VSeq(_Frozen):
     """
 
     __slots__ = ("lo", "hi")
-
-    def __init__(self, lo: tuple, hi: tuple):
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
 
     def __len__(self):
         return len(self.lo)
@@ -266,17 +262,13 @@ class Evaluator:
     thread.  Reusing an instance across the queries of one report or suite
     shares that work between them.  db is a CertificateDB or None (the
     default database).  The public rules take any expression through
-    _normal, which normalizes it once; the rules below read only normal
-    input.
+    knotexpr.normalize, which returns a normal input itself; the rules
+    below read only normal input.
     """
 
     def __init__(self, db=None):
         self.db = resolve_db(db)
         self._memo = {}
-
-    @_memoized
-    def _normal(self, e):
-        return normalize(e)
 
     # -- genus bound -------------------------------------------------
 
@@ -297,7 +289,7 @@ class Evaluator:
     def genus_bound(self, e):
         """Upper bound for the genus (exact for certificate-complete input);
         inf when some atom's certificate has no genus."""
-        return self._genus(self._normal(e))
+        return self._genus(normalize(e))
 
     # -- V-sequence ---------------------------------------------------
 
@@ -458,11 +450,11 @@ class Evaluator:
 
     def v_seq(self, e) -> VSeq:
         """Sound interval V-sequence of the expression."""
-        return self._vseq_refined(self._normal(e))
+        return self._vseq_refined(normalize(e))
 
     @_memoized
     def _vseq_refined(self, e):
-        """V(e) with V_0 read from red = _reduce_normal(e), the Whitehead
+        """V(e) with V_0 read from red = nu_equiv_reduce(e), the Whitehead
         substitution, which is valid for V_0 and nu+ only.
 
         The substitution axiom transports V_0 exactly, and V_0(red) lies
@@ -492,7 +484,7 @@ class Evaluator:
         raises ContradictionError exactly where the intersection did.
         """
         base = self._vseq_of(e)
-        red = _reduce_normal(e)
+        red = nu_equiv_reduce(e)
         if red == e:
             return base
         rb = self._vseq_of(red)
@@ -509,7 +501,7 @@ class Evaluator:
         # A rule apart from _vseq_refined, which also folds e's own sum, so
         # a nu+ query folds only the substituted one: suite thm2 reads nu+
         # alone and folds 200 sums this way, 300 through one merged rule
-        s = self._vseq_of(_reduce_normal(e))
+        s = self._vseq_of(nu_equiv_reduce(e))
         return Interval(s.first_possible_zero(), s.first_certain_zero())
 
     def _tau_window(self, e):
@@ -546,11 +538,11 @@ class Evaluator:
 
     def tau(self, e) -> Interval:
         """tau: exact where the homomorphism/cabling rules apply, else an enclosure."""
-        return self._tau(self._normal(e))
+        return self._tau(normalize(e))
 
     def nu_plus(self, e) -> Interval:
         """nu+ = min{k >= 0 : V_k = 0}, enclosed from the V-sequence and tau."""
-        e = self._normal(e)
+        e = normalize(e)
         raw = self._nu_raw(e)
         lo = max(raw.lo, self._tau(e).lo)
         if lo > raw.hi:

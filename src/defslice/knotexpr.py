@@ -17,10 +17,12 @@ construction and safe to share between evaluations.  KnotExpr is the tuple
 (Atom, Mirror, Sum, Cable) of the expression classes, so
 isinstance(e, KnotExpr) tests for an expression.
 
-parse returns normal form, and an hf_invariants.Evaluator normalizes each
-expression once, at its memoized _normal rule; its other rules read only
-normal input.  flip assumes a normal input, whose summands are not sums,
-and returns its mirror in normal form.
+parse returns normal form.  Each expression records whether it is normal
+(_Expr._n), and normalize returns a normal input itself, so the public
+rules of an hf_invariants.Evaluator call normalize on every query and
+rebuild nothing that is already normal; its other rules read only normal
+input.  flip assumes a normal input, whose summands are not sums, and
+returns its mirror in normal form.
 """
 
 from __future__ import annotations
@@ -47,16 +49,34 @@ class SizeLimitError(ValueError):
 
 class _Record:
     """Base of the package's value types.  A record's fields are the names
-    in its class's __slots__, in order: its repr names them as
-    Name(field=value, ...), and == compares them as a tuple, only between
-    records of the same class.  A record is mutable and unhashable; a
-    _Frozen one refuses assignment and hashes the tuple of its fields.
+    in its class's __slots__, in order: the constructor takes them in that
+    order or by name, its repr names them as Name(field=value, ...), and ==
+    compares them as a tuple, only between records of the same class.  A
+    record is immutable, as a frozen dataclass is: assignment and deletion
+    raise AttributeError, and its hash is that of its field tuple, so one
+    that holds a list or a dict raises TypeError on hash.
 
-    The expressions, which the engine hashes and compares on every memo
-    lookup, spell out __eq__ over their fields instead of looping over
-    __slots__, and compute their hash once (_Expr)."""
+    A class whose constructor checks or derives something defines its own
+    __init__ and sets its fields with object.__setattr__.  The expressions,
+    which the engine hashes and compares on every memo lookup, spell out
+    __eq__ over their fields instead of looping over __slots__, and compute
+    their hash once (_Expr)."""
 
     __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            # bind as a dataclass does: each field once, none unknown or left out
+            rest = names[len(args):]
+            if len(args) > len(names) or kwargs.keys() != set(rest):
+                raise TypeError(
+                    f"{type(self).__qualname__}() takes its fields ({', '.join(names)}) once "
+                    f"each, got {len(args)} positional arguments and keywords {sorted(kwargs)}"
+                )
+            args += tuple(kwargs[name] for name in rest)
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
 
     def _fields(self):
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -70,10 +90,6 @@ class _Record:
             return self._fields() == other._fields()
         return NotImplemented
 
-
-class _Frozen(_Record):
-    __slots__ = ()
-
     def __hash__(self):
         return hash(self._fields())
 
@@ -84,15 +100,29 @@ class _Frozen(_Record):
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class _Expr(_Frozen):
-    """Base of the expression classes.  Each stores the hash of its field
-    tuple in _h when it is built, reading its children's stored hashes, so
-    a memo lookup reads one slot instead of hashing the whole tree.  _h is
-    in this class's __slots__, not in a subclass's, so it is no field: repr,
-    == and the JSON form never see it.  A part that cannot be hashed raises
-    TypeError when the expression is built."""
+class _Expr(_Record):
+    """Base of the expression classes.  Each stores, when it is built, the
+    hash of its field tuple in _h, reading its children's stored hashes, so
+    a memo lookup reads one slot instead of hashing the whole tree, and in
+    _n whether it is normal, reading its children's _n, so that normalize
+    returns a normal input itself.  _h and _n are in this class's
+    __slots__, not in a subclass's, so they are no fields: repr, == and the
+    JSON form never see them.  A part that cannot be hashed raises
+    TypeError when the expression is built; one that is not an expression
+    makes the expression not normal.
 
-    __slots__ = ("_h",)
+    _n holds exactly at the fixed points of normalize: an Atom; a Mirror of
+    an Atom other than O or of a normal Cable; a Sum of normal parts none
+    of which is a Sum; a Cable with p >= 2 and q >= 1 of a normal companion
+    other than O.  Proof, by induction on the tree: normalize returns only
+    expressions that meet these conditions (flip of one meets them too), so
+    an input that fails them is no fixed point.  One that meets them is:
+    Mirror(c) becomes flip(c), which is Mirror(c) for such a c; a Sum the
+    flattened sum of its fixed parts, none of them a Sum, which is itself;
+    a Cable Cable(p, q, c), as p >= 2, q >= 1 and c is fixed and not O.
+    """
+
+    __slots__ = ("_h", "_n")
 
     def __hash__(self):
         return self._h
@@ -106,6 +136,7 @@ class Atom(_Expr):
             raise ValueError("atom name must be nonempty")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_h", hash((name,)))
+        object.__setattr__(self, "_n", True)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -121,6 +152,7 @@ class Mirror(_Expr):
     def __init__(self, child: KnotExpr):
         object.__setattr__(self, "child", child)
         object.__setattr__(self, "_h", hash((child,)))
+        object.__setattr__(self, "_n", child.__class__ in (Atom, Cable) and _normal_knot(child))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -138,6 +170,7 @@ class Sum(_Expr):
             raise ValueError("connected sum needs at least two summands")
         object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "_h", hash((parts,)))
+        object.__setattr__(self, "_n", all(p.__class__ in _SUMMANDS and p._n for p in parts))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -159,6 +192,7 @@ class Cable(_Expr):
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "companion", companion)
         object.__setattr__(self, "_h", hash((p, q, companion)))
+        object.__setattr__(self, "_n", p >= 2 and q >= 1 and _normal_knot(companion))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -169,6 +203,12 @@ class Cable(_Expr):
 
 
 KnotExpr = (Atom, Mirror, Sum, Cable)
+_SUMMANDS = (Atom, Mirror, Cable)
+
+
+def _normal_knot(e):
+    """Whether e is a normal expression other than the unknot."""
+    return e.__class__ in KnotExpr and e._n and not (e.__class__ is Atom and e.name == "O")
 
 UNKNOT = Atom("O")
 WHITEHEAD_TREFOIL = "Wh(T(2,3))"
@@ -189,8 +229,11 @@ def torus_atom(p: int, q: int) -> Atom:
 
 
 def normalize(e: KnotExpr) -> KnotExpr:
-    """Rewrite to normal form; idempotent, knot type unchanged."""
-    if isinstance(e, Atom):
+    """Rewrite to normal form; idempotent, knot type unchanged.  A normal
+    input (_n) is returned itself."""
+    if not isinstance(e, KnotExpr):
+        raise TypeError(f"not a knot expression: {e!r}")
+    if e._n:
         return e
     if isinstance(e, Mirror):
         return flip(normalize(e.child))
@@ -200,17 +243,15 @@ def normalize(e: KnotExpr) -> KnotExpr:
             n = normalize(p)
             parts.extend(n.parts if isinstance(n, Sum) else (n,))
         return parts[0] if len(parts) == 1 else Sum(tuple(parts))
-    if isinstance(e, Cable):
-        if e.p == 1:
-            return normalize(e.companion)
-        # p >= 2 and gcd(p, q) = 1 leave q != 0
-        if e.q < 0:
-            return flip(normalize(Cable(e.p, -e.q, Mirror(e.companion))))
-        c = normalize(e.companion)
-        if c == UNKNOT:
-            return torus_atom(e.p, e.q) if e.q >= 2 else UNKNOT
-        return Cable(e.p, e.q, c)
-    raise TypeError(f"not a knot expression: {e!r}")
+    if e.p == 1:
+        return normalize(e.companion)
+    # p >= 2 and gcd(p, q) = 1 leave q != 0
+    if e.q < 0:
+        return flip(normalize(Cable(e.p, -e.q, Mirror(e.companion))))
+    c = normalize(e.companion)
+    if c == UNKNOT:
+        return torus_atom(e.p, e.q) if e.q >= 2 else UNKNOT
+    return Cable(e.p, e.q, c)
 
 
 def flip(e: KnotExpr) -> KnotExpr:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .certificates import CertificateGapError
 from .hf_invariants import Evaluator, Interval
-from .knotexpr import Cable, Mirror, Sum, _Frozen, _Record, check_size, normalize
+from .knotexpr import Cable, Mirror, Sum, _Record, check_size, normalize
 from .laurent import vanishes_at_unit_root
 from .signatures import SignatureUnavailable
 
@@ -53,43 +53,28 @@ INCONCLUSIVE = "inconclusive"
 class Reason(_Record):
     __slots__ = ("rule", "statement", "evidence")
 
-    def __init__(self, rule: str, statement: str, evidence: dict):
-        self.rule = rule
-        self.statement = statement
-        self.evidence = evidence
-
 
 class Verdict(_Record):
-    __slots__ = ("target", "status", "reasons")
+    """target is negative_definite, positive_definite or any_definite;
+    status is obstructed or inconclusive."""
 
-    def __init__(self, target: str, status: str, reasons: list):
-        self.target = target  # negative_definite | positive_definite | any_definite
-        self.status = status  # obstructed | inconclusive
-        self.reasons = reasons
+    __slots__ = ("target", "status", "reasons")
 
     @property
     def obstructed(self) -> bool:
         return self.status == OBSTRUCTED
 
 
-class KinkinessBound(_Frozen):
+class KinkinessBound(_Record):
     __slots__ = ("k_plus_lo", "k_minus_lo")
-
-    def __init__(self, k_plus_lo: int, k_minus_lo: int):
-        object.__setattr__(self, "k_plus_lo", k_plus_lo)
-        object.__setattr__(self, "k_minus_lo", k_minus_lo)
 
 
 def _reason(rule, **evidence) -> Reason:
-    return Reason(rule=rule, statement=_STATEMENTS[rule], evidence=evidence)
+    return Reason(rule, _STATEMENTS[rule], evidence)
 
 
 def _verdict(target, reasons) -> Verdict:
-    return Verdict(
-        target=target,
-        status=OBSTRUCTED if reasons else INCONCLUSIVE,
-        reasons=reasons,
-    )
+    return Verdict(target, OBSTRUCTED if reasons else INCONCLUSIVE, reasons)
 
 
 def obstruct_negative_definite(e, ev: Evaluator) -> Verdict:
@@ -196,21 +181,11 @@ def obstruct_definite(e, ev: Evaluator) -> Verdict:
 class HypothesisCheck(_Record):
     __slots__ = ("name", "certified", "evidence")
 
-    def __init__(self, name: str, certified: bool, evidence: dict):
-        self.name = name
-        self.certified = certified
-        self.evidence = evidence
-
 
 class CompositeReport(_Record):
     """Hypothesis audit and verdict for K # (J_{n,1})* composites."""
 
     __slots__ = ("expression", "hypotheses", "verdict")
-
-    def __init__(self, expression: object, hypotheses: list, verdict: Verdict):
-        self.expression = expression
-        self.hypotheses = hypotheses
-        self.verdict = verdict
 
 
 def composite_cable_obstruction(K, J, n: int, ev: Evaluator) -> CompositeReport:
@@ -256,4 +231,4 @@ def kinkiness_bounds(e, ev: Evaluator) -> KinkinessBound:
     intervals of its parts and meets its fallback window, which is the
     sum's own window negated.
     """
-    return KinkinessBound(k_plus_lo=ev.nu_plus(e).lo, k_minus_lo=ev.nu_plus(Mirror(e)).lo)
+    return KinkinessBound(ev.nu_plus(e).lo, ev.nu_plus(Mirror(e)).lo)

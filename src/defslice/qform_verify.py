@@ -14,10 +14,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .hf_invariants import lens_d
-from .knotexpr import _Frozen, _Record
+from .knotexpr import _Record
 
 
-class QMatrix(_Frozen):
+class QMatrix(_Record):
     """Symmetric integer matrix (an intersection form in a handle basis)."""
 
     __slots__ = ("rows",)
@@ -142,11 +142,6 @@ def cobordism_form(n: int) -> QMatrix:
 class CheckItem(_Record):
     __slots__ = ("name", "passed", "detail")
 
-    def __init__(self, name: str, passed: bool, detail: str):
-        self.name = name
-        self.passed = passed
-        self.detail = detail
-
 
 class CobordismReport(_Record):
     __slots__ = (
@@ -159,26 +154,6 @@ class CobordismReport(_Record):
         "sigma_cobordism",
         "b2_cobordism",
     )
-
-    def __init__(
-        self,
-        n: int,
-        items: list,
-        skipped: tuple,
-        c1_sq: Fraction,
-        c1_outside: Fraction,
-        c1_cobordism: Fraction,
-        sigma_cobordism: int,
-        b2_cobordism: int,
-    ):
-        self.n = n
-        self.items = items
-        self.skipped = skipped
-        self.c1_sq = c1_sq
-        self.c1_outside = c1_outside
-        self.c1_cobordism = c1_cobordism
-        self.sigma_cobordism = sigma_cobordism
-        self.b2_cobordism = b2_cobordism
 
     @property
     def passed(self) -> bool:

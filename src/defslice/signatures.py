@@ -22,7 +22,7 @@ from .knotexpr import (
     Mirror,
     SizeLimitError,
     Sum,
-    _Frozen,
+    _Record,
     normalize,
     torus_params,
 )
@@ -62,7 +62,7 @@ class SignatureUnavailable(CertificateGapError):
     """An atom has no signature rule (not a torus knot, Alexander != 1)."""
 
 
-class SigFn(_Frozen):
+class SigFn(_Record):
     """Piecewise-constant function on (0, 1/2] with value 0 near 0+.
 
     jumps is a sorted tuple of (x, delta) with x a Fraction in (0, 1/2] and
@@ -251,15 +251,10 @@ def _deltas(e, db) -> tuple:
     raise TypeError(f"not a knot expression: {e!r}")
 
 
-class CombinationCheck(_Frozen):
+class CombinationCheck(_Record):
     """Result of the signature independence check."""
 
     __slots__ = ("bound", "count", "dependent")
-
-    def __init__(self, bound: int, count: int, dependent: tuple):
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "count", count)
-        object.__setattr__(self, "dependent", dependent)
 
     @property
     def independent(self) -> bool:

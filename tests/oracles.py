@@ -50,7 +50,7 @@ from sympy import ZZ
 from sympy.polys.densearith import dup_rem
 from sympy.polys.rings import ring
 
-from defslice.certificates import _reduce_normal, resolve_db
+from defslice.certificates import nu_equiv_reduce, resolve_db
 from defslice.cli import _json_value
 from defslice.hf_invariants import (
     ContradictionError,
@@ -387,7 +387,7 @@ class IntersectingEvaluator(Evaluator):
     @_memoized
     def _vseq_refined(self, e):
         base = self._vseq_of(e)
-        red = _reduce_normal(e)
+        red = nu_equiv_reduce(e)
         if red != e:
             e0 = base.at(0).intersect(self._vseq_of(red).at(0))
             if e0 != base.at(0):
@@ -397,7 +397,7 @@ class IntersectingEvaluator(Evaluator):
     @_memoized
     def _nu_raw(self, e):
         seqs = [self._vseq_of(e)]
-        red = _reduce_normal(e)
+        red = nu_equiv_reduce(e)
         if red != e:
             seqs.append(self._vseq_of(red))
         lo = max(s.first_possible_zero() for s in seqs)

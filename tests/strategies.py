@@ -2,7 +2,7 @@
 
 from hypothesis import strategies as st
 
-from defslice.knotexpr import Atom, Cable, Mirror, Sum, WHITEHEAD_TREFOIL
+from defslice.knotexpr import Atom, Cable, Mirror, Sum, WHITEHEAD_TREFOIL, normalize
 
 ATOM_NAMES = ["O", "T(2,3)", "T(2,5)", "T(3,4)", WHITEHEAD_TREFOIL]
 
@@ -35,4 +35,15 @@ def expressions_any_cable(max_leaves=5, names=ATOM_NAMES):
     """Random expressions over the atoms of names that may contain cables
     with q < 0 or p = 1."""
     leaves = st.sampled_from(names).map(Atom)
+    return st.recursive(leaves, lambda c: _extend(c, CABLE_PQ_ANY), max_leaves=max_leaves)
+
+
+def expressions_over_normal_parts(max_leaves=4, names=ATOM_NAMES):
+    """Random expressions built with the raw constructors, as
+    expressions_any_cable, over leaves that are atoms or normalized
+    expressions, so that nodes of every kind have normal children."""
+    leaves = st.one_of(
+        st.sampled_from(names).map(Atom),
+        expressions_any_cable(max_leaves=3, names=names).map(normalize),
+    )
     return st.recursive(leaves, lambda c: _extend(c, CABLE_PQ_ANY), max_leaves=max_leaves)

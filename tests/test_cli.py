@@ -2,6 +2,7 @@
 
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import os
@@ -570,6 +571,36 @@ class TestCheckBcg:
         assert code == 0
         assert "skipped" in out
         assert "cobordism check: PASS (5 rows)" in out
+
+
+class TestFlags:
+    """Each command takes only the flags it reads: --strict belongs to
+    report and sigma, --atoms to every command but check-bcg."""
+
+    @pytest.mark.parametrize(
+        "argv, dropped",
+        [
+            (["suite", "lens", "--strict"], "--strict"),
+            (["surgery", "T(2,3)", "3", "1", "--strict"], "--strict"),
+            (["independence", "T(2,3)", "--strict"], "--strict"),
+            (["check-bcg", "--strict"], "--strict"),
+            (["check-bcg", "--atoms", "missing.json"], "--atoms missing.json"),
+        ],
+        ids=lambda x: " ".join(x) if isinstance(x, list) else None,
+    )
+    def test_dropped_flag_exits_2(self, argv, dropped):
+        out, err, code = outcome(argv)
+        assert (out, code) == ("", 2)
+        assert f"unrecognized arguments: {dropped}" in err
+
+    def test_check_bcg_json_unchanged(self):
+        # the digest that perfbench/goldens.json pins for this op, which
+        # check-bcg printed while it still took --atoms and loaded the
+        # default database
+        out, err, code = outcome(["check-bcg", "--json"])
+        assert (err, code) == ("", 0)
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "caef047ee6a26edbed3723712d167a00d2ef9adf8bd4f1cb938dace36172a9ad"
 
 
 class TestArgumentLimits:

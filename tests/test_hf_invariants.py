@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from defslice import hf_invariants, obstructions
-from defslice.certificates import AtomCertificate, _reduce_normal, default_db
+from defslice.certificates import AtomCertificate, default_db, nu_equiv_reduce
 from defslice.cli import _json_value
 from defslice.hf_invariants import (
     ContradictionError,
@@ -595,7 +595,7 @@ class TestWhiteheadSubstitution:
             if got is ContradictionError:
                 continue
             ev = Evaluator(base)
-            own, sub = ev._vseq_of(e), ev._vseq_of(_reduce_normal(e))
+            own, sub = ev._vseq_of(e), ev._vseq_of(nu_equiv_reduce(e))
             assert own.lo[0] <= sub.lo[0] and sub.hi[0] <= own.hi[0]
             assert all(sub.at(k).hi <= own.at(k).hi for k in range(max(len(own), len(sub)) + 1))
             assert own.first_possible_zero() <= sub.first_possible_zero()

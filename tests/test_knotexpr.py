@@ -27,7 +27,7 @@ from defslice.laurent import LaurentPoly
 from defslice.signatures import sigma
 
 from oracles import alexander_torus_division
-from strategies import expressions_any_cable
+from strategies import expressions_any_cable, expressions_over_normal_parts
 
 WH = Atom(WHITEHEAD_TREFOIL)
 
@@ -156,6 +156,20 @@ class TestNormalize:
     def test_idempotent(self, e):
         n = normalize(e)
         assert normalize(n) == n
+
+    @settings(max_examples=300, deadline=None)
+    @given(expressions_over_normal_parts())
+    def test_normal_flag(self, e):
+        # _n is the conditions of normal form, and normalize returns
+        # exactly the expressions that meet them unchanged
+        assert e._n == _is_normal(e)
+        assert (normalize(e) is e) == (normalize(e) == e) == e._n
+        assert normalize(e)._n
+
+    def test_not_an_expression(self):
+        for x in ("T(2,3)", None, (Atom("T(2,3)"),)):
+            with pytest.raises(TypeError, match="not a knot expression"):
+                normalize(x)
 
     @settings(max_examples=200, deadline=None)
     @given(expressions_any_cable())

@@ -1,25 +1,29 @@
 """The value types against the dataclasses they replaced.
 
 Each class of the table below was a dataclass with these fields, in this
-order, and this frozen flag.  A reference is rebuilt here with
-dataclasses.make_dataclass, and both are made from the same sampled field
-values: repr, == and != (within a class, across classes and against a
-plain tuple), hash or its TypeError, and assignment to a field must
+order; every record is now immutable, so its reference is a frozen
+dataclass, rebuilt here with dataclasses.make_dataclass.  Both are made
+from the same sampled field values: repr, == and != (within a class,
+across classes and against a plain tuple), hash or its TypeError,
+assignment to a field, and the TypeError of a bad constructor call must
 behave alike.  The CLI's _json_value writes a record as the fields the
 dataclass had, in order.
 """
 
 import dataclasses
+import importlib
+import pkgutil
 from fractions import Fraction
 from itertools import product
 from math import inf
 
 import pytest
 
+import defslice
 from defslice.certificates import AtomCertificate
 from defslice.cli import _json_value
 from defslice.hf_invariants import Interval, VSeq
-from defslice.knotexpr import Atom, Cable, Mirror, Sum
+from defslice.knotexpr import Atom, Cable, Mirror, Sum, _Expr, _Record
 from defslice.laurent import LaurentPoly, torus_alexander
 from defslice.obstructions import (
     CompositeReport,
@@ -36,34 +40,29 @@ REASON = Reason("tau_positive", "tau > 0", {"tau": 1})
 VERDICT = Verdict("any_definite", "obstructed", [REASON])
 
 # class: (fields in order, with (name, default) for a defaulted field,
-# frozen, field values of each sample); the samples of a class include
-# equal values and values that differ in one field
+# field values of each sample); the samples of a class include equal
+# values and values that differ in one field
 TABLE = {
-    Atom: (["name"], True, [("T(2,3)",), ("T(2,3)",), ("O",), ("Wh(T(2,3))",)]),
-    Mirror: (["child"], True, [(T23,), (Atom("T(2,3)"),), (T25,), (Mirror(T23),)]),
+    Atom: (["name"], [("T(2,3)",), ("T(2,3)",), ("O",), ("Wh(T(2,3))",)]),
+    Mirror: (["child"], [(T23,), (Atom("T(2,3)"),), (T25,), (Mirror(T23),)]),
     Sum: (
         ["parts"],
-        True,
         [((T23, T25),), ((T23, T25),), ((T25, T23),), ((T23, Mirror(T25), T23),)],
     ),
     Cable: (
         ["p", "q", "companion"],
-        True,
         [(2, 3, T23), (2, 3, Atom("T(2,3)")), (2, 5, T23), (3, 2, T23), (2, 3, Mirror(T25))],
     ),
     Interval: (
         ["lo", "hi"],
-        True,
         [(0, inf), (0, inf), (-inf, 3), (-1, -1), (Fraction(1, 2), 1), (1, 1), (-1, 0)],
     ),
     VSeq: (
         ["lo", "hi"],
-        True,
         [((1, 0), (1, 0)), ((1, 0), (1, 0)), ((0,), (inf,)), ((1, 0), (2, 0))],
     ),
     SigFn: (
         [("jumps", ())],
-        True,
         [(), ((),), (((Fraction(1, 3), -2),),), (((Fraction(1, 3), -2), (Fraction(1, 2), 4)),)],
     ),
     AtomCertificate: (
@@ -76,7 +75,6 @@ TABLE = {
             ("v0", None),
             ("v0_mirror", None),
         ],
-        True,
         [
             ("Y",),
             ("Y", None, None, False, None, None, None),
@@ -85,16 +83,14 @@ TABLE = {
             ("T(2,3)", 1, 1, True, torus_alexander(2, 3), 1, 0),
         ],
     ),
-    QMatrix: (["rows"], True, [(((2,),),), (((2,),),), (((2, 1), (1, 0)),), (((-2,),),)]),
+    QMatrix: (["rows"], [(((2,),),), (((2,),),), (((2, 1), (1, 0)),), (((-2,),),)]),
     CombinationCheck: (
         ["bound", "count", "dependent"],
-        True,
         [(1, 8, ()), (1, 8, ()), (2, 24, ()), (1, 8, ((1, -1),))],
     ),
-    KinkinessBound: (["k_plus_lo", "k_minus_lo"], True, [(0, 1), (0, 1), (1, 0), (0, 0)]),
+    KinkinessBound: (["k_plus_lo", "k_minus_lo"], [(0, 1), (0, 1), (1, 0), (0, 0)]),
     Reason: (
         ["rule", "statement", "evidence"],
-        False,
         [
             ("r", "s", {"a": 1}),
             ("r", "s", {"a": 1}),
@@ -104,7 +100,6 @@ TABLE = {
     ),
     Verdict: (
         ["target", "status", "reasons"],
-        False,
         [
             ("any_definite", "obstructed", [REASON]),
             ("any_definite", "obstructed", [Reason("tau_positive", "tau > 0", {"tau": 1})]),
@@ -114,7 +109,6 @@ TABLE = {
     ),
     HypothesisCheck: (
         ["name", "certified", "evidence"],
-        False,
         [
             ("h", True, {"x": 1}),
             ("h", True, {"x": 1}),
@@ -124,7 +118,6 @@ TABLE = {
     ),
     CompositeReport: (
         ["expression", "hypotheses", "verdict"],
-        False,
         [
             (Sum((T23, Mirror(T25))), [], VERDICT),
             (Sum((T23, Mirror(T25))), [], Verdict("any_definite", "obstructed", [REASON])),
@@ -134,7 +127,6 @@ TABLE = {
     ),
     CheckItem: (
         ["name", "passed", "detail"],
-        False,
         [("c", True, "d"), ("c", True, "d"), ("c", False, "d"), ("c", True, "")],
     ),
     CobordismReport: (
@@ -148,7 +140,6 @@ TABLE = {
             "sigma_cobordism",
             "b2_cobordism",
         ],
-        False,
         [
             (1, [], (), Fraction(1), Fraction(1, 2), Fraction(0), -1, 2),
             (1, [], (), Fraction(1), Fraction(1, 2), Fraction(0), -1, 2),
@@ -166,9 +157,8 @@ def _names(fields):
 
 
 def _reference(cls):
-    fields, frozen, _ = TABLE[cls]
-    spec = [f if isinstance(f, str) else (f[0], object, f[1]) for f in fields]
-    return dataclasses.make_dataclass(cls.__name__, spec, frozen=frozen)
+    spec = [f if isinstance(f, str) else (f[0], object, f[1]) for f in TABLE[cls][0]]
+    return dataclasses.make_dataclass(cls.__name__, spec, frozen=True)
 
 
 REFERENCES = {cls: _reference(cls) for cls in CLASSES}
@@ -176,7 +166,7 @@ REFERENCES = {cls: _reference(cls) for cls in CLASSES}
 
 def _pairs(cls):
     """(value, reference) for each sample of cls, each made afresh."""
-    return [(cls(*args), REFERENCES[cls](*args)) for args in TABLE[cls][2]]
+    return [(cls(*args), REFERENCES[cls](*args)) for args in TABLE[cls][1]]
 
 
 def _outcome(f, *args):
@@ -188,6 +178,20 @@ def _outcome(f, *args):
 
 def test_seventeen_classes():
     assert len(CLASSES) == 17
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_record_is_in_the_table():
+    # a new value type cannot skip the differential against its dataclass
+    for module in pkgutil.iter_modules(defslice.__path__):
+        importlib.import_module(f"defslice.{module.name}")
+    records = {c for c in _subclasses(_Record) if c.__module__.startswith("defslice.")}
+    assert records - {_Expr} == set(CLASSES)
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
@@ -202,7 +206,7 @@ def test_repr_and_fields(cls):
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
 def test_keywords_and_defaults(cls):
     names = _names(TABLE[cls][0])
-    for args in TABLE[cls][2]:
+    for args in TABLE[cls][1]:
         by_name = dict(zip(names, args))
         assert cls(**by_name) == cls(*args)
         assert repr(cls(**by_name)) == repr(REFERENCES[cls](**by_name))
@@ -228,7 +232,7 @@ def test_equality_across_classes():
             assert a != b and not (a == b)
             assert (ra == rb) is False
     for cls in CLASSES:
-        for args, (a, ra) in zip(TABLE[cls][2], _pairs(cls)):
+        for args, (a, ra) in zip(TABLE[cls][1], _pairs(cls)):
             assert a != args and (a == args) is (ra == args) is False
     assert Atom("x") != Mirror(Atom("x"))
     assert Interval(0, 1) != VSeq(0, 1)
@@ -236,35 +240,52 @@ def test_equality_across_classes():
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
 def test_hash(cls):
-    frozen = TABLE[cls][1]
+    # a record that holds a list or a dict raises TypeError, as its
+    # reference does
+    hashable = []
     for value, ref in _pairs(cls):
-        if frozen:
-            assert hash(value) == hash(ref)
-        else:
-            assert _outcome(hash, value) is _outcome(hash, ref) is TypeError
-    if frozen:
-        pairs = _pairs(cls)
-        assert len({value for value, _ in pairs}) == len({ref for _, ref in pairs})
+        assert _outcome(hash, value) == _outcome(hash, ref)
+        if _outcome(hash, value) is not TypeError:
+            hashable.append((value, ref))
+    assert len({value for value, _ in hashable}) == len({ref for _, ref in hashable})
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
 def test_assignment(cls):
     names = _names(TABLE[cls][0])
-    frozen = TABLE[cls][1]
     value, ref = _pairs(cls)[0]
     for name in names:
         new = getattr(_pairs(cls)[-1][0], name)
-        if frozen:
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(ref, name, new)
-            with pytest.raises(AttributeError):
-                setattr(value, name, new)
-            with pytest.raises(AttributeError):
-                delattr(value, name)
-        else:
+        with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(ref, name, new)
+        with pytest.raises(AttributeError):
             setattr(value, name, new)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
     assert repr(value) == repr(ref)
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_bad_constructor_calls(cls):
+    fields = TABLE[cls][0]
+    names = _names(fields)
+    # every field given, from the longest sample and the defaults
+    full = max(TABLE[cls][1], key=len)
+    args = [*full, *(f[1] for f in fields[len(full):])]
+    bad = [
+        (args + [args[0]], {}),  # too many positional arguments
+        (args, {"bogus": 1}),  # an unknown keyword
+        (args, {names[0]: args[0]}),  # a field given twice
+    ]
+    if isinstance(fields[0], str):
+        bad.append(([], {}))  # a missing field
+    cls(*args)
+    REFERENCES[cls](*args)
+    for a, kw in bad:
+        with pytest.raises(TypeError):
+            cls(*a, **kw)
+        with pytest.raises(TypeError):
+            REFERENCES[cls](*a, **kw)
 
 
 @pytest.mark.parametrize("cls", [c for c in CLASSES if c is not Interval], ids=lambda c: c.__name__)
