@@ -13,6 +13,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import cache
+from itertools import repeat
 from math import inf
 
 from .certificates import CertificateGapError, default_db, load_registry
@@ -59,12 +60,12 @@ EXIT_GAP = 3
 # A..B range, and for thm2 the number of (k, l) pairs.  The default ranges
 # of lens and thm2 reach it.  Each family row is also within the expression
 # size limits of knotexpr.check_size, which bound its cost.  From
-# interpreter start (py3.11, 2-vCPU VM): at the limit, `suite lens`,
-# `suite bcg` and `check-bcg` take 0.09 s, `suite thm1 --n 407..506`
-# 0.64 s, `suite thm2 --k 6..15 --l 441..450` 0.97 s and `suite thm2
-# --k 22..31 --l 377..386`, the slowest rows found, 1.8 s.  With the
-# limit lifted, `suite lens --n 1..100000` takes 2.1 s, `check-bcg --n
-# 1..20000` 4.7 s and `suite thm1 --n 1..506` 1.9 s.
+# interpreter start, median of seven runs (py3.11.7, 2-vCPU VM): at the
+# limit, `suite lens` takes 0.10 s, `suite bcg` and `check-bcg` 0.13 s,
+# `suite thm1 --n 407..506` 0.33 s, `suite thm2 --k 6..15 --l 441..450`
+# 0.26 s and `suite thm2 --k 22..31 --l 377..386`, the slowest thm2 rows
+# found, 0.30 s.  With the limit lifted, `suite lens --n 1..100000` takes
+# 3.0 s, `check-bcg --n 1..20000` 5.7 s and `suite thm1 --n 1..506` 0.72 s.
 MAX_ROWS = 100
 
 # Largest surgery coefficient numerator P: `surgery` evaluates one
@@ -150,7 +151,9 @@ def _print_json(data):
     whose ends are ints or infinite, an [exp, coeff] list of two ints and
     a signature piece {"from": Fraction, "to": Fraction, "value": int}
     with its keys in that order; any other value, such as an Interval with
-    a Fraction end or a pair holding a bool, takes the general walk.  It
+    a Fraction end or a pair holding a bool, takes the general walk.  A
+    record (verdict, reason, kinkiness bound) is walked field by field in
+    place, with no dict of its fields built.  It
     refuses what the CLI never emits: a key that is not a str and a value
     `_json_value` refuses, floats included."""
     out = []
@@ -224,29 +227,7 @@ def _write_json(x, nl, out):
     line x starts on."""
     t = type(x)
     if t is dict:
-        if not x:
-            out.append("{}")
-            return
-        inner = nl + "  "
-        sep = "," + inner
-        start = len(out)
-        for key, value in x.items():
-            if type(key) is not str:
-                raise TypeError(f"key {key!r} is not a str")
-            leaf = _LEAF.get(type(value))
-            if leaf is not None:
-                out += (sep, _encode_str(key), ": ", leaf(value))
-                continue
-            inline = _INLINE.get(type(value))
-            text = None if inline is None else inline(value, inner)
-            if text is None:
-                out += (sep, _encode_str(key), ": ")
-                _write_json(value, inner, out)
-            else:
-                out += (sep, _encode_str(key), ": ", text)
-        # every entry was written after a separator; the first takes the brace
-        out[start] = "{" + inner
-        out.append(nl + "}")
+        _write_members(x.items(), nl, out)
     elif t is list or t is tuple:
         if not x:
             out.append("[]")
@@ -276,8 +257,39 @@ def _write_json(x, nl, out):
         out.append("null")
     elif t is bool:
         out.append("true" if x else "false")
+    elif t is not Interval and isinstance(x, _Record):
+        # the fields in order, as _json_value's dict of them, read in place
+        fields = x.__slots__
+        _write_members(zip(fields, map(getattr, repeat(x), fields)), nl, out)
     else:
         _write_json(_json_value(x), nl, out)
+
+
+def _write_members(items, nl, out):
+    # the text of an object with the (key, value) pairs of items
+    inner = nl + "  "
+    sep = "," + inner
+    start = len(out)
+    for key, value in items:
+        if type(key) is not str:
+            raise TypeError(f"key {key!r} is not a str")
+        leaf = _LEAF.get(type(value))
+        if leaf is not None:
+            out += (sep, _encode_str(key), ": ", leaf(value))
+            continue
+        inline = _INLINE.get(type(value))
+        text = None if inline is None else inline(value, inner)
+        if text is None:
+            out += (sep, _encode_str(key), ": ")
+            _write_json(value, inner, out)
+        else:
+            out += (sep, _encode_str(key), ": ", text)
+    if len(out) == start:
+        out.append("{}")
+        return
+    # every entry was written after a separator; the first takes the brace
+    out[start] = "{" + inner
+    out.append(nl + "}")
 
 
 # ---------------------------------------------------------------- report
@@ -734,11 +746,12 @@ def cmd_independence(args, db) -> int:
 
 def _range(value, default):
     s = value if value is not None else default
-    if ".." in s:
-        a, b = s.split("..", 1)
-        lo, hi = int(a), int(b)
-    else:
-        lo = hi = int(s)
+    a, dots, b = s.partition("..")
+    try:
+        lo = int(a)
+        hi = int(b) if dots else lo
+    except ValueError:
+        raise ValueError(f"bad range {s!r}") from None
     if lo < 1 or hi < lo:
         raise ValueError(f"bad range {s!r}")
     if hi - lo + 1 > MAX_ROWS:

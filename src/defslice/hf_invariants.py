@@ -281,10 +281,19 @@ class Evaluator:
         if isinstance(e, Mirror):
             return self._genus(e.child)
         if isinstance(e, Sum):
-            return sum(map(self._genus, e.parts))
+            return sum(m * self._genus(p) for p, m in self._groups(e.parts))
         if isinstance(e, Cable):
             return e.p * self._genus(e.companion) + (e.p - 1) * (e.q - 1) // 2
         raise TypeError(f"not a knot expression: {e!r}")
+
+    @_memoized
+    def _groups(self, parts):
+        # the distinct summands of a sum's parts, each with its multiplicity,
+        # in order of first appearance; the sum rules read each one once
+        counts = {}
+        for p in parts:
+            counts[p] = counts.get(p, 0) + 1
+        return tuple(counts.items())
 
     def genus_bound(self, e):
         """Upper bound for the genus (exact for certificate-complete input);
@@ -324,11 +333,16 @@ class Evaluator:
 
         The upper sequence of the sum is the min-plus convolution of the
         summands' upper sequences, his[k] = min over m + n = k of
-        hi_A[m] + hi_B[n].  A closed summand B's upper sequence is constant
-        from its settle index w = hi_B.index(hi_B[-1]) on, the least k
-        whose upper bound equals the last one: hi_B[n] = hi_B[w] for every
-        n >= w, as the tail rule repeats the last hi.  (When V_g of B is
-        certainly 0, w = g.)  Adding B only needs the splits n <= min(k, w):
+        hi_A[m] + hi_B[n].  Min-plus convolution is commutative and
+        associative, and his[k] reads only indices <= k, so the length-L
+        prefixes may be folded in any order, and a summand that appears m
+        times is read once and folded in m times.
+
+        A closed summand B's upper sequence is constant from its settle
+        index w = hi_B.index(hi_B[-1]) on, the least k whose upper bound
+        equals the last one: hi_B[n] = hi_B[w] for every n >= w, as the tail
+        rule repeats the last hi.  (When V_g of B is certainly 0, w = g.)
+        Adding B only needs the splits n <= min(k, w):
 
           * A closed sequence is nonincreasing (+inf only in a prefix), and
             so is the convolution of two nonincreasing sequences: for
@@ -337,12 +351,6 @@ class Evaluator:
             nonincreasing.
           * So a split n > w gives his[k-n] + hi_B[w] >= his[k-w] + hi_B[w],
             the term of the split n = w, and cannot set the minimum.
-
-        Min-plus convolution is commutative and associative, and his[k]
-        reads only indices <= k, so the length-L prefixes may be folded in
-        any order; the fold starts from the summand with the widest window,
-        whose L * w term then drops out.  The cost is L times the sum of
-        the other windows instead of r * L^2 over r summands.
 
         A split n < w whose next step falls, hi_B[n+1] = hi_B[n] - 1, is
         dominated by split n + 1 at every k > n, so it only sets his[k] at
@@ -358,10 +366,34 @@ class Evaluator:
             his[j-1] + hi_B[n] - 1 <= his[j] + hi_B[n], split n's term.
 
         An infinite hi_B[n] passes the test, as inf - 1 == inf, and its split
-        adds only inf, so skipping it is sound too.  A mirrored torus knot,
-        whose closed hi falls by one at every step, then folds in O(L), and a
-        positive T(2, 2g+1), whose hi falls every other step, in half the
-        slice updates.
+        adds only inf, so skipping it is sound too.
+
+        A summand that falls by one at every step up to its window costs
+        O(1), as part of one shift.  A closed hi_B falls by 0 or 1 per step,
+        so hi_B[0] - hi_B[w] == w, an O(1) test, holds exactly when
+        hi_B[n] = c - min(n, w) with c = hi_B[0] finite (an infinite
+        hi_B[0] fails it).  Two such sequences convolve to one, with c and
+        w added: over m + n = k, min(m, w1) + min(n, w2) is at most
+        min(k, w1 + w2) and attains it.  So the falling summands, each
+        counted with its multiplicity, are one sequence C - min(n, W), and
+        folding it into the others' convolution his takes its largest split:
+
+            out[k] = his[k - min(k, W)] + C - min(k, W),
+
+          * since for n < min(k, W), his[k-n-1] <= his[k-n] + 1 makes split
+            n + 1 no worse than split n,
+          * and for n > W, his[k-n] >= his[k-W] makes split W no worse.
+
+        Every genus-only sequence falls (hi_j = g - j): mirrored torus knots
+        and cables, Wh(T(2,3))*, atoms with no v0, and T(2,3) too.  Without
+        other summands, his is the shift of the zero sequence, which
+        convolves with any nonincreasing sequence to that sequence.
+
+        The other summands take the windowed fold, starting from the one
+        with the widest window, whose L * w term then drops out.  The cost
+        is L times the sum of their other windows, plus O(L) for the shift,
+        instead of r * L^2 over r summands.  A positive T(2, 2g+1), whose hi
+        falls every other step, takes half the slice updates.
 
         Under a genus bound g the prefix has length L = g, and _close
         adds V_g = 0.  Without one, L is the summands' prefix lengths added
@@ -370,17 +402,24 @@ class Evaluator:
         constant hi, and none goes below it), which is less than L, so the
         prefix holds every upper bound the rule gives and its tail is exact.
         """
-        parts = e.parts
-        uppers = [self._vseq_of(p).hi for p in parts]
+        uppers = [(self._vseq_of(p).hi, m) for p, m in self._groups(e.parts)]
         g = self._genus(e)
-        length = max(g, 1) if g < inf else max(2, sum(map(len, uppers)))
-        folds = sorted(
-            ((min(hi.index(hi[-1]), length - 1), hi) for hi in uppers),
-            key=itemgetter(0),
-            reverse=True,
-        )
-        first = folds[0][1]
-        his = [*first[:length], *repeat(first[-1], length - len(first))]
+        length = max(g, 1) if g < inf else max(2, sum(len(hi) * m for hi, m in uppers))
+        drop = fall = 0  # C and W of the falling summands
+        folds = []
+        for hi, m in uppers:
+            w = min(hi.index(hi[-1]), length - 1)
+            if hi[0] - hi[w] == w:
+                drop += m * hi[0]
+                fall += m * w
+            else:
+                folds += [(w, hi)] * m
+        if folds:
+            folds.sort(key=itemgetter(0), reverse=True)
+            first = folds[0][1]
+            his = [*first[:length], *repeat(first[-1], length - len(first))]
+        else:
+            his = [0] * length
         for window, nxt in folds[1:]:
             out = [h + nxt[0] for h in his]
             h0 = his[0]
@@ -392,8 +431,11 @@ class Evaluator:
                 else:
                     out[n:] = map(min, out[n:], map(add, his, repeat(nxt[n])))
             his = out
+        cut = min(fall, length)
+        top = his[0] + drop
+        his = [top - k for k in range(cut)] + [h + drop - fall for h in his[: length - cut]]
         los = [0] * length
-        los[0] = self._sum_lower_v0(parts)
+        los[0] = self._sum_lower_v0(e.parts)
         return _close(los, his, g)
 
     def _sum_lower_v0(self, parts):
@@ -403,9 +445,13 @@ class Evaluator:
 
             lo = max(0, max_i [lo0(p_i) - sum_{j != i} hi0(p_j*)]),
 
-        where a term with an infinite hi0 is -inf and drops out.  The sum
-        over j != i is read from prefix and suffix sums, not as the total
-        minus hi0(p_i*), which would be inf - inf when that hi0 is infinite.
+        where a term with an infinite hi0 is -inf and drops out.  The m
+        copies of a summand p have one term, read once: it subtracts hi0(q*)
+        for each copy of every other distinct summand q, and
+        (m - 1) * hi0(p*) for the other copies of p, written as 0 when
+        m = 1 so that no 0 * inf arises.  The sum over the other distinct
+        summands is read from prefix and suffix sums, not as the total
+        minus p's own, which would be inf - inf when hi0(p*) is infinite.
 
         Proof that a single summand in A suffices: the closure is a min-plus
         convolution with the kernel max(0, d), which is idempotent, so the
@@ -419,12 +465,17 @@ class Evaluator:
         and lo(A) = 0 gives a term <= 0.  By induction on |A|, a singleton
         A attains the optimum.
         """
-        his = [self._vseq_of(flip(p)).hi[0] for p in parts]
-        before = list(accumulate(his, initial=0))
-        after = list(accumulate(reversed(his), initial=0))[::-1]
+        groups = self._groups(parts)
+        mirrors = [self._vseq_of(flip(p)).hi[0] for p, _ in groups]
+        totals = [m * h for (_, m), h in zip(groups, mirrors)]
+        before = list(accumulate(totals, initial=0))
+        after = list(accumulate(reversed(totals), initial=0))[::-1]
         best = 0
-        for i, p in enumerate(parts):
-            best = max(best, self._vseq_of(p).lo[0] - (before[i] + after[i + 1]))
+        for i, (p, m) in enumerate(groups):
+            rest = before[i] + after[i + 1]
+            if m > 1:
+                rest += (m - 1) * mirrors[i]
+            best = max(best, self._vseq_of(p).lo[0] - rest)
         return best
 
     def _vseq_cable(self, e):
@@ -519,9 +570,13 @@ class Evaluator:
         if isinstance(e, Mirror):
             return -self._tau(e.child)
         if isinstance(e, Sum):
-            acc = Interval.exact(0)
-            for p in e.parts:
-                acc = acc + self._tau(p)
+            # m copies of a summand add m times its interval
+            lo = hi = 0
+            for p, m in self._groups(e.parts):
+                t = self._tau(p)
+                lo += m * t.lo
+                hi += m * t.hi
+            acc = Interval(lo, hi)
             if not acc.is_exact:
                 acc = acc.intersect(self._tau_window(e))
             return acc

@@ -296,17 +296,19 @@ MAX_NESTING = 100
 # normalization, a genus bound of at most MAX_GENUS and no cable with
 # p above MAX_GENUS.  The V-sequence fold of r summands into a sum of
 # genus bound L takes at most about L * (r + sum of the summands' genera)
-# <= L * (r + L) steps (about L * r for mirrored torus knots, whose
+# <= L * (r + L) steps (about L in all for mirrored torus knots and the
+# other summands whose bounds fall by one per step, which it folds as one
+# shift, and half the slice updates for a positive T(2, 2g+1), whose
 # dominated splits it skips), a torus knot's Alexander polynomial about
 # 2g steps and a (p,q)-cable's Wu step about p*q/2, at most
 # 2 * MAX_GENUS + 1 within the limits, so the limits bound each of them.
 # `report --json` on the largest accepted input of each shape, median of
-# seven runs from interpreter start (py3.11, 2-vCPU VM): 64*T(2,3) 0.08 s;
-# 64*T(2,17) (r = 64, g = 512) 0.21 s and its mirror 0.19 s, most of
-# each the Alexander product; T(2,1025) 0.11 s; cable(2,1,...) nested 9
-# deep around T(2,3) (g = 512) 0.10 s.  With the limits lifted,
-# 256*T(2,3) took 0.18 s, 512*T(2,3) 0.42 s and 64*T(2,63) (g = 1984)
-# 2.4 s, so the limits leave room: they were set for a fold of r * L^2
+# seven runs from interpreter start (py3.11.7, 2-vCPU VM): 64*T(2,3)
+# 0.08 s; 64*T(2,17) (r = 64, g = 512) 0.19 s and its mirror 0.19 s, most
+# of each the Alexander product; T(2,1025) 0.08 s; cable(2,1,...) nested
+# 9 deep around T(2,3) (g = 512) 0.09 s.  With the limits lifted,
+# 256*T(2,3) took 0.14 s, 512*T(2,3) 0.25 s and 64*T(2,63) (g = 1984)
+# 2.2 s, so the limits leave room: they were set for a fold of r * L^2
 # steps, under which 64*T(2,17) took 2.1 s.
 MAX_SUMMANDS = 64
 MAX_GENUS = 512

@@ -7,7 +7,9 @@ earlier package implementations kept as references for their rewrites:
 PartitionEvaluator for the one-summand V_0 lower bound of connected sums,
 AllSplitsEvaluator for the windowed sum fold (and CappedEvaluator for the
 64-entry prefix that genus-less sums had), fold_every_split for the fold
-that skips dominated splits, WuCableEvaluator (with
+that skips dominated splits, fold_skipping_dominated for the fold that
+folds falling summands as one shift and reads repeated summands once,
+WuCableEvaluator (with
 torus_vseq) for the Wu cable step on bound tuples, FlagEvaluator for the
 cable tau rule read from the data, IntersectingEvaluator for the
 Whitehead substitution read in place of the expression's own V_0 and
@@ -328,6 +330,37 @@ def fold_every_split(ev, e):
         out = [h + nxt[0] for h in his]
         for n in range(1, window + 1):
             out[n:] = map(min, out[n:], [h + nxt[n] for h in his])
+        his = out
+    los = [0] * length
+    los[0] = ev._sum_lower_v0(parts)
+    return _close(los, his, g)
+
+
+def fold_skipping_dominated(ev, e):
+    """V-sequence of the sum e as Evaluator._vseq_sum folded it before
+    falling summands became one shift: every copy of every summand takes
+    the windowed fold that skips dominated splits, from the widest window.
+    Reads the rest of the session's rules through ev."""
+    parts = e.parts
+    uppers = [ev._vseq_of(p).hi for p in parts]
+    g = ev._genus(e)
+    length = max(g, 1) if g < inf else max(2, sum(map(len, uppers)))
+    folds = sorted(
+        ((min(hi.index(hi[-1]), length - 1), hi) for hi in uppers),
+        key=lambda t: t[0],
+        reverse=True,
+    )
+    first = folds[0][1]
+    his = [*first[:length], *itertools.repeat(first[-1], length - len(first))]
+    for window, nxt in folds[1:]:
+        out = [h + nxt[0] for h in his]
+        h0 = his[0]
+        for n in range(1, window + 1):
+            if n < window and nxt[n + 1] == nxt[n] - 1:
+                if h0 + nxt[n] < out[n]:
+                    out[n] = h0 + nxt[n]
+            else:
+                out[n:] = map(min, out[n:], [h + nxt[n] for h in his])
         his = out
     los = [0] * length
     los[0] = ev._sum_lower_v0(parts)

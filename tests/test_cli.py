@@ -449,6 +449,15 @@ class TestSuites:
         code, out, _ = run(capsys, "suite", "bcg", "--n", "1..5")
         assert code == 0
 
+    @pytest.mark.parametrize("value", ["a..b", "1..", "..3", "1..1e3", "0", "3..1"])
+    def test_bad_range_exit_1(self, capsys, value):
+        # a range that is not A..B of ints, or not 1 <= A <= B, gets one
+        # error line
+        flag = "--n" if value == "1..1e3" else "--k"
+        name = "lens" if flag == "--n" else "thm2"
+        code, out, err = run(capsys, "suite", name, flag, value)
+        assert (code, out, err) == (1, "", f"error: bad range {value!r}\n")
+
     def test_failure_exit_1(self, capsys, tmp_path):
         # a Whitehead record that leaves out tau and v0 takes the axioms the
         # family needs out from under it, so the thm1 rows fail

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from defslice import hf_invariants, obstructions
 from defslice.certificates import AtomCertificate, default_db, nu_equiv_reduce
-from defslice.cli import _json_value
+from defslice.cli import _json_value, family_jk, family_kkl
 from defslice.hf_invariants import (
     ContradictionError,
     Evaluator,
@@ -50,6 +50,7 @@ from oracles import (
     close_iterated,
     contains,
     fold_every_split,
+    fold_skipping_dominated,
     torsion_coefficient,
     torsion_coefficients,
 )
@@ -636,6 +637,27 @@ class TestSumLowerV0:
                 positive += fast.v_seq(e).at(0).lo > 0
         assert positive
 
+    def test_repeated_part_with_unbounded_mirror(self):
+        # hi V_0(G*) and hi V_0(H) are unbounded: one copy of G (or H*)
+        # beside small summands has a positive term, and a second copy
+        # subtracts the first's unbounded hi V_0 of its mirror from it
+        small = [UNKNOT, torus_atom(2, 3), Mirror(torus_atom(2, 3)), Mirror(torus_atom(2, 5))]
+        rests = [(a,) for a in small] + [(a, a) for a in small] + [(small[1], small[3])]
+        positive = 0
+        for lone in (Atom("G"), Mirror(Atom("H"))):
+            for m in (1, 2, 3):
+                for rest in ([()] if m > 1 else []) + rests:
+                    e = normalize(Sum((lone,) * m + rest))
+                    fast, ref = Evaluator(GENUSLESS_DB), PartitionEvaluator(GENUSLESS_DB)
+                    for k in (e, mirror(e)):
+                        assert fast._sum_lower_v0(k.parts) == ref._sum_lower_v0(k.parts), k
+                        assert _invariants(fast, k) == _invariants(ref, k), k
+                    lo = fast._sum_lower_v0(e.parts)
+                    if m > 1:
+                        assert lo == 0, e
+                    positive += lo > 0
+        assert positive
+
     def test_twenty_summands_exact(self):
         # 19 distinct slice atoms (tau = V_0 = V_0 of the mirror = 0) beside
         # T(2,41): the single summand T(2,41) pins V_0 = 10 exactly
@@ -809,6 +831,114 @@ class TestDominatedSplits:
         ev = Evaluator()
         e = parse(text)
         assert ev._vseq_sum(e) == fold_every_split(ev, e)
+
+
+def _fold_matches_oracle(ev, e):
+    """The sum fold and fold_skipping_dominated give the same V-sequence
+    of the sum e and hand _close the same bounds."""
+    # the first call fills the session's memo, so that below only the two
+    # folds of e call _close
+    want = _outcome(fold_skipping_dominated, ev, e)
+    handed = []
+
+    def close(los, his, genus):
+        handed.append((list(los), list(his), genus))
+        return _close(los, his, genus)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hf_invariants, "_close", close)
+        mp.setattr(oracles, "_close", close)
+        got = _outcome(ev._vseq_sum, e)
+        again = _outcome(fold_skipping_dominated, ev, e)
+    assert got == want == again, e
+    if got is not ContradictionError:
+        assert len(handed) == 2 and handed[0] == handed[1], e
+
+
+def _falling(draw):
+    # hi[n] = c - min(n, w)
+    c, w = draw(st.integers(0, 8)), draw(st.integers(0, 12))
+    return [c + w - min(n, w) for n in range(w + 1)]
+
+
+@st.composite
+def _shaped_sums(draw):
+    """A sum as _closed_sums draws it, where a sequence may also fall by
+    one per step (genus-only, or c - min(n, w)) and each drawn summand
+    appears one to four times, in any order."""
+    table = {}
+    for i in range(draw(st.integers(1, 4))):
+        a = Atom(f"A{i}")
+        genus = draw(st.one_of(st.integers(0, 12), st.just(inf)))
+        for k in (a, Mirror(a)):
+            shape = draw(st.sampled_from(("any", "genus-only", "falling")))
+            if shape == "any":
+                his = draw(st.lists(_UPPER, min_size=1, max_size=14))
+            else:
+                his = [inf] if shape == "genus-only" else _falling(draw)
+            table[k] = (_close([0] * len(his), his, genus), genus)
+    atoms = st.sampled_from(sorted(table, key=repr))
+    groups = draw(st.lists(st.tuples(atoms, st.integers(1, 4)), min_size=2, max_size=5))
+    parts = draw(st.permutations([p for p, m in groups for _ in range(m)]))
+    return table, Sum(tuple(parts))
+
+
+_MIRRORED_TORUS = [Mirror(torus_atom(p, q)) for p, q in ((2, 3), (2, 5), (2, 9), (3, 4), (3, 5))]
+
+
+class TestFallingShift:
+    """The sum fold that folds falling summands as one shift and reads
+    each distinct summand once against the fold that takes every copy of
+    every summand through the windowed fold (fold_skipping_dominated)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_shaped_sums())
+    def test_random_closed_sequences(self, case):
+        table, e = case
+        _fold_matches_oracle(_TableEvaluator(table), e)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(expressions(max_leaves=4, names=ATOM_NAMES + ["G", "H", "G0"]), st.integers(1, 4)),
+            min_size=1,
+            max_size=4,
+        ),
+        st.lists(st.sampled_from(_MIRRORED_TORUS), max_size=3),
+    )
+    @example([(Atom("G"), 2), (WH, 3)], [_MIRRORED_TORUS[0]])
+    @example([(Atom("H"), 1), (Atom("G0"), 2)], _MIRRORED_TORUS[:2])
+    def test_random_sums_with_repeats(self, groups, mirrored):
+        # G and H have no genus, H no v0 and G0 no genus with V_0 = 0
+        parts = [p for p, m in groups for _ in range(m)] + mirrored
+        if len(parts) < 2:
+            return
+        ev = Evaluator(GENUSLESS_DB)
+        e = normalize(Sum(tuple(parts)))
+        for s in [*_sums(e), *_sums(flip(e))]:
+            _fold_matches_oracle(ev, s)
+
+    @pytest.mark.parametrize(
+        "family, rows",
+        [
+            (family_kkl, [(k, l) for k in range(1, 11) for l in range(1, 11)]),
+            (family_jk, [(k,) for k in range(1, 21)]),
+        ],
+        ids=["kkl", "jk"],
+    )
+    def test_paper_families(self, family, rows):
+        # each row of suite thm2 and suite remark at their default ranges,
+        # its mirror, and the Whitehead substitution that nu+ reads
+        ev = Evaluator()
+        for args in rows:
+            e = family(*args)
+            for k in (e, flip(e), nu_equiv_reduce(e), nu_equiv_reduce(flip(e))):
+                for s in _sums(k):
+                    _fold_matches_oracle(ev, s)
+
+    @pytest.mark.parametrize("text", ["64*T(2,17)", "64*T(2,17)*", "T(2,3) # 20*T(2,5)* # T(3,7)"])
+    def test_largest_sums(self, text):
+        _fold_matches_oracle(Evaluator(), parse(text))
 
 
 class TestTailRule:
