@@ -61,10 +61,10 @@ EXIT_GAP = 3
 # of lens and thm2 reach it.  Each family row is also within the expression
 # size limits of knotexpr.check_size, which bound its cost.  From
 # interpreter start, median of seven runs (py3.11.7, 2-vCPU VM): at the
-# limit, `suite lens` takes 0.10 s, `suite bcg` and `check-bcg` 0.13 s,
-# `suite thm1 --n 407..506` 0.33 s, `suite thm2 --k 6..15 --l 441..450`
-# 0.26 s and `suite thm2 --k 22..31 --l 377..386`, the slowest thm2 rows
-# found, 0.30 s.  With the limit lifted, `suite lens --n 1..100000` takes
+# limit, `suite lens` takes 0.10 s, `suite bcg` and `check-bcg` 0.12 s,
+# `suite thm1 --n 407..506` 0.28 s, `suite thm2 --k 6..15 --l 441..450`
+# 0.15 s and `suite thm2 --k 22..31 --l 377..386`, the slowest thm2 rows
+# found, 0.22 s.  With the limit lifted, `suite lens --n 1..100000` takes
 # 3.0 s, `check-bcg --n 1..20000` 5.7 s and `suite thm1 --n 1..506` 0.72 s.
 MAX_ROWS = 100
 

@@ -122,8 +122,8 @@ class VSeq(_Record):
     of ints, with inf for an unbounded upper end.  Past the prefix only
     monotonicity constrains V_k, so V_k lies in [max(0, lo[-1] - d), hi[-1]],
     read from the last bounds, for d the distance from them.  Under a
-    genus bound g, _close materializes the prefix through index g with
-    V_g = 0 exactly, so the same rule gives V_k = 0 for every k >= g.
+    genus bound g the prefix runs through index g with V_g = 0 exactly,
+    so the same rule gives V_k = 0 for every k >= g.
     """
 
     __slots__ = ("lo", "hi")
@@ -223,15 +223,34 @@ def lens_d(p: int, q: int, i: int) -> Fraction:
     return Fraction(*_lens_raw(p, q, i))
 
 
+def _closed_lows(v, n) -> tuple:
+    # (max(v - k, 0) for k < n): the closed lower bounds from V_0 >= v
+    return (*range(v, max(v - n, 0), -1), *repeat(0, n - v))
+
+
 def _lspace_vseq(alex: LaurentPoly, g: int) -> VSeq:
-    # An L-space knot of genus g: V_j is the j-th torsion coefficient.
-    t = torsion_prefix(alex, g)
-    return _close(t, t, g)
+    # An L-space knot of genus g: V_j is the j-th torsion coefficient, and
+    # V_g = 0.  The certificate admits only polynomials whose suffix sums
+    # a_g + ... + a_{j+1} (j >= 0) are 0 or 1, and t_j - t_{j+1} is that
+    # sum, so the coefficients, then 0, are already closed: _close of them
+    # under g returns them as they are.
+    t = (*torsion_prefix(alex, g), 0)
+    return VSeq(t, t)
 
 
 def _cert_vseq(v0, genus) -> VSeq:
-    # A certificate's V_0, or [0, inf] without one, closed under the genus bound.
-    return _close([0], [inf], genus) if v0 is None else _close([v0], [v0], genus)
+    # A certificate's V_0, or [0, inf] without one, closed under the genus
+    # bound g: lo_k = max(v0 - k, 0) and hi_k = min(v0, g - k) for k <= g.
+    # Both fall by 0 or 1 per step to 0 at g and lo <= hi, so this is
+    # _close([v0], [v0], g).  A v0 outside 0..g, which the certificate
+    # check admits none of, goes to _close, which raises.
+    lo0, top = (0, inf) if v0 is None else (v0, v0)
+    if not 0 <= lo0 <= genus:
+        return _close([v0], [v0], genus)
+    if genus == inf:
+        return VSeq((lo0,), (top,))
+    t = min(top, genus)
+    return VSeq(_closed_lows(lo0, genus + 1), (*repeat(t, genus - t), *range(t, -1, -1)))
 
 
 _MISSING = object()
@@ -395,12 +414,28 @@ class Evaluator:
         instead of r * L^2 over r summands.  A positive T(2, 2g+1), whose hi
         falls every other step, takes half the slice updates.
 
-        Under a genus bound g the prefix has length L = g, and _close
-        adds V_g = 0.  Without one, L is the summands' prefix lengths added
-        up: the convolution is constant from the sum of their settle
-        indices on (each split with every n_i >= w_i attains the sum of the
-        constant hi, and none goes below it), which is less than L, so the
-        prefix holds every upper bound the rule gives and its tail is exact.
+        Under a genus bound g the prefix has length L = g, and V_g = 0 is
+        added.  Without one, L is the summands' prefix lengths added up: the
+        convolution is constant from the sum of their settle indices on
+        (each split with every n_i >= w_i attains the sum of the constant
+        hi, and none goes below it), which is less than L, so the prefix
+        holds every upper bound the rule gives and its tail is exact.
+
+        The sequence is built closed, with the lower bounds
+        max(lo0 - k, 0) from lo0 = _sum_lower_v0, and is what _close of
+        lo0 and his returns:
+
+          * his is nonincreasing and rises by at most one per step
+            backwards, as shown above, and V_g = 0 keeps both: at
+            k = g - 1, the split with every n_i = g_i except one at
+            g_i - 1 gives at most 0 + 1, as each summand's closed hi is 0
+            at its genus bound g_i and rises by at most one.
+          * max(lo0 - k, 0) falls by 0 or 1 per step, and lo0 <= his[0]
+            gives lo0 - k <= his[0] - k <= his[k], so lo <= hi holds
+            everywhere once it holds at 0; otherwise the bounds are
+            inconsistent and go to _close, which raises.
+          * Under g = 0 every summand is (0,), so his = [0], lo0 = 0 and
+            the sequence is the one entry V_0 = 0.
         """
         uppers = [(self._vseq_of(p).hi, m) for p, m in self._groups(e.parts)]
         g = self._genus(e)
@@ -434,9 +469,13 @@ class Evaluator:
         cut = min(fall, length)
         top = his[0] + drop
         his = [top - k for k in range(cut)] + [h + drop - fall for h in his[: length - cut]]
-        los = [0] * length
-        los[0] = self._sum_lower_v0(e.parts)
-        return _close(los, his, g)
+        lo0 = self._sum_lower_v0(e.parts)
+        if lo0 > his[0]:
+            # inconsistent bounds, which _close refuses with its message
+            return _close([lo0, *repeat(0, length - 1)], his, g)
+        if g < inf:
+            his[g:] = [0]
+        return VSeq(_closed_lows(lo0, len(his)), tuple(his))
 
     def _sum_lower_v0(self, parts):
         """Best lower bound on V_0 of the sum from V_0(A # B) >= V_0(A) - V_0(B*).

@@ -30,7 +30,7 @@ from __future__ import annotations
 import re
 from math import gcd
 
-from .laurent import LaurentPoly, torus_alexander
+from .laurent import LaurentPoly, product, torus_alexander
 
 
 class ParseError(ValueError):
@@ -302,14 +302,17 @@ MAX_NESTING = 100
 # dominated splits it skips), a torus knot's Alexander polynomial about
 # 2g steps and a (p,q)-cable's Wu step about p*q/2, at most
 # 2 * MAX_GENUS + 1 within the limits, so the limits bound each of them.
-# `report --json` on the largest accepted input of each shape, median of
-# seven runs from interpreter start (py3.11.7, 2-vCPU VM): 64*T(2,3)
-# 0.08 s; 64*T(2,17) (r = 64, g = 512) 0.19 s and its mirror 0.19 s, most
-# of each the Alexander product; T(2,1025) 0.08 s; cable(2,1,...) nested
-# 9 deep around T(2,3) (g = 512) 0.09 s.  With the limits lifted,
-# 256*T(2,3) took 0.14 s, 512*T(2,3) 0.25 s and 64*T(2,63) (g = 1984)
-# 2.2 s, so the limits leave room: they were set for a fold of r * L^2
-# steps, under which 64*T(2,17) took 2.1 s.
+# A sum's Alexander polynomial is one packed-integer product of about 2g
+# digits, each wide enough for the L1-norm bound (33 bytes for
+# 64*T(2,17)).  `report --json` on the largest accepted input of each shape,
+# median of eleven runs from interpreter start (py3.11.7, 2-vCPU VM):
+# 64*T(2,3) 0.09 s; 64*T(2,17) (r = 64, g = 512) 0.15 s and its mirror
+# 0.16 s; T(2,3) # T(2,5) # ... # T(2,63) (31 distinct summands,
+# g = 496) 0.15 s; T(2,1025) 0.12 s; cable(2,1,...) nested 9 deep around
+# T(2,3) (g = 512) 0.09 s.  With the limits lifted, 256*T(2,3) took
+# 0.10 s, 512*T(2,3) 0.16 s and 64*T(2,63) (g = 1984) 0.64 s, so the
+# limits leave room: they were set for a fold of r * L^2 steps, under
+# which 64*T(2,17) took 2.1 s.
 MAX_SUMMANDS = 64
 MAX_GENUS = 512
 
@@ -532,7 +535,10 @@ def alexander(e: KnotExpr, db=None) -> LaurentPoly:
 
     Multiplicative under connected sum, fixed by mirroring, and for cables
     Delta_{K_{p,q}}(t) = Delta_K(t^p) * Delta_{T(p,q)}(t).  Atom values
-    come from the certificate database.
+    come from the certificate database.  A sum's polynomial is one
+    laurent.product over its distinct summands, a summand and its mirror
+    counted together, each raised to its number of copies; a cable's is
+    one dict product.
     """
     from . import certificates
 
@@ -554,16 +560,14 @@ def _alex(e, db):
         return _alex(e.child, db)
     if isinstance(e, Sum):
         # a summand and its mirror share one polynomial, which is computed
-        # once and raised to the number of such summands by squaring
+        # once; the product of each such polynomial to the number of its
+        # summands is one packed-integer product
         counts = {}
         for p in e.parts:
             if type(p) is Mirror:
                 p = p.child
             counts[p] = counts.get(p, 0) + 1
-        out = LaurentPoly.one()
-        for p, k in counts.items():
-            out = out * _alex(p, db) ** k
-        return out
+        return product([(_alex(p, db), k) for p, k in counts.items()])
     if isinstance(e, Cable):
         return _alex(e.companion, db).subst_power(e.p) * torus_alexander(e.p, e.q)
     raise TypeError(f"not a knot expression: {e!r}")

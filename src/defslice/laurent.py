@@ -1,13 +1,17 @@
 """Exact integer Laurent polynomial arithmetic.
 
 Knot Alexander polynomials are kept in the symmetric normal form
-a_i = a_{-i} with value 1 at t = 1.  All operations are exact.
+a_i = a_{-i} with value 1 at t = 1.  All operations are exact.  A product
+of one or two factors is a dict product (LaurentPoly.__mul__); a product
+of powers, as a connected sum's Alexander polynomial and every
+LaurentPoly.__pow__ are, is one packed-integer product (product).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count, repeat
 from math import gcd
 
 
@@ -100,18 +104,8 @@ class LaurentPoly:
         return LaurentPoly._of({k: a for k, a in out.items() if a})
 
     def __pow__(self, k):
-        """self ** k for an int k >= 0, by repeated squaring."""
-        if type(k) is not int or k < 0:
-            raise ValueError(f"exponent must be an int >= 0, got {k!r}")
-        out = None
-        base = self
-        while k:
-            if k & 1:
-                out = base if out is None else out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return LaurentPoly.one() if out is None else out
+        """self ** k for an int k >= 0: product([(self, k)])."""
+        return product([(self, k)])
 
     def shift(self, k):
         """Multiply by t**k."""
@@ -146,6 +140,60 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({self.pretty()})"
+
+
+def product(pairs) -> LaurentPoly:
+    """The product of poly ** k over the (poly, k) pairs, each k an int >= 0,
+    by Kronecker substitution: one big-int product at t = 2**(8w).
+
+    A coefficient of the product is at most B = prod(L1(poly) ** k) in
+    absolute value, L1 the sum of the absolute coefficients, since the L1
+    norm is submultiplicative.  The width w, in bytes, is the least with
+    B < 2**(8w-1), so every coefficient lies in (-2**(8w-1), 2**(8w-1)),
+    each factor's coefficients too.  Each factor, with its lowest exponent
+    shifted out, is packed once as the int P(2**(8w)), whatever its k: its
+    coefficients offset by h = 2**(8w-1) are digits in [1, 2**(8w)), joined
+    as bytes, and the offset (h in every digit) is taken off again.  Those
+    ints multiply exactly to V = sum c_i 2**(8wi) over the product's
+    coefficients c_i.  Adding the offset back makes every digit c_i + h lie
+    in [1, 2**(8w)), so no digit carries into the next, and the digits of
+    V + offset read off every c_i in one pass.  The exponents are the
+    digit index plus the lowest exponents, each times its k, added up.
+    """
+    factors = []
+    for poly, k in pairs:
+        if type(k) is not int or k < 0:
+            raise ValueError(f"exponent must be an int >= 0, got {k!r}")
+        if k:
+            factors.append((poly._c, k))
+    if not factors:
+        return LaurentPoly.one()
+    if not all(c for c, _ in factors):
+        return LaurentPoly.zero()
+    bound = 1
+    for c, k in factors:
+        bound *= sum(map(abs, c.values())) ** k
+    w = (bound.bit_length() + 8) // 8
+    half = 1 << (8 * w - 1)
+    # h as one w-byte little-endian digit; the offset of n digits is unit * n
+    unit = half.to_bytes(w, "little")
+    value = 1
+    low = digits = 0
+    for c, k in factors:
+        lo = min(c)
+        span = max(c) - lo + 1
+        row = [unit] * span
+        for e, a in c.items():
+            row[e - lo] = (a + half).to_bytes(w, "little")
+        packed = int.from_bytes(b"".join(row), "little") - int.from_bytes(unit * span, "little")
+        value *= packed**k
+        low += lo * k
+        digits += (span - 1) * k
+    digits += 1
+    size = digits * w
+    buf = (value + int.from_bytes(unit * digits, "little")).to_bytes(size, "little")
+    read = map(int.from_bytes, [buf[i : i + w] for i in range(0, size, w)], repeat("little"))
+    return LaurentPoly._of({e: a - half for e, a in zip(count(low), read) if a != half})
 
 
 def symmetric_normalized(p: LaurentPoly) -> LaurentPoly:

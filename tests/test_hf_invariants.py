@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from defslice import hf_invariants, obstructions
+from defslice import obstructions
 from defslice.certificates import AtomCertificate, default_db, nu_equiv_reduce
 from defslice.cli import _json_value, family_jk, family_kkl
 from defslice.hf_invariants import (
@@ -17,7 +17,9 @@ from defslice.hf_invariants import (
     Evaluator,
     Interval,
     VSeq,
+    _cert_vseq,
     _close,
+    _lspace_vseq,
     lens_d,
     wu_phi,
 )
@@ -37,7 +39,6 @@ from defslice.knotexpr import (
 )
 from defslice.laurent import LaurentPoly, torus_alexander
 
-import oracles
 from oracles import (
     AllSplitsEvaluator,
     CappedEvaluator,
@@ -112,6 +113,14 @@ def _outcome(op, *args):
         return op(*args)
     except ContradictionError:
         return ContradictionError
+
+
+def _outcome_text(op, *args):
+    # op(*args), or the message of the ContradictionError it raises
+    try:
+        return op(*args)
+    except ContradictionError as exc:
+        return str(exc)
 
 
 class TestAgainstNoneEnds:
@@ -373,6 +382,76 @@ class TestClose:
         # a closed sequence, a bound against the zero tail, and bounds
         # that cross each other
         assert outcomes == {"closed", "zero", "inconsistent"}
+
+
+_GENERA = [*range(31), inf]
+
+
+def _v0s(g):
+    # no v0, and every v0 in 0..g (in 0..30 without a genus bound)
+    return [None, *range((30 if g == inf else g) + 1)]
+
+
+class TestClosedBuilders:
+    """The V-sequences built closed against _close of the same bounds: a
+    certificate's V_0 under its genus bound, an L-space atom's torsion
+    coefficients, and a sum's fold, for every genus bound g in 0..30 or
+    none and every v0 in 0..g or none."""
+
+    @pytest.mark.parametrize("g", _GENERA)
+    def test_cert_vseq(self, g):
+        for v0 in _v0s(g):
+            bounds = ([0], [inf]) if v0 is None else ([v0], [v0])
+            assert _cert_vseq(v0, g) == _close(*bounds, g), (v0, g)
+
+    def test_lspace_vseq(self):
+        # the unknot and every torus knot of genus up to 30
+        polys = [(LaurentPoly.one(), 0)]
+        for p in range(2, 62):
+            for q in range(p + 1, 62):
+                g = (p - 1) * (q - 1) // 2
+                if gcd(p, q) == 1 and g <= 30:
+                    polys.append((torus_alexander(p, q), g))
+        assert {g for _, g in polys} >= {0, 1, 2, 3, 30}
+        for alex, g in polys:
+            t = [torsion_coefficients(alex, j) for j in range(g)]
+            assert _lspace_vseq(alex, g) == _close(t, t, g), (alex, g)
+
+    @pytest.mark.parametrize("g", _GENERA)
+    def test_vseq_sum(self, g):
+        # an atom of genus bound g (none for inf) and each v0, in sums with
+        # itself, its mirror, a torus knot and a mirrored one;
+        # fold_skipping_dominated hands _close the fold's bounds
+        db, atoms = default_db(), []
+        for v0 in _v0s(g):
+            a = Atom(f"A{v0}")
+            db = db.with_atom(AtomCertificate(name=a.name, genus=None if g == inf else g, v0=v0))
+            atoms.append(a)
+        ev = Evaluator(db)
+        t23, t25 = torus_atom(2, 3), torus_atom(2, 5)
+        for a in atoms:
+            for parts in ((a, a), (a, Mirror(a)), (a, t23), (Mirror(a), t25), (a, a, Mirror(t25))):
+                e = Sum(parts)
+                assert _outcome_text(ev._vseq_sum, e) == _outcome_text(fold_skipping_dominated, ev, e), e
+
+    @pytest.mark.parametrize("extra", [0, 1, 2])
+    def test_vseq_sum_lower_bound_past_upper(self, extra):
+        # a V_0 lower bound raised past the fold's hi_0 is refused as
+        # _close refuses it, with its message (the genus-0 sum O # O has
+        # its own); the sums are those of _LARGE and _SMALL
+        class Raised(Evaluator):
+            def _sum_lower_v0(self, parts):
+                # hi_0 of the fold, plus extra
+                return sum(self._vseq_of(p).hi[0] for p in parts) + extra
+
+        ev = Raised()
+        for a in _LARGE + _SMALL:
+            for b in _SMALL:
+                e = normalize(Sum((a, b)))
+                if isinstance(e, Sum):
+                    want = _outcome_text(fold_skipping_dominated, ev, e)
+                    assert _outcome_text(ev._vseq_sum, e) == want, e
+                    assert isinstance(want, str) == (extra > 0), e
 
 
 class TestTau:
@@ -799,21 +878,12 @@ class TestDominatedSplits:
     @settings(max_examples=300, deadline=None)
     @given(_closed_sums())
     def test_random_closed_sequences(self, case):
-        # the skip keeps the convolution itself, not only its closure: both
-        # folds hand _close the same bounds
+        # the skip keeps the convolution itself: the sum's sequence, built
+        # closed, is the _close output of the fold that tries every split,
+        # a ContradictionError and its message included
         table, e = case
         ev = _TableEvaluator(table)
-        handed = []
-
-        def close(los, his, genus):
-            handed.append((list(los), list(his), genus))
-            return _close(los, his, genus)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(hf_invariants, "_close", close)
-            mp.setattr(oracles, "_close", close)
-            assert ev._vseq_sum(e) == fold_every_split(ev, e)
-        assert len(handed) == 2 and handed[0] == handed[1]
+        assert _outcome_text(ev._vseq_sum, e) == _outcome_text(fold_every_split, ev, e)
 
     @settings(max_examples=300, deadline=None)
     @given(expressions(max_leaves=8, names=ATOM_NAMES + ["G", "H", "G0"]))
@@ -834,25 +904,10 @@ class TestDominatedSplits:
 
 
 def _fold_matches_oracle(ev, e):
-    """The sum fold and fold_skipping_dominated give the same V-sequence
-    of the sum e and hand _close the same bounds."""
-    # the first call fills the session's memo, so that below only the two
-    # folds of e call _close
-    want = _outcome(fold_skipping_dominated, ev, e)
-    handed = []
-
-    def close(los, his, genus):
-        handed.append((list(los), list(his), genus))
-        return _close(los, his, genus)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hf_invariants, "_close", close)
-        mp.setattr(oracles, "_close", close)
-        got = _outcome(ev._vseq_sum, e)
-        again = _outcome(fold_skipping_dominated, ev, e)
-    assert got == want == again, e
-    if got is not ContradictionError:
-        assert len(handed) == 2 and handed[0] == handed[1], e
+    """The sum fold, which builds its sequence closed, gives the _close
+    output of fold_skipping_dominated for the sum e, a ContradictionError
+    and its message included."""
+    assert _outcome_text(ev._vseq_sum, e) == _outcome_text(fold_skipping_dominated, ev, e), e
 
 
 def _falling(draw):

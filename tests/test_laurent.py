@@ -1,6 +1,7 @@
 """The root-of-unity test against cyclotomic division, against sympy and
-against the fold without its degree test; the product against the dict
-product it replaced; the one-pass torsion coefficients against their
+against the fold without its degree test; the dict product and the
+packed-integer product against the dict product taken one factor at a
+time; the one-pass torsion coefficients against their
 defining sums; the semigroup torus Alexander polynomials against long
 division."""
 
@@ -13,7 +14,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from defslice.knotexpr import alexander, parse
-from defslice.laurent import LaurentPoly, torsion_prefix, torus_alexander, vanishes_at_unit_root
+from defslice.laurent import (
+    LaurentPoly,
+    product,
+    torsion_prefix,
+    torus_alexander,
+    vanishes_at_unit_root,
+)
 
 from oracles import (
     alexander_by_dict_mul,
@@ -188,9 +195,9 @@ class TestProductAgainstDict:
 
 
 class TestPowerBySquaring:
-    """LaurentPoly.__pow__, and the Alexander polynomial of a sum, which
-    raises each distinct summand's polynomial to its multiplicity with it,
-    against the product taken one factor at a time."""
+    """LaurentPoly.__pow__, a one-factor laurent.product, and the Alexander
+    polynomial of a sum, which raises each distinct summand's polynomial to
+    its multiplicity, against the product taken one factor at a time."""
 
     @staticmethod
     def _sequential(p, k):
@@ -237,6 +244,71 @@ class TestPowerBySquaring:
         ],
     )
     def test_mixed_sums(self, text):
+        assert alexander(parse(text)) == alexander_by_dict_mul(parse(text))
+
+
+def _one_at_a_time(pairs):
+    # the product of p ** k over the pairs, one mul_by_dict per factor
+    out = LaurentPoly.one()
+    for p, k in pairs:
+        for _ in range(k):
+            out = mul_by_dict(out, p)
+    return out
+
+
+_MONOMIALS = st.builds(monomial, st.integers(-40, 40), _COEFFS.filter(bool))
+_FACTORS = st.tuples(st.one_of(_POLYS, _MONOMIALS), st.integers(0, 5))
+_LARGEST_SUMS = ["64*T(2,17)", " # ".join(f"T(2,{q})" for q in range(3, 65, 2))]
+
+
+class TestPackedProduct:
+    """laurent.product, one packed-integer product whose digit width holds
+    the L1-norm bound, against the product one factor at a time."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_FACTORS, max_size=5))
+    @example([(monomial(0, 2), 7)])
+    @example([(monomial(3, -2), 7), (monomial(-1, 1), 2)])
+    @example([(LaurentPoly({-3: 10**30, 2: -(10**30)}), 3), (LaurentPoly({0: 1, 1: -1}), 4)])
+    @example([(LaurentPoly.zero(), 0), (LaurentPoly({-1: 1, 1: 1}), 2)])
+    @example([(LaurentPoly.zero(), 2), (LaurentPoly({-1: 1, 1: 1}), 2)])
+    @example([(LaurentPoly({-2: 1, 5: -3}), 0)])
+    def test_random(self, pairs):
+        got = product(pairs)
+        assert got == _one_at_a_time(pairs)
+        assert 0 not in got._c.values()
+        assert all(type(a) is int for a in got._c.values())
+
+    def test_width_boundary(self):
+        # 2**(8w-1) is the first coefficient that needs one byte more:
+        # the products of monomials reach the L1 bound exactly
+        for k in range(70):
+            for a in (2, -2):
+                got = product([(monomial(-1), k), (monomial(1, a), k)])
+                assert got == monomial(0, a**k), (a, k)
+                assert monomial(1, a) ** k == monomial(k, a**k), (a, k)
+
+    def test_zero_and_empty(self):
+        zero, one = LaurentPoly.zero(), LaurentPoly.one()
+        assert product([]) == one
+        assert product([(zero, 0)]) == zero**0 == one
+        assert product([(zero, 1)]) == zero**3 == zero
+        assert product([(zero, 0), (monomial(2, 5), 1)]) == monomial(2, 5)
+        assert product([(monomial(2, 5), 1), (zero, 2)]) == zero
+
+    def test_refuses_negative_and_non_int_exponents(self):
+        for k in (-1, 1.0, True, Fraction(2)):
+            with pytest.raises(ValueError):
+                product([(LaurentPoly.one(), 1), (LaurentPoly.one(), k)])
+
+    @pytest.mark.parametrize("workload", ["suites", "cli-mix", "wide-sums", "cables"])
+    def test_alexander_of_workload_reports(self, workload):
+        exprs = workload_reports((workload,), seeds=(1, 2, 3))
+        for e in exprs:
+            assert alexander(e) == alexander_by_dict_mul(e), e
+
+    @pytest.mark.parametrize("text", _LARGEST_SUMS)
+    def test_alexander_of_largest_sums(self, text):
         assert alexander(parse(text)) == alexander_by_dict_mul(parse(text))
 
 

@@ -18,16 +18,18 @@ def workload_argvs(names, seed=1):
     return [op["argv"] for name in names for op in workloads.make_ops(name, seed)]
 
 
-def workload_report_texts(names=("cables", "cli-mix")):
-    """The expression of every report op of the named workloads, as written."""
-    return [args[0] for cmd, *args in workload_argvs(names) if cmd == "report"]
+def workload_report_texts(names=("cables", "cli-mix"), seeds=(1,)):
+    """The expression of every report op of the named workloads at each
+    seed, as written."""
+    argvs = [argv for seed in seeds for argv in workload_argvs(names, seed)]
+    return [args[0] for cmd, *args in argvs if cmd == "report"]
 
 
-def workload_reports(names=("cables", "cli-mix")):
+def workload_reports(names=("cables", "cli-mix"), seeds=(1,)):
     """The parsed knot expression of every report op of the named
-    workloads that parses."""
+    workloads at each seed that parses."""
     exprs = []
-    for text in workload_report_texts(names):
+    for text in workload_report_texts(names, seeds):
         try:
             exprs.append(parse(text))
         except ValueError:
