@@ -46,6 +46,7 @@ from .obstructions import (
 from .qform_verify import bcg_cobordism_check
 from .signatures import (
     JumpPointError,
+    SigFn,
     SignatureUnavailable,
     sigma,
     signature_combination_check,
@@ -113,13 +114,14 @@ def family_jk(k: int):
 # ---------------------------------------------------------------- encoding
 
 def _json_value(x):
-    """JSON form of a typed value: a Fraction as {num, den}, an interval as
-    {lo, hi} with an infinite end as null, any other record (verdict,
-    reason, bound, check item: a knotexpr._Record) as its fields in order.
-    Its _json_end, which the writer's inline interval text also calls, is
-    the one place where JSON spells an unbounded end; no other float has a
-    JSON form, so an infinity or a NaN anywhere else is refused, and so is
-    a LaurentPoly."""
+    """JSON form of a typed value in the human `evidence:` line and the
+    suite rows; the --json writer does not call it.  A Fraction is
+    {num, den}, an interval {lo, hi} with an infinite end as null, any
+    other record (verdict, reason, bound, check item: a knotexpr._Record)
+    its fields in order.  Its _json_end, which the writer's interval text
+    also calls, is the one place where JSON spells an unbounded end; no
+    other float has a JSON form, so an infinity or a NaN anywhere else is
+    refused, and so is a LaurentPoly."""
     if isinstance(x, Fraction):
         return {"num": x.numerator, "den": x.denominator}
     if isinstance(x, Interval):
@@ -141,84 +143,73 @@ _LEAF = {str: _encode_str, int: int.__repr__}
 
 
 def _print_json(data):
-    """Print data byte for byte as `json.dumps` with an indent of 2 and
-    `default=_json_value` prints it (tests/oracles.py:json_indent2).  Up
-    to Python 3.12, json.dumps with an indent takes CPython's pure-Python
-    encoder; this writer does the same walk with exact type tests and
-    writes str and int items without a call of its own.  Four shapes,
-    nearly all of a report, are written as one text at their indent, with
-    no recursion and no dict built (_INLINE): a Fraction, an Interval
-    whose ends are ints or infinite, an [exp, coeff] list of two ints and
-    a signature piece {"from": Fraction, "to": Fraction, "value": int}
-    with its keys in that order; any other value, such as an Interval with
-    a Fraction end or a pair holding a bool, takes the general walk.  A
-    record (verdict, reason, kinkiness bound) is walked field by field in
-    place, with no dict of its fields built.  It
+    """Print data byte for byte as `json.dumps` with an indent of 2 prints
+    it when its `default` gives each engine value its one JSON form
+    (tests/oracles.py:json_indent2).  Up to Python 3.12, json.dumps with an
+    indent takes CPython's pure-Python encoder; this writer does the same
+    walk with exact type tests and writes str and int items without a call
+    of its own.  The writer of a value's exact type (_INLINE) writes it as
+    one text at its indent, with no dict or list of it built: a Fraction
+    as {num, den}, an Interval as {lo, hi}, a LaurentPoly as its
+    [exp, coeff] pairs in increasing exponent and a SigFn as its pieces
+    {from, to, value}.  Any other record (verdict, reason, kinkiness bound)
+    is walked field by field in place.  It never calls _json_value, and it
     refuses what the CLI never emits: a key that is not a str and a value
-    `_json_value` refuses, floats included."""
+    of any other type, floats included."""
     out = []
     _write_json(data, "\n", out)
     print("".join(out))
 
 
 def _fraction_text(x, nl):
-    # the {num, den} form of _json_value, written without building it
     inner = nl + "  "
     return f'{{{inner}"num": {x.numerator},{inner}"den": {x.denominator}{nl}}}'
 
 
 def _interval_text(x, nl):
-    # the {lo, hi} form of _json_value if each end is an int or infinite
+    # an int end as itself, an unbounded end as null, any other end (a
+    # Fraction) by the general walk
+    inner = nl + "  "
     lo, hi = x.lo, x.hi
     if type(lo) is not int:
-        if _json_end(lo) is not None:
-            return None
-        lo = "null"
+        lo = _end_text(lo, inner)
     if type(hi) is not int:
-        if _json_end(hi) is not None:
-            return None
-        hi = "null"
-    inner = nl + "  "
+        hi = _end_text(hi, inner)
     return f'{{{inner}"lo": {lo},{inner}"hi": {hi}{nl}}}'
 
 
-def _pair_text(x, nl):
-    # an [exp, coeff] list of two ints
-    if len(x) == 2:
-        a, b = x
-        if type(a) is int and type(b) is int:
-            inner = nl + "  "
-            return f"[{inner}{a},{inner}{b}{nl}]"
-    return None
+def _end_text(v, nl):
+    out = []
+    _write_json(_json_end(v), nl, out)
+    return "".join(out)
 
 
-def _piece_text(x, nl):
-    # a signature piece {"from": Fraction, "to": Fraction, "value": int}
-    if len(x) == 3:
-        (k1, lo), (k2, hi), (k3, v) = x.items()
-        if (
-            k1 == "from" and k2 == "to" and k3 == "value"
-            and type(lo) is Fraction and type(hi) is Fraction and type(v) is int
-        ):
-            # the two {num, den} texts of _fraction_text, one level deeper
-            i = nl + "  "
-            j = i + "  "
-            return (
-                f'{{{i}"from": {{{j}"num": {lo.numerator},{j}"den": {lo.denominator}{i}}},'
-                f'{i}"to": {{{j}"num": {hi.numerator},{j}"den": {hi.denominator}{i}}},'
-                f'{i}"value": {v}{nl}}}'
-            )
-    return None
+def _poly_text(x, nl):
+    items = x.items()
+    if not items:
+        return "[]"
+    i = nl + "  "
+    j = i + "  "
+    return "[" + ",".join(f"{i}[{j}{e},{j}{c}{i}]" for e, c in items) + nl + "]"
 
 
-# Writers of the shapes that a container writes as one text, keyed by exact
-# type; each takes the value and its indent and returns None for a value of
-# its type but not of its shape, which then takes the general walk
+def _sigma_text(x, nl):
+    # pieces() is never empty; each value is an int
+    i = nl + "  "
+    j = i + "  "
+    return "[" + ",".join(
+        f'{i}{{{j}"from": {_fraction_text(lo, j)},{j}"to": {_fraction_text(hi, j)},{j}"value": {v}{i}}}'
+        for lo, hi, v in x.pieces()
+    ) + nl + "]"
+
+
+# Writers of the engine values, keyed by exact type; each takes the value
+# and the newline and indent of its line and returns its whole text
 _INLINE = {
     Fraction: _fraction_text,
     Interval: _interval_text,
-    list: _pair_text,
-    dict: _piece_text,
+    LaurentPoly: _poly_text,
+    SigFn: _sigma_text,
 }
 
 
@@ -241,28 +232,27 @@ def _write_json(x, nl, out):
                 out += (sep, leaf(item))
                 continue
             inline = _INLINE.get(type(item))
-            text = None if inline is None else inline(item, inner)
-            if text is None:
+            if inline is None:
                 out.append(sep)
                 _write_json(item, inner, out)
             else:
-                out += (sep, text)
+                out += (sep, inline(item, inner))
         out[start] = "[" + inner
         out.append(nl + "]")
-    elif t is Fraction:
-        out.append(_fraction_text(x, nl))
+    elif t in _INLINE:
+        out.append(_INLINE[t](x, nl))
     elif t in _LEAF:
         out.append(_LEAF[t](x))
     elif x is None:
         out.append("null")
     elif t is bool:
         out.append("true" if x else "false")
-    elif t is not Interval and isinstance(x, _Record):
+    elif isinstance(x, _Record):
         # the fields in order, as _json_value's dict of them, read in place
         fields = x.__slots__
         _write_members(zip(fields, map(getattr, repeat(x), fields)), nl, out)
     else:
-        _write_json(_json_value(x), nl, out)
+        raise TypeError(f"{t.__name__} has no JSON form")
 
 
 def _write_members(items, nl, out):
@@ -278,12 +268,11 @@ def _write_members(items, nl, out):
             out += (sep, _encode_str(key), ": ", leaf(value))
             continue
         inline = _INLINE.get(type(value))
-        text = None if inline is None else inline(value, inner)
-        if text is None:
+        if inline is None:
             out += (sep, _encode_str(key), ": ")
             _write_json(value, inner, out)
         else:
-            out += (sep, _encode_str(key), ": ", text)
+            out += (sep, _encode_str(key), ": ", inline(value, inner))
     if len(out) == start:
         out.append("{}")
         return
@@ -301,7 +290,7 @@ def build_report(text: str, db) -> dict:
     data = {"schema": 1, "expression": text, "normalized": render(e)}
     try:
         alex = ev.alexander(e)
-        data["alexander"] = [[exp, c] for exp, c in alex.items()]
+        data["alexander"] = alex
         data["alexander_pretty"] = alex.pretty()
         data["topologically_slice_certified"] = alex == LaurentPoly.one()
     except CertificateGapError as exc:
@@ -319,9 +308,7 @@ def build_report(text: str, db) -> dict:
     data["nu_plus"] = ev.nu_plus(e)
     data["d1"] = ev.d1(e)
     try:
-        data["sigma"] = [
-            {"from": lo, "to": hi, "value": val} for lo, hi, val in ev.sigma(e).pieces()
-        ]
+        data["sigma"] = ev.sigma(e)
     except SignatureUnavailable as exc:
         warnings.append(str(exc))
         data["sigma"] = None
@@ -350,12 +337,13 @@ def print_report(data):
     if data["v_exact_tail_from"] is not None:
         print(f"             (V_k = 0 for k >= {data['v_exact_tail_from']})")
     if data["sigma"] is not None:
-        if len(data["sigma"]) == 1 and data["sigma"][0]["value"] == 0:
+        pieces = data["sigma"].pieces()
+        if len(pieces) == 1 and pieces[0][2] == 0:
             print("sigma:       0 on (0, 1/2]")
         else:
             print("sigma:")
-            for piece in data["sigma"]:
-                print(f"             ({piece['from']}, {piece['to']}): {piece['value']}")
+            for lo, hi, v in pieces:
+                print(f"             ({lo}, {hi}): {v}")
     else:
         print("sigma:       unavailable")
     print("verdicts:")
@@ -477,7 +465,8 @@ def _arc_samples(k: int):
 
 def _suite_remark(ks, ev):
     rows = []
-    for k, e in zip(ks, _checked((family_jk(k) for k in ks), ev.db)):
+    es = dict(zip(ks, _checked((family_jk(k) for k in ks), ev.db)))
+    for k, e in es.items():
         fn = ev.sigma(e)
         at_minus_one = fn.at_minus_one()
         arc_vals = [fn.value(x) for x in _arc_samples(k)]
@@ -499,9 +488,8 @@ def _suite_remark(ks, ev):
                 "pass": ok,
             }
         )
-    ks = list(ks)
-    if all(k in ks for k in (1, 2, 3, 4)):
-        chk = signature_combination_check([family_jk(k) for k in (1, 2, 3, 4)], 3, ev.db)
+    if all(k in es for k in (1, 2, 3, 4)):
+        chk = signature_combination_check([es[k] for k in (1, 2, 3, 4)], 3, ev.db)
         rows.append(
             {
                 "independence": "J_1..J_4, bound 3",
@@ -659,7 +647,7 @@ def cmd_sigma(args, db) -> int:
         data = {
             "schema": 1,
             "expression": args.expr,
-            "pieces": [{"from": lo, "to": hi, "value": v} for lo, hi, v in fn.pieces()],
+            "pieces": fn,
             "queries": queries,
         }
         _print_json(data)

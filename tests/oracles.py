@@ -835,8 +835,19 @@ def torsion_coefficients(poly, j):
 
 def json_indent2(data):
     """--json text without its final newline, from CPython's pure-Python
-    indent encoder; the reference for cli._print_json."""
-    return json.dumps(data, indent=2, default=_json_value)
+    indent encoder; the reference for cli._print_json.  A LaurentPoly is
+    written as the list of its [exp, coeff] pairs in increasing exponent, a
+    SigFn as the list of its pieces {from, to, value}, any other value as
+    _json_value gives it."""
+    return json.dumps(data, indent=2, default=_json_form)
+
+
+def _json_form(x):
+    if type(x) is LaurentPoly:
+        return [[e, c] for e, c in x.items()]
+    if type(x) is SigFn:
+        return [{"from": lo, "to": hi, "value": v} for lo, hi, v in x.pieces()]
+    return _json_value(x)
 
 
 @dataclass(frozen=True)

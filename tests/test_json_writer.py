@@ -9,12 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from defslice import cli
 from defslice.certificates import default_db
 from defslice.cli import _INLINE, _print_json, build_report
 from defslice.hf_invariants import Interval
+from defslice.laurent import LaurentPoly
 from defslice.obstructions import KinkinessBound, Reason, Verdict
+from defslice.signatures import HALF, SigFn
 from oracles import json_indent2
-from workload_inputs import workload_report_texts
+from workload_inputs import workload_argvs, workload_report_texts
 
 
 def printed(data):
@@ -122,11 +125,12 @@ class TestDifferential:
         assert printed(data) == json_indent2(data) + "\n"
 
 
-# The record shapes that the writer writes as one text, and values of the
-# same types in other shapes: [exp, coeff] pairs of ints of up to 60 digits
-# and of bools; signature pieces with their keys in and out of order, with
-# an extra key and with int, bool or Fraction values; intervals with int,
-# Fraction or bool ends and with infinite ends
+# The engine values that the writer writes as one text, and lists and
+# dicts of the shapes they once were built into: [exp, coeff] pairs of
+# ints of up to 60 digits and of bools; signature pieces with their keys in
+# and out of order, with an extra key and with int, bool or Fraction
+# values; intervals with int, Fraction or bool ends and with infinite ends;
+# Laurent polynomials, the zero one included, and signature functions
 pairs = st.one_of(
     st.tuples(ints, ints).map(list),
     st.tuples(ints, ints),
@@ -158,7 +162,14 @@ any_intervals = st.builds(
     st.booleans(),
     st.booleans(),
 )
-records = st.one_of(pairs, pieces, any_intervals, st.fractions())
+polys = st.dictionaries(ints, ints, max_size=6).map(LaurentPoly)
+sigfns = st.builds(
+    lambda xs, deltas: SigFn(tuple(zip(sorted(xs), deltas))),
+    st.sets(st.fractions(Fraction(0), HALF).filter(bool), max_size=5),
+    st.lists(st.integers(-3, 3).filter(bool).map(lambda d: 2 * d), min_size=5, max_size=5),
+)
+engine_values = st.one_of(any_intervals, st.fractions(), polys, sigfns)
+records = st.one_of(pairs, pieces, engine_values)
 
 
 class TestRecordShapes:
@@ -177,6 +188,13 @@ class TestRecordShapes:
             data = {"k": [data, {"r": items[0]}], "n": level}
         assert printed(data) == json_indent2(data) + "\n"
 
+    @settings(max_examples=200, deadline=None)
+    @given(engine_values, st.sampled_from(["\n", "\n  ", "\n        "]))
+    def test_every_writer_returns_text(self, data, nl):
+        text = _INLINE[type(data)](data, nl)
+        assert type(text) is str
+        assert printed(data) == json_indent2(data) + "\n"
+
     @pytest.mark.parametrize(
         "data",
         [
@@ -191,31 +209,37 @@ class TestRecordShapes:
             {"from": 0, "to": Fraction(1), "value": 0},
             {"from": Fraction(0), "to": Fraction(1), "value": Fraction(2)},
             {"from": Fraction(0), "to": Fraction(1), "value": 0, "x": 1},
-            Interval(Fraction(1, 2), 3),
-            Interval(-inf, Fraction(7, 3)),
-            Interval(False, True),
+            [-3, 10**60],
+            [0, -1],
+            {"from": Fraction(0), "to": Fraction(1, 12), "value": -2},
         ],
     )
     def test_other_shapes_take_the_general_walk(self, data):
-        inline = _INLINE.get(type(data))
-        assert inline is None or inline(data, "\n") is None
+        # lists and dicts, those in the shape of an [exp, coeff] pair or a
+        # signature piece too, have no writer of their own
+        assert type(data) not in _INLINE
         assert printed([data, {"x": data}]) == json_indent2([data, {"x": data}]) + "\n"
 
     @pytest.mark.parametrize(
         "data",
         [
-            [-3, 10**60],
-            [0, -1],
-            {"from": Fraction(0), "to": Fraction(1, 12), "value": -2},
             Interval(-inf, 4),
             Interval(0, inf),
             Interval(-(10**60), 10**60),
+            Interval(Fraction(1, 2), 3),
+            Interval(-inf, Fraction(7, 3)),
+            Interval(False, True),
+            LaurentPoly({-1: 1, 0: -1, 1: 1}),
+            LaurentPoly({-3: 10**60, 5: -2}),
+            LaurentPoly.zero(),
+            SigFn(((Fraction(1, 6), -2),)),
+            SigFn(),
         ],
     )
     def test_record_shapes_are_written_inline(self, data):
         text = _INLINE[type(data)](data, "\n    ")
-        assert text is not None
-        assert printed({"a": [data]}) == '{\n  "a": [\n    ' + text + "\n  ]\n}\n"
+        doc = {"a": [data]}
+        assert printed(doc) == '{\n  "a": [\n    ' + text + "\n  ]\n}\n" == json_indent2(doc) + "\n"
 
     def test_workload_reports(self):
         # every --json report document of the cables, cli-mix and wide-sums
@@ -230,11 +254,35 @@ class TestRecordShapes:
                 continue  # the workloads' malformed inputs
             assert printed(data) == json_indent2(data) + "\n", text
             documents += 1
-            shapes["pairs"] += len(data["alexander"] or ())
-            shapes["pieces"] += len(data["sigma"] or ())
+            if data["alexander"] is not None:
+                shapes["pairs"] += len(data["alexander"].items())
+            if data["sigma"] is not None:
+                shapes["pieces"] += len(data["sigma"].pieces())
             shapes["intervals"] += len(data["v"]) + 3
         assert documents == 405, documents
         assert min(shapes.values()) > 3000, shapes
+
+    def test_workload_documents(self, monkeypatch):
+        # every --json document that an op of the four benchmark workloads
+        # prints at seeds 1 to 3: reports, sigma with its pieces, surgery
+        # with its Fraction-ended intervals, independence, the suites and
+        # check-bcg
+        commands = {}
+
+        def checked(data):
+            assert printed(data) == json_indent2(data) + "\n", argv
+            commands[argv[0]] = commands.get(argv[0], 0) + 1
+
+        monkeypatch.setattr(cli, "_print_json", checked)
+        names = ("suites", "cli-mix", "wide-sums", "cables")
+        argvs = {tuple(argv): None for seed in (1, 2, 3) for argv in workload_argvs(names, seed)}
+        for argv in argvs:
+            with contextlib.redirect_stderr(io.StringIO()):
+                cli.main(list(argv))
+        # the distinct argvs of the three seeds but the malformed ones
+        assert commands == {
+            "report": 819, "sigma": 24, "surgery": 36, "independence": 18, "suite": 5, "check-bcg": 1
+        }
 
 
 class TestRefused:
