@@ -167,8 +167,8 @@ def _fraction_text(x, nl):
 
 
 def _interval_text(x, nl):
-    # an int end as itself, an unbounded end as null, any other end (a
-    # Fraction) by the general walk
+    # an int end is written as it is; any other end, an unbounded one
+    # (null through _json_end) or a Fraction, by the general walk
     inner = nl + "  "
     lo, hi = x.lo, x.hi
     if type(lo) is not int:
