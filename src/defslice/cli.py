@@ -13,7 +13,6 @@ import re
 import sys
 from fractions import Fraction
 from functools import cache
-from itertools import repeat
 from math import inf
 
 from .certificates import CertificateGapError, default_db, load_registry
@@ -137,28 +136,42 @@ def _json_end(v):
 
 _encode_str = json.encoder.encode_basestring_ascii
 
-# Writers of the scalars a container may hold, keyed by exact type, so that
-# a bool is never written as an int; bool and None go through _write_json
-_LEAF = {str: _encode_str, int: int.__repr__}
-
 
 def _print_json(data):
-    """Print data byte for byte as `json.dumps` with an indent of 2 prints
-    it when its `default` gives each engine value its one JSON form
-    (tests/oracles.py:json_indent2).  Up to Python 3.12, json.dumps with an
-    indent takes CPython's pure-Python encoder; this writer does the same
-    walk with exact type tests and writes str and int items without a call
-    of its own.  The writer of a value's exact type (_INLINE) writes it as
-    one text at its indent, with no dict or list of it built: a Fraction
-    as {num, den}, an Interval as {lo, hi}, a LaurentPoly as its
-    [exp, coeff] pairs in increasing exponent and a SigFn as its pieces
-    {from, to, value}.  Any other record (verdict, reason, kinkiness bound)
-    is walked field by field in place.  It never calls _json_value, and it
-    refuses what the CLI never emits: a key that is not a str and a value
-    of any other type, floats included."""
-    out = []
-    _write_json(data, "\n", out)
-    print("".join(out))
+    """Print data as json.dumps(data, indent=2) prints it when its default
+    gives each engine value its one JSON form (tests/oracles.py:json_indent2).
+    The form is chosen by exact type, so a subclass of a JSON type is refused,
+    as are a key that is not a str and a value of any other type, floats too."""
+    print(_text(data, "\n"))
+
+
+def _text(x, nl):
+    """The JSON text of x on a line whose newline and indent are nl."""
+    writer = _WRITERS.get(type(x))
+    if writer is not None:
+        return writer(x, nl)
+    if isinstance(x, _Record):
+        return _members(zip(x.__slots__, map(x.__getattribute__, x.__slots__)), nl)
+    raise TypeError(f"{type(x).__name__} has no JSON form")
+
+
+def _members(items, nl):
+    inner = nl + "  "
+    texts = []
+    for key, value in items:
+        if type(key) is not str:
+            raise TypeError(f"key {key!r} is not a str")
+        texts.append(f"{_encode_str(key)}: {_WRITERS.get(type(value), _text)(value, inner)}")
+    if not texts:
+        return "{}"
+    return "{" + inner + ("," + inner).join(texts) + nl + "}"
+
+
+def _array(x, nl):
+    if not x:
+        return "[]"
+    inner = nl + "  "
+    return "[" + inner + ("," + inner).join([_WRITERS.get(type(v), _text)(v, inner) for v in x]) + nl + "]"
 
 
 def _fraction_text(x, nl):
@@ -167,21 +180,13 @@ def _fraction_text(x, nl):
 
 
 def _interval_text(x, nl):
-    # an int end is written as it is; any other end, an unbounded one
-    # (null through _json_end) or a Fraction, by the general walk
     inner = nl + "  "
     lo, hi = x.lo, x.hi
     if type(lo) is not int:
-        lo = _end_text(lo, inner)
+        lo = _text(_json_end(lo), inner)
     if type(hi) is not int:
-        hi = _end_text(hi, inner)
+        hi = _text(_json_end(hi), inner)
     return f'{{{inner}"lo": {lo},{inner}"hi": {hi}{nl}}}'
-
-
-def _end_text(v, nl):
-    out = []
-    _write_json(_json_end(v), nl, out)
-    return "".join(out)
 
 
 def _poly_text(x, nl):
@@ -203,82 +208,23 @@ def _sigma_text(x, nl):
     ) + nl + "]"
 
 
-# Writers of the engine values, keyed by exact type; each takes the value
-# and the newline and indent of its line and returns its whole text
-_INLINE = {
+# The writer of each value type, keyed by exact type, which the container
+# writers call without _text's own lookup: a Fraction is {num, den}, an
+# Interval {lo, hi}, a LaurentPoly its [exp, coeff] pairs in increasing
+# exponent and a SigFn its pieces {from, to, value}
+_WRITERS = {
+    str: lambda x, nl: _encode_str(x),
+    int: lambda x, nl: int.__repr__(x),
+    bool: lambda x, nl: "true" if x else "false",
+    type(None): lambda x, nl: "null",
+    dict: lambda x, nl: _members(x.items(), nl),
+    list: _array,
+    tuple: _array,
     Fraction: _fraction_text,
     Interval: _interval_text,
     LaurentPoly: _poly_text,
     SigFn: _sigma_text,
 }
-
-
-def _write_json(x, nl, out):
-    """Append the text of x to out; nl is a newline and the indent of the
-    line x starts on."""
-    t = type(x)
-    if t is dict:
-        _write_members(x.items(), nl, out)
-    elif t is list or t is tuple:
-        if not x:
-            out.append("[]")
-            return
-        inner = nl + "  "
-        sep = "," + inner
-        start = len(out)
-        for item in x:
-            leaf = _LEAF.get(type(item))
-            if leaf is not None:
-                out += (sep, leaf(item))
-                continue
-            inline = _INLINE.get(type(item))
-            if inline is None:
-                out.append(sep)
-                _write_json(item, inner, out)
-            else:
-                out += (sep, inline(item, inner))
-        out[start] = "[" + inner
-        out.append(nl + "]")
-    elif t in _INLINE:
-        out.append(_INLINE[t](x, nl))
-    elif t in _LEAF:
-        out.append(_LEAF[t](x))
-    elif x is None:
-        out.append("null")
-    elif t is bool:
-        out.append("true" if x else "false")
-    elif isinstance(x, _Record):
-        # the fields in order, as _json_value's dict of them, read in place
-        fields = x.__slots__
-        _write_members(zip(fields, map(getattr, repeat(x), fields)), nl, out)
-    else:
-        raise TypeError(f"{t.__name__} has no JSON form")
-
-
-def _write_members(items, nl, out):
-    # the text of an object with the (key, value) pairs of items
-    inner = nl + "  "
-    sep = "," + inner
-    start = len(out)
-    for key, value in items:
-        if type(key) is not str:
-            raise TypeError(f"key {key!r} is not a str")
-        leaf = _LEAF.get(type(value))
-        if leaf is not None:
-            out += (sep, _encode_str(key), ": ", leaf(value))
-            continue
-        inline = _INLINE.get(type(value))
-        if inline is None:
-            out += (sep, _encode_str(key), ": ")
-            _write_json(value, inner, out)
-        else:
-            out += (sep, _encode_str(key), ": ", inline(value, inner))
-    if len(out) == start:
-        out.append("{}")
-        return
-    # every entry was written after a separator; the first takes the brace
-    out[start] = "{" + inner
-    out.append(nl + "}")
 
 
 # ---------------------------------------------------------------- report
@@ -519,8 +465,8 @@ def _suite_bcg(ns):
 
 def _suite_lens(ns):
     rows = []
+    id1 = 4 * lens_d(2, 1, 0) == 1
     for n in ns:
-        id1 = 4 * lens_d(2, 1, 0) == 1
         id2 = 4 * lens_d(2 * n, 1, n) == -1
         id3 = 4 * lens_d(2 * n + 2, 1, n) == 1 - Fraction(2 * n, n + 1)
         rows.append(

@@ -242,11 +242,9 @@ def _cert_vseq(v0, genus) -> VSeq:
     # A certificate's V_0, or [0, inf] without one, closed under the genus
     # bound g: lo_k = max(v0 - k, 0) and hi_k = min(v0, g - k) for k <= g.
     # Both fall by 0 or 1 per step to 0 at g and lo <= hi, so this is
-    # _close([v0], [v0], g).  A v0 outside 0..g, which the certificate
-    # check admits none of, goes to _close, which raises.
+    # _close([v0], [v0], g).  AtomCertificate refuses a v0 or v0_mirror
+    # outside 0..g, and a mirrored cable passes None, so 0 <= lo_0 <= g.
     lo0, top = (0, inf) if v0 is None else (v0, v0)
-    if not 0 <= lo0 <= genus:
-        return _close([v0], [v0], genus)
     if genus == inf:
         return VSeq((lo0,), (top,))
     t = min(top, genus)
@@ -430,10 +428,13 @@ class Evaluator:
             k = g - 1, the split with every n_i = g_i except one at
             g_i - 1 gives at most 0 + 1, as each summand's closed hi is 0
             at its genus bound g_i and rises by at most one.
-          * max(lo0 - k, 0) falls by 0 or 1 per step, and lo0 <= his[0]
-            gives lo0 - k <= his[0] - k <= his[k], so lo <= hi holds
-            everywhere once it holds at 0; otherwise the bounds are
-            inconsistent and go to _close, which raises.
+          * lo0 <= his[0], so no consistency check is needed: his[0] is
+            the sum of m * hi0(p) over the distinct summands p, each m
+            times, every closed hi0 is at least 0, and _sum_lower_v0
+            subtracts only such hi0 of mirrors, so lo0 <= max(0, max lo0(p))
+            <= max(0, max hi0(p)) <= his[0].  As max(lo0 - k, 0) falls by 0
+            or 1 per step, lo0 - k <= his[0] - k <= his[k]: lo <= hi holds
+            everywhere.
           * Under g = 0 every summand is (0,), so his = [0], lo0 = 0 and
             the sequence is the one entry V_0 = 0.
         """
@@ -469,13 +470,9 @@ class Evaluator:
         cut = min(fall, length)
         top = his[0] + drop
         his = [top - k for k in range(cut)] + [h + drop - fall for h in his[: length - cut]]
-        lo0 = self._sum_lower_v0(e.parts)
-        if lo0 > his[0]:
-            # inconsistent bounds, which _close refuses with its message
-            return _close([lo0, *repeat(0, length - 1)], his, g)
         if g < inf:
             his[g:] = [0]
-        return VSeq(_closed_lows(lo0, len(his)), tuple(his))
+        return VSeq(_closed_lows(self._sum_lower_v0(e.parts), len(his)), tuple(his))
 
     def _sum_lower_v0(self, parts):
         """Best lower bound on V_0 of the sum from V_0(A # B) >= V_0(A) - V_0(B*).

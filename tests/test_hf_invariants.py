@@ -434,24 +434,29 @@ class TestClosedBuilders:
                 e = Sum(parts)
                 assert _outcome_text(ev._vseq_sum, e) == _outcome_text(fold_skipping_dominated, ev, e), e
 
-    @pytest.mark.parametrize("extra", [0, 1, 2])
-    def test_vseq_sum_lower_bound_past_upper(self, extra):
-        # a V_0 lower bound raised past the fold's hi_0 is refused as
-        # _close refuses it, with its message (the genus-0 sum O # O has
-        # its own); the sums are those of _LARGE and _SMALL
-        class Raised(Evaluator):
-            def _sum_lower_v0(self, parts):
-                # hi_0 of the fold, plus extra
-                return sum(self._vseq_of(p).hi[0] for p in parts) + extra
-
-        ev = Raised()
+    def test_vseq_sum_lower_bound_within_upper(self):
+        # _vseq_sum takes lo_0 from _sum_lower_v0 with no check against
+        # hi_0, as its docstring proves lo_0 <= hi_0; the sums of _LARGE
+        # and _SMALL and their mirrors
+        ev = Evaluator()
         for a in _LARGE + _SMALL:
             for b in _SMALL:
                 e = normalize(Sum((a, b)))
                 if isinstance(e, Sum):
-                    want = _outcome_text(fold_skipping_dominated, ev, e)
-                    assert _outcome_text(ev._vseq_sum, e) == want, e
-                    assert isinstance(want, str) == (extra > 0), e
+                    _assert_lower_within_upper(ev, e)
+                    _assert_lower_within_upper(ev, flip(e))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.deferred(lambda: _closed_sums_with_lows()))
+    def test_vseq_sum_lower_bound_within_upper_on_tables(self, case):
+        table, e = case
+        _assert_lower_within_upper(_TableEvaluator(table), e)
+
+
+def _assert_lower_within_upper(ev, e):
+    v = ev._vseq_sum(e)
+    assert ev._sum_lower_v0(e.parts) <= v.hi[0], e
+    assert all(lo <= hi for lo, hi in zip(v.lo, v.hi)), e
 
 
 class TestTau:
@@ -869,6 +874,18 @@ def _closed_sums(draw):
             table[k] = (_close([0] * len(his), his, genus), genus)
     parts = draw(st.lists(st.sampled_from(sorted(table, key=repr)), min_size=2, max_size=6))
     return table, Sum(tuple(parts))
+
+
+@st.composite
+def _closed_sums_with_lows(draw):
+    """A sum as _closed_sums draws it, where each sequence also has a lower
+    bound on V_0, from 0 up to its closed upper bound (at most 12)."""
+    table, e = draw(_closed_sums())
+    lows = {}
+    for k, (v, genus) in table.items():
+        lo0 = draw(st.integers(0, min(v.hi[0], 12)))
+        lows[k] = (_close([lo0, *v.lo[1:]], v.hi, genus), genus)
+    return lows, e
 
 
 class TestDominatedSplits:

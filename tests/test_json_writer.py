@@ -2,6 +2,8 @@
 
 import contextlib
 import io
+from collections import OrderedDict
+from enum import IntEnum
 from fractions import Fraction
 from math import inf
 
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 from defslice import cli
 from defslice.certificates import default_db
-from defslice.cli import _INLINE, _print_json, build_report
+from defslice.cli import _WRITERS, _array, _members, _print_json, build_report
 from defslice.hf_invariants import Interval
 from defslice.laurent import LaurentPoly
 from defslice.obstructions import KinkinessBound, Reason, Verdict
@@ -191,7 +193,7 @@ class TestRecordShapes:
     @settings(max_examples=200, deadline=None)
     @given(engine_values, st.sampled_from(["\n", "\n  ", "\n        "]))
     def test_every_writer_returns_text(self, data, nl):
-        text = _INLINE[type(data)](data, nl)
+        text = _WRITERS[type(data)](data, nl)
         assert type(text) is str
         assert printed(data) == json_indent2(data) + "\n"
 
@@ -215,9 +217,12 @@ class TestRecordShapes:
         ],
     )
     def test_other_shapes_take_the_general_walk(self, data):
-        # lists and dicts, those in the shape of an [exp, coeff] pair or a
-        # signature piece too, have no writer of their own
-        assert type(data) not in _INLINE
+        # lists, tuples and dicts, those in the shape of an [exp, coeff]
+        # pair or a signature piece too, take the container writers
+        if type(data) is dict:
+            assert _WRITERS[dict](data, "\n  ") == _members(data.items(), "\n  ")
+        else:
+            assert _WRITERS[type(data)] is _array
         assert printed([data, {"x": data}]) == json_indent2([data, {"x": data}]) + "\n"
 
     @pytest.mark.parametrize(
@@ -237,7 +242,7 @@ class TestRecordShapes:
         ],
     )
     def test_record_shapes_are_written_inline(self, data):
-        text = _INLINE[type(data)](data, "\n    ")
+        text = _WRITERS[type(data)](data, "\n    ")
         doc = {"a": [data]}
         assert printed(doc) == '{\n  "a": [\n    ' + text + "\n  ]\n}\n" == json_indent2(doc) + "\n"
 
@@ -285,6 +290,18 @@ class TestRecordShapes:
         }
 
 
+class _Name(str):
+    pass
+
+
+class _Ratio(Fraction):
+    pass
+
+
+class _Level(IntEnum):
+    ONE = 1
+
+
 class TestRefused:
     @pytest.mark.parametrize(
         "data",
@@ -303,3 +320,14 @@ class TestRefused:
     def test_type_error(self, data):
         with pytest.raises(TypeError):
             printed(data)
+
+    @pytest.mark.parametrize("where", ["top", "nested"])
+    @pytest.mark.parametrize(
+        "value",
+        [_Name("x"), _Ratio(1, 3), _Level.ONE, OrderedDict(a=1)],
+        ids=["str-subclass", "fraction-subclass", "int-enum", "ordered-dict"],
+    )
+    def test_subclass_of_a_written_type(self, value, where):
+        # the form is chosen by exact type, so a subclass has none
+        with pytest.raises(TypeError):
+            printed(value if where == "top" else {"a": [1, {"b": value}]})
