@@ -446,6 +446,26 @@ class TestClosedBuilders:
                     _assert_lower_within_upper(ev, e)
                     _assert_lower_within_upper(ev, flip(e))
 
+    @pytest.mark.parametrize("extra", [0, 1, 2])
+    def test_vseq_sum_lower_bound_past_upper(self, extra):
+        # a V_0 lower bound raised as far as it can go short of passing the
+        # fold's hi_0, to hi_0 - extra (at least 0), is kept and closed as
+        # _close closes it: the past-upper case cannot arise (see the test
+        # above), so these are the bounds nearest it; the sums are those of
+        # _LARGE and _SMALL
+        class Raised(Evaluator):
+            def _sum_lower_v0(self, parts):
+                return max(sum(self._vseq_of(p).hi[0] for p in parts) - extra, 0)
+
+        ev = Raised()
+        for a in _LARGE + _SMALL:
+            for b in _SMALL:
+                e = normalize(Sum((a, b)))
+                if isinstance(e, Sum):
+                    want = _outcome_text(fold_skipping_dominated, ev, e)
+                    assert not isinstance(want, str), e
+                    assert _outcome_text(ev._vseq_sum, e) == want, e
+
     @settings(max_examples=300, deadline=None)
     @given(st.deferred(lambda: _closed_sums_with_lows()))
     def test_vseq_sum_lower_bound_within_upper_on_tables(self, case):
