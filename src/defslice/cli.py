@@ -61,11 +61,11 @@ EXIT_GAP = 3
 # of lens and thm2 reach it.  Each family row is also within the expression
 # size limits of knotexpr.check_size, which bound its cost.  From
 # interpreter start, median of seven runs (py3.11.7, 2-vCPU VM): at the
-# limit, `suite lens` takes 0.10 s, `suite bcg` and `check-bcg` 0.12 s,
-# `suite thm1 --n 407..506` 0.28 s, `suite thm2 --k 6..15 --l 441..450`
-# 0.15 s and `suite thm2 --k 22..31 --l 377..386`, the slowest thm2 rows
-# found, 0.22 s.  With the limit lifted, `suite lens --n 1..100000` takes
-# 3.0 s, `check-bcg --n 1..20000` 5.7 s and `suite thm1 --n 1..506` 0.72 s.
+# limit, `suite lens` takes 0.05 s, `suite bcg` 0.07 s, `check-bcg` 0.08 s,
+# `suite thm1 --n 407..506` 0.16 s, and `suite thm2 --k 6..15 --l 441..450`
+# and `--k 22..31 --l 377..386`, the slowest thm2 rows found, 0.10 s.  With
+# the limit lifted, `suite lens --n 1..100000` took 3.0 s, `check-bcg --n
+# 1..20000` 5.7 s and `suite thm1 --n 1..506` 0.72 s.
 MAX_ROWS = 100
 
 # Largest surgery coefficient numerator P: `surgery` evaluates one
@@ -199,12 +199,15 @@ def _poly_text(x, nl):
 
 
 def _sigma_text(x, nl):
-    # pieces() is never empty; each value is an int
+    # pieces() is never empty, each value is an int, and each piece starts
+    # where the one before it ends, so each end is written once
     i = nl + "  "
     j = i + "  "
+    pieces = x.pieces()
+    ends = [_fraction_text(lo, j) for lo, _, _ in pieces] + [_fraction_text(pieces[-1][1], j)]
     return "[" + ",".join(
-        f'{i}{{{j}"from": {_fraction_text(lo, j)},{j}"to": {_fraction_text(hi, j)},{j}"value": {v}{i}}}'
-        for lo, hi, v in x.pieces()
+        f'{i}{{{j}"from": {lo},{j}"to": {hi},{j}"value": {v}{i}}}'
+        for lo, hi, (_, _, v) in zip(ends, ends[1:], pieces)
     ) + nl + "]"
 
 
@@ -330,7 +333,7 @@ def _checked(es, db):
     return es
 
 
-def _suite_thm1(ns, ev):
+def _suite_thm1(args, ev):
     """Rows for K_n = (#^3 Wh(T(2,3))) # ((Wh(T(2,3)))_{n+3,1})*, the
     composite K # (J_{n+3,1})* that composite_cable_obstruction builds with
     K = #^3 Wh(T(2,3)) and J = Wh(T(2,3)), refusing it past the size limits.
@@ -341,7 +344,7 @@ def _suite_thm1(ns, ev):
     wh = Atom(WHITEHEAD_TREFOIL)
     k = Sum((wh, wh, wh))
     rows = []
-    for n in ns:
+    for n in _range(args.n):
         composite = composite_cable_obstruction(k, wh, n + 3, ev)
         e = composite.expression
         t = ev.tau(e)
@@ -373,8 +376,9 @@ def _suite_thm1(ns, ev):
     return rows
 
 
-def _suite_thm2(ks, ls, ev):
+def _suite_thm2(args, ev):
     rows = []
+    ks, ls = _range(args.k), _range(args.l)
     params = [(k, l) for k in ks for l in ls]
     if len(params) > MAX_ROWS:
         raise SizeLimitError(f"{len(params)} (k, l) pairs, above the limit {MAX_ROWS}")
@@ -385,7 +389,7 @@ def _suite_thm2(ks, ls, ev):
         ok = (
             t.is_exact
             and t.value == -l
-            and np_.lo >= k
+            # k_plus_lo is np_.lo, so this is also nu+ >= k
             and kb.k_plus_lo >= k
             and kb.k_minus_lo >= l
         )
@@ -409,8 +413,9 @@ def _arc_samples(k: int):
     return [Fraction(2 + i, 4 * q) for i in (1, 2, 3)]
 
 
-def _suite_remark(ks, ev):
+def _suite_remark(args, ev):
     rows = []
+    ks = _range(args.k)
     es = dict(zip(ks, _checked((family_jk(k) for k in ks), ev.db)))
     for k, e in es.items():
         fn = ev.sigma(e)
@@ -446,9 +451,9 @@ def _suite_remark(ks, ev):
     return rows
 
 
-def _suite_bcg(ns):
+def _suite_bcg(args, ev):
     rows = []
-    for n in ns:
+    for n in _range(args.n):
         rep = bcg_cobordism_check(n)
         rows.append(
             {
@@ -463,10 +468,10 @@ def _suite_bcg(ns):
     return rows
 
 
-def _suite_lens(ns):
+def _suite_lens(args, ev):
     rows = []
     id1 = 4 * lens_d(2, 1, 0) == 1
-    for n in ns:
+    for n in _range(args.n):
         id2 = 4 * lens_d(2 * n, 1, n) == -1
         id3 = 4 * lens_d(2 * n + 2, 1, n) == 1 - Fraction(2 * n, n + 1)
         rows.append(
@@ -482,23 +487,10 @@ def _suite_lens(ns):
 
 
 def cmd_suite(args, db) -> int:
-    ev = Evaluator(db)
-    name = args.name
-    if name == "thm1":
-        rows = _suite_thm1(_range(args.n, "1..20"), ev)
-    elif name == "thm2":
-        rows = _suite_thm2(_range(args.k, "1..10"), _range(args.l, "1..10"), ev)
-    elif name == "remark":
-        rows = _suite_remark(_range(args.k, "1..20"), ev)
-    elif name == "bcg":
-        rows = _suite_bcg(_range(args.n, "1..50"))
-    elif name == "lens":
-        rows = _suite_lens(_range(args.n, "1..100"))
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(name)
+    rows = args.rows(args, Evaluator(db))
     passed = all(r["pass"] for r in rows)
     if args.json:
-        _print_json({"schema": 1, "suite": name, "rows": rows, "passed": passed})
+        _print_json({"schema": 1, "suite": args.name, "rows": rows, "passed": passed})
     else:
         for r in rows:
             status = "PASS" if r["pass"] else "FAIL"
@@ -506,7 +498,7 @@ def cmd_suite(args, db) -> int:
                 f"{k}={v}" for k, v in r.items() if k != "pass"
             )
             print(f"[{status}] {fields}")
-        print(f"suite {name}: {'PASS' if passed else 'FAIL'} ({len(rows)} rows)")
+        print(f"suite {args.name}: {'PASS' if passed else 'FAIL'} ({len(rows)} rows)")
     return EXIT_OK if passed else EXIT_FAIL
 
 
@@ -615,9 +607,8 @@ def cmd_sigma(args, db) -> int:
 
 # ---------------------------------------------------------------- check-bcg
 
-def cmd_check_bcg(args) -> int:
-    ns = _range(args.n, "1..50")
-    reports = [bcg_cobordism_check(n) for n in ns]
+def cmd_check_bcg(args, db) -> int:
+    reports = [bcg_cobordism_check(n) for n in _range(args.n)]
     passed = all(r.passed for r in reports)
     if args.json:
         data = {
@@ -678,8 +669,7 @@ def cmd_independence(args, db) -> int:
 
 # ---------------------------------------------------------------- main
 
-def _range(value, default):
-    s = value if value is not None else default
+def _range(s):
     a, dots, b = s.partition("..")
     try:
         lo = int(a)
@@ -715,20 +705,34 @@ def _parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("report", parents=[strict], help="full invariant report")
+    p.set_defaults(run=cmd_report)
     p.add_argument("expr")
 
-    p = sub.add_parser("suite", parents=[atoms], help="verification suites")
-    p.add_argument("name", choices=["thm1", "thm2", "remark", "bcg", "lens"])
-    p.add_argument("--n", metavar="A..B")
-    p.add_argument("--k", metavar="A..B")
-    p.add_argument("--l", metavar="A..B")
+    p = sub.add_parser("suite", help="verification suites")
+    p.set_defaults(run=cmd_suite)
+    suites = p.add_subparsers(dest="name", required=True)
+    # each suite takes only the range flags its rows read; the rows parse
+    # them with _range, so a bad range exits 1 with one error line
+    for name, rows, ranges in [
+        ("thm1", _suite_thm1, {"--n": "1..20"}),
+        ("thm2", _suite_thm2, {"--k": "1..10", "--l": "1..10"}),
+        ("remark", _suite_remark, {"--k": "1..20"}),
+        ("bcg", _suite_bcg, {"--n": "1..50"}),
+        ("lens", _suite_lens, {"--n": "1..100"}),
+    ]:
+        s = suites.add_parser(name, parents=[atoms])
+        s.set_defaults(rows=rows)
+        for flag, default in ranges.items():
+            s.add_argument(flag, metavar="A..B", default=default)
 
     p = sub.add_parser("surgery", parents=[atoms], help="surgery correction terms")
+    p.set_defaults(run=cmd_surgery)
     p.add_argument("expr")
     p.add_argument("p", type=int)
     p.add_argument("q", type=int)
 
     p = sub.add_parser("sigma", parents=[strict], help="signature step function")
+    p.set_defaults(run=cmd_sigma)
     p.add_argument("expr")
     p.add_argument(
         "--at",
@@ -737,10 +741,13 @@ def _parser() -> argparse.ArgumentParser:
         help="query sigma at theta = (A/B)*pi (repeatable)",
     )
 
+    # check-bcg reads no atom, and main gives it the default database
     p = sub.add_parser("check-bcg", parents=[common], help="cobordism arithmetic replay")
-    p.add_argument("--n", metavar="A..B")
+    p.set_defaults(run=cmd_check_bcg, atoms=None)
+    p.add_argument("--n", metavar="A..B", default="1..50")
 
     p = sub.add_parser("independence", parents=[atoms], help="signature independence check")
+    p.set_defaults(run=cmd_independence)
     p.add_argument("exprs", nargs="+")
     p.add_argument("--bound", type=int, default=3)
 
@@ -757,20 +764,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
 
     try:
-        if args.command == "check-bcg":
-            return cmd_check_bcg(args)
         db = load_registry(args.atoms) if args.atoms else default_db()
-        if args.command == "report":
-            return cmd_report(args, db)
-        if args.command == "suite":
-            return cmd_suite(args, db)
-        if args.command == "surgery":
-            return cmd_surgery(args, db)
-        if args.command == "sigma":
-            return cmd_sigma(args, db)
-        if args.command == "independence":
-            return cmd_independence(args, db)
-        raise AssertionError(args.command)
+        return args.run(args, db)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

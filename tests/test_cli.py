@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from itertools import accumulate, product
@@ -584,7 +585,10 @@ class TestCheckBcg:
 
 class TestFlags:
     """Each command takes only the flags it reads: --strict belongs to
-    report and sigma, --atoms to every command but check-bcg."""
+    report and sigma, --atoms to every command but check-bcg, and each
+    suite takes only the range flags its rows read, after its name."""
+
+    RANGE_FLAGS = {"thm1": ["--n"], "thm2": ["--k", "--l"], "remark": ["--k"], "bcg": ["--n"], "lens": ["--n"]}
 
     @pytest.mark.parametrize(
         "argv, dropped",
@@ -594,6 +598,13 @@ class TestFlags:
             (["independence", "T(2,3)", "--strict"], "--strict"),
             (["check-bcg", "--strict"], "--strict"),
             (["check-bcg", "--atoms", "missing.json"], "--atoms missing.json"),
+            (["suite", "--json", "lens"], "--json"),
+        ]
+        + [
+            (["suite", name, flag, "1..1000"], f"{flag} 1..1000")
+            for name, read in RANGE_FLAGS.items()
+            for flag in ["--n", "--k", "--l"]
+            if flag not in read
         ],
         ids=lambda x: " ".join(x) if isinstance(x, list) else None,
     )
@@ -601,6 +612,12 @@ class TestFlags:
         out, err, code = outcome(argv)
         assert (out, code) == ("", 2)
         assert f"unrecognized arguments: {dropped}" in err
+
+    @pytest.mark.parametrize("name", RANGE_FLAGS)
+    def test_suite_help_shows_its_range_flags(self, name):
+        out, err, code = outcome(["suite", name, "-h"])
+        assert (err, code) == ("", 0)
+        assert sorted(set(re.findall(r"(--\w+) A\.\.B", out))) == self.RANGE_FLAGS[name]
 
     def test_check_bcg_json_unchanged(self):
         # the digest that perfbench/goldens.json pins for this op, which

@@ -14,6 +14,7 @@ import tokenize
 from pathlib import Path
 
 from defslice.certificates import load_registry
+from defslice import cli
 from defslice.cli import main as cli_main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -69,3 +70,28 @@ def test_cli_example_output(capsys):
         for line in shown.splitlines():
             if "..." not in line:
                 assert line in lines, (command, line)
+
+
+def declared_suite_ranges():
+    """Each suite's range flags and their defaults, as cli._parser() declares them."""
+
+    def choices(parser, dest):
+        return next(a for a in parser._actions if a.dest == dest).choices
+
+    suites = choices(choices(cli._parser(), "command")["suite"], "name")
+    return {
+        name: {a.option_strings[0]: a.default for a in p._actions if a.metavar == "A..B"}
+        for name, p in suites.items()
+    }
+
+
+def test_suite_defaults_match_the_parser():
+    # the sentence "The suites at their default ranges (`thm1` n=1..20,
+    # `thm2` k,l=1..10, ...)" names every suite and the default of each
+    # range flag it takes
+    (sentence,) = re.findall(r"The suites at their default ranges \((.*?)\)", README.read_text(encoding="utf-8"), re.S)
+    shown = {
+        name: {f"--{flag}": default for flag in flags.split(",")}
+        for name, flags, default in re.findall(r"`(\w+)` ([a-z](?:,[a-z])*)=(\d+\.\.\d+)", sentence)
+    }
+    assert shown == declared_suite_ranges()
