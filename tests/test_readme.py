@@ -13,8 +13,8 @@ import shlex
 import tokenize
 from pathlib import Path
 
-from defslice.certificates import load_registry
 from defslice import cli
+from defslice.certificates import load_registry
 from defslice.cli import main as cli_main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
