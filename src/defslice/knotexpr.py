@@ -58,9 +58,9 @@ class _Record:
 
     A class whose constructor checks or derives something defines its own
     __init__ and sets its fields with object.__setattr__.  The expressions,
-    which the engine hashes and compares on every memo lookup, spell out
-    __eq__ over their fields instead of looping over __slots__, and compute
-    their hash once (_Expr)."""
+    which the engine hashes and compares on every memo lookup, store their
+    field tuple and its hash once, when they are built, and compare the
+    stored tuples (_Expr)."""
 
     __slots__ = ()
 
@@ -101,15 +101,17 @@ class _Record:
 
 
 class _Expr(_Record):
-    """Base of the expression classes.  Each stores, when it is built, the
-    hash of its field tuple in _h, reading its children's stored hashes, so
-    a memo lookup reads one slot instead of hashing the whole tree, and in
-    _n whether it is normal, reading its children's _n, so that normalize
-    returns a normal input itself.  _h and _n are in this class's
-    __slots__, not in a subclass's, so they are no fields: repr, == and the
-    JSON form never see them.  A part that cannot be hashed raises
-    TypeError when the expression is built; one that is not an expression
-    makes the expression not normal.
+    """Base of the expression classes.  Each stores, when it is built, its
+    field tuple in _k and that tuple's hash in _h, reading its children's
+    stored hashes, so a memo lookup reads one slot instead of hashing the
+    whole tree, and == compares the stored tuples, only between
+    expressions of the same class.  It also stores in _n whether it is
+    normal, reading its children's _n, so that normalize returns a normal
+    input itself.  _k, _h and _n are in this class's __slots__, not in a
+    subclass's, so they are no fields: repr and the JSON form never see
+    them.  A part that cannot be hashed raises TypeError when the
+    expression is built; one that is not an expression makes the
+    expression not normal.
 
     _n holds exactly at the fixed points of normalize: an Atom; a Mirror of
     an Atom other than O or of a normal Cable; a Sum of normal parts none
@@ -122,7 +124,20 @@ class _Expr(_Record):
     a Cable Cable(p, q, c), as p >= 2, q >= 1 and c is fixed and not O.
     """
 
-    __slots__ = ("_h", "_n")
+    __slots__ = ("_k", "_h", "_n")
+
+    def _store(self, fields, normal):
+        # a subclass's __init__ hands over its checked field values and _n
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_k", fields)
+        object.__setattr__(self, "_h", hash(fields))
+        object.__setattr__(self, "_n", normal)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._k == other._k
+        return NotImplemented
 
     def __hash__(self):
         return self._h
@@ -134,32 +149,14 @@ class Atom(_Expr):
     def __init__(self, name: str):
         if not name:
             raise ValueError("atom name must be nonempty")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_h", hash((name,)))
-        object.__setattr__(self, "_n", True)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.name,) == (other.name,)
-        return NotImplemented
-
-    __hash__ = _Expr.__hash__
+        self._store((name,), True)
 
 
 class Mirror(_Expr):
     __slots__ = ("child",)
 
     def __init__(self, child: KnotExpr):
-        object.__setattr__(self, "child", child)
-        object.__setattr__(self, "_h", hash((child,)))
-        object.__setattr__(self, "_n", child.__class__ in (Atom, Cable) and _normal_knot(child))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.child,) == (other.child,)
-        return NotImplemented
-
-    __hash__ = _Expr.__hash__
+        self._store((child,), child.__class__ in (Atom, Cable) and _normal_knot(child))
 
 
 class Sum(_Expr):
@@ -168,16 +165,7 @@ class Sum(_Expr):
     def __init__(self, parts: tuple):
         if len(parts) < 2:
             raise ValueError("connected sum needs at least two summands")
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "_h", hash((parts,)))
-        object.__setattr__(self, "_n", all(p.__class__ in _SUMMANDS and p._n for p in parts))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.parts,) == (other.parts,)
-        return NotImplemented
-
-    __hash__ = _Expr.__hash__
+        self._store((parts,), all(p.__class__ in _SUMMANDS and p._n for p in parts))
 
 
 class Cable(_Expr):
@@ -188,18 +176,7 @@ class Cable(_Expr):
             raise ValueError(f"cable requires p >= 1, got p={p}")
         if gcd(p, q) != 1:
             raise ValueError(f"cable requires gcd(p,q)=1, got ({p},{q})")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "companion", companion)
-        object.__setattr__(self, "_h", hash((p, q, companion)))
-        object.__setattr__(self, "_n", p >= 2 and q >= 1 and _normal_knot(companion))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.p, self.q, self.companion) == (other.p, other.q, other.companion)
-        return NotImplemented
-
-    __hash__ = _Expr.__hash__
+        self._store((p, q, companion), p >= 2 and q >= 1 and _normal_knot(companion))
 
 
 KnotExpr = (Atom, Mirror, Sum, Cable)

@@ -2,10 +2,12 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defslice.knotexpr import (
     Atom,
     Cable,
+    KnotExpr,
     Mirror,
     MAX_GENUS,
     ParseError,
@@ -249,9 +251,36 @@ class _CountingPart:
         return 7
 
 
+def _rebuild(e, change=None):
+    """e built again node by node with the raw constructors, and the number
+    of its atoms and cables; with change = i, the i-th of them in preorder
+    gets another name, or another q with the same gcd."""
+    seen = 0
+
+    def build(x):
+        nonlocal seen
+        if isinstance(x, Mirror):
+            return Mirror(build(x.child))
+        if isinstance(x, Sum):
+            return Sum(tuple(build(p) for p in x.parts))
+        hit = seen == change
+        seen += 1
+        if isinstance(x, Atom):
+            return Atom(x.name + "'" if hit else x.name)
+        return Cable(x.p, x.q + x.p if hit else x.q, build(x.companion))
+
+    return build(e), seen
+
+
 class TestHashOnce:
-    """An expression stores the hash of its field tuple when it is built,
-    in a slot _h that is no field."""
+    """An expression stores its field tuple and that tuple's hash when it
+    is built, in slots _k and _h that are no fields, and == compares the
+    stored tuples."""
+
+    def test_identity_is_defined_once(self):
+        for cls in KnotExpr:
+            assert "__eq__" not in vars(cls), cls
+            assert "__hash__" not in vars(cls), cls
 
     @settings(max_examples=200, deadline=None)
     @given(expressions_any_cable(max_leaves=8))
@@ -259,9 +288,26 @@ class TestHashOnce:
         for k in (e, normalize(e)):
             fields = tuple(getattr(k, name) for name in k.__slots__)
             assert hash(k) == hash(fields)
-            assert "_h" not in repr(k)
-            assert "_h" not in _json_value(k)
+            for slot in ("_k", "_h"):
+                assert slot not in repr(k)
+                assert slot not in _json_value(k)
             assert list(_json_value(k)) == list(k.__slots__)
+
+    @settings(max_examples=200, deadline=None)
+    @given(expressions_any_cable(max_leaves=8))
+    def test_rebuilt_copy_is_equal(self, e):
+        copy, _ = _rebuild(e)
+        assert copy is not e
+        assert copy == e and not copy != e
+        assert hash(copy) == hash(e)
+
+    @settings(max_examples=200, deadline=None)
+    @given(expressions_any_cable(max_leaves=8), st.integers(min_value=0, max_value=63))
+    def test_copy_with_one_leaf_changed_differs(self, e, i):
+        _, leaves = _rebuild(e)
+        changed, _ = _rebuild(e, i % leaves)
+        assert changed != e and not changed == e
+        assert changed not in {e: 1}
 
     def test_parts_are_hashed_once_when_built(self):
         for build in (Mirror, lambda c: Sum((c, c)), lambda c: Cable(2, 3, c)):
@@ -277,6 +323,11 @@ class TestHashOnce:
             # each lookup by a fresh equal expression hashed the part when
             # that expression was built, and never again on lookup
             assert part.calls == 6 * built
+            # two equal trees built apart compare by their stored tuples
+            a, b = Sum((Mirror(build(part)), e)), Sum((Mirror(build(part)), e))
+            calls = part.calls
+            assert a is not b and a == b and hash(a) == hash(b)
+            assert part.calls == calls
 
     def test_unhashable_part_refused_when_built(self):
         for build in (Mirror, lambda c: Sum((c, c)), lambda c: Cable(2, 3, c)):
