@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from functools import cache
-from itertools import accumulate
 
 from .knotexpr import (
     Atom,
@@ -26,7 +25,7 @@ from .knotexpr import (
     torus_atom,
     torus_params,
 )
-from .laurent import LaurentPoly, symmetric_normalized, torsion_prefix, torus_alexander
+from .laurent import LaurentPoly, lspace_torsion, symmetric_normalized, torus_alexander
 
 
 class CertificateError(ValueError):
@@ -92,12 +91,10 @@ class AtomCertificate(_Record):
                 raise CertificateError(
                     f"{self.name}: L-space atom needs tau = genus = {deg}"
                 )
-            # the Alexander polynomial of an L-space knot (Ozsvath-Szabo):
-            # the nonzero coefficients are +-1 and alternate in sign from +1
-            # at the top, i.e. every suffix sum a_d + ... + a_{j+1} with
-            # j >= 0 is 0 or 1
-            suffix = accumulate(self.alexander.coeff(k) for k in range(deg, 0, -1))
-            if any(s not in (0, 1) for s in suffix):
+            # the Alexander polynomial of an L-space knot has the form that
+            # lspace_torsion tests (Ozsvath-Szabo)
+            torsion = lspace_torsion(self.alexander)
+            if torsion is None:
                 raise CertificateError(
                     f"{self.name}: L-space atom needs an Alexander polynomial whose "
                     "nonzero coefficients are +-1 and alternate in sign from +1 at the top"
@@ -109,9 +106,8 @@ class AtomCertificate(_Record):
                     f"t^{deg - 1} coefficient is -1"
                 )
             # the engine reads V_0 of an L-space atom from t_0, not from v0
-            t0 = torsion_prefix(self.alexander, 1)[0]
-            if self.v0 not in (None, t0):
-                raise CertificateError(f"{self.name}: L-space atom needs v0 = t_0 = {t0}, got {self.v0}")
+            if self.v0 not in (None, torsion[0]):
+                raise CertificateError(f"{self.name}: L-space atom needs v0 = t_0 = {torsion[0]}, got {self.v0}")
             # the mirror of an L-space knot has V = 0
             if self.v0_mirror not in (None, 0):
                 raise CertificateError(f"{self.name}: L-space atom needs v0_mirror = 0, got {self.v0_mirror}")
@@ -158,7 +154,7 @@ def builtin(name: str) -> AtomCertificate:
             genus=g,
             lspace=True,
             alexander=alex,
-            v0=torsion_prefix(alex, 1)[0],
+            v0=lspace_torsion(alex)[0],
         )
     raise UnknownAtomError(f"unknown atom name: {name}")
 

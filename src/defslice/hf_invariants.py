@@ -13,7 +13,7 @@ Evaluator(db).tau(e).  lens_d and wu_phi read no database and are module
 functions.
 
 Rules used, besides per-atom certificates:
-  * L-space atoms: V_j equals the j-th torsion coefficient of Alexander.
+  * L-space knots (atoms, Wu's T(p,q)): V_j = t_j, from laurent.lspace_torsion.
   * Wu's cabling formula (without the spurious factor of 2 in front of
     the maximum) for cables, which have q >= 1 in normal form: normalize
     writes a cable with q < 0 as the mirror of a positive one.
@@ -50,7 +50,7 @@ from .knotexpr import (
     flip,
     normalize,
 )
-from .laurent import LaurentPoly, torsion_prefix, torus_alexander
+from .laurent import LaurentPoly, lspace_torsion, torus_alexander
 from .signatures import SigFn, sigma
 
 
@@ -228,13 +228,9 @@ def _closed_lows(v, n) -> tuple:
     return (*range(v, max(v - n, 0), -1), *repeat(0, n - v))
 
 
-def _lspace_vseq(alex: LaurentPoly, g: int) -> VSeq:
-    # An L-space knot of genus g: V_j is the j-th torsion coefficient, and
-    # V_g = 0.  The certificate admits only polynomials whose suffix sums
-    # a_g + ... + a_{j+1} (j >= 0) are 0 or 1, and t_j - t_{j+1} is that
-    # sum, so the coefficients, then 0, are already closed: _close of them
-    # under g returns them as they are.
-    t = (*torsion_prefix(alex, g), 0)
+def _lspace_vseq(alex: LaurentPoly) -> VSeq:
+    # V of an L-space knot, closed as lspace_torsion returns it (proof there)
+    t = lspace_torsion(alex)
     return VSeq(t, t)
 
 
@@ -334,7 +330,7 @@ class Evaluator:
     def _vseq_atom(self, e):
         cert = self.db.get(e.name)
         if cert.lspace:
-            return _lspace_vseq(cert.alexander, cert.genus)
+            return _lspace_vseq(cert.alexander)
         return _cert_vseq(cert.v0, self._genus(e))
 
     def _vseq_mirror(self, e):
@@ -531,7 +527,8 @@ class Evaluator:
         comp = self._vseq_of(e.companion)
         last = len(comp) - 1
         los, his = [], []
-        for i, t in enumerate(torsion_prefix(torus_alexander(p, q), p * q // 2 + 1)):
+        tor = lspace_torsion(torus_alexander(p, q))
+        for i, t in enumerate((*tor, *repeat(0, p * q // 2 + 1 - len(tor)))):
             ph = wu_phi(p, q, i)
             k = min(ph // p, (p + q - 1 - ph) // p)
             j = min(k, last)

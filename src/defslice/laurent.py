@@ -5,6 +5,7 @@ a_i = a_{-i} with value 1 at t = 1.  All operations are exact.  A product
 of one or two factors is a dict product (LaurentPoly.__mul__); a product
 of powers, as a connected sum's Alexander polynomial and every
 LaurentPoly.__pow__ are, is one packed-integer product (product).
+lspace_torsion tests the L-space form and reads V_j = t_j in one pass.
 """
 
 from __future__ import annotations
@@ -257,22 +258,27 @@ def torus_alexander(p: int, q: int) -> LaurentPoly:
     return LaurentPoly(coeffs)
 
 
-def torsion_prefix(poly: LaurentPoly, n: int) -> list:
-    """[t_0, ..., t_{n-1}] in one pass from the top degree down.
+def lspace_torsion(poly: LaurentPoly) -> tuple | None:
+    """(t_0, ..., t_g), g the top exponent (0 for the zero polynomial), in
+    one pass from the top down, if poly has the L-space form; else None.
 
-    t_j - t_{j+1} = sum_{i>=1} i*a_{j+i} - sum_{i>=1} i*a_{j+1+i}
-                  = sum_{k>j} a_k,
-    and t_j = 0 for j >= degree, so a running suffix sum of the
-    coefficients gives each t_j from t_{j+1} in O(1).
+    t_j = sum_{i>=1} i*a_{j+i}, so t_g = 0 and t_j - t_{j+1} is the suffix
+    sum s_j = a_g + ... + a_{j+1}.  The L-space form is s_j in {0, 1} for
+    every j >= 0 (the nonzero coefficients are +-1 and alternate in sign
+    from +1 at the top), and an L-space knot has it, with V_j = t_j
+    (Ozsvath-Szabo).  Then t falls by 0 or 1 per step to 0 at g, so it is
+    closed under the genus g: hf_invariants._close returns it as it is.
     """
-    out = [0] * n
+    g = poly.degree or 0
+    out = [0] * (g + 1)
     t = s = 0
-    for j in range((poly.degree or 0) - 1, -1, -1):
+    for j in range(g - 1, -1, -1):
         s += poly.coeff(j + 1)
+        if s not in (0, 1):
+            return None
         t += s
-        if j < n:
-            out[j] = t
-    return out
+        out[j] = t
+    return tuple(out)
 
 
 def vanishes_at_unit_root(poly: LaurentPoly, x) -> bool:

@@ -37,6 +37,15 @@ HALF = Fraction(1, 2)
 # 823,543 2.2 s, and each further knot multiplies the time by 2*bound + 1.
 MAX_BOX = 200_000
 
+# Most expressions signature_combination_check accepts, whatever the bound:
+# the Gram form costs up to n^2 steps per jump angle, and its elimination
+# about n^3.  `independence` from interpreter start (py3.11, 2-vCPU VM): 64
+# expressions took at most 0.38 s on every family tried, the slowest
+# T(2,897) # T(2,2j+1) for j = 1..64 (median 0.28 s), whose 896 shared
+# jump angles each add 64^2 Gram terms; past the limit, T(2,2j+1) for
+# j = 1..n took 0.3 s at n = 160 and 1.0 s at n = 255.
+MAX_KNOTS = 64
+
 # Most decimal digits of the combination count (2*bound + 1)^n - 1 that
 # signature_combination_check accepts, whatever the rank.  The count is
 # printed in decimal, and Python refuses int-to-str conversions longer
@@ -293,20 +302,28 @@ def signature_combination_check(knots, bound: int, db=None) -> CombinationCheck:
     A signature function vanishes near 0 and is fixed by its jumps, so
     sum m_i * sigma_i vanishes identically iff sum m_i * d_i(x) = 0 at every
     jump point x, where d_i(x) is the jump of sigma_i at x (0 if none).
-    The vanishing combinations are thus the integer vectors in the left
-    kernel of the matrix D = (d_i(x)).  When D has rank n = len(knots),
-    that kernel is 0: no nonzero integer combination has identically zero
-    signature, at any bound, so the signature functions are linearly
-    independent and so are the knots in the concordance group.  All
-    (2*bound + 1)^n - 1 nonzero vectors are then accounted for at once.
-    Only a rank below n enumerates the box, testing each vector against
-    the columns of D in integers; a box of more than MAX_BOX vectors raises
-    SizeLimitError, and so does a count of more than MAX_COUNT_DIGITS
-    digits, before any signature is computed.
+    The vanishing combinations are thus the integer vectors v with
+    D^T v = 0, D = (d_i(x)) the n x m jump matrix, n = len(knots).  Both
+    the rank and the box read the n x n Gram form G = D D^T instead,
+    G[i][j] = sum_x d_i(x) * d_j(x), summed one angle at a time over the
+    knots that jump there.  G v = 0 iff D^T v = 0: one way is D (D^T v);
+    the other, v^T G v = |D^T v|^2 = 0 forces D^T v = 0 over the reals.
+    So G and D^T have one kernel, and rank G = n - dim ker = rank D over Q.
+
+    When D has rank n, that kernel is 0: no nonzero integer combination has
+    identically zero signature, at any bound, so the signature functions
+    are linearly independent and so are the knots in the concordance
+    group.  All (2*bound + 1)^n - 1 nonzero vectors are then accounted for
+    at once.  Only a rank below n enumerates the box, testing each vector
+    against the rows of G in integers.  More than MAX_KNOTS knots, a box of
+    more than MAX_BOX vectors, or a count of more than MAX_COUNT_DIGITS
+    digits raises SizeLimitError before any signature is computed.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     n, side = len(knots), 2 * bound + 1
+    if n > MAX_KNOTS:
+        raise SizeLimitError(f"{n} expressions, above the limit {MAX_KNOTS}")
     limit = 10**MAX_COUNT_DIGITS
     # side^n >= 2^(n * (bits - 1)) refuses a huge box before computing it
     if n * (side.bit_length() - 1) > limit.bit_length() or side**n - 1 >= limit:
@@ -315,22 +332,28 @@ def signature_combination_check(knots, bound: int, db=None) -> CombinationCheck:
             f"than {MAX_COUNT_DIGITS} digits"
         )
     db = resolve_db(db)
-    jumps = [dict(sigma(k, db).jumps) for k in knots]
-    points = sorted(set().union(*jumps))
-    rows = [[j.get(x, 0) for x in points] for j in jumps]
+    at = {}
+    for i, k in enumerate(knots):
+        for x, d in sigma(k, db).jumps:
+            at.setdefault(x, []).append((i, d))
+    gram = [[0] * n for _ in range(n)]
+    for col in at.values():
+        for i, di in col:
+            row = gram[i]
+            for j, dj in col:
+                row[j] += di * dj
     count = side**n - 1
-    rank = _rank(rows)
-    if rank == len(rows):
+    rank = _rank(gram)
+    if rank == n:
         return CombinationCheck(bound=bound, count=count, dependent=())
     if count + 1 > MAX_BOX:
         raise SizeLimitError(
-            f"signature jumps have rank {rank} < {len(rows)}, and the {count + 1} "
+            f"signature jumps have rank {rank} < {n}, and the {count + 1} "
             f"coefficient vectors at bound {bound} are above the limit {MAX_BOX}"
         )
-    columns = list(zip(*rows))
     dependent = tuple(
         vec
-        for vec in itertools.product(range(-bound, bound + 1), repeat=len(rows))
-        if any(vec) and not any(sum(m * d for m, d in zip(vec, col)) for col in columns)
+        for vec in itertools.product(range(-bound, bound + 1), repeat=n)
+        if any(vec) and not any(sum(m * g for m, g in zip(vec, row)) for row in gram)
     )
     return CombinationCheck(bound=bound, count=count, dependent=dependent)

@@ -448,7 +448,7 @@ def close_intervals(entries, genus):
 def torus_vseq(p, q):
     """Exact V-sequence of the positive torus knot T(p,q), q >= 1, closed
     from its torsion coefficients (formerly hf_invariants._torus_vseq)."""
-    return _lspace_vseq(torus_alexander(p, q), (p - 1) * (q - 1) // 2)
+    return _lspace_vseq(torus_alexander(p, q))
 
 
 class WuCableEvaluator(Evaluator):
@@ -816,7 +816,7 @@ def family_kn(n):
 
 def torsion_coefficient(poly, j):
     """j-th torsion coefficient sum_{i>=1} i*a_{j+i}, by its defining sum;
-    the reference for laurent.torsion_prefix."""
+    the reference for laurent.lspace_torsion."""
     if j < 0:
         raise ValueError("torsion index must be >= 0")
     d = poly.degree

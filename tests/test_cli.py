@@ -29,7 +29,7 @@ from defslice.knotexpr import (
     Sum,
 )
 from defslice.obstructions import INCONCLUSIVE, CompositeReport, Verdict
-from defslice.signatures import MAX_BOX, MAX_COUNT_DIGITS
+from defslice.signatures import MAX_BOX, MAX_COUNT_DIGITS, MAX_KNOTS
 
 from oracles import all_certified, family_kn
 from pin_cli_output import run_case
@@ -197,8 +197,12 @@ class TestAtomsFile:
             # the message names the offending pair
             ({"atoms": [{"name": "K", "alexander": [[0.5, 1]]}]},
              "K: bad Alexander data: exponent and coefficient must be ints, got 0.5: 1"),
+            # the Alexander degree is a lower bound on the genus, so it
+            # counts toward the genus limit
+            ({"atoms": [{"name": "A", "alexander": [[-10**7, 1], [0, -1], [10**7, 1]]}]},
+             "registry record 'A': expression has genus bound 10000000, above the limit 512"),
         ],
-        ids=[f"registry{i}" for i in range(9)],
+        ids=[f"registry{i}" for i in range(10)],
     )
     def test_malformed_registry_exit_1(self, capsys, tmp_path, registry, named):
         reg = tmp_path / "atoms.json"
@@ -688,6 +692,13 @@ class TestArgumentLimits:
         assert code == 1 and "(1, -1, 0)" in out
         err = self.refused(capsys, "independence", *["T(2,3)"] * 4, "--bound", "1")
         assert "rank 1 < 4" in err and "81 coefficient vectors" in err
+
+    def test_independence_expressions(self, capsys):
+        knots = [f"T(2,{2 * j + 1})" for j in range(1, MAX_KNOTS + 2)]
+        code, out, _ = run(capsys, "independence", *knots[:MAX_KNOTS], "--bound", "1")
+        assert code == 0 and out.startswith("independent at level 1")
+        err = self.refused(capsys, "independence", *knots, "--bound", "1")
+        assert f"{MAX_KNOTS + 1} expressions, above the limit {MAX_KNOTS}" in err
 
     @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["human", "json"])
     def test_independence_count(self, capsys, json_flag):

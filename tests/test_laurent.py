@@ -1,12 +1,13 @@
 """The root-of-unity test against cyclotomic division, against sympy and
 against the fold without its degree test; the dict product and the
 packed-integer product against the dict product taken one factor at a
-time; the one-pass torsion coefficients against their
-defining sums; the semigroup torus Alexander polynomials against long
+time; the one-pass L-space torsion read against its suffix-sum test
+and the defining sums; the semigroup torus Alexander polynomials against long
 division."""
 
 import random
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 
 import pytest
@@ -16,8 +17,8 @@ from hypothesis import strategies as st
 from defslice.knotexpr import alexander, parse
 from defslice.laurent import (
     LaurentPoly,
+    lspace_torsion,
     product,
-    torsion_prefix,
     torus_alexander,
     vanishes_at_unit_root,
 )
@@ -333,8 +334,15 @@ class TestConstructorRefusesNonIntegers:
         assert LaurentPoly({1: 0}).is_zero()
 
 
-def test_torsion_prefix_matches_per_index_sums():
+def test_lspace_torsion_matches_per_index_sums():
     polys = [torus_alexander(p, q) for p in range(2, 7) for q in range(p + 1, 30) if gcd(p, q) == 1]
+    # every torus knot of genus <= 30
+    polys += [
+        torus_alexander(p, q)
+        for p in range(2, 62)
+        for q in range(p + 1, 62)
+        if gcd(p, q) == 1 and (p - 1) * (q - 1) <= 60
+    ]
     polys += [
         alexander(parse(text))
         for text in [
@@ -345,10 +353,17 @@ def test_torsion_prefix_matches_per_index_sums():
             "O",
         ]
     ]
-    for poly in polys:
-        n = poly.degree + 2  # past the top degree, where t_j = 0
-        assert torsion_prefix(poly, n) == [torsion_coefficient(poly, j) for j in range(n)]
-        assert torsion_prefix(poly, 1) == [torsion_coefficient(poly, 0)]
+    refused = [LaurentPoly({1: 2, 0: -3, -1: 2}), torus_alexander(2, 3) ** 2]
+    forms = []
+    for poly in polys + refused:
+        g = poly.degree
+        form = all(s in (0, 1) for s in accumulate(poly.coeff(k) for k in range(g, 0, -1)))
+        if form:
+            assert lspace_torsion(poly) == tuple(torsion_coefficient(poly, j) for j in range(g + 1))
+        else:
+            assert lspace_torsion(poly) is None, poly
+        forms.append(form)
+    assert forms[-2:] == [False, False] and forms.count(False) >= 3 and sum(forms) >= 60
 
 
 def test_torus_alexander_matches_division():
