@@ -28,6 +28,7 @@ returns its mirror in normal form.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from math import gcd
 
 from .laurent import LaurentPoly, product, torus_alexander
@@ -269,6 +270,16 @@ def render(e: KnotExpr) -> str:
 # recurse a few frames per level, well under the interpreter's limit.
 MAX_NESTING = 100
 
+# Most digits of an integer literal, as written, that parse accepts; a
+# longer one is a parse error at its position, before int() reads it.  No
+# value of more than four digits is within the size limits below, except
+# the q of a cable with p = 1, which normalization drops.  600 digits
+# convert and print under any per-process int-to-str limit Python allows
+# (its floor is 640), as in cli.MAX_AT_DIGITS; without the limit, a literal
+# past the default limit of 4300 digits raised a ValueError that names no
+# position.
+MAX_DIGITS = 600
+
 # Largest expressions that parse accepts: at most MAX_SUMMANDS atoms after
 # normalization, a genus bound of at most MAX_GENUS and no cable with
 # p above MAX_GENUS.  The V-sequence fold of r summands into a sum of
@@ -348,6 +359,11 @@ class _Parser:
         if kind != "int":
             got = repr(val) if val is not None else "end of input"
             raise ParseError(f"expected integer, got {got}", pos)
+        digits = len(val) - val.startswith("-")
+        if digits > MAX_DIGITS:
+            raise ParseError(
+                f"integer literal of {digits} digits, above the limit {MAX_DIGITS}", pos
+            )
         self.i += 1
         return int(val), pos
 
@@ -497,8 +513,14 @@ def _size(e, db):
     if isinstance(e, Mirror):
         return _size(e.child, db)
     if isinstance(e, Sum):
-        sizes = [_size(p, db) for p in e.parts]
-        return sum(a for a, _ in sizes), sum(g for _, g in sizes)
+        # each distinct part is read once, times its copies, in order of
+        # first appearance, so the first error raised is the walk's
+        atoms = g = 0
+        for p, m in Counter(e.parts).items():
+            pa, pg = _size(p, db)
+            atoms += m * pa
+            g += m * pg
+        return atoms, g
     # a cable's Wu step takes about p*q/2 steps even when its companion
     # counts genus 0, and p > MAX_GENUS puts the cable of any nontrivial
     # knot past the genus limit, so p is limited on its own

@@ -1,12 +1,11 @@
 """Exact quadratic-form toolkit for the connected-sum cobordism replay.
 
-Verifies, in exact rational arithmetic, the bookkeeping behind the
-V_n(K # J) <= V_0(K) + V_n(J) bound: the three-handle intersection form,
-its characteristic class, the square and restriction split of c_1, the
-signatures, the pairings with the capped surface classes, and the final
-cancellation of the definite-cobordism inequality down to the bound.
-Each form is reduced once, by symmetric congruence, and c_1^2 and the
-inertia are both read off the one diagonal.
+Verifies the bookkeeping behind the V_n(K # J) <= V_0(K) + V_n(J) bound:
+the three-handle intersection form, its characteristic class, the square
+and restriction split of c_1, the signatures, the pairings with the capped
+surface classes, and the final cancellation of the definite-cobordism
+inequality down to the bound.  One integer congruence of each form, bordered
+by its class, gives its inertia and c_1^2, the one Fraction it builds.
 """
 
 from __future__ import annotations
@@ -48,35 +47,43 @@ class QMatrix(_Record):
 def is_characteristic(Q: QMatrix, v: tuple) -> bool:
     """Whether the integer class v, a tuple in the dual (cocore) basis, is
     characteristic for Q: v.x = x^T Q x (mod 2) for all x, which in the
-    dual pairing reduces to v_i = Q_ii (mod 2)."""
+    dual pairing reduces to v_i = Q_ii (mod 2).  An entry that is not an
+    int raises TypeError, as in QMatrix."""
+    if any(type(x) is not int for x in v):
+        raise TypeError(f"class entries must be ints, got {v!r}")
     if len(v) != Q.n:
         return False
     return all((v[i] - Q.rows[i][i]) % 2 == 0 for i in range(Q.n))
 
 
-def _diagonalize(Q: QMatrix, v=None):
-    """(d, u): a congruence P^T Q P = diag(d) over the rationals, and
-    u = P^T v, with v = 0 when it is not given.
+def _reduce(Q: QMatrix, v=None):
+    """(inertia, corner, det): the inertia (n_plus, n_minus, n_zero) of Q
+    and, if Q is nonsingular, det B and det Q for B = [[Q, v], [v^T, 0]].
 
-    Each step is a row operation E^T a followed by the matching column
-    operation a E on the working matrix a, so a stays symmetric and equal to
-    P^T Q P for the product P of the E so far; u = P^T v takes each step as
-    u <- E^T u, the row operation alone:
-      - swap i and k: swap u_i and u_k;
-      - pairing (row i += row k, column i += column k, used when
-        a_ii = a_kk = 0 and a_ik != 0, making a_ii = 2 a_ik): u_i += u_k;
-      - elimination (row j -= f row i, column j -= f column i, with
-        f = a_ji / a_ii): u_j -= f u_i.
-    A pivot whose remaining row is zero is skipped with d_i = 0.
-
-    P is invertible, so diag(d) has the inertia of Q (Sylvester's law of
-    inertia), and Q is singular exactly when some d_i is 0.  Otherwise
-    Q^{-1} = P diag(d)^{-1} P^T, so v^T Q^{-1} v = sum u_i^2 / d_i.
+    Bareiss's fraction-free elimination of B (v = 0 if None) as a symmetric
+    congruence, pivoting on the indices of Q in turn.  With C = P^T B P
+    after the swaps and pairings so far (P of det 1 or -1, fixing the
+    border), L the pivots taken, prev the last (1 before any) and T the
+    later unskipped indices, prev = det C[L, L] and a_jk = det C[L+j, L+k]
+    on T: prev times the Schur complement S of C[L, L], by Sylvester's
+    identity, and S is the matrix of the same steps in fractions.  A minor
+    of C is linear in its last row and column, so a swap (a_ii = 0 != a_kk)
+    or a pairing (each later a_kk is 0, a_ik != 0: row and column i += row
+    and column k, so a_ii = 2 a_ik) moves a as it moves S.  A skip
+    (a_ik = 0 for i and each later k of Q) leaves a, L and prev: row i of S
+    is zero on Q, and stays so, as eliminations subtract multiples of its
+    pivot entry 0.  Eliminating by p = a_ii adds i to L, and the new a_jk =
+    (p a_jk - a_ji a_ik) // prev is det C[L+i+j, L+i+k] (Sylvester): exact,
+    and a minor of C, bounded by Hadamard's inequality.  The p / prev and a
+    0 per skip are a diagonal congruent to Q: by Sylvester's law of inertia
+    the signs of p * prev give the inertia.  With no skip, prev ends as
+    det C[Q, Q] = det Q and the corner as det C = det B, which the Schur
+    complement of Q in B makes det Q * (0 - v^T Q^{-1} v).
     """
     n = Q.n
-    a = [[Fraction(x) for x in row] for row in Q.rows]
-    u = [Fraction(c) for c in (v if v is not None else [0] * n)]
-    d = []
+    u = [0] * n if v is None else list(v)
+    a = [[*row, c] for row, c in zip(Q.rows, u)] + [u + [0]]
+    prev, neg, zero = 1, 0, 0
     for i in range(n):
         if a[i][i] == 0:
             k = next((j for j in range(i + 1, n) if a[j][j] != 0), None)
@@ -84,41 +91,33 @@ def _diagonalize(Q: QMatrix, v=None):
                 a[i], a[k] = a[k], a[i]
                 for row in a:
                     row[i], row[k] = row[k], row[i]
-                u[i], u[k] = u[k], u[i]
             else:
                 k = next((j for j in range(i + 1, n) if a[i][j] != 0), None)
                 if k is None:
-                    d.append(a[i][i])
+                    zero += 1
                     continue
-                for j in range(n):
-                    a[i][j] += a[k][j]
-                for j in range(n):
-                    a[j][i] += a[j][k]
-                u[i] += u[k]
-        d.append(a[i][i])
-        for j in range(i + 1, n):
-            if a[j][i] != 0:
-                f = a[j][i] / a[i][i]
-                for k2 in range(n):
-                    a[j][k2] -= f * a[i][k2]
-                for k2 in range(n):
-                    a[k2][j] -= f * a[k2][i]
-                u[j] -= f * u[i]
-    return d, u
-
-
-def _inertia(d):
-    return (sum(x > 0 for x in d), sum(x < 0 for x in d), d.count(0))
+                for j in range(i + 1, n + 1):
+                    a[i][j] = a[j][i] = a[i][j] + a[k][j]
+                a[i][i] = 2 * a[i][k]
+        ai = a[i]
+        p = ai[i]
+        neg += (p > 0) != (prev > 0)
+        for aj in a[i + 1:]:
+            f = aj[i]
+            for k in range(i + 1, n + 1):
+                aj[k] = (p * aj[k] - f * ai[k]) // prev
+        prev = p
+    return (n - neg - zero, neg, zero), a[n][n], prev
 
 
 def _c1_and_inertia(Q: QMatrix, v: tuple):
-    """(v^T Q^{-1} v, inertia of Q) from one reduction of Q."""
+    """(v^T Q^{-1} v, inertia of Q) from one reduction of Q, bordered by v."""
     if not is_characteristic(Q, v):
         raise ValueError(f"{v} is not characteristic for the form")
-    d, u = _diagonalize(Q, v)
-    if 0 in d:
+    inertia, corner, det = _reduce(Q, v)
+    if inertia[2]:
         raise ValueError("matrix is singular")
-    return sum((ui * ui / di for ui, di in zip(u, d)), Fraction(0)), _inertia(d)
+    return Fraction(-corner, det), inertia
 
 
 def c1_square(Q: QMatrix, v: tuple) -> Fraction:
@@ -128,7 +127,7 @@ def c1_square(Q: QMatrix, v: tuple) -> Fraction:
 
 def signature_of_form(Q: QMatrix):
     """Exact inertia (n_plus, n_minus, n_zero) by symmetric congruence."""
-    return _inertia(_diagonalize(Q)[0])
+    return _reduce(Q)[0]
 
 
 def cobordism_form(n: int) -> QMatrix:
@@ -163,8 +162,8 @@ class CobordismReport(_Record):
 def bcg_cobordism_check(n: int) -> CobordismReport:
     """Replay the negative-definite cobordism arithmetic for parameter n >= 1.
 
-    All six checks run in exact rational arithmetic; any failure indicates
-    an implementation or sign-convention error, not a mathematical one.
+    All six checks are exact; any failure indicates an implementation or
+    sign-convention error, not a mathematical one.
     """
     Q = cobordism_form(n)
     v = (-2, 0, 0)

@@ -31,8 +31,10 @@ its long division div_exact) for the semigroup torus Alexander polynomials,
 json_indent2 for the CLI's --json writer, NoneInterval for the intervals
 with -inf/inf ends, obstruct_definite_by_verdicts for the closed form
 of the one-sided combination rule, and c1_square_by_solve (a Gauss-Jordan
-solve, solve_by_gauss_jordan) and inertia_by_congruence for the one
-symmetric reduction that gives both c1^2 and the inertia of a form.  family_kn spells the suite thm1
+solve, solve_by_gauss_jordan), inertia_by_congruence and
+diagonalize_by_fractions (the same congruence in fractions) for the one
+integer reduction that gives both c1^2 and the inertia of a form, and
+size_by_walk for the size count that reads each distinct summand once.  family_kn spells the suite thm1
 expression K_n apart from the composite that the suite takes it from.
 contains, monomial and all_certified are package API that only the tests
 read, kept here as functions.
@@ -65,10 +67,12 @@ from defslice.hf_invariants import (
     wu_phi,
 )
 from defslice.knotexpr import (
+    MAX_GENUS,
     WHITEHEAD_TREFOIL,
     Atom,
     Cable,
     Mirror,
+    SizeLimitError,
     Sum,
     mirror,
     normalize,
@@ -994,3 +998,77 @@ def inertia_by_congruence(Q: QMatrix):
                 for k2 in range(n):
                     a[k2][j] -= f * a[k2][i]
     return (pos, neg, zero)
+
+
+def diagonalize_by_fractions(Q: QMatrix, v=None):
+    """(d, u): a congruence P^T Q P = diag(d) over the rationals, and
+    u = P^T v, with v = 0 when it is not given.
+
+    Each step is a row operation E^T a followed by the matching column
+    operation a E on the working matrix a, so a stays symmetric and equal to
+    P^T Q P for the product P of the E so far; u = P^T v takes each step as
+    u <- E^T u, the row operation alone:
+      - swap i and k: swap u_i and u_k;
+      - pairing (row i += row k, column i += column k, used when
+        a_ii = a_kk = 0 and a_ik != 0, making a_ii = 2 a_ik): u_i += u_k;
+      - elimination (row j -= f row i, column j -= f column i, with
+        f = a_ji / a_ii): u_j -= f u_i.
+    A pivot whose remaining row is zero is skipped with d_i = 0.
+
+    P is invertible, so diag(d) has the inertia of Q (Sylvester's law of
+    inertia), and Q is singular exactly when some d_i is 0.  Otherwise
+    Q^{-1} = P diag(d)^{-1} P^T, so v^T Q^{-1} v = sum u_i^2 / d_i.
+    """
+    n = Q.n
+    a = [[Fraction(x) for x in row] for row in Q.rows]
+    u = [Fraction(c) for c in (v if v is not None else [0] * n)]
+    d = []
+    for i in range(n):
+        if a[i][i] == 0:
+            k = next((j for j in range(i + 1, n) if a[j][j] != 0), None)
+            if k is not None:
+                a[i], a[k] = a[k], a[i]
+                for row in a:
+                    row[i], row[k] = row[k], row[i]
+                u[i], u[k] = u[k], u[i]
+            else:
+                k = next((j for j in range(i + 1, n) if a[i][j] != 0), None)
+                if k is None:
+                    d.append(a[i][i])
+                    continue
+                for j in range(n):
+                    a[i][j] += a[k][j]
+                for j in range(n):
+                    a[j][i] += a[j][k]
+                u[i] += u[k]
+        d.append(a[i][i])
+        for j in range(i + 1, n):
+            if a[j][i] != 0:
+                f = a[j][i] / a[i][i]
+                for k2 in range(n):
+                    a[j][k2] -= f * a[i][k2]
+                for k2 in range(n):
+                    a[k2][j] -= f * a[k2][i]
+                u[j] -= f * u[i]
+    return d, u
+
+
+def size_by_walk(e, db):
+    """(atoms, genus bound) as knotexpr._size counts them, walking every
+    part of a sum, each copy of a repeated summand anew."""
+    if isinstance(e, Atom):
+        tq = torus_params(e.name)
+        if tq is not None:
+            return 1, (tq[0] - 1) * (tq[1] - 1) // 2
+        c = db.get(e.name)
+        deg = 0 if c.alexander is None else c.alexander.degree
+        return 1, max(c.genus or 0, abs(c.tau or 0), c.v0 or 0, c.v0_mirror or 0, deg)
+    if isinstance(e, Mirror):
+        return size_by_walk(e.child, db)
+    if isinstance(e, Sum):
+        sizes = [size_by_walk(p, db) for p in e.parts]
+        return sum(a for a, _ in sizes), sum(g for _, g in sizes)
+    if e.p > MAX_GENUS:
+        raise SizeLimitError(f"expression has a cable with p={e.p}, above the limit {MAX_GENUS}")
+    atoms, g = size_by_walk(e.companion, db)
+    return atoms, e.p * g + (e.p - 1) * (abs(e.q) - 1) // 2

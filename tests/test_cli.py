@@ -20,6 +20,7 @@ from defslice import certificates, cli
 from defslice.cli import MAX_AT_DIGITS, MAX_ROWS, MAX_SURGERY_P, main
 from defslice.hf_invariants import Evaluator
 from defslice.knotexpr import (
+    MAX_DIGITS,
     MAX_GENUS,
     MAX_NESTING,
     MAX_SUMMANDS,
@@ -141,6 +142,30 @@ class TestReport:
         assert out == ""
         assert err.startswith("error: expression has") and err.count("\n") == 1
         assert message in err
+
+    @pytest.mark.parametrize(
+        "template, position",
+        [("{}*T(2,3)", 0), ("T({},3)", 2), ("T(2,{})", 4), ("cable({},1,T(2,3))", 6),
+         ("cable(2,{},T(2,3))", 8), ("T(2,3) # cable(1,-{},T(2,5))", 17)],
+        ids=["multiplicity", "torus-p", "torus-q", "cable-p", "cable-q", "negative"],
+    )
+    def test_long_literal_exit_2(self, capsys, template, position):
+        # past 4300 digits int() raised Python's own ValueError, exit 1
+        for digits in (MAX_DIGITS + 1, 5000):
+            code, out, err = run(capsys, "report", template.format("1" * digits))
+            assert code == 2
+            assert out == ""
+            assert err == (
+                f"parse error: integer literal of {digits} digits, above the limit "
+                f"{MAX_DIGITS} (at position {position})\n"
+            )
+
+    def test_literal_at_digit_limit(self, capsys):
+        code, _, err = run(capsys, "report", "1" * MAX_DIGITS + "*T(2,3)")
+        assert code == 1 and "summands" in err
+        code, out, _ = run(capsys, "report", f"cable(1,-{'9' * MAX_DIGITS},T(2,3))", "--json")
+        assert code == 0
+        assert json.loads(out)["genus_bound"] == 1
 
     @pytest.mark.parametrize(
         "text, genus",

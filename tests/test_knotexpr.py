@@ -4,18 +4,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from defslice import knotexpr
 from defslice.knotexpr import (
     Atom,
     Cable,
     KnotExpr,
     Mirror,
     MAX_GENUS,
+    MAX_SUMMANDS,
     ParseError,
     SizeLimitError,
     Sum,
     UNKNOT,
     WHITEHEAD_TREFOIL,
+    _size,
     alexander,
+    check_size,
     flip,
     normalize,
     parse,
@@ -24,12 +28,13 @@ from defslice.knotexpr import (
     torus_atom,
 )
 from defslice.certificates import AtomCertificate, default_db
-from defslice.cli import _json_value
+from defslice.cli import _json_value, family_jk, family_kkl
 from defslice.laurent import LaurentPoly
 from defslice.signatures import sigma
 
-from oracles import alexander_torus_division
+from oracles import alexander_torus_division, family_kn, size_by_walk
 from strategies import expressions_any_cable, expressions_over_normal_parts
+from workload_inputs import workload_reports
 
 WH = Atom(WHITEHEAD_TREFOIL)
 
@@ -333,3 +338,41 @@ class TestHashOnce:
         for build in (Mirror, lambda c: Sum((c, c)), lambda c: Cable(2, 3, c)):
             with pytest.raises(TypeError, match="unhashable"):
                 build([])
+
+
+class TestSizeAgainstWalk:
+    """_size reads each distinct summand once, times its copies; the walk
+    over every part is the reference, for the count and for the first
+    error raised."""
+
+    def test_workload_and_suite_expressions(self):
+        db = default_db()
+        exprs = workload_reports(("cables", "cli-mix", "wide-sums"))
+        exprs += [family_kn(n) for n in range(1, 21)]
+        exprs += [family_kkl(k, l) for k in range(1, 11) for l in range(1, 11)]
+        exprs += [family_jk(k) for k in range(1, 21)]
+        assert sum(isinstance(e, Sum) and len(set(e.parts)) < len(e.parts) for e in exprs) >= 140
+        for e in exprs:
+            assert _size(e, db) == size_by_walk(e, db)
+
+    @pytest.mark.parametrize(
+        "parts",
+        [
+            # the first cable past the limit in the walk is p=600, after a repeat
+            [torus_atom(2, 3), Cable(600, 1, torus_atom(2, 5)), torus_atom(2, 3),
+             Cable(513, 1, torus_atom(2, 3)), Cable(600, 1, torus_atom(2, 5))],
+            [torus_atom(2, 3)] * 40 + [Mirror(torus_atom(2, 5))] * 20 + [torus_atom(2, 3)] * 5,
+            [torus_atom(2, 3)] * 10 + [torus_atom(2, 101)] * 11,
+        ],
+        ids=["cable-p", "summands", "genus"],
+    )
+    def test_same_refusal(self, monkeypatch, parts):
+        e = Sum(tuple(parts))
+        with pytest.raises(SizeLimitError) as fold:
+            check_size(e)
+        monkeypatch.setattr(knotexpr, "_size", size_by_walk)
+        with pytest.raises(SizeLimitError) as walk:
+            check_size(e)
+        assert str(fold.value) == str(walk.value)
+        if len(parts) > MAX_SUMMANDS:
+            assert str(fold.value) == f"expression has more than {MAX_SUMMANDS} summands"

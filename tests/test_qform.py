@@ -9,13 +9,14 @@ import pytest
 
 from defslice.qform_verify import (
     QMatrix,
+    _reduce,
     bcg_cobordism_check,
     c1_square,
     cobordism_form,
     is_characteristic,
     signature_of_form,
 )
-from oracles import c1_square_by_solve, inertia_by_congruence
+from oracles import c1_square_by_solve, diagonalize_by_fractions, inertia_by_congruence
 
 
 class TestC1Square:
@@ -52,6 +53,15 @@ class TestC1Square:
             QMatrix.from_rows(rows)
         with pytest.raises(TypeError, match="matrix entries must be ints"):
             QMatrix(tuple(tuple(r) for r in rows))
+
+    @pytest.mark.parametrize("v", [(-2.0, 0, 0), (-2, 0.0, 0), (Fraction(-2), 0, 0), (-2, False, 0)])
+    def test_non_int_class_rejected(self, v):
+        # (-2.0, 0, 0) read as Fraction(-2) and gave 2/3; the integer
+        # reduction would floor-divide a float
+        with pytest.raises(TypeError, match="class entries must be ints"):
+            c1_square(cobordism_form(2), v)
+        with pytest.raises(TypeError, match="class entries must be ints"):
+            is_characteristic(cobordism_form(2), v)
 
     def test_basis_invariance(self):
         rng = random.Random(99)
@@ -94,6 +104,10 @@ def _congruent(Q, U):
 def _dual_transform(v, U):
     n = len(v)
     return tuple(sum(U[k][i] * v[k] for k in range(n)) for i in range(n))
+
+
+def _inertia_of(d):
+    return (sum(x > 0 for x in d), sum(x < 0 for x in d), d.count(0))
 
 
 def _random_form(rng, n):
@@ -143,6 +157,31 @@ class TestReductionAgainstOracles:
         for rows, _ in self.FORMS:
             Q = QMatrix.from_rows(rows)
             assert signature_of_form(Q) == inertia_by_congruence(Q)
+
+    def test_matches_fraction_congruence(self):
+        for rows, v in self.FORMS:
+            Q = QMatrix.from_rows(rows)
+            d, u = diagonalize_by_fractions(Q, v)
+            inertia, corner, det = _reduce(Q, v)
+            assert inertia == _inertia_of(d) == _reduce(Q)[0]
+            assert _reduce(Q)[1] == 0
+            if 0 not in d:
+                assert det == math.prod(d)
+                assert Fraction(-corner, det) == sum(ui * ui / di for ui, di in zip(u, d))
+
+    @pytest.mark.parametrize("n", range(12, 33, 4))
+    def test_dense_forms(self, n):
+        # the last pivot is det Q, the product of the oracle's diagonal, so
+        # c1^2 is the corner over det Q
+        for seed in range(3):
+            rows, v = _random_form(random.Random(1000 * n + seed), n)
+            Q = QMatrix.from_rows(rows)
+            d, u = diagonalize_by_fractions(Q, v)
+            inertia, corner, det = _reduce(Q, v)
+            assert inertia == _inertia_of(d) == inertia_by_congruence(Q)
+            if 0 not in d:
+                assert det == math.prod(d)
+                assert Fraction(-corner, det) == c1_square_by_solve(Q, v)
 
     @pytest.mark.parametrize(
         "rows, v",
