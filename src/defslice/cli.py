@@ -1,12 +1,18 @@
 """Command-line front end: invariant reports, verdicts, and verification suites.
 
+Every command and suite is declared once, in COMMANDS: its help line, its
+handler, its positionals and its flags.  main reads a well-formed argv
+from the table itself (_read) and leaves every other argv, -h and every
+mistake, to the argparse tree that _parser() builds from the same table,
+so help, usage lines and error messages are argparse's own.  argparse,
+with the shutil and locale it imports, loads only then.
+
 Exit codes: 0 success / all rows pass, 1 suite or check failure, 2 parse
 error, 3 certificate gap under --strict.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
@@ -14,6 +20,7 @@ import sys
 from fractions import Fraction
 from functools import cache
 from math import inf
+from types import SimpleNamespace
 
 from .certificates import CertificateGapError, default_db, load_registry
 from .hf_invariants import Evaluator, Interval, lens_d
@@ -683,19 +690,99 @@ def _range(s):
     return range(lo, hi + 1)
 
 
+# ---------------------------------------------------------------- commands
+
+class Command:
+    """One entry of the command table: its help line (None for a suite,
+    which argparse then lists by name only), the attributes it sets, its
+    handler among them, its positionals and its flags, each a name and the
+    keywords that add_argument takes, and for `suite` the suites that
+    `name` chooses from."""
+
+    __slots__ = ("help", "defaults", "positionals", "flags", "suites")
+
+    def __init__(self, help, defaults, positionals=(), flags=(), suites=None):
+        self.help, self.defaults, self.positionals = help, defaults, positionals
+        self.flags, self.suites = flags, suites
+
+
+_JSON = (("--json", {"action": "store_true", "help": "machine-readable output"}),)
+# every command but check-bcg reads atoms; only report and sigma have
+# certificate gaps to report
+_ATOMS = _JSON + (("--atoms", {"metavar": "FILE", "help": "JSON registry of extra atoms"}),)
+_STRICT = _ATOMS + (("--strict", {"action": "store_true", "help": "exit 3 on certificate gaps"}),)
+_EXPR = (("expr", {}),)
+
+
+def _suite(rows, **ranges):
+    # a suite takes only the range flags its rows read, with their
+    # defaults; the rows parse them with _range, so a bad range exits 1
+    # with one error line
+    return Command(None, {"rows": rows}, flags=_ATOMS + _ranges(**ranges))
+
+
+def _ranges(**defaults):
+    return tuple((f"--{dest}", {"metavar": "A..B", "default": d}) for dest, d in defaults.items())
+
+
+COMMANDS = {
+    "report": Command("full invariant report", {"run": cmd_report}, _EXPR, _STRICT),
+    "suite": Command(
+        "verification suites",
+        {"run": cmd_suite},
+        suites={
+            "thm1": _suite(_suite_thm1, n="1..20"),
+            "thm2": _suite(_suite_thm2, k="1..10", l="1..10"),
+            "remark": _suite(_suite_remark, k="1..20"),
+            "bcg": _suite(_suite_bcg, n="1..50"),
+            "lens": _suite(_suite_lens, n="1..100"),
+        },
+    ),
+    "surgery": Command(
+        "surgery correction terms",
+        {"run": cmd_surgery},
+        _EXPR + (("p", {"type": int}), ("q", {"type": int})),
+        _ATOMS,
+    ),
+    "sigma": Command(
+        "signature step function",
+        {"run": cmd_sigma},
+        _EXPR,
+        _STRICT
+        + (("--at", {"action": "append", "metavar": "A/B", "help": "query sigma at theta = (A/B)*pi (repeatable)"}),),
+    ),
+    # check-bcg reads no atom, and main gives it the default database
+    "check-bcg": Command(
+        "cobordism arithmetic replay",
+        {"run": cmd_check_bcg, "atoms": None},
+        flags=_JSON + _ranges(n="1..50"),
+    ),
+    "independence": Command(
+        "signature independence check",
+        {"run": cmd_independence},
+        (("exprs", {"nargs": "+"}),),
+        _ATOMS + (("--bound", {"type": int, "default": 3}),),
+    ),
+}
+
+
 @cache
-def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and shared by every
-    later one: parse_args does not change it, and `--at` appends to a list
-    it makes for each call, so no call sees another's arguments."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="machine-readable output")
-    # every command but check-bcg reads atoms; only report and sigma have
-    # certificate gaps to report
-    atoms = argparse.ArgumentParser(add_help=False, parents=[common])
-    atoms.add_argument("--atoms", metavar="FILE", help="JSON registry of extra atoms")
-    strict = argparse.ArgumentParser(add_help=False, parents=[atoms])
-    strict.add_argument("--strict", action="store_true", help="exit 3 on certificate gaps")
+def _parser():
+    """The argparse tree of COMMANDS, built on the first argv that _read
+    leaves to it and shared by every later one: parse_args does not change
+    it, and `--at` appends to a list it makes for each call, so no call
+    sees another's arguments."""
+    import argparse
+
+    def add(sub, name, cmd):
+        p = sub.add_parser(name, **({"help": cmd.help} if cmd.help else {}))
+        p.set_defaults(**cmd.defaults)
+        for arg, kwargs in cmd.positionals + cmd.flags:
+            p.add_argument(arg, **kwargs)
+        if cmd.suites:
+            suites = p.add_subparsers(dest="name", required=True)
+            for suite, entry in cmd.suites.items():
+                add(suites, suite, entry)
 
     ap = argparse.ArgumentParser(
         prog="defslice",
@@ -703,65 +790,94 @@ def _parser() -> argparse.ArgumentParser:
         "in definite 4-manifolds.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("report", parents=[strict], help="full invariant report")
-    p.set_defaults(run=cmd_report)
-    p.add_argument("expr")
-
-    p = sub.add_parser("suite", help="verification suites")
-    p.set_defaults(run=cmd_suite)
-    suites = p.add_subparsers(dest="name", required=True)
-    # each suite takes only the range flags its rows read; the rows parse
-    # them with _range, so a bad range exits 1 with one error line
-    for name, rows, ranges in [
-        ("thm1", _suite_thm1, {"--n": "1..20"}),
-        ("thm2", _suite_thm2, {"--k": "1..10", "--l": "1..10"}),
-        ("remark", _suite_remark, {"--k": "1..20"}),
-        ("bcg", _suite_bcg, {"--n": "1..50"}),
-        ("lens", _suite_lens, {"--n": "1..100"}),
-    ]:
-        s = suites.add_parser(name, parents=[atoms])
-        s.set_defaults(rows=rows)
-        for flag, default in ranges.items():
-            s.add_argument(flag, metavar="A..B", default=default)
-
-    p = sub.add_parser("surgery", parents=[atoms], help="surgery correction terms")
-    p.set_defaults(run=cmd_surgery)
-    p.add_argument("expr")
-    p.add_argument("p", type=int)
-    p.add_argument("q", type=int)
-
-    p = sub.add_parser("sigma", parents=[strict], help="signature step function")
-    p.set_defaults(run=cmd_sigma)
-    p.add_argument("expr")
-    p.add_argument(
-        "--at",
-        action="append",
-        metavar="A/B",
-        help="query sigma at theta = (A/B)*pi (repeatable)",
-    )
-
-    # check-bcg reads no atom, and main gives it the default database
-    p = sub.add_parser("check-bcg", parents=[common], help="cobordism arithmetic replay")
-    p.set_defaults(run=cmd_check_bcg, atoms=None)
-    p.add_argument("--n", metavar="A..B", default="1..50")
-
-    p = sub.add_parser("independence", parents=[atoms], help="signature independence check")
-    p.set_defaults(run=cmd_independence)
-    p.add_argument("exprs", nargs="+")
-    p.add_argument("--bound", type=int, default=3)
-
+    for name, cmd in COMMANDS.items():
+        add(sub, name, cmd)
     return ap
 
 
-def main(argv=None) -> int:
-    """Run one command; return its exit code.
+def _read(argv):
+    """The attributes that _parser().parse_args(argv) sets, for an argv of
+    the plain shape: a command name, for `suite` a suite name, then flags
+    of that command or suite, each written out in full and a value flag
+    followed by a value that does not start with "-", around one unbroken
+    run of its positionals, as many as it declares.  None for any other
+    argv (-h, --flag=value, "--", an abbreviation, a negative number, a
+    flag between positionals, a wrong count), which argparse then reads
+    or refuses.  A type conversion that fails raises ValueError."""
+    cmd = COMMANDS.get(argv[0]) if argv else None
+    if cmd is None:
+        return None
+    args = {"command": argv[0], **cmd.defaults}
+    tokens = iter(argv[1:])
+    if cmd.suites:
+        name = next(tokens, None)
+        cmd = cmd.suites.get(name)
+        if cmd is None:
+            return None
+        args.update(cmd.defaults, name=name)
+    flags = dict(cmd.flags)
+    for flag, kwargs in cmd.flags:
+        args[flag[2:]] = False if kwargs.get("action") == "store_true" else kwargs.get("default")
+    words, after = [], False
+    for token in tokens:
+        if not token.startswith("-"):
+            if after:
+                return None
+            words.append(token)
+            continue
+        kwargs = flags.get(token)
+        if kwargs is None:
+            return None
+        after = bool(words)
+        dest, action = token[2:], kwargs.get("action")
+        if action == "store_true":
+            args[dest] = True
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-"):
+            return None
+        if action == "append":
+            args[dest] = [*(args[dest] or ()), value]
+        else:
+            args[dest] = _typed(kwargs, value)
+    specs = cmd.positionals
+    if specs and specs[-1][1].get("nargs") == "+" and len(words) >= len(specs):
+        # the last positional takes one or more words, those the others leave
+        words[len(specs) - 1 :] = [words[len(specs) - 1 :]]
+    if len(words) != len(specs):
+        return None
+    for (dest, kwargs), word in zip(specs, words):
+        args[dest] = _typed(kwargs, word)
+    return args
 
-    May be called many times in one process: the argument parser and each
-    built-in atom certificate are built once per process, and the output
-    of a call does not depend on the calls before it.
+
+def _typed(kwargs, word):
+    return kwargs["type"](word) if "type" in kwargs else word
+
+
+def _args(argv):
+    """main's reading of argv: the namespace _read gives, or when it
+    leaves argv to argparse, _parser().parse_args(argv)."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = _read(argv)
+    except ValueError:  # an int that does not convert, which argparse reports
+        args = None
+    return _parser().parse_args(argv) if args is None else SimpleNamespace(**args)
+
+
+def main(argv=None) -> int:
+    """Run one command on argv (sys.argv[1:] when None); return its exit code.
+
+    A well-formed argv is read from COMMANDS without argparse.  Any other,
+    -h and every mistake, goes to the argparse tree that _parser() builds
+    from the same table, which prints its own help, usage and error lines
+    and raises SystemExit.  May be called many times in one process: that
+    tree, once a call needs it, and each built-in atom certificate are
+    built once per process, and the output of a call does not depend on
+    the calls before it.
     """
-    args = _parser().parse_args(argv)
+    args = _args(argv)
 
     try:
         db = load_registry(args.atoms) if args.atoms else default_db()

@@ -34,18 +34,21 @@ of the one-sided combination rule, and c1_square_by_solve (a Gauss-Jordan
 solve, solve_by_gauss_jordan), inertia_by_congruence and
 diagonalize_by_fractions (the same congruence in fractions) for the one
 integer reduction that gives both c1^2 and the inertia of a form, and
-size_by_walk for the size count that reads each distinct summand once.  family_kn spells the suite thm1
-expression K_n apart from the composite that the suite takes it from.
+size_by_walk for the size count that reads each distinct summand once,
+and argparse_tree for the argv reading from cli's command table.
+family_kn spells the suite thm1 expression K_n apart from the composite
+that the suite takes it from.
 contains, monomial and all_certified are package API that only the tests
 read, kept here as functions.
 """
 
+import argparse
 import itertools
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import inf
 
 import numpy as np
@@ -55,7 +58,20 @@ from sympy.polys.densearith import dup_rem
 from sympy.polys.rings import ring
 
 from defslice.certificates import nu_equiv_reduce, resolve_db
-from defslice.cli import _json_value
+from defslice.cli import (
+    _json_value,
+    _suite_bcg,
+    _suite_lens,
+    _suite_remark,
+    _suite_thm1,
+    _suite_thm2,
+    cmd_check_bcg,
+    cmd_independence,
+    cmd_report,
+    cmd_sigma,
+    cmd_suite,
+    cmd_surgery,
+)
 from defslice.hf_invariants import (
     ContradictionError,
     Evaluator,
@@ -1072,3 +1088,75 @@ def size_by_walk(e, db):
         raise SizeLimitError(f"expression has a cable with p={e.p}, above the limit {MAX_GENUS}")
     atoms, g = size_by_walk(e.companion, db)
     return atoms, e.p * g + (e.p - 1) * (abs(e.q) - 1) // 2
+
+
+@cache
+def argparse_tree() -> argparse.ArgumentParser:
+    """The argument parser of defslice.cli as it was built before the
+    command table, with argparse parents for the shared flags: the
+    reference for cli._args, which reads argv from cli.COMMANDS and
+    builds its own argparse tree from it for the argvs it leaves."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true", help="machine-readable output")
+    # every command but check-bcg reads atoms; only report and sigma have
+    # certificate gaps to report
+    atoms = argparse.ArgumentParser(add_help=False, parents=[common])
+    atoms.add_argument("--atoms", metavar="FILE", help="JSON registry of extra atoms")
+    strict = argparse.ArgumentParser(add_help=False, parents=[atoms])
+    strict.add_argument("--strict", action="store_true", help="exit 3 on certificate gaps")
+
+    ap = argparse.ArgumentParser(
+        prog="defslice",
+        description="Knot concordance invariants and sliceness obstructions "
+        "in definite 4-manifolds.",
+    )
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("report", parents=[strict], help="full invariant report")
+    p.set_defaults(run=cmd_report)
+    p.add_argument("expr")
+
+    p = sub.add_parser("suite", help="verification suites")
+    p.set_defaults(run=cmd_suite)
+    suites = p.add_subparsers(dest="name", required=True)
+    # each suite takes only the range flags its rows read; the rows parse
+    # them with _range, so a bad range exits 1 with one error line
+    for name, rows, ranges in [
+        ("thm1", _suite_thm1, {"--n": "1..20"}),
+        ("thm2", _suite_thm2, {"--k": "1..10", "--l": "1..10"}),
+        ("remark", _suite_remark, {"--k": "1..20"}),
+        ("bcg", _suite_bcg, {"--n": "1..50"}),
+        ("lens", _suite_lens, {"--n": "1..100"}),
+    ]:
+        s = suites.add_parser(name, parents=[atoms])
+        s.set_defaults(rows=rows)
+        for flag, default in ranges.items():
+            s.add_argument(flag, metavar="A..B", default=default)
+
+    p = sub.add_parser("surgery", parents=[atoms], help="surgery correction terms")
+    p.set_defaults(run=cmd_surgery)
+    p.add_argument("expr")
+    p.add_argument("p", type=int)
+    p.add_argument("q", type=int)
+
+    p = sub.add_parser("sigma", parents=[strict], help="signature step function")
+    p.set_defaults(run=cmd_sigma)
+    p.add_argument("expr")
+    p.add_argument(
+        "--at",
+        action="append",
+        metavar="A/B",
+        help="query sigma at theta = (A/B)*pi (repeatable)",
+    )
+
+    # check-bcg reads no atom, and main gives it the default database
+    p = sub.add_parser("check-bcg", parents=[common], help="cobordism arithmetic replay")
+    p.set_defaults(run=cmd_check_bcg, atoms=None)
+    p.add_argument("--n", metavar="A..B", default="1..50")
+
+    p = sub.add_parser("independence", parents=[atoms], help="signature independence check")
+    p.set_defaults(run=cmd_independence)
+    p.add_argument("exprs", nargs="+")
+    p.add_argument("--bound", type=int, default=3)
+
+    return ap

@@ -1,11 +1,13 @@
 """CLI surface: subcommands, exit codes, JSON/human parity."""
 
+import argparse
 import contextlib
 import gc
 import hashlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -32,8 +34,9 @@ from defslice.knotexpr import (
 from defslice.obstructions import INCONCLUSIVE, CompositeReport, Verdict
 from defslice.signatures import MAX_BOX, MAX_COUNT_DIGITS, MAX_KNOTS
 
-from oracles import all_certified, family_kn
+from oracles import all_certified, argparse_tree, family_kn
 from pin_cli_output import run_case
+from workload_inputs import workload_argvs
 
 
 def run(capsys, *argv):
@@ -619,24 +622,21 @@ class TestFlags:
 
     RANGE_FLAGS = {"thm1": ["--n"], "thm2": ["--k", "--l"], "remark": ["--k"], "bcg": ["--n"], "lens": ["--n"]}
 
-    @pytest.mark.parametrize(
-        "argv, dropped",
-        [
-            (["suite", "lens", "--strict"], "--strict"),
-            (["surgery", "T(2,3)", "3", "1", "--strict"], "--strict"),
-            (["independence", "T(2,3)", "--strict"], "--strict"),
-            (["check-bcg", "--strict"], "--strict"),
-            (["check-bcg", "--atoms", "missing.json"], "--atoms missing.json"),
-            (["suite", "--json", "lens"], "--json"),
-        ]
-        + [
-            (["suite", name, flag, "1..1000"], f"{flag} 1..1000")
-            for name, read in RANGE_FLAGS.items()
-            for flag in ["--n", "--k", "--l"]
-            if flag not in read
-        ],
-        ids=lambda x: " ".join(x) if isinstance(x, list) else None,
-    )
+    DROPPED = [
+        (["suite", "lens", "--strict"], "--strict"),
+        (["surgery", "T(2,3)", "3", "1", "--strict"], "--strict"),
+        (["independence", "T(2,3)", "--strict"], "--strict"),
+        (["check-bcg", "--strict"], "--strict"),
+        (["check-bcg", "--atoms", "missing.json"], "--atoms missing.json"),
+        (["suite", "--json", "lens"], "--json"),
+    ] + [
+        (["suite", name, flag, "1..1000"], f"{flag} 1..1000")
+        for name, read in RANGE_FLAGS.items()
+        for flag in ["--n", "--k", "--l"]
+        if flag not in read
+    ]
+
+    @pytest.mark.parametrize("argv, dropped", DROPPED, ids=lambda x: " ".join(x) if isinstance(x, list) else None)
     def test_dropped_flag_exits_2(self, argv, dropped):
         out, err, code = outcome(argv)
         assert (out, code) == ("", 2)
@@ -779,6 +779,41 @@ class TestIndependence:
         assert "(1, -1)" in out
 
 
+def repeated_corpus(reg):
+    """One argv of each command and output shape, with --atoms reg, the
+    parse and argparse refusals and -h among them."""
+    return [
+        ["report", "T(2,3) # T(3,4)*"],
+        ["report", "T(2,3) # T(3,4)*", "--json"],
+        # the registry redefines T(2,3), already looked up above
+        ["report", "T(2,3)", "--atoms", reg],
+        ["report", "T(2,3)", "--atoms", reg, "--strict", "--json"],
+        ["report", "T(2,3)", "--strict"],
+        ["sigma", "T(2,3) # T(2,5)", "--at", "1/3", "--at", "1"],
+        ["sigma", "T(2,3) # T(2,5)"],
+        ["sigma", "T(2,3)", "--at", "1/5", "--json"],
+        ["sigma", "T(2,3)", "--json"],
+        ["sigma", "Wh(T(2,3))", "--strict"],
+        ["surgery", "T(2,3)", "3", "2", "--atoms", reg],
+        ["surgery", "T(2,3)", "3", "2", "--json"],
+        ["suite", "thm1", "--n", "1..2"],
+        ["suite", "lens", "--n", "1..2", "--json"],
+        ["check-bcg", "--n", "1..2"],
+        ["check-bcg", "--n", "1..2", "--json"],
+        ["independence", "T(2,3)", "T(2,5)", "--bound", "1"],
+        ["independence", "T(2,3)", "T(2,3)", "--bound", "1", "--json"],
+        ["report", "T(2,3) #"],
+        ["sigma", "T(2,4)", "--json"],
+        ["report", "--bogus", "T(2,3)"],
+        ["suite", "thm9"],
+        ["surgery", "T(2,3)", "x", "1"],
+        [],
+        ["-h"],
+        ["sigma", "-h"],
+        ["report", "T(2,3)"],
+    ]
+
+
 class TestRepeatedMain:
     """main called many times in one process, as a library session does:
     each call's output matches a call made with the parser and the built-in
@@ -788,36 +823,7 @@ class TestRepeatedMain:
         reg = tmp_path / "atoms.json"
         reg.write_text(json.dumps({"atoms": [{"name": "T(2,3)", "genus": 1}]}))
         reg = str(reg)
-        corpus = [
-            ["report", "T(2,3) # T(3,4)*"],
-            ["report", "T(2,3) # T(3,4)*", "--json"],
-            # the registry redefines T(2,3), already looked up above
-            ["report", "T(2,3)", "--atoms", reg],
-            ["report", "T(2,3)", "--atoms", reg, "--strict", "--json"],
-            ["report", "T(2,3)", "--strict"],
-            ["sigma", "T(2,3) # T(2,5)", "--at", "1/3", "--at", "1"],
-            ["sigma", "T(2,3) # T(2,5)"],
-            ["sigma", "T(2,3)", "--at", "1/5", "--json"],
-            ["sigma", "T(2,3)", "--json"],
-            ["sigma", "Wh(T(2,3))", "--strict"],
-            ["surgery", "T(2,3)", "3", "2", "--atoms", reg],
-            ["surgery", "T(2,3)", "3", "2", "--json"],
-            ["suite", "thm1", "--n", "1..2"],
-            ["suite", "lens", "--n", "1..2", "--json"],
-            ["check-bcg", "--n", "1..2"],
-            ["check-bcg", "--n", "1..2", "--json"],
-            ["independence", "T(2,3)", "T(2,5)", "--bound", "1"],
-            ["independence", "T(2,3)", "T(2,3)", "--bound", "1", "--json"],
-            ["report", "T(2,3) #"],
-            ["sigma", "T(2,4)", "--json"],
-            ["report", "--bogus", "T(2,3)"],
-            ["suite", "thm9"],
-            ["surgery", "T(2,3)", "x", "1"],
-            [],
-            ["-h"],
-            ["sigma", "-h"],
-            ["report", "T(2,3)"],
-        ]
+        corpus = repeated_corpus(reg)
         codes = set()
         # twice through, so every call also follows itself
         warm = [outcome(argv) for argv in corpus + corpus]
@@ -870,6 +876,151 @@ def test_human_output_is_pinned(tmp_path, case):
 @pytest.mark.parametrize("case", JSON_CASES["cases"], ids=lambda case: " ".join(case["argv"]))
 def test_json_output_is_pinned(tmp_path, case):
     assert_pinned(tmp_path, JSON_CASES["registry"], case)
+
+
+def reading(parse, argv):
+    """What parse(argv) gives, with what it prints: the attributes it sets,
+    each handler by its name, or the code of the SystemExit it raises."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = vars(parse(argv))
+            got = {k: v.__name__ if callable(v) else v for k, v in args.items()}
+        except SystemExit as exc:
+            got = exc.code
+    return got, out.getvalue(), err.getvalue()
+
+
+def parsers(parser, path=()):
+    """Each parser of an argparse tree, by the command words that reach it."""
+    yield path, parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from parsers(sub, path + (name,))
+
+
+# The words of the random argvs: command and suite names, every flag, =
+# forms, abbreviations, "--", negative numbers, -h, and values, ints among
+# them, that some flag or positional takes
+ARGV_WORDS = (
+    ["report", "suite", "surgery", "sigma", "check-bcg", "independence", "thm1", "thm2", "remark", "bcg", "lens"]
+    + ["--json", "--atoms", "--strict", "--at", "--n", "--k", "--l", "--bound", "-h", "--help", "--"]
+    + ["--n=1..2", "--bound=2", "--atoms=a.json", "--at=1/2", "--json=1", "--js", "--str", "--b", "--bogus"]
+    + ["-1", "-3", "-1/2", "-", "-x", "T(2,3)", "T(2,3) # T(2,5)", "a.json", "1..2", "1/3", "1", "3", "0"]
+    + [" 2", "3_0", "x", ""]
+)
+
+
+# A well-formed start for each command and suite
+ARGV_STARTS = (
+    ["report", "T(2,3)"],
+    ["surgery", "T(2,3)", "3", "1"],
+    ["sigma", "T(2,3)"],
+    ["check-bcg"],
+    ["independence", "T(2,3)", "T(2,5)"],
+    *[["suite", name] for name in ("thm1", "thm2", "remark", "bcg", "lens")],
+)
+
+
+# Each flag with a value it takes
+FLAG_USES = (["--json"], ["--atoms", "a.json"], ["--strict"], ["--at", "1/3"], ["--n", "1..2"])
+FLAG_USES += (["--k", "1..2"], ["--l", "1..2"], ["--bound", "2"])
+
+
+def random_argvs(count, seed=34):
+    """count argvs: half of them random words, half a well-formed start
+    with flags put after it, each with its value, and now and then a
+    random word put anywhere."""
+    rng = random.Random(seed)
+    argvs = []
+    for i in range(count):
+        if i % 2:
+            argvs.append(rng.choices(ARGV_WORDS, k=rng.randrange(8)))
+            continue
+        argv = list(rng.choice(ARGV_STARTS))
+        for use in rng.choices(FLAG_USES, k=rng.randrange(4)):
+            argv += use
+        if rng.random() < 0.3:
+            argv.insert(rng.randrange(len(argv) + 1), rng.choice(ARGV_WORDS))
+        argvs.append(argv)
+    return argvs
+
+
+def reads(argv):
+    """True when cli._read reads argv itself, without argparse."""
+    try:
+        return cli._read(argv) is not None
+    except ValueError:
+        return False
+
+
+class TestArgvReader:
+    """main reads a well-formed argv from cli.COMMANDS without argparse and
+    leaves every other to the argparse tree that cli._parser() builds from
+    the table.  Together they read each argv as the argparse tree with
+    parents that the table replaced (oracles.argparse_tree) reads it: the
+    same attributes, or the same exit code, help, usage and error text."""
+
+    WORKLOADS = ("suites", "cli-mix", "wide-sums", "cables")
+
+    def corpus(self):
+        help_paths = [path for path, _ in parsers(argparse_tree())]
+        pinned = [case["argv"] for case in HUMAN["cases"] + JSON_CASES["cases"]]
+        return (
+            [argv for seed in (1, 2, 3) for argv in workload_argvs(self.WORKLOADS, seed)]
+            + repeated_corpus("atoms.json")
+            + [argv for argv, _ in TestFlags.DROPPED]
+            + [[word.replace("{atoms}", "atoms.json") for word in argv] for argv in pinned]
+            + [[*path, flag] for path in help_paths for flag in ("-h", "--help")]
+            + random_argvs(5000)
+        )
+
+    def test_reads_as_the_argparse_tree(self):
+        corpus = self.corpus()
+        expected = [reading(argparse_tree().parse_args, argv) for argv in corpus]
+        assert [argv for argv, want in zip(corpus, expected) if reading(cli._args, argv) != want] == []
+        # both ways of reading are met; what the reader leaves holds help,
+        # errors, and argvs such as --n=1..2 that argparse reads
+        left = [want[0] for argv, want in zip(corpus, expected) if not reads(argv)]
+        assert len(corpus) // 4 < len(left) < len(corpus) * 3 // 4
+        assert {got if isinstance(got, int) else "read" for got in left} == {0, 2, "read"}
+
+    def test_help_matches_the_oracle(self):
+        got = {path: p.format_help() for path, p in parsers(cli._parser())}
+        assert got == {path: p.format_help() for path, p in parsers(argparse_tree())}
+        assert len(got) == 12
+
+    def test_workload_argvs_skip_argparse(self):
+        for seed in (1, 2, 3):
+            for argv in workload_argvs(self.WORKLOADS, seed):
+                assert reads(argv), argv
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["-h"],
+            ["report", "T(2,3)", "--help"],
+            ["suite", "thm1", "--n=1..2"],
+            ["report", "--", "T(2,3)"],
+            ["report", "T(2,3)", "--js"],
+            ["surgery", "T(2,3)", "-3", "1"],
+            ["independence", "T(2,3)", "--json", "T(2,5)"],
+            ["surgery", "T(2,3)", "3"],
+            ["surgery", "T(2,3)", "x", "1"],
+            ["independence", "T(2,3)", "--bound", "two"],
+            ["report", "T(2,3)", "T(2,5)"],
+            ["sigma", "T(2,3)", "--at", "-1/2"],
+            ["report", "T(2,3)", "--atoms"],
+            ["suite", "--json", "thm1"],
+            ["suite", "thm9"],
+            ["check-bcg", "--atoms", "a.json"],
+        ],
+        ids=" ".join,
+    )
+    def test_leaves_argv_to_argparse(self, argv):
+        assert not reads(argv)
 
 
 # Expression text: well-formed expressions, strings of grammar pieces, and

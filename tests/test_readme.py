@@ -73,15 +73,11 @@ def test_cli_example_output(capsys):
 
 
 def declared_suite_ranges():
-    """Each suite's range flags and their defaults, as cli._parser() declares them."""
-
-    def choices(parser, dest):
-        return next(a for a in parser._actions if a.dest == dest).choices
-
-    suites = choices(choices(cli._parser(), "command")["suite"], "name")
+    """Each suite's range flags and their defaults, as the command table
+    cli.COMMANDS declares them."""
     return {
-        name: {a.option_strings[0]: a.default for a in p._actions if a.metavar == "A..B"}
-        for name, p in suites.items()
+        name: {flag: kwargs["default"] for flag, kwargs in suite.flags if kwargs.get("metavar") == "A..B"}
+        for name, suite in cli.COMMANDS["suite"].suites.items()
     }
 
 
